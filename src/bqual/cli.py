@@ -30,6 +30,7 @@ from .explorer import (
     DEFAULT_MAX_TRANSITIONS,
     ExplorerError,
     explore,
+    result_header,
     serialize_result,
 )
 from .alignment import DEFAULT_SIZE_GUARD
@@ -103,9 +104,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         n_missing=args.n_missing,
         seed=args.seed,
         plan_path=args.plan,
-        out_path=args.out,
-        report_format=args.format,
-        strict=args.strict,
         size_guard=args.similarity_threshold,
     )
     report = evaluate(config)
@@ -130,11 +128,12 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         max_states=args.max_states,
         max_transitions=args.max_transitions,
     )
-    serialized = serialize_result(result)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             write_transitions_jsonl(result.transitions, handle)
-        del serialized["transitions"]
+        serialized = result_header(result)
+    else:
+        serialized = serialize_result(result)
     sys.stdout.write(json.dumps(serialized, indent=2) + "\n")
     return EXIT_OK
 

@@ -15,6 +15,7 @@ import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -23,12 +24,11 @@ from .bmachine import MachineAST
 from .explorer import (
     DEFAULT_MAX_STATES,
     DEFAULT_MAX_TRANSITIONS,
-    ExplorationResult,
     explore,
     infer_domains,
 )
 from .lexer import word_count
-from .lts import labels_of, read_transitions_jsonl
+from .lts import read_transitions_jsonl
 from .metrics import (
     DERIVED_CHARACTERISTICS,
     REPORT_GROUPS,
@@ -49,14 +49,15 @@ from .metrics import (
     tfappr,
     tfcomp,
     tfcorr,
-    weighted_modularity,
 )
-from .metrics import modularity_of
 from .mutation import (
+    FAULT_METRICS,
     MutationError,
     apply_plan,
     load_plan,
     modularity_sweep,
+    per_operation_counts,
+    plan_modularity,
     run_trials,
     trial_metrics,
 )
@@ -68,12 +69,6 @@ DEFAULT_TRIALS = 20
 METERING_FIELDS = ("cpu_seconds", "peak_memory_bytes")
 
 _FUNCTIONAL_METRICS = ("tfcomp", "pfcomp", "tfcorr", "pfcorr", "tfappr", "pfappr")
-_MUTATION_METRICS = (
-    "fault_tolerance",
-    "recoverability",
-    "functional_analysability",
-    "fault_analysability",
-)
 
 
 class EvaluationError(ValueError):
@@ -94,9 +89,6 @@ class EvaluationConfig:
     n_missing: int | None = None
     seed: int | None = None
     plan_path: str | None = None
-    out_path: str | None = None
-    report_format: str = "json"
-    strict: bool = False
     size_guard: int = DEFAULT_SIZE_GUARD
 
     def resolved_seed(self) -> int:
@@ -193,7 +185,7 @@ def evaluate(config: EvaluationConfig) -> QualityReport:
     report.capacity = capacity(result)
     report.cpu_seconds = result.cpu_seconds
     report.peak_memory_bytes = result.peak_memory_bytes
-    report.summary = _summary_block(result)
+    report.summary = result.summary
 
     n_words = word_count(source)
     seed = config.resolved_seed()
@@ -241,16 +233,11 @@ def evaluate(config: EvaluationConfig) -> QualityReport:
     _set_or_mark(report, "accountability", lambda: accountability(result))
 
     # fault injection ------------------------------------------------------------
-    mutation_prov: dict = {"mode": "disabled"}
     if config.plan_path is not None:
         plan = load_plan(config.plan_path, machine.variables, machine.element_sets)
         changed = apply_plan(result, plan, machine.invariant)
         values, reasons = trial_metrics(result, changed)
-        for name in _MUTATION_METRICS:
-            if values[name] is None:
-                report.mark_not_computed(name, reasons[name])
-            else:
-                report.set_metric(name, values[name])
+        sweep = partial(plan_modularity, result, plan, changed)
         mutation_prov = {
             "mode": "plan",
             "plan_path": config.plan_path,
@@ -259,26 +246,6 @@ def evaluate(config: EvaluationConfig) -> QualityReport:
             "label_scope": plan.label_scope,
             "seed": plan.seed,
         }
-        if plan.label_scope is None:
-            report.mark_not_computed(
-                "modularity", "explicit plan has no operation scope"
-            )
-        else:
-            # The scoped operation takes its modularity from the plan; the
-            # other operations are untouched, so their changed system is the
-            # derived system itself.
-            per_op = {}
-            for op in sorted(labels_of(result.transitions)):
-                if op == plan.label_scope:
-                    per_op[op] = modularity_of(op, result.transitions, changed.t_changed)
-                else:
-                    per_op[op] = Fraction(1)
-            report.per_operation_modularity = per_op
-            _set_or_mark(
-                report,
-                "modularity",
-                lambda: weighted_modularity(per_op, result.transitions),
-            )
     elif config.trials > 0:
         n_default = default_mutation_count(len(result.transitions))
         n_extra = config.n_extra if config.n_extra is not None else n_default
@@ -293,45 +260,27 @@ def evaluate(config: EvaluationConfig) -> QualityReport:
             seed,
             labels=machine.operation_names,
         )
-        for name in _MUTATION_METRICS:
-            mean = outcome.means[name]
-            if mean is None:
-                report.mark_not_computed(
-                    name, "not computable in any trial"
-                )
-            else:
-                report.set_metric(name, mean)
+        values = outcome.means
+        reasons = dict.fromkeys(FAULT_METRICS, "not computable in any trial")
         report.trial_exclusions = outcome.exclusions
-        # Per-operation removals cannot exceed the operation's transitions.
-        label_counts: dict[str, int] = {}
-        for t in result.transitions:
-            label_counts[t.label] = label_counts.get(t.label, 0) + 1
-        per_op_counts = {
-            op: (n_extra, min(n_missing, count))
-            for op, count in label_counts.items()
-        }
-        try:
-            per_op, weighted = modularity_sweep(
-                result, domains, machine.invariant, per_op_counts, seed
-            )
-            report.per_operation_modularity = per_op
-            report.set_metric("modularity", weighted)
-        except (MutationError, NotComputable) as exc:
-            report.mark_not_computed("modularity", str(exc))
+        per_op_counts = per_operation_counts(result, n_extra, n_missing)
+        sweep = partial(
+            modularity_sweep, result, domains, machine.invariant, per_op_counts, seed
+        )
         mutation_prov = {
             "mode": "seeded",
             "trials": config.trials,
             "n_extra": n_extra,
             "n_missing": n_missing,
             "seed": seed,
-            "per_operation_counts": {
-                op: {"n_extra": ne, "n_missing": nm}
-                for op, (ne, nm) in sorted(per_op_counts.items())
-            },
+            "per_operation_counts": _counts_json(per_op_counts),
         }
     else:
-        for name in _MUTATION_METRICS + ("modularity",):
-            report.mark_not_computed(name, "mutation trials disabled")
+        values = dict.fromkeys(FAULT_METRICS)
+        reasons = dict.fromkeys([*FAULT_METRICS, "modularity"], "mutation trials disabled")
+        sweep = None
+        mutation_prov = {"mode": "disabled"}
+    _record_fault_metrics(report, values, reasons, sweep)
 
     # maintainability / usability ---------------------------------------------
     _set_or_mark(report, "reusability", lambda: reusability(result.transitions))
@@ -371,15 +320,32 @@ def _set_or_mark(report: QualityReport, name: str, compute) -> None:
         report.mark_not_computed(name, reason)
 
 
-def _summary_block(result: ExplorationResult) -> dict:
+def _record_fault_metrics(
+    report: QualityReport, values: dict, reasons: dict, sweep
+) -> None:
+    """Write the fault metrics and the modularity that ``sweep`` computes.
+    A None value, or modularity without a sweep, is marked with its reason."""
+    for name, value in values.items():
+        if value is None:
+            report.mark_not_computed(name, reasons[name])
+        else:
+            report.set_metric(name, value)
+    if sweep is None:
+        report.mark_not_computed("modularity", reasons["modularity"])
+        return
+    try:
+        per_op, weighted = sweep()
+    except (MutationError, NotComputable) as exc:
+        report.mark_not_computed("modularity", str(exc))
+        return
+    report.per_operation_modularity = per_op
+    report.set_metric("modularity", weighted)
+
+
+def _counts_json(per_op_counts: dict) -> dict:
     return {
-        "initial_states": len(result.initial_states),
-        "states": len(result.states),
-        "transitions": len(result.transitions),
-        "ok_transitions": len(result.ok),
-        "violating_transitions": len(result.violating),
-        "deadlock_states": len(result.deadlock_states),
-        "truncated": result.truncated,
+        op: {"n_extra": ne, "n_missing": nm}
+        for op, (ne, nm) in sorted(per_op_counts.items())
     }
 
 

@@ -10,7 +10,7 @@ when its post-state breaks the invariant or has no outgoing transition
 from __future__ import annotations
 
 import itertools
-import threading
+import resource
 import time
 from dataclasses import dataclass
 
@@ -52,6 +52,8 @@ from .lts import (
     boolval,
     enumval,
     intval,
+    sorted_transitions,
+    transition_to_json,
 )
 from .bmachine import BOOL_SET
 
@@ -163,39 +165,34 @@ def _domain_from_membership(pred, name: str, ref_type, machine: MachineAST):
     return None
 
 
-def infer_domains(machine: MachineAST) -> DomainMap:
-    """One finite domain per variable, from the first top-level membership
-    conjunct of the invariant whose subject is that variable."""
-    parts = conjuncts(machine.invariant)
-    domains: DomainMap = {}
-    for name in machine.variables:
-        for pred in parts:
-            domain = _domain_from_membership(pred, name, VarRef, machine)
-            if domain is not None:
-                domains[name] = domain
-                break
-        else:
-            raise DomainError(
-                f"variable {name!r} has no membership conjunct in the invariant"
-            )
-    return domains
-
-
-def _bound_domains(any_node: AnyChoice, machine: MachineAST | None) -> list:
-    context = machine if machine is not None else _EMPTY_MACHINE
-    parts = conjuncts(any_node.where)
+def _first_domains(names, pred, ref_type, machine: MachineAST, missing: str) -> list:
+    """One domain per name, from the first top-level membership conjunct of
+    ``pred`` whose subject is that name; ``missing`` words the error."""
+    parts = conjuncts(pred)
     out = []
-    for name in any_node.identifiers:
-        for pred in parts:
-            domain = _domain_from_membership(pred, name, BoundRef, context)
+    for name in names:
+        for part in parts:
+            domain = _domain_from_membership(part, name, ref_type, machine)
             if domain is not None:
                 out.append(domain)
                 break
         else:
-            raise DomainError(
-                f"bound identifier {name!r} has no membership conjunct in WHERE"
-            )
+            raise DomainError(missing.format(repr(name)))
     return out
+
+
+def infer_domains(machine: MachineAST) -> DomainMap:
+    """One finite domain per variable, from the invariant."""
+    missing = "variable {} has no membership conjunct in the invariant"
+    order = machine.variables
+    domains = _first_domains(order, machine.invariant, VarRef, machine, missing)
+    return dict(zip(order, domains))
+
+
+def _bound_domains(any_node: AnyChoice, machine: MachineAST | None) -> list:
+    missing = "bound identifier {} has no membership conjunct in WHERE"
+    context = machine if machine is not None else _EMPTY_MACHINE
+    return _first_domains(any_node.identifiers, any_node.where, BoundRef, context, missing)
 
 
 _EMPTY_MACHINE = MachineAST(
@@ -429,79 +426,6 @@ def compile_substitution(sub, machine: MachineAST | None = None):
     raise TypeError(f"not a substitution: {type(sub).__name__}")
 
 
-def enumerate_substitution(
-    sub,
-    state: State,
-    domains: DomainMap | None = None,
-    machine: MachineAST | None = None,
-):
-    """All post-states a substitution can reach from ``state``.
-
-    ``domains`` is accepted for symmetry with :func:`explore`; bound
-    identifiers take their domains from their own WHERE predicate, so the
-    machine's domain map is not consulted.  ``machine`` is only needed when
-    a WHERE constrains a bound identifier to a declared enumerated set.
-    """
-    run = compile_substitution(sub, machine)
-    env = dict(zip(state.variables, state.values))
-    order = state.variables
-    out = set()
-    for result in run(env):
-        out.add(State(order, tuple(result[v] for v in order)))
-    return out
-
-
-# --- metering ----------------------------------------------------------------
-
-
-class _MemorySampler:
-    """Best-effort peak resident-set sampler on a background thread."""
-
-    def __init__(self, interval: float = 0.01):
-        self.interval = interval
-        self.peak = 0
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
-        try:
-            import psutil
-
-            self._process = psutil.Process()
-        except Exception:  # pragma: no cover - psutil is a declared dependency
-            self._process = None
-
-    def _sample(self) -> None:
-        if self._process is not None:
-            try:
-                rss = self._process.memory_info().rss
-            except Exception:  # pragma: no cover
-                return
-            if rss > self.peak:
-                self.peak = rss
-
-    def _run(self) -> None:
-        while not self._stop.wait(self.interval):
-            self._sample()
-
-    def __enter__(self):
-        self._sample()
-        if self._process is not None:
-            self._thread = threading.Thread(target=self._run, daemon=True)
-            self._thread.start()
-        return self
-
-    def __exit__(self, *exc):
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join()
-        self._sample()
-        if self.peak == 0:
-            # Fallback: lifetime peak RSS of the process (kilobytes on Linux).
-            import resource
-
-            self.peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
-        return False
-
-
 # --- exploration --------------------------------------------------------------
 
 
@@ -518,6 +442,19 @@ class ExplorationResult:
     truncated: bool
     cpu_seconds: float
     peak_memory_bytes: int
+
+    @property
+    def summary(self) -> dict:
+        """The exploration counts shared by ``bqual explore`` and the report."""
+        return {
+            "initial_states": len(self.initial_states),
+            "states": len(self.states),
+            "transitions": len(self.transitions),
+            "ok_transitions": len(self.ok),
+            "violating_transitions": len(self.violating),
+            "deadlock_states": len(self.deadlock_states),
+            "truncated": self.truncated,
+        }
 
     @property
     def metering(self) -> dict:
@@ -548,69 +485,65 @@ def explore(
         for name, body in machine.operations
     ]
 
-    sampler = _MemorySampler() if meter_memory else None
     started = time.process_time()
-    if sampler is not None:
-        sampler.__enter__()
-    try:
-        init_envs = init({})
-        initial: list[State] = []
-        seen_init = set()
-        for env in init_envs:
-            missing = [v for v in order if v not in env]
-            if missing:
-                raise InitialisationError(
-                    f"initialisation does not assign {missing[0]!r}"
-                )
-            state = State(order, tuple(env[v] for v in order))
-            if state not in seen_init:
-                seen_init.add(state)
-                initial.append(state)
-        if not initial:
-            raise InitialisationError("initialisation is unsatisfiable")
+    init_envs = init({})
+    initial: list[State] = []
+    seen_init = set()
+    for env in init_envs:
+        missing = [v for v in order if v not in env]
+        if missing:
+            raise InitialisationError(
+                f"initialisation does not assign {missing[0]!r}"
+            )
+        state = State(order, tuple(env[v] for v in order))
+        if state not in seen_init:
+            seen_init.add(state)
+            initial.append(state)
+    if not initial:
+        raise InitialisationError("initialisation is unsatisfiable")
 
-        pool: dict[tuple, State] = {s.values: s for s in initial}
-        inv_ok: dict[State, bool] = {}
-        states: set[State] = set(initial)
-        transitions: set[Transition] = set()
-        frontier = list(initial)
-        cursor = 0
-        truncated = False
+    pool: dict[tuple, State] = {s.values: s for s in initial}
+    inv_ok: dict[State, bool] = {}
+    states: set[State] = set(initial)
+    transitions: set[Transition] = set()
+    frontier = list(initial)
+    cursor = 0
+    truncated = False
 
-        for s in initial:
-            inv_ok[s] = invariant(dict(zip(order, s.values)))
+    for s in initial:
+        inv_ok[s] = invariant(dict(zip(order, s.values)))
 
-        while cursor < len(frontier):
-            state = frontier[cursor]
-            cursor += 1
-            if not inv_ok[state]:
-                continue  # violating states are terminal
-            env = dict(zip(order, state.values))
-            for label, run in ops:
-                for result in run(env):
-                    values = tuple(result[v] for v in order)
-                    post = pool.get(values)
-                    is_new = post is None
-                    if is_new:
-                        post = State(order, values)
-                        if len(states) >= max_states:
-                            truncated = True
-                            continue
-                    if len(transitions) >= max_transitions:
+    while cursor < len(frontier):
+        state = frontier[cursor]
+        cursor += 1
+        if not inv_ok[state]:
+            continue  # violating states are terminal
+        env = dict(zip(order, state.values))
+        for label, run in ops:
+            for result in run(env):
+                values = tuple(result[v] for v in order)
+                post = pool.get(values)
+                is_new = post is None
+                if is_new:
+                    post = State(order, values)
+                    if len(states) >= max_states:
                         truncated = True
                         continue
-                    if is_new:
-                        pool[values] = post
-                        states.add(post)
-                        inv_ok[post] = invariant(result)
-                        frontier.append(post)
-                    transitions.add(Transition(state, label, post))
-    finally:
-        cpu_seconds = time.process_time() - started
-        peak = 0
-        if sampler is not None:
-            sampler.__exit__(None, None, None)
-            peak = sampler.peak
+                if len(transitions) >= max_transitions:
+                    truncated = True
+                    continue
+                if is_new:
+                    pool[values] = post
+                    states.add(post)
+                    inv_ok[post] = invariant(result)
+                    frontier.append(post)
+                transitions.add(Transition(state, label, post))
+
+    cpu_seconds = time.process_time() - started
+    peak = 0
+    if meter_memory:
+        # Lifetime peak RSS of the process (kilobytes on Linux).
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
 
     has_outgoing = {t.pre for t in transitions}
     violating = frozenset(
@@ -649,25 +582,23 @@ def check_goal(result: ExplorationResult, goal: Predicate) -> bool:
     return any(holds(dict(zip(order, s.values))) for s in result.states)
 
 
-def serialize_result(result: ExplorationResult) -> dict:
-    """Summary block plus canonical transition objects, canonically sorted."""
-    from .lts import sorted_transitions, transition_to_json
-
+def result_header(result: ExplorationResult) -> dict:
+    """Machine, variables, summary and metering of one exploration."""
     return {
         "machine": result.machine_name,
         "variables": list(result.variable_order),
-        "summary": {
-            "initial_states": len(result.initial_states),
-            "states": len(result.states),
-            "transitions": len(result.transitions),
-            "ok_transitions": len(result.ok),
-            "violating_transitions": len(result.violating),
-            "deadlock_states": len(result.deadlock_states),
-            "truncated": result.truncated,
-        },
+        "summary": result.summary,
         "metering": result.metering,
-        "transitions": [
+    }
+
+
+def serialize_result(result: ExplorationResult) -> dict:
+    """``result_header`` plus every transition as its canonical object,
+    canonically sorted and flagged ``violates``."""
+    return dict(
+        result_header(result),
+        transitions=[
             dict(transition_to_json(t), violates=(t in result.violating))
             for t in sorted_transitions(result.transitions)
         ],
-    }
+    )

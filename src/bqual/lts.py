@@ -7,6 +7,7 @@ types cache their hashes and intern common values.
 
 from __future__ import annotations
 
+import json
 from typing import Iterable, Mapping, Union
 
 KIND_BOOL = "bool"
@@ -41,12 +42,6 @@ class Value:
         if not isinstance(other, Value):
             return NotImplemented
         return self.kind == other.kind and self.payload == other.payload
-
-    def __ne__(self, other):
-        result = self.__eq__(other)
-        if result is NotImplemented:
-            return result
-        return not result
 
     def __hash__(self):
         return self._hash
@@ -164,12 +159,6 @@ class State:
             return NotImplemented
         return self.variables == other.variables and self.values == other.values
 
-    def __ne__(self, other):
-        result = self.__eq__(other)
-        if result is NotImplemented:
-            return result
-        return not result
-
     def __hash__(self):
         return self._hash
 
@@ -218,12 +207,6 @@ class Transition:
             and self.post == other.post
         )
 
-    def __ne__(self, other):
-        result = self.__eq__(other)
-        if result is NotImplemented:
-            return result
-        return not result
-
     def __hash__(self):
         return self._hash
 
@@ -255,12 +238,6 @@ class StatePair:
             return NotImplemented
         return self.pre == other.pre and self.post == other.post
 
-    def __ne__(self, other):
-        result = self.__eq__(other)
-        if result is NotImplemented:
-            return result
-        return not result
-
     def __hash__(self):
         return self._hash
 
@@ -271,9 +248,6 @@ class StatePair:
         return f"[{self.pre!r},{self.post!r}]"
 
 
-# Transition sets are plain (frozen)sets: duplicate-free, with cheap
-# union/intersection/difference in C.
-TransitionSet = frozenset
 FlatList = tuple
 Element = Union[Transition, StatePair]
 
@@ -379,8 +353,6 @@ def sorted_transitions(transitions: Iterable[Transition]) -> list[Transition]:
 def write_transitions_jsonl(transitions: Iterable[Transition], stream) -> int:
     """Write one canonical JSON object per line, canonically sorted.
     Returns the number of lines written."""
-    import json
-
     count = 0
     for t in sorted_transitions(transitions):
         stream.write(json.dumps(transition_to_json(t), separators=(", ", ": ")))
@@ -395,8 +367,6 @@ def read_transitions_jsonl(
     element_sets: Mapping[str, str] | None = None,
 ) -> frozenset:
     """Read canonical transition JSON lines; blank lines are ignored."""
-    import json
-
     order = tuple(variable_order)
     out = set()
     for lineno, line in enumerate(stream, start=1):

@@ -6,6 +6,7 @@ report layer turns that into a "not-computed" field with the reason.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -195,9 +196,7 @@ def weighted_modularity(per_op: Mapping[str, Fraction], t_derived: frozenset) ->
     derived transitions."""
     if not t_derived:
         raise NotComputable("no derived transitions")
-    counts: dict[str, int] = {}
-    for t in t_derived:
-        counts[t.label] = counts.get(t.label, 0) + 1
+    counts = Counter(t.label for t in t_derived)
     missing = [label for label in counts if label not in per_op]
     if missing:
         raise NotComputable(f"no modularity value for operation {sorted(missing)[0]!r}")
@@ -268,26 +267,6 @@ REPORT_GROUPS = (
     ("accountability", "fault_tolerance", "recoverability", "functional_analysability"),
     ("fault_analysability", "modularity", "reusability", "cpu_seconds"),
     ("peak_memory_bytes", "capacity", "goal_appropriateness", "learnability"),
-)
-
-RATIO_METRICS = (
-    "tfcomp",
-    "pfcomp",
-    "tfcorr",
-    "pfcorr",
-    "tfappr",
-    "pfappr",
-    "invariant_satisfiability",
-    "availability",
-    "accountability",
-    "fault_tolerance",
-    "recoverability",
-    "functional_analysability",
-    "fault_analysability",
-    "modularity",
-    "reusability",
-    "goal_appropriateness",
-    "learnability",
 )
 
 

@@ -13,9 +13,10 @@ from __future__ import annotations
 import json
 import random
 import zlib
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .bmachine import Predicate
 from .explorer import DomainMap, ExplorationResult, compile_predicate
@@ -227,12 +228,22 @@ def apply_plan(
     )
 
 
-_TRIAL_METRICS = (
-    "fault_tolerance",
-    "recoverability",
-    "functional_analysability",
-    "fault_analysability",
-)
+# The four fault-injection metrics, each a function of the derived system
+# and one changed system.
+FAULT_METRICS = {
+    "fault_tolerance": lambda result, changed: fault_tolerance(
+        changed.u_changed, changed.u_violating
+    ),
+    "recoverability": lambda result, changed: recoverability(
+        changed.u_ok, result.transitions
+    ),
+    "functional_analysability": lambda result, changed: functional_analysability(
+        result.transitions, changed.u_changed
+    ),
+    "fault_analysability": lambda result, changed: fault_analysability(
+        result.violating, changed.u_violating
+    ),
+}
 
 
 @dataclass
@@ -249,9 +260,9 @@ def trial_metrics(
     ``(values, reasons)`` where a non-computable metric appears as None."""
     values: dict = {}
     reasons: dict = {}
-    for name in _TRIAL_METRICS:
+    for name, compute in FAULT_METRICS.items():
         try:
-            values[name] = _TRIAL_FUNCS[name](result, changed)
+            values[name] = compute(result, changed)
         except NotComputable as exc:
             values[name] = None
             reasons[name] = exc.reason
@@ -266,7 +277,7 @@ def run_trials(
     n_extra: int,
     n_missing: int,
     seed: int,
-    labels: Iterable[str] | None = None,
+    labels: Iterable[str],
 ) -> TrialOutcome:
     """Average the fault-injection metrics over seeded trials.
 
@@ -276,48 +287,36 @@ def run_trials(
     """
     if trial_count < 1:
         raise MutationError("trial count must be at least 1")
-    label_pool = labels if labels is not None else labels_of(result.transitions)
-    sums: dict[str, Fraction] = {name: Fraction(0) for name in _TRIAL_METRICS}
-    counts: dict[str, int] = {name: 0 for name in _TRIAL_METRICS}
-    exclusions: dict[str, int] = {name: 0 for name in _TRIAL_METRICS}
+    samples: dict[str, list] = {name: [] for name in FAULT_METRICS}
     for i in range(trial_count):
         plan = generate_plan(
-            result, domains, label_pool, n_extra, n_missing, seed ^ i
+            result, domains, labels, n_extra, n_missing, seed ^ i
         )
-        changed = apply_plan(result, plan, invariant)
-        for name in _TRIAL_METRICS:
-            try:
-                value = _TRIAL_FUNCS[name](result, changed)
-            except NotComputable:
-                exclusions[name] += 1
-                continue
-            sums[name] += value
-            counts[name] += 1
-    means = {
-        name: (sums[name] / counts[name] if counts[name] else None)
-        for name in _TRIAL_METRICS
-    }
-    return TrialOutcome(means=means, exclusions=exclusions, trials=trial_count)
-
-
-_TRIAL_FUNCS = {
-    "fault_tolerance": lambda result, changed: fault_tolerance(
-        changed.u_changed, changed.u_violating
-    ),
-    "recoverability": lambda result, changed: recoverability(
-        changed.u_ok, result.transitions
-    ),
-    "functional_analysability": lambda result, changed: functional_analysability(
-        result.transitions, changed.u_changed
-    ),
-    "fault_analysability": lambda result, changed: fault_analysability(
-        result.violating, changed.u_violating
-    ),
-}
+        values, _ = trial_metrics(result, apply_plan(result, plan, invariant))
+        for name, value in values.items():
+            if value is not None:
+                samples[name].append(value)
+    return TrialOutcome(
+        means={
+            name: sum(kept, Fraction(0)) / len(kept) if kept else None
+            for name, kept in samples.items()
+        },
+        exclusions={name: trial_count - len(kept) for name, kept in samples.items()},
+        trials=trial_count,
+    )
 
 
 def _op_seed(seed: int, op: str) -> int:
     return (seed ^ zlib.crc32(op.encode("utf-8"))) & 0xFFFFFFFFFFFFFFFF
+
+
+def per_operation_counts(
+    result: ExplorationResult, n_extra: int, n_missing: int
+) -> dict[str, tuple[int, int]]:
+    """``(n_extra, n_missing)`` of each operation's label-scoped plan.
+    Removals cannot exceed the operation's transitions."""
+    counts = Counter(t.label for t in result.transitions)
+    return {op: (n_extra, min(n_missing, count)) for op, count in counts.items()}
 
 
 def modularity_sweep(
@@ -329,12 +328,10 @@ def modularity_sweep(
 ) -> tuple[dict, Fraction]:
     """Per-operation modularity from label-scoped plans, plus the
     transition-share-weighted total."""
-    ops = sorted(labels_of(result.transitions))
-    missing = [op for op in ops if op not in per_op_counts]
-    if missing:
-        raise MutationError(f"no mutation counts for operation {missing[0]!r}")
-    per_op: dict[str, Fraction] = {}
-    for op in ops:
+
+    def changed_by(op: str) -> ChangedSystem:
+        if op not in per_op_counts:
+            raise MutationError(f"no mutation counts for operation {op!r}")
         n_extra, n_missing = per_op_counts[op]
         plan = generate_plan(
             result,
@@ -345,8 +342,37 @@ def modularity_sweep(
             _op_seed(seed, op),
             label_scope=op,
         )
-        changed = apply_plan(result, plan, invariant)
-        per_op[op] = modularity_of(op, result.transitions, changed.t_changed)
+        return apply_plan(result, plan, invariant)
+
+    return _modularity(result, changed_by)
+
+
+def plan_modularity(
+    result: ExplorationResult, plan: MutationPlan, changed: ChangedSystem
+) -> tuple[dict, Fraction]:
+    """Per-operation and weighted modularity under one applied plan, which
+    must be scoped to an operation."""
+    if plan.label_scope is None:
+        raise MutationError("explicit plan has no operation scope")
+    return _modularity(
+        result, lambda op: changed if op == plan.label_scope else None
+    )
+
+
+def _modularity(
+    result: ExplorationResult, changed_by: Callable[[str], ChangedSystem | None]
+) -> tuple[dict, Fraction]:
+    """Modularity of every derived operation, from the changed system that
+    ``changed_by`` gives for it.  An operation without one is untouched: its
+    changed system is the derived system itself, so its modularity is 1."""
+    per_op: dict[str, Fraction] = {}
+    for op in sorted(labels_of(result.transitions)):
+        changed = changed_by(op)
+        per_op[op] = (
+            Fraction(1)
+            if changed is None
+            else modularity_of(op, result.transitions, changed.t_changed)
+        )
     return per_op, weighted_modularity(per_op, result.transitions)
 
 

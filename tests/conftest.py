@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from bqual.explorer import explore
+from bqual.explorer import compile_substitution, explore
 from bqual.lts import State, Transition, intval
 from bqual.parser import parse_machine
 
@@ -40,6 +40,20 @@ def _result_fixture(name):
 for _name in ("CM1", "CM2", "CM3", "CM4", "CM5", "CM6"):
     globals()[f"_{_name.lower()}_machine"] = _machine_fixture(_name)
     globals()[f"_{_name.lower()}_result"] = _result_fixture(_name)
+
+
+def enumerate_substitution(sub, state: State, machine=None) -> set:
+    """All post-states a substitution can reach from ``state``.
+
+    ``machine`` is only needed when a WHERE constrains a bound identifier to
+    a declared enumerated set.
+    """
+    run = compile_substitution(sub, machine)
+    order = state.variables
+    return {
+        State(order, tuple(env[v] for v in order))
+        for env in run(dict(zip(order, state.values)))
+    }
 
 
 # Small random transition systems for oracle and property testing.

@@ -24,6 +24,7 @@ from conftest import corpus_path, corpus_source
 
 CM1 = str(corpus_path("CM1.mch"))
 CM2 = str(corpus_path("CM2.mch"))
+CM4 = str(corpus_path("CM4.mch"))
 GOALS = str(corpus_path("goals-cm1.txt"))
 PLAN = str(corpus_path("cm5-plan.json"))
 
@@ -319,6 +320,32 @@ class TestCli:
         assert evaluated.returncode == 0, evaluated.stderr
         obj = json.loads(evaluated.stdout)
         assert obj["exact"]["tfcomp"] == "697/720"
+
+    @pytest.mark.parametrize("limits", [(), ("--max-states", "10")])
+    def test_explore_summary_matches_report(self, limits):
+        explored = run_cli("explore", "--machine", CM4, *limits)
+        evaluated = run_cli(
+            "evaluate", "--machine", CM4, *limits, "--trials", "0", "--format", "json"
+        )
+        assert explored.returncode == evaluated.returncode == 0, explored.stderr
+        assert (
+            json.loads(explored.stdout)["summary"]
+            == json.loads(evaluated.stdout)["summary"]
+        )
+
+    def test_explore_stdout_lists_transitions(self):
+        result = run_cli("explore", "--machine", CM4)
+        assert result.returncode == 0, result.stderr
+        transitions = json.loads(result.stdout)["transitions"]
+        assert len(transitions) == 1465
+        assert sum(t["violates"] for t in transitions) == 25
+
+    def test_explore_out_omits_transitions(self, tmp_path):
+        dump = tmp_path / "cm4.jsonl"
+        result = run_cli("explore", "--machine", CM4, "--out", str(dump))
+        assert result.returncode == 0, result.stderr
+        assert "transitions" not in json.loads(result.stdout)
+        assert len(dump.read_text(encoding="utf-8").splitlines()) == 1465
 
     def test_missing_file_exit_one(self):
         result = run_cli("evaluate", "--machine", "/nonexistent.mch")

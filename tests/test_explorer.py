@@ -13,7 +13,6 @@ from bqual.explorer import (
     InitialisationError,
     IntRangeDomain,
     check_goal,
-    enumerate_substitution,
     explore,
     infer_domains,
     serialize_result,
@@ -21,6 +20,7 @@ from bqual.explorer import (
 from bqual.lts import State, boolval, enumval, intval
 from bqual.parser import parse_machine, parse_predicate
 
+from conftest import enumerate_substitution
 
 
 def state_of(machine, **values):

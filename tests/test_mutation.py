@@ -330,6 +330,7 @@ class TestRunTrials:
                 1,
                 1,
                 0,
+                cm1_machine.operation_names,
             )
 
 
