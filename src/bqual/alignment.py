@@ -14,7 +14,7 @@ from typing import Iterable
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .lts import Element, FlatList, StatePair, Transition, flat_sort_key, flatten
+from .lts import Element, FlatList, StatePair, Transition, flatten
 
 DEFAULT_SIZE_GUARD = 5_000
 
@@ -82,7 +82,7 @@ def similarity(
 
     matching: list[tuple[Element, Element, int]] = []
     total = 0
-    for element in sorted(identical, key=lambda e: flat_sort_key(flatten(e, order))):
+    for element in sorted(identical, key=lambda e: e.sort_key()):
         flat = flatten(element, order)
         matching.append((element, element, len(flat)))
         total += len(flat)
@@ -94,8 +94,8 @@ def similarity(
                 f"({len(rest_left)} x {len(rest_right)} > {size_guard} each); "
                 "raise the guard to force an exact solve"
             )
-        lefts = sorted(rest_left, key=lambda e: flat_sort_key(flatten(e, order)))
-        rights = sorted(rest_right, key=lambda e: flat_sort_key(flatten(e, order)))
+        lefts = sorted(rest_left, key=lambda e: e.sort_key())
+        rights = sorted(rest_right, key=lambda e: e.sort_key())
         left_flat = [flatten(e, order) for e in lefts]
         right_flat = [flatten(e, order) for e in rights]
 

@@ -9,6 +9,7 @@ when its post-state breaks the invariant or has no outgoing transition
 
 from __future__ import annotations
 
+import functools
 import itertools
 import resource
 import time
@@ -95,12 +96,6 @@ class IntRangeDomain:
     def contains(self, value: Value) -> bool:
         return value.kind == KIND_INT and self.low <= value.payload <= self.high
 
-    def __len__(self):
-        return self.high - self.low + 1
-
-    def describe(self) -> str:
-        return f"{self.low}..{self.high}"
-
 
 @dataclass(frozen=True)
 class BoolDomain:
@@ -109,12 +104,6 @@ class BoolDomain:
 
     def contains(self, value: Value) -> bool:
         return value.kind == KIND_BOOL
-
-    def __len__(self):
-        return 2
-
-    def describe(self) -> str:
-        return BOOL_SET
 
 
 @dataclass(frozen=True)
@@ -129,12 +118,6 @@ class EnumDomain:
         return value.kind == KIND_ENUM and value.payload[0] == self.set_name and (
             value.payload[1] in self.elements
         )
-
-    def __len__(self):
-        return len(self.elements)
-
-    def describe(self) -> str:
-        return self.set_name
 
 
 Domain = IntRangeDomain | BoolDomain | EnumDomain
@@ -463,6 +446,16 @@ class ExplorationResult:
             "peak_memory_bytes": self.peak_memory_bytes,
         }
 
+    @functools.cached_property
+    def ordered_states(self) -> tuple[State, ...]:
+        """The reachable states in canonical order, sorted on first use."""
+        return tuple(sorted(self.states, key=State.sort_key))
+
+    @functools.cached_property
+    def ordered_transitions(self) -> tuple[Transition, ...]:
+        """The derived transitions in canonical order, sorted on first use."""
+        return tuple(sorted_transitions(self.transitions))
+
 
 def explore(
     machine: MachineAST,
@@ -599,6 +592,6 @@ def serialize_result(result: ExplorationResult) -> dict:
         result_header(result),
         transitions=[
             dict(transition_to_json(t), violates=(t in result.violating))
-            for t in sorted_transitions(result.transitions)
+            for t in result.ordered_transitions
         ],
     )

@@ -25,8 +25,8 @@ class Value:
 
     Equality is exact: two values are equal only when they have the same
     kind and the same payload, so an integer never equals a boolean or an
-    enumerated element.  ``sort_key`` gives a deterministic total order
-    (kind first, then payload).
+    enumerated element.  ``sort_key`` gives the canonical total order
+    (kind first, then payload; spelled out in docs/formats.md).
     """
 
     __slots__ = ("kind", "payload", "_hash")
@@ -304,17 +304,6 @@ def labels_of(transitions: Iterable[Transition]) -> frozenset:
     return frozenset(t.label for t in transitions)
 
 
-def token_sort_key(token):
-    """Deterministic ordering key for a flattened token (Value or label)."""
-    if isinstance(token, Value):
-        return ("v",) + token.sort_key()
-    return ("label", token)
-
-
-def flat_sort_key(flat: FlatList):
-    return tuple(token_sort_key(tok) for tok in flat)
-
-
 def transition_to_json(t: Transition) -> dict:
     """Canonical JSON object: {"pre": {...}, "op": name, "post": {...}}."""
     return {
@@ -348,6 +337,11 @@ def transition_from_json(
 
 def sorted_transitions(transitions: Iterable[Transition]) -> list[Transition]:
     return sorted(transitions, key=Transition.sort_key)
+
+
+def sorted_labels(labels: Iterable[str]) -> list[str]:
+    """The distinct operation labels in canonical (code-point) order."""
+    return sorted(set(labels))
 
 
 def write_transitions_jsonl(transitions: Iterable[Transition], stream) -> int:

@@ -24,6 +24,7 @@ from .lts import (
     State,
     Transition,
     labels_of,
+    sorted_labels,
     sorted_transitions,
     transition_from_json,
     transition_to_json,
@@ -107,21 +108,20 @@ def generate_plan(
     order = result.variable_order
 
     pool = (
-        [t for t in result.transitions if t.label == label_scope]
+        [t for t in result.ordered_transitions if t.label == label_scope]
         if label_scope is not None
-        else list(result.transitions)
+        else result.ordered_transitions
     )
-    pool = sorted_transitions(pool)
     if n_missing > len(pool):
         raise MutationError(
             f"cannot remove {n_missing} of {len(pool)} eligible transitions"
         )
     missing = frozenset(rng.sample(pool, n_missing)) if n_missing else frozenset()
 
-    label_pool = [label_scope] if label_scope is not None else sorted(set(labels))
+    label_pool = [label_scope] if label_scope is not None else sorted_labels(labels)
     if n_extra and not label_pool:
         raise MutationError("no labels to draw extra transitions from")
-    states = sorted(result.states, key=State.sort_key)
+    states = result.ordered_states
     value_pools = [domains[name].values() for name in order]
 
     product_size = 1
@@ -182,8 +182,8 @@ def apply_plan(
     validate_plan(plan, result.transitions)
     relation = (result.transitions | plan.extra) - plan.missing
 
-    # Traversal order cannot influence the resulting sets, so adjacency
-    # lists stay in insertion order.
+    # Traversal order cannot influence the resulting sets, so neither the
+    # queue nor the adjacency lists are sorted.
     outgoing: dict[State, list[Transition]] = {}
     for t in relation:
         outgoing.setdefault(t.pre, []).append(t)
@@ -200,7 +200,7 @@ def apply_plan(
 
     t_changed: set[Transition] = set()
     visited = set(result.initial_states)
-    queue = sorted(result.initial_states, key=State.sort_key)
+    queue = list(result.initial_states)
     cursor = 0
     while cursor < len(queue):
         state = queue[cursor]
@@ -214,7 +214,6 @@ def apply_plan(
                 queue.append(t.post)
 
     u_changed = frozenset((t_changed | plan.missing) - plan.extra)
-    assert u_changed == (frozenset(t_changed) | plan.missing) - plan.extra
 
     has_outgoing = {t.pre for t in u_changed}
     u_violating = frozenset(
@@ -366,7 +365,7 @@ def _modularity(
     ``changed_by`` gives for it.  An operation without one is untouched: its
     changed system is the derived system itself, so its modularity is 1."""
     per_op: dict[str, Fraction] = {}
-    for op in sorted(labels_of(result.transitions)):
+    for op in sorted_labels(labels_of(result.transitions)):
         changed = changed_by(op)
         per_op[op] = (
             Fraction(1)

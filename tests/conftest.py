@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from bqual.explorer import compile_substitution, explore
-from bqual.lts import State, Transition, intval
+from bqual.lts import FlatList, State, Transition, Value, intval
 from bqual.parser import parse_machine
 
 CORPUS = Path(__file__).parent / "corpus"
@@ -74,13 +74,24 @@ def random_transition_set(rng: random.Random, max_elements: int = 7) -> frozense
     return frozenset(out)
 
 
+def token_sort_key(token):
+    """Deterministic ordering key for a flattened token (Value or label)."""
+    if isinstance(token, Value):
+        return ("v",) + token.sort_key()
+    return ("label", token)
+
+
+def flat_sort_key(flat: FlatList):
+    return tuple(token_sort_key(tok) for tok in flat)
+
+
 def brute_force_similarity(left, right, variable_order) -> int:
     """Exhaustive maximum over all injective partial matchings, memoized on
     (next left element, used-rights bitmask)."""
     from functools import lru_cache
 
     from bqual.alignment import agreement
-    from bqual.lts import flat_sort_key, flatten
+    from bqual.lts import flatten
 
     a = sorted(
         (flatten(e, variable_order) for e in left), key=flat_sort_key

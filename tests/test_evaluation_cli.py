@@ -345,7 +345,17 @@ class TestCli:
         result = run_cli("explore", "--machine", CM4, "--out", str(dump))
         assert result.returncode == 0, result.stderr
         assert "transitions" not in json.loads(result.stdout)
-        assert len(dump.read_text(encoding="utf-8").splitlines()) == 1465
+        lines = dump.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 1465
+        # Both ends write the canonical order: the printed transitions, with
+        # their violates flags dropped, are the dump's lines in line order.
+        printed = run_cli("explore", "--machine", CM4)
+        assert printed.returncode == 0, printed.stderr
+        listed = [
+            {key: t[key] for key in ("pre", "op", "post")}
+            for t in json.loads(printed.stdout)["transitions"]
+        ]
+        assert listed == [json.loads(line) for line in lines]
 
     def test_missing_file_exit_one(self):
         result = run_cli("evaluate", "--machine", "/nonexistent.mch")

@@ -53,6 +53,21 @@ class TestValue:
         ordered = sorted(values, key=lambda v: v.sort_key())
         assert sorted(ordered, key=lambda v: v.sort_key()) == ordered
 
+    def test_documented_value_order(self):
+        # docs/formats.md: bool < enum < int; FALSE < TRUE; integers
+        # numerically; elements by (set name, element name).
+        expected = [
+            boolval(False),
+            boolval(True),
+            enumval("S", "b"),
+            enumval("T", "a"),
+            enumval("T", "c"),
+            intval(-1),
+            intval(3),
+        ]
+        shuffled = [expected[i] for i in (5, 3, 0, 6, 2, 4, 1)]
+        assert sorted(shuffled, key=lambda v: v.sort_key()) == expected
+
 
 class TestFlatten:
     def test_clock_transition_layout(self):

@@ -1,8 +1,15 @@
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+import bqual
 
 from bqual.explorer import compile_predicate, infer_domains
 from bqual.lts import State, Transition, intval
@@ -195,6 +202,55 @@ class TestGeneratePlan:
             generate_plan(
                 result, infer_domains(machine), ("loop",), 1, 0, seed=0
             )
+
+
+# Draws two plans on a machine with enumerated, boolean and integer
+# variables and prints them; set iteration order varies with the hash seed.
+_PLAN_SCRIPT = """
+import json
+from bqual.explorer import explore, infer_domains
+from bqual.mutation import generate_plan, plan_to_json
+from bqual.parser import parse_machine
+
+machine = parse_machine(
+    "MACHINE Lamp SETS COLOR = {red, amber, green} VARIABLES light, on, n "
+    "INVARIANT light : COLOR & on : BOOL & n : 0..2 "
+    "INITIALISATION light := red; on := FALSE; n := 0 OPERATIONS "
+    "paint = ANY c WHERE c : COLOR THEN light := c END; "
+    "switch_on = SELECT on = FALSE THEN on := TRUE END; "
+    "switch_off = SELECT on = TRUE THEN on := FALSE END; "
+    "bump = PRE n < 2 THEN n := n + 1 END END"
+)
+result = explore(machine, meter_memory=False)
+domains = infer_domains(machine)
+labels = machine.operation_names
+plans = [
+    generate_plan(result, domains, labels, 5, 5, seed=11),
+    generate_plan(result, domains, labels, 3, 3, seed=11, label_scope="paint"),
+]
+print(json.dumps([plan_to_json(plan) for plan in plans]))
+"""
+
+
+def test_plans_do_not_depend_on_hash_seed():
+    src = str(Path(bqual.__file__).resolve().parents[1])
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", _PLAN_SCRIPT],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert run.returncode == 0, run.stderr
+        outputs.append(run.stdout)
+    plans = json.loads(outputs[0])
+    assert [len(p["extra"]) + len(p["missing"]) for p in plans] == [10, 6]
+    assert outputs[0] == outputs[1]
 
 
 class TestApplyPlan:

@@ -3,7 +3,17 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from bqual.alignment import similarity
-from bqual.lts import State, Transition, intval, pairs_of, set_size
+from bqual.lts import (
+    State,
+    StatePair,
+    Transition,
+    boolval,
+    enumval,
+    flatten,
+    intval,
+    pairs_of,
+    set_size,
+)
 from bqual.metrics import (
     fault_analysability,
     fault_tolerance,
@@ -17,7 +27,7 @@ from bqual.metrics import (
     tfcorr,
 )
 
-from conftest import PROPERTY_ORDER, brute_force_similarity
+from conftest import PROPERTY_ORDER, brute_force_similarity, flat_sort_key
 
 values = st.integers(min_value=0, max_value=2).map(intval)
 labels = st.sampled_from(["a", "b", "c"])
@@ -79,6 +89,48 @@ def test_similarity_matches_exhaustive_oracle(t1, t2):
         similarity(t1, t2, PROPERTY_ORDER).total_agreement
         == brute_force_similarity(t1, t2, PROPERTY_ORDER)
     )
+
+
+# Integers, booleans and elements of two enumerated sets, so that one
+# position can hold values of different kinds.
+mixed_values = st.one_of(
+    st.integers(min_value=-2, max_value=2).map(intval),
+    st.booleans().map(boolval),
+    st.tuples(
+        st.sampled_from(["COLOUR", "MODE"]), st.sampled_from(["blue", "off", "red"])
+    ).map(lambda key: enumval(*key)),
+)
+
+
+@st.composite
+def mixed_elements(draw):
+    # A few shared states, so that elements often tie on a pre-state and
+    # the later components decide the order.
+    states = draw(
+        st.lists(
+            st.tuples(mixed_values, mixed_values).map(
+                lambda values: State(PROPERTY_ORDER, values)
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    state = st.sampled_from(states)
+    if draw(st.booleans()):
+        element = st.builds(Transition, state, labels, state)
+    else:
+        element = st.builds(StatePair, state, state)
+    return draw(st.lists(element, max_size=8))
+
+
+@given(mixed_elements())
+@settings(max_examples=300)
+def test_sort_key_orders_like_flat_token_key(elements):
+    by_sort_key = sorted(elements, key=lambda e: e.sort_key())
+    by_flat_key = sorted(
+        elements, key=lambda e: flat_sort_key(flatten(e, PROPERTY_ORDER))
+    )
+    assert by_sort_key == by_flat_key
 
 
 @given(nonempty_sets)
