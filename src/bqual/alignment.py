@@ -1,22 +1,45 @@
 """Maximum-alignment similarity between two transition (or pair) sets.
 
-Elements are flattened to token lists and scored by positional agreement.
-Identical elements are matched first (always part of some maximum
-matching, since a full-score pair can never be beaten by splitting it);
-the remainders go through an exact rectangular assignment solve.
+Elements are scored by positional agreement of their flattened token lists
+(``lts.flatten``, ``agreement``).  Identical elements are matched first (always
+part of some maximum matching, since a full-score pair can never be beaten
+by splitting it); the remainders go through an exact rectangular
+assignment solve.
+
+The solve works on integer codes: each distinct value and label becomes an
+int, each element a row of codes in flattened order, and each side is
+ordered canonically by state rank (``lts.state_ranks``).  A weight is the
+number of equal codes in two rows.  With n rows on the smaller side, only
+each row's n best columns need to be kept: if an optimal matching gives a
+row a dropped column, at most n - 1 of that row's n kept columns are taken
+by other rows, so it can move to a free one without losing weight.  The
+columns are scored in chunks of about ``CHUNK_CELLS`` cells; a column that
+beats no row's n-th best kept column is dropped at once, and the kept ones
+are pruned to that union after each chunk.  A lopsided pair thus costs
+vector work linear in its cells and a solve of at most n x n*n cells.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .lts import Element, FlatList, StatePair, Transition, flatten
+from .lts import (
+    Element,
+    FlatList,
+    StatePair,
+    Transition,
+    Value,
+    state_ranks,
+    state_values,
+)
 
 DEFAULT_SIZE_GUARD = 5_000
+CHUNK_CELLS = 1 << 20
 
 
 class AlignmentError(ValueError):
@@ -41,6 +64,9 @@ def agreement(a: FlatList, b: FlatList) -> int:
 
 
 def _check_uniform(elements: Iterable[Element], side: str) -> type | None:
+    kinds = set(map(type, elements))
+    if kinds in (set(), {Transition}, {StatePair}):
+        return next(iter(kinds), None)
     kind: type | None = None
     for element in elements:
         if not isinstance(element, (Transition, StatePair)):
@@ -53,6 +79,84 @@ def _check_uniform(elements: Iterable[Element], side: str) -> type | None:
         elif type(element) is not kind:
             raise AlignmentError(f"{side} mixes transitions and state pairs")
     return kind
+
+
+def _coded(
+    groups: list[frozenset], order: tuple[str, ...], labelled: bool
+) -> tuple[list[Element], list[tuple[np.ndarray, np.ndarray]]]:
+    """The groups' elements in one list, and per group the indices of its
+    elements in canonical order with one row of codes each: pre-state
+    values, the label (when ``labelled``), post-state values."""
+    elements = [e for group in groups for e in group]
+    pres = list(map(attrgetter("pre"), elements))
+    posts = list(map(attrgetter("post"), elements))
+    # Equal states are often distinct objects (one per exploration), so each
+    # object is ranked once and then looked up by id, not by State hash.
+    objects = dict(zip(map(id, pres), pres))
+    objects.update(zip(map(id, posts), posts))
+    rank = state_ranks(objects.values())
+    rank_of = {key: rank[s] for key, s in objects.items()}
+    value_codes: dict[Value, int] = {}
+    state_rows = np.array(
+        [
+            [value_codes.setdefault(v, len(value_codes)) for v in state_values(s, order)]
+            for s in rank
+        ],
+        dtype=np.int32,
+    ).reshape(len(rank), len(order))
+
+    size = len(elements)
+    pre = np.fromiter(map(rank_of.__getitem__, map(id, pres)), np.intp, size)
+    post = np.fromiter(map(rank_of.__getitem__, map(id, posts)), np.intp, size)
+    keys = [post, pre]
+    columns = [state_rows[pre], state_rows[post]]
+    if labelled:
+        names = list(map(attrgetter("label"), elements))
+        label_codes = {name: i for i, name in enumerate(sorted(set(names)))}
+        label = np.fromiter(map(label_codes.__getitem__, names), np.int32, size)
+        keys.insert(1, label)
+        columns.insert(1, label[:, None])
+    rows = np.hstack(columns)
+
+    coded = []
+    stop = 0
+    for group in groups:
+        start, stop = stop, stop + len(group)
+        ordered = start + np.lexsort([key[start:stop] for key in keys])
+        coded.append((ordered, rows[ordered]))
+    return elements, coded
+
+
+def _weights(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Agreement of every left row with every right row."""
+    out = np.zeros((len(left), len(right)), dtype=np.int32)
+    for c in range(left.shape[1]):
+        out += left[:, c, None] == right[None, :, c]
+    return out
+
+
+def _max_matching(left: np.ndarray, right: np.ndarray) -> list[tuple[int, int, int]]:
+    """``(i, j, weight)`` of one maximum-weight matching, ordered by i."""
+    if len(left) > len(right):
+        return sorted((i, j, w) for j, i, w in _max_matching(right, left))
+    n = len(left)
+    chunk = max(n, CHUNK_CELLS // n)
+    cols = np.empty(0, dtype=np.intp)
+    weights = np.empty((n, 0), dtype=np.int32)
+    floor = np.full((n, 1), -1)
+    for start in range(0, len(right), chunk):
+        block = _weights(left, right[start : start + chunk])
+        # A column that beats no row's n-th best kept column is not needed.
+        new = np.flatnonzero((block > floor).any(axis=0))
+        cols = np.concatenate((cols, start + new))
+        weights = np.hstack((weights, block[:, new]))
+        if weights.shape[1] > n:
+            # The union of each row's n best columns (see the module docstring).
+            best = np.unique(np.argpartition(weights, -n, axis=1)[:, -n:])
+            cols, weights = cols[best], weights[:, best]
+            floor = np.partition(weights, -n, axis=1)[:, -n, None]
+    rows, picked = linear_sum_assignment(weights, maximize=True)
+    return [(int(i), int(cols[j]), int(weights[i, j])) for i, j in zip(rows, picked)]
 
 
 def similarity(
@@ -75,18 +179,12 @@ def similarity(
     right_kind = _check_uniform(right_set, "right set")
     if left_kind and right_kind and left_kind is not right_kind:
         raise AlignmentError("cannot align transitions with state pairs")
+    labelled = (left_kind or right_kind) is Transition
 
     identical = left_set & right_set
     rest_left = left_set - identical
     rest_right = right_set - identical
-
-    matching: list[tuple[Element, Element, int]] = []
-    total = 0
-    for element in sorted(identical, key=lambda e: e.sort_key()):
-        flat = flatten(element, order)
-        matching.append((element, element, len(flat)))
-        total += len(flat)
-
+    groups = [identical]
     if rest_left and rest_right:
         if len(rest_left) > size_guard and len(rest_right) > size_guard:
             raise AlignmentSizeError(
@@ -94,20 +192,19 @@ def similarity(
                 f"({len(rest_left)} x {len(rest_right)} > {size_guard} each); "
                 "raise the guard to force an exact solve"
             )
-        lefts = sorted(rest_left, key=lambda e: e.sort_key())
-        rights = sorted(rest_right, key=lambda e: e.sort_key())
-        left_flat = [flatten(e, order) for e in lefts]
-        right_flat = [flatten(e, order) for e in rights]
+        groups += [rest_left, rest_right]
+    elements, ((same, _), *rests) = _coded(groups, order, labelled)
 
-        weights = np.zeros((len(lefts), len(rights)), dtype=np.int64)
-        for i, fl in enumerate(left_flat):
-            for j, fr in enumerate(right_flat):
-                weights[i, j] = agreement(fl, fr)
-        rows, cols = linear_sum_assignment(weights, maximize=True)
-        for i, j in zip(rows, cols):
-            w = int(weights[i, j])
+    width = 2 * len(order) + labelled
+    matching: list[tuple[Element, Element, int]] = [
+        (elements[i], elements[i], width) for i in same
+    ]
+    total = width * len(same)
+    if rests:
+        (lefts, left_rows), (rights, right_rows) = rests
+        for i, j, w in _max_matching(left_rows, right_rows):
             if w > 0:
-                matching.append((lefts[i], rights[j], w))
+                matching.append((elements[lefts[i]], elements[rights[j]], w))
                 total += w
 
     return AlignmentOutcome(total_agreement=total, matching=tuple(matching))

@@ -15,11 +15,11 @@ import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 from . import __version__
-from .alignment import DEFAULT_SIZE_GUARD, AlignmentError
+from .alignment import DEFAULT_SIZE_GUARD, AlignmentError, similarity
 from .bmachine import MachineAST
 from .explorer import (
     DEFAULT_MAX_STATES,
@@ -214,11 +214,13 @@ def evaluate(config: EvaluationConfig) -> QualityReport:
         t_r = requirement.required_transitions
         order = result.variable_order
         guard = config.size_guard
+        # pfcomp and pfcorr share one transition alignment, run on first use.
+        aligned = cache(partial(similarity, t_d, t_r, order, size_guard=guard))
         computations = {
             "tfcomp": lambda: tfcomp(t_d, t_r),
-            "pfcomp": lambda: pfcomp(t_d, t_r, order, size_guard=guard),
+            "pfcomp": lambda: pfcomp(t_d, t_r, order, aligned=aligned()),
             "tfcorr": lambda: tfcorr(t_d, t_r),
-            "pfcorr": lambda: pfcorr(t_d, t_r, order, size_guard=guard),
+            "pfcorr": lambda: pfcorr(t_d, t_r, order, aligned=aligned()),
             "tfappr": lambda: tfappr(t_d, t_r),
             "pfappr": lambda: pfappr(t_d, t_r, order, size_guard=guard),
             "availability": lambda: availability(

@@ -252,7 +252,9 @@ FlatList = tuple
 Element = Union[Transition, StatePair]
 
 
-def _state_values(state: State, variable_order: tuple[str, ...]) -> tuple[Value, ...]:
+def state_values(state: State, variable_order: tuple[str, ...]) -> tuple[Value, ...]:
+    """The state's values in ``variable_order``; raises StructureError when
+    the state binds a different variable set."""
     if state.variables is variable_order or state.variables == variable_order:
         return state.values
     declared = set(variable_order)
@@ -271,13 +273,13 @@ def flatten_transition(t: Transition, variable_order: Iterable[str]) -> FlatList
     """Flatten to ``(pre values..., label, post values...)`` -- 2N+1 tokens
     for N variables, values in declaration order."""
     order = tuple(variable_order)
-    return _state_values(t.pre, order) + (t.label,) + _state_values(t.post, order)
+    return state_values(t.pre, order) + (t.label,) + state_values(t.post, order)
 
 
 def flatten_pair(p: StatePair, variable_order: Iterable[str]) -> FlatList:
     """Flatten to ``(pre values..., post values...)`` -- 2N tokens."""
     order = tuple(variable_order)
-    return _state_values(p.pre, order) + _state_values(p.post, order)
+    return state_values(p.pre, order) + state_values(p.post, order)
 
 
 def flatten(element: Element, variable_order: Iterable[str]) -> FlatList:
@@ -335,8 +337,22 @@ def transition_from_json(
     return Transition(decode_state(obj["pre"]), obj["op"], decode_state(obj["post"]))
 
 
+def state_ranks(states: Iterable[State]) -> dict[State, int]:
+    """Each distinct state's position in canonical order.
+
+    Distinct states of one machine have distinct ``sort_key``s, so ordering
+    by rank is ordering by ``State.sort_key``; a rank is a small int, which
+    is cheap to compare and to put in a numpy array.
+    """
+    return {s: i for i, s in enumerate(sorted(set(states), key=State.sort_key))}
+
+
 def sorted_transitions(transitions: Iterable[Transition]) -> list[Transition]:
-    return sorted(transitions, key=Transition.sort_key)
+    """The transitions in canonical order (``Transition.sort_key``), keyed
+    on state ranks so that each distinct state's key is built once."""
+    transitions = list(transitions)
+    rank = state_ranks(s for t in transitions for s in (t.pre, t.post))
+    return sorted(transitions, key=lambda t: (rank[t.pre], t.label, rank[t.post]))
 
 
 def sorted_labels(labels: Iterable[str]) -> list[str]:

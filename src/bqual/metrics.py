@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .alignment import DEFAULT_SIZE_GUARD, similarity
+from .alignment import DEFAULT_SIZE_GUARD, AlignmentOutcome, similarity
 from .bmachine import Predicate
 from .explorer import ExplorationResult, check_goal
 from .lts import labels_of, pairs_of, set_size
@@ -61,12 +61,17 @@ def pfcomp(
     variable_order: Iterable[str],
     *,
     size_guard: int = DEFAULT_SIZE_GUARD,
+    aligned: AlignmentOutcome | None = None,
 ) -> Fraction:
-    """Alignment score against the required set, relative to its size."""
+    """Alignment score against the required set, relative to its size.
+
+    ``aligned`` is ``similarity(t_derived, t_required, ...)`` when the
+    caller already has it (``pfcorr`` aligns the same two sets)."""
     if not t_required:
         raise NotComputable("no required transitions")
     order = tuple(variable_order)
-    aligned = similarity(t_derived, t_required, order, size_guard=size_guard)
+    if aligned is None:
+        aligned = similarity(t_derived, t_required, order, size_guard=size_guard)
     return Fraction(aligned.total_agreement, set_size(t_required, order))
 
 
@@ -83,11 +88,15 @@ def pfcorr(
     variable_order: Iterable[str],
     *,
     size_guard: int = DEFAULT_SIZE_GUARD,
+    aligned: AlignmentOutcome | None = None,
 ) -> Fraction:
+    """Alignment score against the derived set, relative to its size;
+    ``aligned`` as in ``pfcomp``."""
     if not t_derived:
         raise NotComputable("no derived transitions")
     order = tuple(variable_order)
-    aligned = similarity(t_derived, t_required, order, size_guard=size_guard)
+    if aligned is None:
+        aligned = similarity(t_derived, t_required, order, size_guard=size_guard)
     return Fraction(aligned.total_agreement, set_size(t_derived, order))
 
 

@@ -128,18 +128,21 @@ def generate_plan(
     for values in value_pools:
         product_size *= len(values)
     space = len(states) * len(label_pool) * product_size
-    label_set = set(label_pool)
-    occupied = sum(
-        1
-        for t in result.transitions
-        if t.label in label_set
-        and all(domains[name].contains(v) for name, v in zip(order, t.post.values))
-    )
-    if n_extra > space - occupied:
-        raise MutationError(
-            f"cannot draw {n_extra} distinct extra transitions from a space "
-            f"of {space} with {occupied} already derived"
+    # occupied <= len(result.transitions), so the scan runs only when the
+    # space could be too small.
+    if n_extra > space - len(result.transitions):
+        label_set = set(label_pool)
+        occupied = sum(
+            1
+            for t in result.transitions
+            if t.label in label_set
+            and all(domains[name].contains(v) for name, v in zip(order, t.post.values))
         )
+        if n_extra > space - occupied:
+            raise MutationError(
+                f"cannot draw {n_extra} distinct extra transitions from a space "
+                f"of {space} with {occupied} already derived"
+            )
 
     extra: set[Transition] = set()
     attempts = 0

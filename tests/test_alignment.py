@@ -4,15 +4,21 @@ import random
 
 import pytest
 
+import bqual.alignment
 from bqual.alignment import (
     AlignmentError,
     AlignmentSizeError,
     agreement,
     similarity,
 )
-from bqual.lts import State, Transition, intval, pairs_of, set_size
+from bqual.lts import State, Transition, flatten, intval, pairs_of, set_size
 
-from conftest import PROPERTY_ORDER, brute_force_similarity, random_transition_set
+from conftest import (
+    PROPERTY_LABELS,
+    PROPERTY_ORDER,
+    brute_force_similarity,
+    random_transition_set,
+)
 
 ORDER = ("hour", "minute")
 
@@ -138,6 +144,53 @@ class TestOracleEquivalence:
             got = similarity(t1, t2, PROPERTY_ORDER).total_agreement
             want = brute_force_similarity(t1, t2, PROPERTY_ORDER)
             assert got == want, (sorted(t1, key=Transition.sort_key), sorted(t2, key=Transition.sort_key))
+
+
+def random_elements(rng, size, pairs, avoid=frozenset()):
+    """``size`` distinct transitions (or their label-erased pairs) outside
+    ``avoid``."""
+    out = set()
+    while len(out) < size:
+        pre, post = (
+            State(PROPERTY_ORDER, (intval(rng.randint(0, 2)), intval(rng.randint(0, 2))))
+            for _ in range(2)
+        )
+        t = Transition(pre, rng.choice(PROPERTY_LABELS), post)
+        element = t.pair() if pairs else t
+        if element not in avoid:
+            out.add(element)
+    return frozenset(out)
+
+
+class TestPrunedSolve:
+    """Remainders of n and m > n*n elements, so that keeping each row's n
+    best columns drops some; with a tiny chunk the pruning runs between
+    chunks as well."""
+
+    @pytest.mark.parametrize("chunk_cells", [bqual.alignment.CHUNK_CELLS, 4])
+    @pytest.mark.parametrize("pairs", [False, True], ids=["transitions", "pairs"])
+    def test_lopsided_matches_brute_force(self, monkeypatch, chunk_cells, pairs):
+        monkeypatch.setattr(bqual.alignment, "CHUNK_CELLS", chunk_cells)
+        rng = random.Random(2026)
+        for _ in range(60):
+            n = rng.randint(1, 3)
+            small = random_elements(rng, n, pairs)
+            large = random_elements(rng, rng.randint(n * n + 1, 14), pairs, small)
+            left, right = (small, large) if rng.random() < 0.5 else (large, small)
+            outcome = similarity(left, right, PROPERTY_ORDER)
+            assert outcome.total_agreement == brute_force_similarity(
+                left, right, PROPERTY_ORDER
+            )
+            lefts = [l for l, _, _ in outcome.matching]
+            rights = [r for _, r, _ in outcome.matching]
+            assert len(lefts) == len(set(lefts)) and set(lefts) <= left
+            assert len(rights) == len(set(rights)) and set(rights) <= right
+            for l, r, w in outcome.matching:
+                assert w == agreement(
+                    flatten(l, PROPERTY_ORDER), flatten(r, PROPERTY_ORDER)
+                )
+                assert w > 0
+            assert sum(w for _, _, w in outcome.matching) == outcome.total_agreement
 
 
 class TestProperties:

@@ -177,6 +177,25 @@ class TestEvaluatePipeline:
             "fault_analysability",
         }
 
+    def test_one_alignment_per_element_kind(self, monkeypatch):
+        import bqual.alignment
+
+        original = bqual.alignment.similarity
+        kinds = []
+
+        def counted(left, right, *args, **kwargs):
+            kinds.append(type(next(iter(left))).__name__)
+            return original(left, right, *args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "bqual" and getattr(module, "similarity", None) is original:
+                monkeypatch.setattr(module, "similarity", counted)
+        config = EvaluationConfig(machine_path=CM2, reference_path=CM1, trials=0)
+        report = evaluate(config)
+        assert sorted(kinds) == ["StatePair", "Transition"]
+        assert report.value("pfcomp") == Fraction(7062, 7200)
+        assert report.value("pfcorr") == Fraction(7062, 7085)
+
     def test_seed_env_fallback(self, monkeypatch):
         monkeypatch.setenv("BQUAL_SEED", "17")
         config = EvaluationConfig(machine_path=CM1, trials=1, n_extra=1, n_missing=1)

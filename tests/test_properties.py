@@ -13,6 +13,7 @@ from bqual.lts import (
     intval,
     pairs_of,
     set_size,
+    sorted_transitions,
 )
 from bqual.metrics import (
     fault_analysability,
@@ -102,8 +103,7 @@ mixed_values = st.one_of(
 )
 
 
-@st.composite
-def mixed_elements(draw):
+def shared_states(draw):
     # A few shared states, so that elements often tie on a pre-state and
     # the later components decide the order.
     states = draw(
@@ -115,7 +115,12 @@ def mixed_elements(draw):
             max_size=4,
         )
     )
-    state = st.sampled_from(states)
+    return st.sampled_from(states)
+
+
+@st.composite
+def mixed_elements(draw):
+    state = shared_states(draw)
     if draw(st.booleans()):
         element = st.builds(Transition, state, labels, state)
     else:
@@ -131,6 +136,18 @@ def test_sort_key_orders_like_flat_token_key(elements):
         elements, key=lambda e: flat_sort_key(flatten(e, PROPERTY_ORDER))
     )
     assert by_sort_key == by_flat_key
+
+
+@st.composite
+def mixed_transition_sets(draw):
+    state = shared_states(draw)
+    return frozenset(draw(st.lists(st.builds(Transition, state, labels, state), max_size=10)))
+
+
+@given(mixed_transition_sets())
+@settings(max_examples=300)
+def test_rank_coded_sort_orders_like_sort_key(transitions):
+    assert sorted_transitions(transitions) == sorted(transitions, key=Transition.sort_key)
 
 
 @given(nonempty_sets)
