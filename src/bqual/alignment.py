@@ -13,10 +13,13 @@ number of equal codes in two rows.  With n rows on the smaller side, only
 each row's n best columns need to be kept: if an optimal matching gives a
 row a dropped column, at most n - 1 of that row's n kept columns are taken
 by other rows, so it can move to a free one without losing weight.  The
-columns are scored in chunks of about ``CHUNK_CELLS`` cells; a column that
-beats no row's n-th best kept column is dropped at once, and the kept ones
-are pruned to that union after each chunk.  A lopsided pair thus costs
-vector work linear in its cells and a solve of at most n x n*n cells.
+columns are scored in blocks of max(n, ``CHUNK_CELLS`` / n) columns; each
+block is appended to the kept columns, which are then pruned to the union
+of each row's n best (at most min(m, n*n) of the m columns).  Working
+memory is thus about n x (max(n, CHUNK_CELLS / n) + min(m, n*n)) cells
+(``CHUNK_CELLS`` plus the kept columns while n <= 1024), and a lopsided
+pair costs vector work linear in its n x m cells and a solve of at most
+n x n*n cells.
 """
 
 from __future__ import annotations
@@ -65,20 +68,15 @@ def agreement(a: FlatList, b: FlatList) -> int:
 
 def _check_uniform(elements: Iterable[Element], side: str) -> type | None:
     kinds = set(map(type, elements))
-    if kinds in (set(), {Transition}, {StatePair}):
-        return next(iter(kinds), None)
-    kind: type | None = None
-    for element in elements:
-        if not isinstance(element, (Transition, StatePair)):
+    for kind in sorted(kinds, key=attrgetter("__name__")):
+        if not issubclass(kind, (Transition, StatePair)):
             raise AlignmentError(
-                f"{side} contains a {type(element).__name__}, "
+                f"{side} contains a {kind.__name__}, "
                 "expected transitions or state pairs"
             )
-        if kind is None:
-            kind = type(element)
-        elif type(element) is not kind:
-            raise AlignmentError(f"{side} mixes transitions and state pairs")
-    return kind
+    if len(kinds) > 1:
+        raise AlignmentError(f"{side} mixes transitions and state pairs")
+    return next(iter(kinds), None)
 
 
 def _coded(
@@ -143,18 +141,14 @@ def _max_matching(left: np.ndarray, right: np.ndarray) -> list[tuple[int, int, i
     chunk = max(n, CHUNK_CELLS // n)
     cols = np.empty(0, dtype=np.intp)
     weights = np.empty((n, 0), dtype=np.int32)
-    floor = np.full((n, 1), -1)
     for start in range(0, len(right), chunk):
         block = _weights(left, right[start : start + chunk])
-        # A column that beats no row's n-th best kept column is not needed.
-        new = np.flatnonzero((block > floor).any(axis=0))
-        cols = np.concatenate((cols, start + new))
-        weights = np.hstack((weights, block[:, new]))
+        cols = np.concatenate((cols, np.arange(start, start + block.shape[1])))
+        weights = np.hstack((weights, block))
         if weights.shape[1] > n:
             # The union of each row's n best columns (see the module docstring).
             best = np.unique(np.argpartition(weights, -n, axis=1)[:, -n:])
             cols, weights = cols[best], weights[:, best]
-            floor = np.partition(weights, -n, axis=1)[:, -n, None]
     rows, picked = linear_sum_assignment(weights, maximize=True)
     return [(int(i), int(cols[j]), int(weights[i, j])) for i, j in zip(rows, picked)]
 
@@ -179,7 +173,8 @@ def similarity(
     right_kind = _check_uniform(right_set, "right set")
     if left_kind and right_kind and left_kind is not right_kind:
         raise AlignmentError("cannot align transitions with state pairs")
-    labelled = (left_kind or right_kind) is Transition
+    kind = left_kind or right_kind
+    labelled = kind is not None and issubclass(kind, Transition)
 
     identical = left_set & right_set
     rest_left = left_set - identical

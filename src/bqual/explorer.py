@@ -53,7 +53,8 @@ from .lts import (
     boolval,
     enumval,
     intval,
-    sorted_transitions,
+    state_ranks,
+    transition_rank_key,
     transition_to_json,
 )
 from .bmachine import BOOL_SET
@@ -447,14 +448,20 @@ class ExplorationResult:
         }
 
     @functools.cached_property
+    def _state_rank(self) -> dict[State, int]:
+        # Every derived transition's states are reachable states.
+        return state_ranks(self.states)
+
+    @functools.cached_property
     def ordered_states(self) -> tuple[State, ...]:
         """The reachable states in canonical order, sorted on first use."""
-        return tuple(sorted(self.states, key=State.sort_key))
+        return tuple(self._state_rank)
 
     @functools.cached_property
     def ordered_transitions(self) -> tuple[Transition, ...]:
         """The derived transitions in canonical order, sorted on first use."""
-        return tuple(sorted_transitions(self.transitions))
+        key = transition_rank_key(self._state_rank)
+        return tuple(sorted(self.transitions, key=key))
 
 
 def explore(

@@ -8,7 +8,7 @@ types cache their hashes and intern common values.
 from __future__ import annotations
 
 import json
-from typing import Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, Union
 
 KIND_BOOL = "bool"
 KIND_ENUM = "enum"
@@ -347,12 +347,18 @@ def state_ranks(states: Iterable[State]) -> dict[State, int]:
     return {s: i for i, s in enumerate(sorted(set(states), key=State.sort_key))}
 
 
+def transition_rank_key(rank: Mapping[State, int]) -> Callable[[Transition], tuple]:
+    """Sort key giving ``Transition.sort_key``'s order for transitions whose
+    states all have a rank in ``rank`` (from ``state_ranks``)."""
+    return lambda t: (rank[t.pre], t.label, rank[t.post])
+
+
 def sorted_transitions(transitions: Iterable[Transition]) -> list[Transition]:
     """The transitions in canonical order (``Transition.sort_key``), keyed
     on state ranks so that each distinct state's key is built once."""
     transitions = list(transitions)
     rank = state_ranks(s for t in transitions for s in (t.pre, t.post))
-    return sorted(transitions, key=lambda t: (rank[t.pre], t.label, rank[t.post]))
+    return sorted(transitions, key=transition_rank_key(rank))
 
 
 def sorted_labels(labels: Iterable[str]) -> list[str]:

@@ -60,18 +60,18 @@ def pfcomp(
     t_required: frozenset,
     variable_order: Iterable[str],
     *,
-    size_guard: int = DEFAULT_SIZE_GUARD,
     aligned: AlignmentOutcome | None = None,
 ) -> Fraction:
     """Alignment score against the required set, relative to its size.
 
     ``aligned`` is ``similarity(t_derived, t_required, ...)`` when the
-    caller already has it (``pfcorr`` aligns the same two sets)."""
+    caller already has it (``pfcorr`` aligns the same two sets); without
+    it the sets are aligned under the default size guard."""
     if not t_required:
         raise NotComputable("no required transitions")
     order = tuple(variable_order)
     if aligned is None:
-        aligned = similarity(t_derived, t_required, order, size_guard=size_guard)
+        aligned = similarity(t_derived, t_required, order)
     return Fraction(aligned.total_agreement, set_size(t_required, order))
 
 
@@ -87,7 +87,6 @@ def pfcorr(
     t_required: frozenset,
     variable_order: Iterable[str],
     *,
-    size_guard: int = DEFAULT_SIZE_GUARD,
     aligned: AlignmentOutcome | None = None,
 ) -> Fraction:
     """Alignment score against the derived set, relative to its size;
@@ -96,7 +95,7 @@ def pfcorr(
         raise NotComputable("no derived transitions")
     order = tuple(variable_order)
     if aligned is None:
-        aligned = similarity(t_derived, t_required, order, size_guard=size_guard)
+        aligned = similarity(t_derived, t_required, order)
     return Fraction(aligned.total_agreement, set_size(t_derived, order))
 
 
