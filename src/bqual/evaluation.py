@@ -237,7 +237,7 @@ def evaluate(config: EvaluationConfig) -> QualityReport:
     # fault injection ------------------------------------------------------------
     if config.plan_path is not None:
         plan = load_plan(config.plan_path, machine.variables, machine.element_sets)
-        changed = apply_plan(result, plan, machine.invariant)
+        changed = apply_plan(result, plan)
         values, reasons = trial_metrics(result, changed)
         sweep = partial(plan_modularity, result, plan, changed)
         mutation_prov = {
@@ -255,7 +255,6 @@ def evaluate(config: EvaluationConfig) -> QualityReport:
         outcome = run_trials(
             result,
             domains,
-            machine.invariant,
             config.trials,
             n_extra,
             n_missing,
@@ -265,10 +264,8 @@ def evaluate(config: EvaluationConfig) -> QualityReport:
         values = outcome.means
         reasons = dict.fromkeys(FAULT_METRICS, "not computable in any trial")
         report.trial_exclusions = outcome.exclusions
-        per_op_counts = per_operation_counts(result, n_extra, n_missing)
-        sweep = partial(
-            modularity_sweep, result, domains, machine.invariant, per_op_counts, seed
-        )
+        per_op_counts = per_operation_counts(result, domains, n_extra, n_missing)
+        sweep = partial(modularity_sweep, result, domains, per_op_counts, seed)
         mutation_prov = {
             "mode": "seeded",
             "trials": config.trials,

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import resource
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable, Collection, Iterable, Mapping
 
 from .bmachine import (
     And,
@@ -413,6 +415,64 @@ def compile_substitution(sub, machine: MachineAST | None = None):
 # --- exploration --------------------------------------------------------------
 
 
+class Verdicts(dict):
+    """Whether each state satisfies the invariant, evaluated on first lookup.
+    An exploration and every system re-derived from it share one map."""
+
+    def __init__(self, holds, variable_order: tuple[str, ...]):
+        super().__init__()
+        self._holds = holds
+        self._order = variable_order
+
+    def __missing__(self, state: State) -> bool:
+        ok = self[state] = self._holds(dict(zip(self._order, state.values)))
+        return ok
+
+
+def reach(
+    initial: Collection[State],
+    successors: Callable[[State], Iterable[Transition]],
+    verdicts: Mapping[State, bool],
+    max_states: float = math.inf,
+    max_transitions: float = math.inf,
+) -> tuple[frozenset, frozenset, bool]:
+    """Breadth-first walk from ``initial``, in its order, that never expands
+    a state breaking the invariant.  Returns the reached states, the
+    transitions taken, and whether a limit cut the walk short (which ones a
+    limit keeps depends on the order)."""
+    reached = set(initial)
+    taken: set[Transition] = set()
+    frontier = list(initial)
+    truncated = False
+    for state in frontier:  # grows while it is walked
+        if not verdicts[state]:
+            continue  # violating states are terminal
+        for t in successors(state):
+            post = t.post
+            new = post not in reached
+            if (new and len(reached) >= max_states) or len(taken) >= max_transitions:
+                truncated = True
+                continue
+            if new:
+                reached.add(post)
+                frontier.append(post)
+            taken.add(t)
+    return frozenset(reached), frozenset(taken), truncated
+
+
+def violations(
+    transitions: frozenset, verdicts: Mapping[State, bool]
+) -> tuple[frozenset, set]:
+    """The violating transitions and the states with an outgoing transition:
+    a transition violates when its post-state breaks the invariant or has no
+    outgoing transition in ``transitions``."""
+    has_outgoing = {t.pre for t in transitions}
+    violating = frozenset(
+        t for t in transitions if not verdicts[t.post] or t.post not in has_outgoing
+    )
+    return violating, has_outgoing
+
+
 @dataclass
 class ExplorationResult:
     machine_name: str
@@ -426,6 +486,7 @@ class ExplorationResult:
     truncated: bool
     cpu_seconds: float
     peak_memory_bytes: int
+    verdicts: Verdicts = field(repr=False, compare=False)
 
     @property
     def summary(self) -> dict:
@@ -478,7 +539,7 @@ def explore(
     """
     infer_domains(machine)  # every variable must have an enumerable domain
     order = machine.variables
-    invariant = compile_predicate(machine.invariant)
+    verdicts = Verdicts(compile_predicate(machine.invariant), order)
     init = compile_substitution(machine.initialisation, machine)
     ops = [
         (name, compile_substitution(body, machine))
@@ -486,84 +547,55 @@ def explore(
     ]
 
     started = time.process_time()
-    init_envs = init({})
-    initial: list[State] = []
-    seen_init = set()
-    for env in init_envs:
+    pool: dict[tuple, State] = {}  # one State object per valuation
+    for env in init({}):
         missing = [v for v in order if v not in env]
         if missing:
             raise InitialisationError(
                 f"initialisation does not assign {missing[0]!r}"
             )
-        state = State(order, tuple(env[v] for v in order))
-        if state not in seen_init:
-            seen_init.add(state)
-            initial.append(state)
-    if not initial:
+        values = tuple(env[v] for v in order)
+        if values not in pool:
+            pool[values] = State(order, values)
+    if not pool:
         raise InitialisationError("initialisation is unsatisfiable")
+    initial = list(pool.values())
 
-    pool: dict[tuple, State] = {s.values: s for s in initial}
-    inv_ok: dict[State, bool] = {}
-    states: set[State] = set(initial)
-    transitions: set[Transition] = set()
-    frontier = list(initial)
-    cursor = 0
-    truncated = False
-
-    for s in initial:
-        inv_ok[s] = invariant(dict(zip(order, s.values)))
-
-    while cursor < len(frontier):
-        state = frontier[cursor]
-        cursor += 1
-        if not inv_ok[state]:
-            continue  # violating states are terminal
+    def successors(state: State) -> list[Transition]:
         env = dict(zip(order, state.values))
+        out = []
         for label, run in ops:
             for result in run(env):
-                values = tuple(result[v] for v in order)
+                values = tuple(map(result.__getitem__, order))
                 post = pool.get(values)
-                is_new = post is None
-                if is_new:
-                    post = State(order, values)
-                    if len(states) >= max_states:
-                        truncated = True
-                        continue
-                if len(transitions) >= max_transitions:
-                    truncated = True
-                    continue
-                if is_new:
-                    pool[values] = post
-                    states.add(post)
-                    inv_ok[post] = invariant(result)
-                    frontier.append(post)
-                transitions.add(Transition(state, label, post))
+                if post is None:
+                    post = pool[values] = State(order, values)
+                out.append(Transition(state, label, post))
+        return out
 
+    states, transitions, truncated = reach(
+        initial, successors, verdicts, max_states, max_transitions
+    )
     cpu_seconds = time.process_time() - started
     peak = 0
     if meter_memory:
         # Lifetime peak RSS of the process (kilobytes on Linux).
         peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
 
-    has_outgoing = {t.pre for t in transitions}
-    violating = frozenset(
-        t
-        for t in transitions
-        if not inv_ok[t.post] or t.post not in has_outgoing
-    )
-    all_transitions = frozenset(transitions)
+    violating, has_outgoing = violations(transitions, verdicts)
     return ExplorationResult(
         machine_name=machine.name,
         variable_order=order,
         initial_states=frozenset(initial),
-        states=frozenset(states),
-        transitions=all_transitions,
-        ok=all_transitions - violating,
+        states=states,
+        transitions=transitions,
+        ok=transitions - violating,
         violating=violating,
-        deadlock_states=frozenset(states) - frozenset(has_outgoing),
+        deadlock_states=states - has_outgoing,
         truncated=truncated,
         cpu_seconds=cpu_seconds,
         peak_memory_bytes=peak,
+        verdicts=verdicts,
     )
 
 

@@ -2,15 +2,16 @@
 
 Faults live at the transition-system level: a plan inserts transitions
 that the machine never derived and removes transitions it did derive.
-The edited relation is then re-traversed from the initial states (the
-same ever-expanding search a fresh derivation would do), and the edits
-themselves are masked out before the changed system is judged against the
-invariant.
+The edited relation is then re-derived from the initial states with the
+exploration's own walk and invariant verdicts (``explorer.reach``), and the
+edits themselves are masked out before the changed system is judged by the
+exploration's violation rule (``explorer.violations``).
 """
 
 from __future__ import annotations
 
 import json
+import math
 import random
 import zlib
 from collections import Counter
@@ -18,8 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
-from .bmachine import Predicate
-from .explorer import DomainMap, ExplorationResult, compile_predicate
+from .explorer import DomainMap, ExplorationResult, reach, violations
 from .lts import (
     State,
     Transition,
@@ -88,6 +88,32 @@ def validate_plan(plan: MutationPlan, t_derived: frozenset) -> None:
             )
 
 
+def _extra_space(
+    result: ExplorationResult,
+    domains: DomainMap,
+    labels: list[str],
+    n_extra: int,
+    derived: int,
+) -> tuple[int, int]:
+    """``(space, occupied)`` for extra transitions over ``labels``: the size
+    of the pre-state x label x post-valuation space they are drawn from, and
+    how many derived transitions lie in it.  ``derived`` bounds that count;
+    when ``n_extra`` fits beside the bound, the bound is returned unscanned."""
+    order = result.variable_order
+    product_size = math.prod(len(domains[name].values()) for name in order)
+    space = len(result.states) * len(labels) * product_size
+    occupied = min(derived, space)
+    if n_extra > space - occupied:
+        label_set = set(labels)
+        occupied = sum(
+            1
+            for t in result.transitions
+            if t.label in label_set
+            and all(domains[name].contains(v) for name, v in zip(order, t.post.values))
+        )
+    return space, occupied
+
+
 def generate_plan(
     result: ExplorationResult,
     domains: DomainMap,
@@ -121,28 +147,16 @@ def generate_plan(
     label_pool = [label_scope] if label_scope is not None else sorted_labels(labels)
     if n_extra and not label_pool:
         raise MutationError("no labels to draw extra transitions from")
+    space, occupied = _extra_space(
+        result, domains, label_pool, n_extra, len(result.transitions)
+    )
+    if n_extra > space - occupied:
+        raise MutationError(
+            f"cannot draw {n_extra} distinct extra transitions from a space "
+            f"of {space} with {occupied} already derived"
+        )
     states = result.ordered_states
     value_pools = [domains[name].values() for name in order]
-
-    product_size = 1
-    for values in value_pools:
-        product_size *= len(values)
-    space = len(states) * len(label_pool) * product_size
-    # occupied <= len(result.transitions), so the scan runs only when the
-    # space could be too small.
-    if n_extra > space - len(result.transitions):
-        label_set = set(label_pool)
-        occupied = sum(
-            1
-            for t in result.transitions
-            if t.label in label_set
-            and all(domains[name].contains(v) for name, v in zip(order, t.post.values))
-        )
-        if n_extra > space - occupied:
-            raise MutationError(
-                f"cannot draw {n_extra} distinct extra transitions from a space "
-                f"of {space} with {occupied} already derived"
-            )
 
     extra: set[Transition] = set()
     attempts = 0
@@ -160,7 +174,7 @@ def generate_plan(
             continue
         extra.add(candidate)
 
-    plan = MutationPlan(
+    return MutationPlan(
         extra=frozenset(extra),
         missing=missing,
         seed=seed,
@@ -168,62 +182,33 @@ def generate_plan(
         n_missing=n_missing,
         label_scope=label_scope,
     )
-    validate_plan(plan, result.transitions)
-    return plan
 
 
-def apply_plan(
-    result: ExplorationResult, plan: MutationPlan, invariant: Predicate
-) -> ChangedSystem:
+def apply_plan(result: ExplorationResult, plan: MutationPlan) -> ChangedSystem:
     """Edit the transition relation, re-derive reachability, and mask.
 
-    The traversal mirrors exploration: it starts from the machine's
-    initial states and never walks out of an invariant-violating state.
-    Inside the masked set a transition is violating when its post-state
-    breaks the invariant or has no outgoing transition there.
+    Re-derivation uses the exploration's walk and invariant verdicts, and
+    the masked set is judged by the exploration's violation rule, with
+    deadlock relative to the masked set itself.
     """
     validate_plan(plan, result.transitions)
     relation = (result.transitions | plan.extra) - plan.missing
 
     # Traversal order cannot influence the resulting sets, so neither the
-    # queue nor the adjacency lists are sorted.
+    # initial states nor the adjacency lists are sorted.
     outgoing: dict[State, list[Transition]] = {}
     for t in relation:
         outgoing.setdefault(t.pre, []).append(t)
 
-    holds = compile_predicate(invariant)
-    order = result.variable_order
-    inv_ok: dict[State, bool] = {}
-
-    def satisfies(state: State) -> bool:
-        ok = inv_ok.get(state)
-        if ok is None:
-            ok = inv_ok[state] = holds(dict(zip(order, state.values)))
-        return ok
-
-    t_changed: set[Transition] = set()
-    visited = set(result.initial_states)
-    queue = list(result.initial_states)
-    cursor = 0
-    while cursor < len(queue):
-        state = queue[cursor]
-        cursor += 1
-        if not satisfies(state):
-            continue
-        for t in outgoing.get(state, ()):
-            t_changed.add(t)
-            if t.post not in visited:
-                visited.add(t.post)
-                queue.append(t.post)
-
-    u_changed = frozenset((t_changed | plan.missing) - plan.extra)
-
-    has_outgoing = {t.pre for t in u_changed}
-    u_violating = frozenset(
-        t for t in u_changed if not satisfies(t.post) or t.post not in has_outgoing
+    _, t_changed, _ = reach(
+        result.initial_states,
+        lambda state: outgoing.get(state, ()),
+        result.verdicts,
     )
+    u_changed = frozenset((t_changed | plan.missing) - plan.extra)
+    u_violating, _ = violations(u_changed, result.verdicts)
     return ChangedSystem(
-        t_changed=frozenset(t_changed),
+        t_changed=t_changed,
         u_changed=u_changed,
         u_ok=u_changed - u_violating,
         u_violating=u_violating,
@@ -274,7 +259,6 @@ def trial_metrics(
 def run_trials(
     result: ExplorationResult,
     domains: DomainMap,
-    invariant: Predicate,
     trial_count: int,
     n_extra: int,
     n_missing: int,
@@ -294,7 +278,7 @@ def run_trials(
         plan = generate_plan(
             result, domains, labels, n_extra, n_missing, seed ^ i
         )
-        values, _ = trial_metrics(result, apply_plan(result, plan, invariant))
+        values, _ = trial_metrics(result, apply_plan(result, plan))
         for name, value in values.items():
             if value is not None:
                 samples[name].append(value)
@@ -313,18 +297,22 @@ def _op_seed(seed: int, op: str) -> int:
 
 
 def per_operation_counts(
-    result: ExplorationResult, n_extra: int, n_missing: int
+    result: ExplorationResult, domains: DomainMap, n_extra: int, n_missing: int
 ) -> dict[str, tuple[int, int]]:
     """``(n_extra, n_missing)`` of each operation's label-scoped plan.
-    Removals cannot exceed the operation's transitions."""
+    Insertions cannot exceed the operation's free label space, nor removals
+    its transitions."""
     counts = Counter(t.label for t in result.transitions)
-    return {op: (n_extra, min(n_missing, count)) for op, count in counts.items()}
+    per_op = {}
+    for op, count in counts.items():
+        space, occupied = _extra_space(result, domains, [op], n_extra, count)
+        per_op[op] = (min(n_extra, space - occupied), min(n_missing, count))
+    return per_op
 
 
 def modularity_sweep(
     result: ExplorationResult,
     domains: DomainMap,
-    invariant: Predicate,
     per_op_counts: Mapping[str, tuple[int, int]],
     seed: int,
 ) -> tuple[dict, Fraction]:
@@ -344,7 +332,7 @@ def modularity_sweep(
             _op_seed(seed, op),
             label_scope=op,
         )
-        return apply_plan(result, plan, invariant)
+        return apply_plan(result, plan)
 
     return _modularity(result, changed_by)
 

@@ -8,7 +8,9 @@ undeclared references and duplicate names are reported with positions.
 from __future__ import annotations
 
 from .bmachine import (
+    ARITHMETIC_OPS,
     BOOL_SET,
+    COMPARISON_OPS,
     And,
     AnyChoice,
     Assign,
@@ -350,11 +352,8 @@ def _paren_wraps_predicate(stream: _TokenStream) -> bool:
             depth -= 1
             if depth == 0:
                 after = stream.peek(offset + 1)
-                return after.kind not in ("+", "-", "*", "..", ":", *_COMPARISONS)
+                return after.kind not in (*ARITHMETIC_OPS, "..", ":", *COMPARISON_OPS)
         offset += 1
-
-
-_COMPARISONS = ("=", "/=", "<", "<=", ">", ">=")
 
 
 def _parse_predicate_atom(stream: _TokenStream, scope: _Scope) -> Predicate:
@@ -373,7 +372,7 @@ def _parse_predicate_atom(stream: _TokenStream, scope: _Scope) -> Predicate:
 
     left = _parse_expression(stream, scope)
     op_tok = stream.peek()
-    if op_tok.kind in _COMPARISONS:
+    if op_tok.kind in COMPARISON_OPS:
         stream.advance()
         right = _parse_expression(stream, scope)
         return Comparison(op_tok.kind, left, right)
@@ -390,7 +389,7 @@ def _parse_predicate_atom(stream: _TokenStream, scope: _Scope) -> Predicate:
     raise ParseError(
         "expected a comparison or membership operator",
         op_tok,
-        expected=set(_COMPARISONS) | {":"},
+        expected=set(COMPARISON_OPS) | {":"},
     )
 
 

@@ -94,7 +94,7 @@ def test_criterion_05_cm1_with_explicit_plan(cm1_result, cm1_machine, cm5_result
     plan = load_plan(
         corpus_path("cm5-plan.json"), ORDER, cm1_machine.element_sets
     )
-    changed = apply_plan(cm1_result, plan, cm1_machine.invariant)
+    changed = apply_plan(cm1_result, plan)
     assert len(changed.u_changed) == 1050
     values, _ = trial_metrics(cm1_result, changed)
     assert values["fault_tolerance"] == 1 - Fraction(1, 1050)
@@ -115,7 +115,7 @@ def test_criterion_06_cm6_recoverability(cm6_result, cm6_machine):
     plan = load_plan(
         corpus_path("cm5-plan.json"), ORDER, cm6_machine.element_sets
     )
-    changed = apply_plan(cm6_result, plan, cm6_machine.invariant)
+    changed = apply_plan(cm6_result, plan)
     assert recoverability(changed.u_ok, cm6_result.transitions) == 1
     ok(6, "CM6 + same plan: recoverability 1")
 
@@ -209,7 +209,7 @@ def test_criterion_11_mutated_variant_diverges(request, cm1_result, cm1_machine)
         five_percent,
         seed=0,
     )
-    variant = apply_plan(cm1_result, plan, cm1_machine.invariant).t_changed
+    variant = apply_plan(cm1_result, plan).t_changed
     assert tfcomp(variant, t_r) < 1
     assert tfcorr(variant, t_r) < 1
     ok(11, "self-evaluation all-ones; 5% seeded mutant strictly lowers tfcomp and tfcorr")

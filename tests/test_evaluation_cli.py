@@ -177,6 +177,24 @@ class TestEvaluatePipeline:
             "fault_analysability",
         }
 
+    def test_full_label_space_caps_extras(self, tmp_path):
+        # jump already derives every (pre-state, post-valuation) cell of its
+        # label space, so its scoped plan can insert nothing.
+        machine = tmp_path / "full.mch"
+        machine.write_text(
+            "MACHINE Full VARIABLES x INVARIANT x : 0..2 INITIALISATION x := 0 "
+            "OPERATIONS jump = ANY v WHERE v : 0..2 THEN x := v END; "
+            "inc = PRE x < 2 THEN x := x + 1 END END",
+            encoding="utf-8",
+        )
+        report = evaluate(EvaluationConfig(machine_path=str(machine), trials=2, seed=3))
+        assert report.value("modularity") is not None
+        assert set(report.per_operation_modularity) == {"inc", "jump"}
+        assert report.provenance["mutation"]["per_operation_counts"] == {
+            "inc": {"n_extra": 1, "n_missing": 1},
+            "jump": {"n_extra": 0, "n_missing": 1},
+        }
+
     def test_one_alignment_per_element_kind(self, monkeypatch):
         import bqual.alignment
 

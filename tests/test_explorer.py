@@ -319,6 +319,45 @@ class TestTruncation:
         assert result.truncated
         assert len(result.transitions) == 5
 
+    # Summaries of cut-off runs, frozen from the breadth-first walk: which
+    # states and transitions a limit keeps depends on the walk's order.
+    # Columns: states, transitions, ok, violating, deadlock states.
+    FROZEN = [
+        ("CM1", {"max_states": 1}, (1, 0, 0, 0, 1)),
+        ("CM1", {"max_states": 10}, (10, 9, 8, 1, 1)),
+        ("CM1", {"max_states": 100}, (100, 99, 98, 1, 1)),
+        ("CM1", {"max_states": 1000}, (1000, 999, 998, 1, 1)),
+        ("CM1", {"max_transitions": 1}, (2, 1, 0, 1, 1)),
+        ("CM1", {"max_transitions": 5}, (6, 5, 4, 1, 1)),
+        ("CM1", {"max_transitions": 500}, (501, 500, 499, 1, 1)),
+        ("CM1", {"max_states": 100, "max_transitions": 500}, (100, 99, 98, 1, 1)),
+        ("CM1", {"max_states": 1000, "max_transitions": 50}, (51, 50, 49, 1, 1)),
+        ("CM4", {"max_states": 1}, (1, 0, 0, 0, 1)),
+        ("CM4", {"max_states": 10}, (10, 9, 8, 1, 1)),
+        ("CM4", {"max_states": 100}, (100, 99, 97, 2, 2)),
+        ("CM4", {"max_states": 1000}, (1000, 999, 982, 17, 17)),
+        ("CM4", {"max_transitions": 1}, (2, 1, 0, 1, 1)),
+        ("CM4", {"max_transitions": 5}, (6, 5, 4, 1, 1)),
+        ("CM4", {"max_transitions": 500}, (501, 500, 491, 9, 9)),
+        ("CM4", {"max_states": 100, "max_transitions": 500}, (100, 99, 97, 2, 2)),
+        ("CM4", {"max_states": 1000, "max_transitions": 50}, (51, 50, 49, 1, 1)),
+    ]
+
+    @pytest.mark.parametrize("name, limits, counts", FROZEN)
+    def test_truncated_summary(self, request, name, limits, counts):
+        machine = request.getfixturevalue(f"{name.lower()}_machine")
+        result = explore(machine, meter_memory=False, **limits)
+        states, transitions, ok, violating, deadlock = counts
+        assert result.summary == {
+            "initial_states": 1,
+            "states": states,
+            "transitions": transitions,
+            "ok_transitions": ok,
+            "violating_transitions": violating,
+            "deadlock_states": deadlock,
+            "truncated": True,
+        }
+
 
 class TestDeterminism:
     def test_same_machine_same_result(self, cm4_machine):

@@ -49,7 +49,7 @@ def cm5_plan(cm1_machine):
 
 @pytest.fixture(scope="module")
 def cm1_changed(cm1_result, cm5_plan, cm1_machine):
-    return apply_plan(cm1_result, cm5_plan, cm1_machine.invariant)
+    return apply_plan(cm1_result, cm5_plan)
 
 
 def independent_apply(result, plan, invariant):
@@ -270,7 +270,7 @@ class TestApplyPlan:
         empty = MutationPlan(
             extra=frozenset(), missing=frozenset(), seed=0, n_extra=0, n_missing=0
         )
-        changed = apply_plan(cm1_result, empty, cm1_machine.invariant)
+        changed = apply_plan(cm1_result, empty)
         assert changed.t_changed == cm1_result.transitions
         assert changed.u_changed == cm1_result.transitions
         assert changed.u_violating == cm1_result.violating
@@ -279,7 +279,7 @@ class TestApplyPlan:
         empty = MutationPlan(
             extra=frozenset(), missing=frozenset(), seed=0, n_extra=0, n_missing=0
         )
-        changed = apply_plan(cm4_result, empty, cm4_machine.invariant)
+        changed = apply_plan(cm4_result, empty)
         assert changed.u_violating == cm4_result.violating
 
     def test_empty_plan_fault_tolerance_is_invariant_satisfiability(
@@ -290,7 +290,7 @@ class TestApplyPlan:
         empty = MutationPlan(
             extra=frozenset(), missing=frozenset(), seed=0, n_extra=0, n_missing=0
         )
-        changed = apply_plan(cm4_result, empty, cm4_machine.invariant)
+        changed = apply_plan(cm4_result, empty)
         assert fault_tolerance(
             changed.u_changed, changed.u_violating
         ) == invariant_satisfiability(cm4_result)
@@ -301,7 +301,7 @@ class TestApplyPlan:
             plan = generate_plan(
                 cm1_result, domains, cm1_machine.operation_names, 5, 5, seed
             )
-            changed = apply_plan(cm1_result, plan, cm1_machine.invariant)
+            changed = apply_plan(cm1_result, plan)
             t2, u2, v2 = independent_apply(cm1_result, plan, cm1_machine.invariant)
             assert changed.t_changed == frozenset(t2)
             assert changed.u_changed == frozenset(u2)
@@ -322,8 +322,54 @@ class TestApplyPlan:
             n_missing=1,
             label_scope="inc_minute",
         )
-        changed = apply_plan(cm1_result, plan, cm1_machine.invariant)
+        changed = apply_plan(cm1_result, plan)
         assert changed.t_changed == cm5_result.transitions
+
+
+class TestSharedVerdicts:
+    """Plans that leave the explored states add verdicts to the map the
+    exploration keeps; no plan may see another plan's edits through it."""
+
+    SOURCE = (
+        "MACHINE Gate VARIABLES x INVARIANT x : 0..5 & x /= 4 "
+        "INITIALISATION x := 0 OPERATIONS "
+        "up = PRE x < 2 THEN x := x + 1 END; "
+        "down = PRE x > 0 THEN x := x - 1 END END"
+    )
+
+    @staticmethod
+    def plan(*extra):
+        def gate(n):
+            return State(("x",), (intval(n),))
+
+        edges = frozenset(Transition(gate(a), "up", gate(b)) for a, b in extra)
+        return MutationPlan(
+            extra=edges, missing=frozenset(), seed=0, n_extra=len(edges), n_missing=0
+        )
+
+    @pytest.mark.parametrize("first_violating", [True, False])
+    def test_each_order_agrees_with_independent_apply(self, first_violating):
+        from bqual.explorer import explore
+        from bqual.parser import parse_machine
+
+        machine = parse_machine(self.SOURCE)
+        result = explore(machine, meter_memory=False)
+        assert len(result.states) == 3
+        # 4 is new and breaks x /= 4, so the walk must not follow 4 -> 5.
+        into_violation = self.plan((2, 4), (4, 5))
+        # 3 is new and the pre-state of an extra, so the walk follows 3 -> 5.
+        from_new_state = self.plan((2, 3), (3, 5))
+        plans = [into_violation, from_new_state]
+        if not first_violating:
+            plans.reverse()
+        for plan in plans:
+            changed = apply_plan(result, plan)
+            t2, u2, v2 = independent_apply(result, plan, machine.invariant)
+            assert changed.t_changed == frozenset(t2)
+            assert changed.u_changed == frozenset(u2)
+            assert changed.u_violating == frozenset(v2)
+        assert len(apply_plan(result, into_violation).t_changed) == 5
+        assert len(apply_plan(result, from_new_state).t_changed) == 6
 
 
 class TestTrialMetrics:
@@ -340,11 +386,11 @@ class TestRunTrials:
     def test_deterministic(self, cm1_result, cm1_machine):
         domains = infer_domains(cm1_machine)
         a = run_trials(
-            cm1_result, domains, cm1_machine.invariant, 5, 3, 3, 9,
+            cm1_result, domains, 5, 3, 3, 9,
             labels=cm1_machine.operation_names,
         )
         b = run_trials(
-            cm1_result, domains, cm1_machine.invariant, 5, 3, 3, 9,
+            cm1_result, domains, 5, 3, 3, 9,
             labels=cm1_machine.operation_names,
         )
         assert a.means == b.means
@@ -356,7 +402,6 @@ class TestRunTrials:
         outcome = run_trials(
             cm1_result,
             infer_domains(cm1_machine),
-            cm1_machine.invariant,
             20,
             5,
             5,
@@ -381,7 +426,6 @@ class TestRunTrials:
             run_trials(
                 cm1_result,
                 infer_domains(cm1_machine),
-                cm1_machine.invariant,
                 0,
                 1,
                 1,
@@ -394,7 +438,7 @@ class TestModularitySweep:
     def test_empty_plans_give_all_ones(self, cm1_result, cm1_machine):
         counts = {op: (0, 0) for op in cm1_machine.operation_names}
         per_op, weighted = modularity_sweep(
-            cm1_result, infer_domains(cm1_machine), cm1_machine.invariant, counts, 0
+            cm1_result, infer_domains(cm1_machine), counts, 0
         )
         assert all(value == 1 for value in per_op.values())
         assert weighted == 1
@@ -404,7 +448,6 @@ class TestModularitySweep:
             modularity_sweep(
                 cm1_result,
                 infer_domains(cm1_machine),
-                cm1_machine.invariant,
                 {"inc_minute": (0, 0), "inc_hour": (0, 0)},
                 0,
             )
@@ -431,13 +474,13 @@ class TestModularitySweep:
             n_missing=1,
             label_scope="fwd",
         )
-        changed = apply_plan(result, plan, machine.invariant)
+        changed = apply_plan(result, plan)
         # losing 1->2 strands rst's only transition (3 -> 0 is unreachable)
         assert modularity_of("fwd", result.transitions, changed.t_changed) == 0
 
     def test_seeded_sweep_is_deterministic(self, cm1_result, cm1_machine):
         counts = {op: (1, 1) for op in cm1_machine.operation_names}
         domains = infer_domains(cm1_machine)
-        first = modularity_sweep(cm1_result, domains, cm1_machine.invariant, counts, 5)
-        second = modularity_sweep(cm1_result, domains, cm1_machine.invariant, counts, 5)
+        first = modularity_sweep(cm1_result, domains, counts, 5)
+        second = modularity_sweep(cm1_result, domains, counts, 5)
         assert first == second
