@@ -6,20 +6,20 @@ part of some maximum matching, since a full-score pair can never be beaten
 by splitting it); the remainders go through an exact rectangular
 assignment solve.
 
-The solve works on integer codes: each distinct value and label becomes an
-int, each element a row of codes in flattened order, and each side is
-ordered canonically by state rank (``lts.state_ranks``).  A weight is the
-number of equal codes in two rows.  With n rows on the smaller side, only
-each row's n best columns need to be kept: if an optimal matching gives a
-row a dropped column, at most n - 1 of that row's n kept columns are taken
-by other rows, so it can move to a free one without losing weight.  The
-columns are scored in blocks of max(n, ``CHUNK_CELLS`` / n) columns; each
-block is appended to the kept columns, which are then pruned to the union
-of each row's n best (at most min(m, n*n) of the m columns).  Working
-memory is thus about n x (max(n, CHUNK_CELLS / n) + min(m, n*n)) cells
-(``CHUNK_CELLS`` plus the kept columns while n <= 1024), and a lopsided
-pair costs vector work linear in its n x m cells and a solve of at most
-n x n*n cells.
+The solve works on the canonical integer coding of ``lts.element_keys``:
+each element becomes a row of codes in flattened order (the value codes of
+its states around its label's code), and each side is put in canonical
+order by its keys.  A weight is the number of equal codes in two rows.
+With n rows on the smaller side, only each row's n best columns need to be
+kept: if an optimal matching gives a row a dropped column, at most n - 1
+of that row's n kept columns are taken by other rows, so it can move to a
+free one without losing weight.  The columns are scored in blocks of
+max(n, ``CHUNK_CELLS`` / n) columns; each block is appended to the kept
+columns, which are then pruned to the union of each row's n best (at most
+min(m, n*n) of the m columns).  Working memory is thus about n x (max(n,
+CHUNK_CELLS / n) + min(m, n*n)) cells (``CHUNK_CELLS`` plus the kept
+columns while n <= 1024), and a lopsided pair costs vector work linear in
+its n x m cells and a solve of at most n x n*n cells.
 """
 
 from __future__ import annotations
@@ -31,15 +31,7 @@ from typing import Iterable
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .lts import (
-    Element,
-    FlatList,
-    StatePair,
-    Transition,
-    Value,
-    state_ranks,
-    state_values,
-)
+from .lts import Element, FlatList, StatePair, Transition, element_keys
 
 DEFAULT_SIZE_GUARD = 5_000
 CHUNK_CELLS = 1 << 20
@@ -80,47 +72,19 @@ def _check_uniform(elements: Iterable[Element], side: str) -> type | None:
 
 
 def _coded(
-    groups: list[frozenset], order: tuple[str, ...], labelled: bool
+    groups: list[frozenset], order: tuple[str, ...]
 ) -> tuple[list[Element], list[tuple[np.ndarray, np.ndarray]]]:
     """The groups' elements in one list, and per group the indices of its
     elements in canonical order with one row of codes each: pre-state
-    values, the label (when ``labelled``), post-state values."""
+    values, the label (transitions only), post-state values."""
     elements = [e for group in groups for e in group]
-    pres = list(map(attrgetter("pre"), elements))
-    posts = list(map(attrgetter("post"), elements))
-    # Equal states are often distinct objects (one per exploration), so each
-    # object is ranked once and then looked up by id, not by State hash.
-    objects = dict(zip(map(id, pres), pres))
-    objects.update(zip(map(id, posts), posts))
-    rank = state_ranks(objects.values())
-    rank_of = {key: rank[s] for key, s in objects.items()}
-    value_codes: dict[Value, int] = {}
-    state_rows = np.array(
-        [
-            [value_codes.setdefault(v, len(value_codes)) for v in state_values(s, order)]
-            for s in rank
-        ],
-        dtype=np.int32,
-    ).reshape(len(rank), len(order))
-
-    size = len(elements)
-    pre = np.fromiter(map(rank_of.__getitem__, map(id, pres)), np.intp, size)
-    post = np.fromiter(map(rank_of.__getitem__, map(id, posts)), np.intp, size)
-    keys = [post, pre]
-    columns = [state_rows[pre], state_rows[post]]
-    if labelled:
-        names = list(map(attrgetter("label"), elements))
-        label_codes = {name: i for i, name in enumerate(sorted(set(names)))}
-        label = np.fromiter(map(label_codes.__getitem__, names), np.int32, size)
-        keys.insert(1, label)
-        columns.insert(1, label[:, None])
-    rows = np.hstack(columns)
-
+    keys, states = element_keys(elements, order)
+    rows = np.hstack((states[keys[:, 0]], keys[:, 1:-1], states[keys[:, -1]]))
     coded = []
     stop = 0
     for group in groups:
         start, stop = stop, stop + len(group)
-        ordered = start + np.lexsort([key[start:stop] for key in keys])
+        ordered = start + np.lexsort(keys[start:stop].T[::-1])
         coded.append((ordered, rows[ordered]))
     return elements, coded
 
@@ -173,8 +137,6 @@ def similarity(
     right_kind = _check_uniform(right_set, "right set")
     if left_kind and right_kind and left_kind is not right_kind:
         raise AlignmentError("cannot align transitions with state pairs")
-    kind = left_kind or right_kind
-    labelled = kind is not None and issubclass(kind, Transition)
 
     identical = left_set & right_set
     rest_left = left_set - identical
@@ -188,9 +150,9 @@ def similarity(
                 "raise the guard to force an exact solve"
             )
         groups += [rest_left, rest_right]
-    elements, ((same, _), *rests) = _coded(groups, order, labelled)
+    elements, ((same, same_rows), *rests) = _coded(groups, order)
 
-    width = 2 * len(order) + labelled
+    width = same_rows.shape[1]
     matching: list[tuple[Element, Element, int]] = [
         (elements[i], elements[i], width) for i in same
     ]

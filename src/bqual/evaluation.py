@@ -2,9 +2,9 @@
 
 ``evaluate`` runs parse, exploration, functional metrics, invariant
 metrics, fault injection and the usability metrics, and assembles a
-QualityReport.  Metrics whose inputs are missing or whose denominators
-are empty come back as "not-computed" with a reason instead of failing
-the whole run.
+QualityReport.  Metrics whose inputs are missing, whose denominators are
+empty, or whose LTS a limit cut short come back as "not-computed" with a
+reason instead of failing the whole run.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .explorer import (
     infer_domains,
 )
 from .lexer import word_count
-from .lts import read_transitions_jsonl
+from .lts import pairs_of, read_transitions_jsonl
 from .metrics import (
     DERIVED_CHARACTERISTICS,
     REPORT_GROUPS,
@@ -42,11 +42,9 @@ from .metrics import (
     goal_appropriateness,
     invariant_satisfiability,
     learnability,
-    pfappr,
     pfcomp,
     pfcorr,
     reusability,
-    tfappr,
     tfcomp,
     tfcorr,
 )
@@ -68,7 +66,11 @@ DEFAULT_WORD_LIMIT = 10_000
 DEFAULT_TRIALS = 20
 METERING_FIELDS = ("cpu_seconds", "peak_memory_bytes")
 
-_FUNCTIONAL_METRICS = ("tfcomp", "pfcomp", "tfcorr", "pfcorr", "tfappr", "pfappr")
+# The metrics that read the required transitions.
+_FUNCTIONAL_METRICS = (
+    "tfcomp", "pfcomp", "tfcorr", "pfcorr", "tfappr", "pfappr", "availability"
+)
+_TRUNCATED = "{} truncated by a limit; raise --max-states/--max-transitions"
 
 
 class EvaluationError(ValueError):
@@ -126,7 +128,7 @@ def load_required(
             )
         if not transitions:
             raise EvaluationError(f"{required_path}: no required transitions")
-        return RequirementSpec(required_transitions=transitions)
+        return RequirementSpec(required_transitions=transitions, truncated=False)
 
     reference = parse_machine(Path(reference_path).read_text(encoding="utf-8"))
     if reference.variables != machine.variables:
@@ -141,7 +143,9 @@ def load_required(
         max_transitions=max_transitions,
         meter_memory=False,
     )
-    return RequirementSpec(required_transitions=result.transitions)
+    return RequirementSpec(
+        required_transitions=result.transitions, truncated=result.truncated
+    )
 
 
 _GOAL_LINE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*:\s*(.+?)\s*$")
@@ -189,6 +193,8 @@ def evaluate(config: EvaluationConfig) -> QualityReport:
 
     n_words = word_count(source)
     seed = config.resolved_seed()
+    # A cut LTS makes every metric computed from it a number of the cut.
+    cut = _TRUNCATED.format("exploration") if result.truncated else None
 
     # functional suitability -------------------------------------------------
     requirement = None
@@ -207,22 +213,28 @@ def evaluate(config: EvaluationConfig) -> QualityReport:
             required_source = {"mode": "reference", "path": config.reference_path}
 
     if requirement is None:
-        for name in _FUNCTIONAL_METRICS + ("availability",):
-            report.mark_not_computed(name, "no required transitions provided")
+        _mark_all(report, _FUNCTIONAL_METRICS, "no required transitions provided")
+    elif cut is not None or requirement.truncated:
+        reason = cut or _TRUNCATED.format("reference exploration")
+        _mark_all(report, _FUNCTIONAL_METRICS, reason)
     else:
         t_d = result.transitions
         t_r = requirement.required_transitions
+        p_d, p_r = pairs_of(t_d), requirement.required_pairs
         order = result.variable_order
         guard = config.size_guard
-        # pfcomp and pfcorr share one transition alignment, run on first use.
+        # Each alignment runs on first use and is shared: pfcomp and pfcorr
+        # align the transitions; tfappr and pfappr are tfcomp and pfcomp on
+        # the label-erased pairs.
         aligned = cache(partial(similarity, t_d, t_r, order, size_guard=guard))
+        aligned_pairs = cache(partial(similarity, p_d, p_r, order, size_guard=guard))
         computations = {
             "tfcomp": lambda: tfcomp(t_d, t_r),
             "pfcomp": lambda: pfcomp(t_d, t_r, order, aligned=aligned()),
             "tfcorr": lambda: tfcorr(t_d, t_r),
             "pfcorr": lambda: pfcorr(t_d, t_r, order, aligned=aligned()),
-            "tfappr": lambda: tfappr(t_d, t_r),
-            "pfappr": lambda: pfappr(t_d, t_r, order, size_guard=guard),
+            "tfappr": lambda: tfcomp(p_d, p_r),
+            "pfappr": lambda: pfcomp(p_d, p_r, order, aligned=aligned_pairs()),
             "availability": lambda: availability(
                 result, requirement.required_operations
             ),
@@ -230,12 +242,30 @@ def evaluate(config: EvaluationConfig) -> QualityReport:
         for name, compute in computations.items():
             _set_or_mark(report, name, compute)
 
-    # security / reliability ---------------------------------------------------
-    _set_or_mark(report, "invariant_satisfiability", lambda: invariant_satisfiability(result))
-    _set_or_mark(report, "accountability", lambda: accountability(result))
+    # security / reliability / maintainability / usability ---------------------
+    computations = {
+        "invariant_satisfiability": lambda: invariant_satisfiability(result),
+        "accountability": lambda: accountability(result),
+        "reusability": lambda: reusability(result.transitions),
+    }
+    if config.goals_path is not None:
+        goals = parse_goals(
+            Path(config.goals_path).read_text(encoding="utf-8"), machine
+        )
+        computations["goal_appropriateness"] = lambda: goal_appropriateness(
+            result, goals
+        )
+    else:
+        report.mark_not_computed("goal_appropriateness", "no goals provided")
+    if cut is not None:
+        _mark_all(report, computations, cut)
+    else:
+        for name, compute in computations.items():
+            _set_or_mark(report, name, compute)
+    _set_or_mark(report, "learnability", lambda: learnability(n_words, config.word_limit))
 
     # fault injection ------------------------------------------------------------
-    if config.plan_path is not None:
+    if cut is None and config.plan_path is not None:
         plan = load_plan(config.plan_path, machine.variables, machine.element_sets)
         changed = apply_plan(result, plan)
         values, reasons = trial_metrics(result, changed)
@@ -248,7 +278,7 @@ def evaluate(config: EvaluationConfig) -> QualityReport:
             "label_scope": plan.label_scope,
             "seed": plan.seed,
         }
-    elif config.trials > 0:
+    elif cut is None and config.trials > 0:
         n_default = default_mutation_count(len(result.transitions))
         n_extra = config.n_extra if config.n_extra is not None else n_default
         n_missing = config.n_missing if config.n_missing is not None else n_default
@@ -276,23 +306,11 @@ def evaluate(config: EvaluationConfig) -> QualityReport:
         }
     else:
         values = dict.fromkeys(FAULT_METRICS)
-        reasons = dict.fromkeys([*FAULT_METRICS, "modularity"], "mutation trials disabled")
+        reason = cut or "mutation trials disabled"
+        reasons = dict.fromkeys([*FAULT_METRICS, "modularity"], reason)
         sweep = None
         mutation_prov = {"mode": "disabled"}
     _record_fault_metrics(report, values, reasons, sweep)
-
-    # maintainability / usability ---------------------------------------------
-    _set_or_mark(report, "reusability", lambda: reusability(result.transitions))
-    if config.goals_path is not None:
-        goals = parse_goals(
-            Path(config.goals_path).read_text(encoding="utf-8"), machine
-        )
-        _set_or_mark(
-            report, "goal_appropriateness", lambda: goal_appropriateness(result, goals)
-        )
-    else:
-        report.mark_not_computed("goal_appropriateness", "no goals provided")
-    _set_or_mark(report, "learnability", lambda: learnability(n_words, config.word_limit))
 
     report.provenance = {
         "machine_path": config.machine_path,
@@ -309,6 +327,11 @@ def evaluate(config: EvaluationConfig) -> QualityReport:
         "tool_version": __version__,
     }
     return report
+
+
+def _mark_all(report: QualityReport, names, reason: str) -> None:
+    for name in names:
+        report.mark_not_computed(name, reason)
 
 
 def _set_or_mark(report: QualityReport, name: str, compute) -> None:

@@ -4,7 +4,9 @@ Variable domains are read off the invariant's membership conjuncts, the
 initialisation and operations are compiled to closures, and the state
 space is derived breadth-first.  A transition is classified as violating
 when its post-state breaks the invariant or has no outgoing transition
-(deadlock-freeness is checked always, as an inherent invariant).
+(deadlock-freeness is checked always, as an inherent invariant).  A state
+whose successors a limit dropped is not a deadlock: the cut, not the
+machine, left it without outgoing transitions.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import resource
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Collection, Iterable, Mapping
+
+import numpy as np
 
 from .bmachine import (
     And,
@@ -55,8 +59,8 @@ from .lts import (
     boolval,
     enumval,
     intval,
-    state_ranks,
-    transition_rank_key,
+    sorted_transitions,
+    state_codes,
     transition_to_json,
 )
 from .bmachine import BOOL_SET
@@ -435,15 +439,17 @@ def reach(
     verdicts: Mapping[State, bool],
     max_states: float = math.inf,
     max_transitions: float = math.inf,
-) -> tuple[frozenset, frozenset, bool]:
+) -> tuple[frozenset, frozenset, frozenset]:
     """Breadth-first walk from ``initial``, in its order, that never expands
     a state breaking the invariant.  Returns the reached states, the
-    transitions taken, and whether a limit cut the walk short (which ones a
-    limit keeps depends on the order)."""
+    transitions taken, and the states fully expanded: those none of whose
+    successors a limit dropped.  A limit cut the walk short exactly when
+    some reached state is not fully expanded (which ones a limit keeps
+    depends on the order)."""
     reached = set(initial)
     taken: set[Transition] = set()
     frontier = list(initial)
-    truncated = False
+    cut: set[State] = set()
     for state in frontier:  # grows while it is walked
         if not verdicts[state]:
             continue  # violating states are terminal
@@ -451,26 +457,29 @@ def reach(
             post = t.post
             new = post not in reached
             if (new and len(reached) >= max_states) or len(taken) >= max_transitions:
-                truncated = True
+                cut.add(state)
                 continue
             if new:
                 reached.add(post)
                 frontier.append(post)
             taken.add(t)
-    return frozenset(reached), frozenset(taken), truncated
+    reached = frozenset(reached)
+    return reached, frozenset(taken), reached - cut if cut else reached
 
 
 def violations(
-    transitions: frozenset, verdicts: Mapping[State, bool]
+    transitions: frozenset, verdicts: Mapping[State, bool], cut: Collection[State]
 ) -> tuple[frozenset, set]:
-    """The violating transitions and the states with an outgoing transition:
-    a transition violates when its post-state breaks the invariant or has no
-    outgoing transition in ``transitions``."""
-    has_outgoing = {t.pre for t in transitions}
+    """The violating transitions and the live states: those with an outgoing
+    transition in ``transitions``, or ``cut``, whose successors a limit
+    dropped.  A transition violates when its post-state breaks the
+    invariant or is not live."""
+    live = {t.pre for t in transitions}
+    live.update(cut)
     violating = frozenset(
-        t for t in transitions if not verdicts[t.post] or t.post not in has_outgoing
+        t for t in transitions if not verdicts[t.post] or t.post not in live
     )
-    return violating, has_outgoing
+    return violating, live
 
 
 @dataclass
@@ -509,20 +518,16 @@ class ExplorationResult:
         }
 
     @functools.cached_property
-    def _state_rank(self) -> dict[State, int]:
-        # Every derived transition's states are reachable states.
-        return state_ranks(self.states)
-
-    @functools.cached_property
     def ordered_states(self) -> tuple[State, ...]:
         """The reachable states in canonical order, sorted on first use."""
-        return tuple(self._state_rank)
+        states = tuple(self.states)
+        rank, _ = state_codes(states, self.variable_order)
+        return tuple(states[i] for i in np.argsort(rank))
 
     @functools.cached_property
     def ordered_transitions(self) -> tuple[Transition, ...]:
         """The derived transitions in canonical order, sorted on first use."""
-        key = transition_rank_key(self._state_rank)
-        return tuple(sorted(self.transitions, key=key))
+        return tuple(sorted_transitions(self.transitions))
 
 
 def explore(
@@ -573,7 +578,7 @@ def explore(
                 out.append(Transition(state, label, post))
         return out
 
-    states, transitions, truncated = reach(
+    states, transitions, expanded = reach(
         initial, successors, verdicts, max_states, max_transitions
     )
     cpu_seconds = time.process_time() - started
@@ -582,7 +587,8 @@ def explore(
         # Lifetime peak RSS of the process (kilobytes on Linux).
         peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
 
-    violating, has_outgoing = violations(transitions, verdicts)
+    cut = states - expanded
+    violating, live = violations(transitions, verdicts, cut)
     return ExplorationResult(
         machine_name=machine.name,
         variable_order=order,
@@ -591,8 +597,8 @@ def explore(
         transitions=transitions,
         ok=transitions - violating,
         violating=violating,
-        deadlock_states=states - has_outgoing,
-        truncated=truncated,
+        deadlock_states=states - live,
+        truncated=bool(cut),
         cpu_seconds=cpu_seconds,
         peak_memory_bytes=peak,
         verdicts=verdicts,

@@ -2,13 +2,18 @@
 
 States, transitions and state pairs are immutable, hashable and safe to
 share between workers.  Machines can reach millions of transitions, so the
-types cache their hashes and intern common values.
+types cache their hashes and intern common values.  The canonical order
+of states, and with it of transitions and pairs, is computed in one place,
+``state_codes``, from integer value codes.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
-from typing import Callable, Iterable, Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
+
+import numpy as np
 
 KIND_BOOL = "bool"
 KIND_ENUM = "enum"
@@ -162,9 +167,6 @@ class State:
     def __hash__(self):
         return self._hash
 
-    def sort_key(self):
-        return tuple(v.sort_key() for v in self.values)
-
     def __repr__(self):
         inner = ",".join(repr(v) for v in self.values)
         return f"({inner})"
@@ -213,9 +215,6 @@ class Transition:
     def pair(self) -> "StatePair":
         return StatePair(self.pre, self.post)
 
-    def sort_key(self):
-        return (self.pre.sort_key(), self.label, self.post.sort_key())
-
     def __repr__(self):
         return f"[{self.pre!r},{self.label},{self.post!r}]"
 
@@ -240,9 +239,6 @@ class StatePair:
 
     def __hash__(self):
         return self._hash
-
-    def sort_key(self):
-        return (self.pre.sort_key(), self.post.sort_key())
 
     def __repr__(self):
         return f"[{self.pre!r},{self.post!r}]"
@@ -337,28 +333,70 @@ def transition_from_json(
     return Transition(decode_state(obj["pre"]), obj["op"], decode_state(obj["post"]))
 
 
-def state_ranks(states: Iterable[State]) -> dict[State, int]:
-    """Each distinct state's position in canonical order.
+def state_codes(
+    states: Sequence[State], variable_order: tuple[str, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The canonical integer coding of ``states``: ``(rank, rows)``.
 
-    Distinct states of one machine have distinct ``sort_key``s, so ordering
-    by rank is ordering by ``State.sort_key``; a rank is a small int, which
-    is cheap to compare and to put in a numpy array.
+    Each distinct value is coded by its rank in the canonical value order
+    (``Value.sort_key``) and each distinct state object becomes one row of
+    codes in ``variable_order``, so the lexicographic order of the rows is
+    the canonical state order.  ``rows`` holds the distinct rows in that
+    order and ``rank[i]`` is the index of ``states[i]``'s row: equal states
+    share a rank even when they are distinct objects.  Objects are told
+    apart by ``id``, never by ``State.__eq__``.
     """
-    return {s: i for i, s in enumerate(sorted(set(states), key=State.sort_key))}
+    objects = dict(zip(map(id, states), states))
+    slot = {key: i for i, key in enumerate(objects)}
+    table = [state_values(s, variable_order) for s in objects.values()]
+    values = sorted(set(itertools.chain.from_iterable(table)), key=Value.sort_key)
+    code = {v: i for i, v in enumerate(values)}
+    shape = (len(table), len(variable_order))
+    coded = np.fromiter(
+        map(code.__getitem__, itertools.chain.from_iterable(table)),
+        np.int32,
+        shape[0] * shape[1],
+    ).reshape(shape)
+    order = np.lexsort(coded.T[::-1]) if shape[1] else np.arange(shape[0])
+    coded = coded[order]
+    # A row starts a new rank where it differs from the row before it.
+    starts = np.ones(len(coded), dtype=bool)
+    starts[1:] = (coded[1:] != coded[:-1]).any(axis=1)
+    rank = np.empty_like(order)
+    rank[order] = np.cumsum(starts) - 1
+    picks = np.fromiter(map(slot.__getitem__, map(id, states)), np.intp, len(states))
+    return rank[picks], coded[starts]
 
 
-def transition_rank_key(rank: Mapping[State, int]) -> Callable[[Transition], tuple]:
-    """Sort key giving ``Transition.sort_key``'s order for transitions whose
-    states all have a rank in ``rank`` (from ``state_ranks``)."""
-    return lambda t: (rank[t.pre], t.label, rank[t.post])
+def element_keys(
+    elements: Sequence[Element], variable_order: tuple[str, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical sort keys of transitions or of state pairs: ``(keys, rows)``.
+
+    ``keys`` has one row per element: the rank of its pre-state, the code
+    of its label (transitions only; labels in code-point order) and the
+    rank of its post-state, so the lexicographic order of the keys is the
+    canonical element order.  ``rows`` are the state rows of
+    ``state_codes``, indexed by rank.
+    """
+    size = len(elements)
+    rank, rows = state_codes(
+        [e.pre for e in elements] + [e.post for e in elements], variable_order
+    )
+    columns = [rank[:size], rank[size:]]
+    if size and isinstance(elements[0], Transition):
+        names = [t.label for t in elements]
+        code = {name: i for i, name in enumerate(sorted(set(names)))}
+        columns.insert(1, np.fromiter(map(code.__getitem__, names), np.intp, size))
+    return np.column_stack(columns).astype(np.int32), rows
 
 
 def sorted_transitions(transitions: Iterable[Transition]) -> list[Transition]:
-    """The transitions in canonical order (``Transition.sort_key``), keyed
-    on state ranks so that each distinct state's key is built once."""
+    """The transitions in canonical order."""
     transitions = list(transitions)
-    rank = state_ranks(s for t in transitions for s in (t.pre, t.post))
-    return sorted(transitions, key=transition_rank_key(rank))
+    order = transitions[0].pre.variables if transitions else ()
+    keys, _ = element_keys(transitions, order)
+    return [transitions[i] for i in np.lexsort(keys.T[::-1])]
 
 
 def sorted_labels(labels: Iterable[str]) -> list[str]:

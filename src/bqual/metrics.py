@@ -27,9 +27,12 @@ class NotComputable(ValueError):
 
 @dataclass(frozen=True)
 class RequirementSpec:
-    """Required transitions plus the projections the metrics consume."""
+    """Required transitions plus the projections the metrics consume.
+    ``truncated`` says whether a limit cut the reference exploration short
+    that derived them."""
 
     required_transitions: frozenset
+    truncated: bool
 
     @property
     def required_pairs(self) -> frozenset:
@@ -100,12 +103,8 @@ def pfcorr(
 
 
 def tfappr(t_derived: frozenset, t_required: frozenset) -> Fraction:
-    """Like tfcomp but over label-erased pre/post pairs."""
-    if not t_required:
-        raise NotComputable("no required transitions")
-    p_derived = pairs_of(t_derived)
-    p_required = pairs_of(t_required)
-    return Fraction(len(p_derived & p_required), len(p_required))
+    """``tfcomp`` over the label-erased pre/post pairs."""
+    return tfcomp(pairs_of(t_derived), pairs_of(t_required))
 
 
 def pfappr(
@@ -115,13 +114,11 @@ def pfappr(
     *,
     size_guard: int = DEFAULT_SIZE_GUARD,
 ) -> Fraction:
-    if not t_required:
-        raise NotComputable("no required transitions")
+    """``pfcomp`` over the label-erased pre/post pairs."""
     order = tuple(variable_order)
-    p_derived = pairs_of(t_derived)
-    p_required = pairs_of(t_required)
+    p_derived, p_required = pairs_of(t_derived), pairs_of(t_required)
     aligned = similarity(p_derived, p_required, order, size_guard=size_guard)
-    return Fraction(aligned.total_agreement, set_size(p_required, order))
+    return pfcomp(p_derived, p_required, order, aligned=aligned)
 
 
 # --- security and reliability --------------------------------------------------

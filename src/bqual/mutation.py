@@ -51,8 +51,6 @@ class MutationPlan:
     extra: frozenset
     missing: frozenset
     seed: int
-    n_extra: int
-    n_missing: int
     label_scope: str | None = None
 
 
@@ -178,8 +176,6 @@ def generate_plan(
         extra=frozenset(extra),
         missing=missing,
         seed=seed,
-        n_extra=n_extra,
-        n_missing=n_missing,
         label_scope=label_scope,
     )
 
@@ -187,9 +183,10 @@ def generate_plan(
 def apply_plan(result: ExplorationResult, plan: MutationPlan) -> ChangedSystem:
     """Edit the transition relation, re-derive reachability, and mask.
 
-    Re-derivation uses the exploration's walk and invariant verdicts, and
-    the masked set is judged by the exploration's violation rule, with
-    deadlock relative to the masked set itself.
+    Re-derivation uses the exploration's walk and invariant verdicts,
+    without limits, so no state is cut.  The masked set is judged by the
+    exploration's violation rule, with deadlock relative to the masked set
+    itself.
     """
     validate_plan(plan, result.transitions)
     relation = (result.transitions | plan.extra) - plan.missing
@@ -206,7 +203,7 @@ def apply_plan(result: ExplorationResult, plan: MutationPlan) -> ChangedSystem:
         result.verdicts,
     )
     u_changed = frozenset((t_changed | plan.missing) - plan.extra)
-    u_violating, _ = violations(u_changed, result.verdicts)
+    u_violating, _ = violations(u_changed, result.verdicts, ())
     return ChangedSystem(
         t_changed=t_changed,
         u_changed=u_changed,
@@ -237,7 +234,6 @@ FAULT_METRICS = {
 class TrialOutcome:
     means: dict
     exclusions: dict
-    trials: int
 
 
 def trial_metrics(
@@ -288,7 +284,6 @@ def run_trials(
             for name, kept in samples.items()
         },
         exclusions={name: trial_count - len(kept) for name, kept in samples.items()},
-        trials=trial_count,
     )
 
 
@@ -405,8 +400,6 @@ def plan_from_json(
         extra=extra,
         missing=missing,
         seed=seed,
-        n_extra=len(extra),
-        n_missing=len(missing),
         label_scope=label_scope,
     )
 

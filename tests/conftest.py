@@ -5,6 +5,31 @@ from pathlib import Path
 
 import pytest
 
+from bqual.bmachine import (
+    And,
+    AnyChoice,
+    Assign,
+    BinaryExpr,
+    BoolLit,
+    BoundRef,
+    Comparison,
+    EnumLit,
+    Expression,
+    IntLit,
+    MachineAST,
+    Not,
+    Or,
+    Precondition,
+    Predicate,
+    RangeMembership,
+    Select,
+    Sequence,
+    SetMembership,
+    Skip,
+    Substitution,
+    TruePredicate,
+    VarRef,
+)
 from bqual.explorer import compile_substitution, explore
 from bqual.lts import FlatList, State, Transition, Value, intval
 from bqual.parser import parse_machine
@@ -112,3 +137,104 @@ def brute_force_similarity(left, right, variable_order) -> int:
         return top
 
     return best(0, 0)
+
+
+# Pretty-printer for the parser round-trip tests: emits source that parses
+# back to an equal AST.
+
+_EXPR_PRECEDENCE = {"+": 1, "-": 1, "*": 2}
+
+
+def expr_to_source(expr: Expression) -> str:
+    if isinstance(expr, IntLit):
+        return str(expr.value)
+    if isinstance(expr, BoolLit):
+        return "TRUE" if expr.value else "FALSE"
+    if isinstance(expr, EnumLit):
+        return expr.element
+    if isinstance(expr, (VarRef, BoundRef)):
+        return expr.name
+    if isinstance(expr, BinaryExpr):
+        prec = _EXPR_PRECEDENCE[expr.op]
+        left = expr_to_source(expr.left)
+        if isinstance(expr.left, BinaryExpr) and _EXPR_PRECEDENCE[expr.left.op] < prec:
+            left = f"({left})"
+        right = expr_to_source(expr.right)
+        if isinstance(expr.right, BinaryExpr) and _EXPR_PRECEDENCE[expr.right.op] <= prec:
+            right = f"({right})"
+        return f"{left} {expr.op} {right}"
+    raise TypeError(f"not an expression: {type(expr).__name__}")
+
+
+def pred_to_source(pred: Predicate, _level: int = 0) -> str:
+    # levels: 0 = or, 1 = and, 2 = atom; right operands of a chain get
+    # parentheses so right-nested trees survive the left-associative parse
+    if isinstance(pred, Or):
+        right = pred_to_source(pred.right, 0)
+        if isinstance(pred.right, Or):
+            right = f"({right})"
+        text = f"{pred_to_source(pred.left, 0)} or {right}"
+        return f"({text})" if _level > 0 else text
+    if isinstance(pred, And):
+        right = pred_to_source(pred.right, 1)
+        if isinstance(pred.right, And):
+            right = f"({right})"
+        text = f"{pred_to_source(pred.left, 1)} & {right}"
+        return f"({text})" if _level > 1 else text
+    if isinstance(pred, Not):
+        return f"not({pred_to_source(pred.inner, 0)})"
+    if isinstance(pred, Comparison):
+        return f"{expr_to_source(pred.left)} {pred.op} {expr_to_source(pred.right)}"
+    if isinstance(pred, RangeMembership):
+        return (
+            f"{expr_to_source(pred.expr)} : "
+            f"{expr_to_source(pred.low)}..{expr_to_source(pred.high)}"
+        )
+    if isinstance(pred, SetMembership):
+        return f"{expr_to_source(pred.expr)} : {pred.set_name}"
+    if isinstance(pred, TruePredicate):
+        return "0 = 0"
+    raise TypeError(f"not a predicate: {type(pred).__name__}")
+
+
+def subst_to_source(sub: Substitution) -> str:
+    if isinstance(sub, Assign):
+        return f"{sub.variable} := {expr_to_source(sub.expr)}"
+    if isinstance(sub, Sequence):
+        return "; ".join(subst_to_source(s) for s in sub.steps)
+    if isinstance(sub, Precondition):
+        return f"PRE {pred_to_source(sub.guard)} THEN {subst_to_source(sub.body)} END"
+    if isinstance(sub, Select):
+        parts = []
+        for i, (guard, body) in enumerate(sub.branches):
+            head = "SELECT" if i == 0 else "WHEN"
+            parts.append(f"{head} {pred_to_source(guard)} THEN {subst_to_source(body)}")
+        return " ".join(parts) + " END"
+    if isinstance(sub, AnyChoice):
+        ids = ", ".join(sub.identifiers)
+        return (
+            f"ANY {ids} WHERE {pred_to_source(sub.where)} "
+            f"THEN {subst_to_source(sub.body)} END"
+        )
+    if isinstance(sub, Skip):
+        return "skip"
+    raise TypeError(f"not a substitution: {type(sub).__name__}")
+
+
+def machine_to_source(machine: MachineAST) -> str:
+    lines = [f"MACHINE {machine.name}"]
+    if machine.sets:
+        decls = "; ".join(
+            f"{name} = {{{', '.join(elements)}}}" for name, elements in machine.sets
+        )
+        lines.append(f"SETS {decls}")
+    lines.append(f"VARIABLES {', '.join(machine.variables)}")
+    lines.append(f"INVARIANT {pred_to_source(machine.invariant)}")
+    lines.append(f"INITIALISATION {subst_to_source(machine.initialisation)}")
+    lines.append("OPERATIONS")
+    op_lines = [
+        f"  {name} = {subst_to_source(body)}" for name, body in machine.operations
+    ]
+    lines.append(";\n".join(op_lines))
+    lines.append("END")
+    return "\n".join(lines) + "\n"

@@ -11,7 +11,15 @@ from bqual.alignment import (
     agreement,
     similarity,
 )
-from bqual.lts import State, Transition, flatten, intval, pairs_of, set_size
+from bqual.lts import (
+    State,
+    Transition,
+    flatten,
+    intval,
+    pairs_of,
+    set_size,
+    sorted_transitions,
+)
 
 from conftest import (
     PROPERTY_LABELS,
@@ -143,7 +151,7 @@ class TestOracleEquivalence:
             t2 = random_transition_set(rng)
             got = similarity(t1, t2, PROPERTY_ORDER).total_agreement
             want = brute_force_similarity(t1, t2, PROPERTY_ORDER)
-            assert got == want, (sorted(t1, key=Transition.sort_key), sorted(t2, key=Transition.sort_key))
+            assert got == want, (sorted_transitions(t1), sorted_transitions(t2))
 
 
 def random_elements(rng, size, pairs, avoid=frozenset()):

@@ -43,6 +43,53 @@ def load_schema():
         return json.load(handle)
 
 
+class TestTruncatedEvaluation:
+    """A cut LTS yields no metric that reads it; the counts stay."""
+
+    LTS_METRICS = {
+        "tfcomp", "pfcomp", "tfcorr", "pfcorr", "tfappr", "pfappr",
+        "availability", "invariant_satisfiability", "accountability",
+        "fault_tolerance", "recoverability", "functional_analysability",
+        "fault_analysability", "modularity", "reusability", "goal_appropriateness",
+    }
+
+    def test_truncated_target(self):
+        report = evaluate(
+            EvaluationConfig(
+                machine_path=CM1, reference_path=CM1, goals_path=GOALS,
+                max_states=100, seed=7,
+            )
+        )
+        obj = report_to_json(report)
+        assert obj["summary"]["deadlock_states"] == 0
+        assert obj["summary"]["violating_transitions"] == 0
+        assert set(obj["not_computed_reasons"]) == self.LTS_METRICS
+        for reason in obj["not_computed_reasons"].values():
+            assert reason.startswith("exploration truncated")
+            assert "--max-states/--max-transitions" in reason
+        assert set(obj["exact"]) == {"learnability"}
+        assert obj["metrics"]["capacity"] == 100 + 99
+        assert obj["trial_exclusions"] == {}
+        assert obj["per_operation_modularity"] == {}
+        jsonschema.validate(obj, load_schema())
+
+    def test_truncated_reference(self):
+        # CM2 derives 1,417 transitions, reference CM1 1,440.
+        report = evaluate(
+            EvaluationConfig(
+                machine_path=CM2, reference_path=CM1, max_transitions=1420,
+                trials=0,
+            )
+        )
+        assert not report.summary["truncated"]
+        reasons = report.reasons
+        assert {name for name in reasons if "truncated" in reasons[name]} == {
+            "tfcomp", "pfcomp", "tfcorr", "pfcorr", "tfappr", "pfappr", "availability"
+        }
+        assert reasons["tfcomp"].startswith("reference exploration truncated")
+        assert report.value("invariant_satisfiability") is not None
+
+
 class TestLoadRequired:
     def test_reference_mode(self, cm2_machine):
         spec = load_required(cm2_machine, reference_path=CM1)

@@ -319,28 +319,49 @@ class TestTruncation:
         assert result.truncated
         assert len(result.transitions) == 5
 
+    def test_cut_states_are_not_deadlocks(self, cm1_machine):
+        result = explore(cm1_machine, max_states=100, meter_memory=False)
+        assert result.truncated
+        assert result.deadlock_states == frozenset()
+        assert result.violating == frozenset()
+
+    def test_cut_keeps_real_deadlocks(self):
+        # x = 2 has no successor; the limit drops the step from x = 4 to 6.
+        machine = parse_machine(
+            "MACHINE M VARIABLES x INVARIANT x : 0..9 INITIALISATION x := 0 "
+            "OPERATIONS step = PRE x < 2 THEN x := x + 1 END; "
+            "jump = PRE x = 0 THEN x := 4 END; "
+            "more = PRE x = 4 THEN x := 6 END END"
+        )
+        result = explore(machine, max_states=4, meter_memory=False)
+        assert result.truncated
+        assert {s.get("x") for s in result.deadlock_states} == {intval(2)}
+        assert {t.post.get("x") for t in result.violating} == {intval(2)}
+
     # Summaries of cut-off runs, frozen from the breadth-first walk: which
     # states and transitions a limit keeps depends on the walk's order.
-    # Columns: states, transitions, ok, violating, deadlock states.
+    # Columns: states, transitions, ok, violating, deadlock states.  A state
+    # whose successors the limit dropped is no deadlock, so CM1 (a cycle)
+    # has none; CM4's remaining ones break the invariant.
     FROZEN = [
-        ("CM1", {"max_states": 1}, (1, 0, 0, 0, 1)),
-        ("CM1", {"max_states": 10}, (10, 9, 8, 1, 1)),
-        ("CM1", {"max_states": 100}, (100, 99, 98, 1, 1)),
-        ("CM1", {"max_states": 1000}, (1000, 999, 998, 1, 1)),
-        ("CM1", {"max_transitions": 1}, (2, 1, 0, 1, 1)),
-        ("CM1", {"max_transitions": 5}, (6, 5, 4, 1, 1)),
-        ("CM1", {"max_transitions": 500}, (501, 500, 499, 1, 1)),
-        ("CM1", {"max_states": 100, "max_transitions": 500}, (100, 99, 98, 1, 1)),
-        ("CM1", {"max_states": 1000, "max_transitions": 50}, (51, 50, 49, 1, 1)),
-        ("CM4", {"max_states": 1}, (1, 0, 0, 0, 1)),
-        ("CM4", {"max_states": 10}, (10, 9, 8, 1, 1)),
-        ("CM4", {"max_states": 100}, (100, 99, 97, 2, 2)),
-        ("CM4", {"max_states": 1000}, (1000, 999, 982, 17, 17)),
-        ("CM4", {"max_transitions": 1}, (2, 1, 0, 1, 1)),
-        ("CM4", {"max_transitions": 5}, (6, 5, 4, 1, 1)),
-        ("CM4", {"max_transitions": 500}, (501, 500, 491, 9, 9)),
-        ("CM4", {"max_states": 100, "max_transitions": 500}, (100, 99, 97, 2, 2)),
-        ("CM4", {"max_states": 1000, "max_transitions": 50}, (51, 50, 49, 1, 1)),
+        ("CM1", {"max_states": 1}, (1, 0, 0, 0, 0)),
+        ("CM1", {"max_states": 10}, (10, 9, 9, 0, 0)),
+        ("CM1", {"max_states": 100}, (100, 99, 99, 0, 0)),
+        ("CM1", {"max_states": 1000}, (1000, 999, 999, 0, 0)),
+        ("CM1", {"max_transitions": 1}, (2, 1, 1, 0, 0)),
+        ("CM1", {"max_transitions": 5}, (6, 5, 5, 0, 0)),
+        ("CM1", {"max_transitions": 500}, (501, 500, 500, 0, 0)),
+        ("CM1", {"max_states": 100, "max_transitions": 500}, (100, 99, 99, 0, 0)),
+        ("CM1", {"max_states": 1000, "max_transitions": 50}, (51, 50, 50, 0, 0)),
+        ("CM4", {"max_states": 1}, (1, 0, 0, 0, 0)),
+        ("CM4", {"max_states": 10}, (10, 9, 9, 0, 0)),
+        ("CM4", {"max_states": 100}, (100, 99, 98, 1, 1)),
+        ("CM4", {"max_states": 1000}, (1000, 999, 983, 16, 16)),
+        ("CM4", {"max_transitions": 1}, (2, 1, 1, 0, 0)),
+        ("CM4", {"max_transitions": 5}, (6, 5, 5, 0, 0)),
+        ("CM4", {"max_transitions": 500}, (501, 500, 492, 8, 8)),
+        ("CM4", {"max_states": 100, "max_transitions": 500}, (100, 99, 98, 1, 1)),
+        ("CM4", {"max_states": 1000, "max_transitions": 50}, (51, 50, 50, 0, 0)),
     ]
 
     @pytest.mark.parametrize("name, limits, counts", FROZEN)

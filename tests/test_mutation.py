@@ -105,8 +105,6 @@ class TestValidatePlan:
             extra=frozenset({clock_transition((0, 0), "inc_minute", (0, 1))}),
             missing=frozenset(),
             seed=0,
-            n_extra=1,
-            n_missing=0,
         )
         with pytest.raises(MutationError, match="already derived"):
             validate_plan(plan, cm1_result.transitions)
@@ -116,8 +114,6 @@ class TestValidatePlan:
             extra=frozenset(),
             missing=frozenset({clock_transition((0, 0), "inc_minute", (9, 9))}),
             seed=0,
-            n_extra=0,
-            n_missing=1,
         )
         with pytest.raises(MutationError, match="not derived"):
             validate_plan(plan, cm1_result.transitions)
@@ -127,8 +123,6 @@ class TestValidatePlan:
             extra=frozenset({clock_transition((0, 0), "inc_hour", (9, 9))}),
             missing=frozenset(),
             seed=0,
-            n_extra=1,
-            n_missing=0,
             label_scope="inc_minute",
         )
         with pytest.raises(MutationError, match="scoped"):
@@ -267,18 +261,14 @@ class TestApplyPlan:
         assert cm5_plan.missing <= cm1_changed.u_changed
 
     def test_empty_plan_is_identity(self, cm1_result, cm1_machine):
-        empty = MutationPlan(
-            extra=frozenset(), missing=frozenset(), seed=0, n_extra=0, n_missing=0
-        )
+        empty = MutationPlan(extra=frozenset(), missing=frozenset(), seed=0)
         changed = apply_plan(cm1_result, empty)
         assert changed.t_changed == cm1_result.transitions
         assert changed.u_changed == cm1_result.transitions
         assert changed.u_violating == cm1_result.violating
 
     def test_empty_plan_on_violating_machine(self, cm4_result, cm4_machine):
-        empty = MutationPlan(
-            extra=frozenset(), missing=frozenset(), seed=0, n_extra=0, n_missing=0
-        )
+        empty = MutationPlan(extra=frozenset(), missing=frozenset(), seed=0)
         changed = apply_plan(cm4_result, empty)
         assert changed.u_violating == cm4_result.violating
 
@@ -287,9 +277,7 @@ class TestApplyPlan:
     ):
         from bqual.metrics import fault_tolerance, invariant_satisfiability
 
-        empty = MutationPlan(
-            extra=frozenset(), missing=frozenset(), seed=0, n_extra=0, n_missing=0
-        )
+        empty = MutationPlan(extra=frozenset(), missing=frozenset(), seed=0)
         changed = apply_plan(cm4_result, empty)
         assert fault_tolerance(
             changed.u_changed, changed.u_violating
@@ -318,8 +306,6 @@ class TestApplyPlan:
             extra=frozenset({clock_transition((3, 0), "inc_minute", (6, 0))}),
             missing=frozenset({clock_transition((5, 29), "inc_minute", (5, 30))}),
             seed=0,
-            n_extra=1,
-            n_missing=1,
             label_scope="inc_minute",
         )
         changed = apply_plan(cm1_result, plan)
@@ -343,9 +329,7 @@ class TestSharedVerdicts:
             return State(("x",), (intval(n),))
 
         edges = frozenset(Transition(gate(a), "up", gate(b)) for a, b in extra)
-        return MutationPlan(
-            extra=edges, missing=frozenset(), seed=0, n_extra=len(edges), n_missing=0
-        )
+        return MutationPlan(extra=edges, missing=frozenset(), seed=0)
 
     @pytest.mark.parametrize("first_violating", [True, False])
     def test_each_order_agrees_with_independent_apply(self, first_violating):
@@ -470,8 +454,6 @@ class TestModularitySweep:
                 {Transition(State(("x",), (intval(1),)), "fwd", State(("x",), (intval(2),)))}
             ),
             seed=0,
-            n_extra=0,
-            n_missing=1,
             label_scope="fwd",
         )
         changed = apply_plan(result, plan)

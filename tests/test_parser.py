@@ -15,12 +15,11 @@ from bqual.bmachine import (
     Select,
     Sequence,
     Skip,
-    machine_to_source,
 )
 from bqual.lexer import LexError
 from bqual.parser import ParseError, parse_machine, parse_predicate
 
-from conftest import CORPUS, corpus_source
+from conftest import CORPUS, corpus_source, machine_to_source
 
 ALL_MACHINES = ["CM1.mch", "CM2.mch", "CM3.mch", "CM4.mch", "CM5.mch", "CM6.mch"]
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from bqual.alignment import similarity
@@ -8,6 +9,7 @@ from bqual.lts import (
     StatePair,
     Transition,
     boolval,
+    element_keys,
     enumval,
     flatten,
     intval,
@@ -28,7 +30,13 @@ from bqual.metrics import (
     tfcorr,
 )
 
-from conftest import PROPERTY_ORDER, brute_force_similarity, flat_sort_key
+from conftest import (
+    PROPERTY_ORDER,
+    brute_force_similarity,
+    flat_sort_key,
+    machine_to_source,
+    pred_to_source,
+)
 
 values = st.integers(min_value=0, max_value=2).map(intval)
 labels = st.sampled_from(["a", "b", "c"])
@@ -104,18 +112,13 @@ mixed_values = st.one_of(
 
 
 def shared_states(draw):
-    # A few shared states, so that elements often tie on a pre-state and
-    # the later components decide the order.
-    states = draw(
-        st.lists(
-            st.tuples(mixed_values, mixed_values).map(
-                lambda values: State(PROPERTY_ORDER, values)
-            ),
-            min_size=1,
-            max_size=4,
-        )
+    # A few shared valuations, so that elements often tie on a pre-state and
+    # the later components decide the order.  Every use builds a new State,
+    # so equal states are held as distinct objects.
+    valuations = draw(
+        st.lists(st.tuples(mixed_values, mixed_values), min_size=1, max_size=4)
     )
-    return st.sampled_from(states)
+    return st.sampled_from(valuations).map(lambda vals: State(PROPERTY_ORDER, vals))
 
 
 @st.composite
@@ -128,14 +131,18 @@ def mixed_elements(draw):
     return draw(st.lists(element, max_size=8))
 
 
+def flat_token_order(elements):
+    """The oracle: flattened elements sorted token by token."""
+    flats = [flatten(e, PROPERTY_ORDER) for e in elements]
+    return sorted(flats, key=flat_sort_key)
+
+
 @given(mixed_elements())
 @settings(max_examples=300)
-def test_sort_key_orders_like_flat_token_key(elements):
-    by_sort_key = sorted(elements, key=lambda e: e.sort_key())
-    by_flat_key = sorted(
-        elements, key=lambda e: flat_sort_key(flatten(e, PROPERTY_ORDER))
-    )
-    assert by_sort_key == by_flat_key
+def test_canonical_keys_order_like_flat_tokens(elements):
+    keys, _ = element_keys(elements, PROPERTY_ORDER)
+    ordered = [elements[i] for i in np.lexsort(keys.T[::-1])]
+    assert [flatten(e, PROPERTY_ORDER) for e in ordered] == flat_token_order(elements)
 
 
 @st.composite
@@ -146,8 +153,9 @@ def mixed_transition_sets(draw):
 
 @given(mixed_transition_sets())
 @settings(max_examples=300)
-def test_rank_coded_sort_orders_like_sort_key(transitions):
-    assert sorted_transitions(transitions) == sorted(transitions, key=Transition.sort_key)
+def test_sorted_transitions_order_like_flat_tokens(transitions):
+    ordered = sorted_transitions(transitions)
+    assert [flatten(t, PROPERTY_ORDER) for t in ordered] == flat_token_order(transitions)
 
 
 @given(nonempty_sets)
@@ -243,7 +251,6 @@ _SCOPE = _scope_machine()
 @given(_predicates())
 @settings(max_examples=300)
 def test_predicate_print_parse_round_trip(pred):
-    from bqual.bmachine import pred_to_source
     from bqual.parser import parse_predicate
 
     assert parse_predicate(pred_to_source(pred), _SCOPE) == pred
@@ -276,7 +283,6 @@ def _substitutions():
 @given(_substitutions())
 @settings(max_examples=300)
 def test_substitution_print_parse_round_trip(sub):
-    from bqual.bmachine import machine_to_source
     from bqual.parser import parse_machine
 
     machine = _SCOPE
