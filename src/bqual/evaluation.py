@@ -24,6 +24,7 @@ from .bmachine import MachineAST
 from .explorer import (
     DEFAULT_MAX_STATES,
     DEFAULT_MAX_TRANSITIONS,
+    ExplorationResult,
     explore,
     infer_domains,
 )
@@ -218,29 +219,7 @@ def evaluate(config: EvaluationConfig) -> QualityReport:
         reason = cut or _TRUNCATED.format("reference exploration")
         _mark_all(report, _FUNCTIONAL_METRICS, reason)
     else:
-        t_d = result.transitions
-        t_r = requirement.required_transitions
-        p_d, p_r = pairs_of(t_d), requirement.required_pairs
-        order = result.variable_order
-        guard = config.size_guard
-        # Each alignment runs on first use and is shared: pfcomp and pfcorr
-        # align the transitions; tfappr and pfappr are tfcomp and pfcomp on
-        # the label-erased pairs.
-        aligned = cache(partial(similarity, t_d, t_r, order, size_guard=guard))
-        aligned_pairs = cache(partial(similarity, p_d, p_r, order, size_guard=guard))
-        computations = {
-            "tfcomp": lambda: tfcomp(t_d, t_r),
-            "pfcomp": lambda: pfcomp(t_d, t_r, order, aligned=aligned()),
-            "tfcorr": lambda: tfcorr(t_d, t_r),
-            "pfcorr": lambda: pfcorr(t_d, t_r, order, aligned=aligned()),
-            "tfappr": lambda: tfcomp(p_d, p_r),
-            "pfappr": lambda: pfcomp(p_d, p_r, order, aligned=aligned_pairs()),
-            "availability": lambda: availability(
-                result, requirement.required_operations
-            ),
-        }
-        for name, compute in computations.items():
-            _set_or_mark(report, name, compute)
+        _functional_metrics(report, result, requirement, config.size_guard)
 
     # security / reliability / maintainability / usability ---------------------
     computations = {
@@ -327,6 +306,34 @@ def evaluate(config: EvaluationConfig) -> QualityReport:
         "tool_version": __version__,
     }
     return report
+
+
+def _functional_metrics(
+    report: QualityReport,
+    result: ExplorationResult,
+    requirement: RequirementSpec,
+    size_guard: int,
+) -> None:
+    """The six functional metrics and availability.  Each alignment runs on
+    first use and is shared: pfcomp and pfcorr align the transitions;
+    tfappr and pfappr are tfcomp and pfcomp on the label-erased pairs."""
+    t_d = result.transitions
+    t_r = requirement.required_transitions
+    p_d, p_r = pairs_of(t_d), requirement.required_pairs
+    order = result.variable_order
+    aligned = cache(partial(similarity, t_d, t_r, order, size_guard=size_guard))
+    aligned_pairs = cache(partial(similarity, p_d, p_r, order, size_guard=size_guard))
+    computations = {
+        "tfcomp": lambda: tfcomp(t_d, t_r),
+        "pfcomp": lambda: pfcomp(t_d, t_r, order, aligned=aligned()),
+        "tfcorr": lambda: tfcorr(t_d, t_r),
+        "pfcorr": lambda: pfcorr(t_d, t_r, order, aligned=aligned()),
+        "tfappr": lambda: tfcomp(p_d, p_r),
+        "pfappr": lambda: pfcomp(p_d, p_r, order, aligned=aligned_pairs()),
+        "availability": lambda: availability(result, requirement.required_operations),
+    }
+    for name, compute in computations.items():
+        _set_or_mark(report, name, compute)
 
 
 def _mark_all(report: QualityReport, names, reason: str) -> None:
