@@ -1,8 +1,9 @@
 """The report contract against committed golden files.
 
 The golden files hold the report JSON of the corpus runs without the
-metering fields and with corpus paths reduced to file names, and the
-sha256 digests of the ``bqual explore --out`` dumps.  A change that keeps
+metering fields and with corpus paths and the required-transitions path
+reduced to file names, and the sha256 digests of the ``bqual explore
+--out`` dumps.  A change that keeps
 the contract leaves every one of them byte-identical.
 
 After an intended report change, rewrite them with
@@ -17,6 +18,7 @@ import io
 import json
 import sys
 from pathlib import Path
+from typing import Callable
 
 import pytest
 
@@ -42,11 +44,39 @@ def _against_cm1(name: str) -> EvaluationConfig:
     )
 
 
-REPORTS = {
-    **{f"{name}-vs-CM1": _against_cm1(name) for name in ("CM1", "CM2", "CM3", "CM4", "CM5")},
-    "CM1-cm5-plan": EvaluationConfig(
-        machine_path=str(corpus_path("CM1.mch")),
-        plan_path=str(corpus_path("cm5-plan.json")),
+def _fixed(config: EvaluationConfig) -> Callable[[Path], EvaluationConfig]:
+    return lambda workdir: config
+
+
+def _required_cm4(workdir: Path) -> EvaluationConfig:
+    """CM2 against the CM4 dump, read back as required transitions."""
+    return EvaluationConfig(
+        machine_path=str(corpus_path("CM2.mch")),
+        required_path=str(explore_out("CM4", workdir)),
+    )
+
+
+# Each report's configuration, given a scratch directory for dumps.
+REPORTS: dict[str, Callable[[Path], EvaluationConfig]] = {
+    **{
+        f"{name}-vs-CM1": _fixed(_against_cm1(name))
+        for name in ("CM1", "CM2", "CM3", "CM4", "CM5")
+    },
+    "CM1-cm5-plan": _fixed(
+        EvaluationConfig(
+            machine_path=str(corpus_path("CM1.mch")),
+            plan_path=str(corpus_path("cm5-plan.json")),
+        )
+    ),
+    "CM2-required-CM4": _required_cm4,
+    # The size guard trips for pfcomp, pfcorr and pfappr (23 x 46 > 10).
+    "CM2-vs-CM1-guard10": _fixed(
+        EvaluationConfig(
+            machine_path=str(corpus_path("CM2.mch")),
+            reference_path=str(corpus_path("CM1.mch")),
+            trials=0,
+            size_guard=10,
+        )
     ),
 }
 DUMPS = ("CM1", "CM4")
@@ -68,24 +98,32 @@ def contract_report(config: EvaluationConfig) -> str:
         k: v for k, v in obj["metrics"].items() if k not in METERING_FIELDS
     }
     obj["provenance"] = _normalised(obj["provenance"])
+    source = obj["provenance"]["required_source"]
+    if source.get("mode") == "transitions":
+        source["path"] = Path(source["path"]).name
     return json.dumps(obj, indent=2) + "\n"
 
 
-def dump_digest(name: str, workdir: Path) -> str:
-    """sha256 of ``bqual explore --out`` for a corpus machine."""
+def explore_out(name: str, workdir: Path) -> Path:
+    """Write ``bqual explore --out`` for a corpus machine into ``workdir``."""
     path = workdir / f"{name}.jsonl"
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(
             ["explore", "--machine", str(corpus_path(f"{name}.mch")), "--out", str(path)]
         )
     assert code == cli.EXIT_OK
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    return path
+
+
+def dump_digest(name: str, workdir: Path) -> str:
+    """sha256 of ``bqual explore --out`` for a corpus machine."""
+    return hashlib.sha256(explore_out(name, workdir).read_bytes()).hexdigest()
 
 
 @pytest.mark.parametrize("name", sorted(REPORTS))
-def test_report_matches_golden(name):
+def test_report_matches_golden(name, tmp_path):
     golden = (GOLDEN / f"report-{name}.json").read_text(encoding="utf-8")
-    assert contract_report(REPORTS[name]) == golden
+    assert contract_report(REPORTS[name](tmp_path)) == golden
 
 
 def test_explore_dumps_match_golden(tmp_path):
@@ -97,11 +135,11 @@ def freeze() -> None:
     import tempfile
 
     GOLDEN.mkdir(exist_ok=True)
-    for name, config in REPORTS.items():
-        (GOLDEN / f"report-{name}.json").write_text(
-            contract_report(config), encoding="utf-8"
-        )
     with tempfile.TemporaryDirectory() as workdir:
+        for name, config in REPORTS.items():
+            (GOLDEN / f"report-{name}.json").write_text(
+                contract_report(config(Path(workdir))), encoding="utf-8"
+            )
         digests = {name: dump_digest(name, Path(workdir)) for name in DUMPS}
     DUMP_DIGESTS.write_text(json.dumps(digests, indent=2) + "\n", encoding="utf-8")
 
