@@ -1,25 +1,27 @@
 """Maximum-alignment similarity between two transition (or pair) sets.
 
 Elements are scored by positional agreement of their flattened token lists
-(``lts.flatten``, ``agreement``).  Identical elements are matched first (always
-part of some maximum matching, since a full-score pair can never be beaten
-by splitting it); the remainders go through an exact rectangular
-assignment solve.
+(``lts.flatten``, ``agreement``).  Identical elements are always part of
+some maximum matching, since a full-score pair can never be beaten by
+splitting it, so each counts its full width and is not coded; the
+remainders go through an exact rectangular assignment solve, of which only
+the total is kept.
 
-The solve works on the canonical integer coding of ``lts.element_keys``:
-each element becomes a row of codes in flattened order (the value codes of
-its states around its label's code), and each side is put in canonical
-order by its keys.  A weight is the number of equal codes in two rows.
-With n rows on the smaller side, only each row's n best columns need to be
-kept: if an optimal matching gives a row a dropped column, at most n - 1
-of that row's n kept columns are taken by other rows, so it can move to a
-free one without losing weight.  The columns are scored in blocks of
-max(n, ``CHUNK_CELLS`` / n) columns; each block is appended to the kept
-columns, which are then pruned to the union of each row's n best (at most
-min(m, n*n) of the m columns).  Working memory is thus about n x (max(n,
-CHUNK_CELLS / n) + min(m, n*n)) cells (``CHUNK_CELLS`` plus the kept
-columns while n <= 1024), and a lopsided pair costs vector work linear in
-its n x m cells and a solve of at most n x n*n cells.
+The solve works on the canonical integer coding of ``lts.element_keys``,
+computed once for both remainders so that they share value codes: each
+element becomes a row of codes in flattened order (the value codes of its
+states around its label's code).  A weight is the number of equal codes in
+two rows.  With n rows on the smaller side, only each row's n best columns
+need to be kept: if an optimal matching gives a row a dropped column, at
+most n - 1 of that row's n kept columns are taken by other rows, so it can
+move to a free one without losing weight.  This holds however ties are
+broken, so the rows may come in any order.  The columns are scored in
+blocks of max(n, ``CHUNK_CELLS`` / n) columns; each block is appended to
+the kept columns, which are then pruned to the union of each row's n best
+(at most min(m, n*n) of the m columns).  Working memory is thus about n x
+(max(n, CHUNK_CELLS / n) + min(m, n*n)) cells (``CHUNK_CELLS`` plus the
+kept columns while n <= 1024), and a lopsided pair costs vector work
+linear in its n x m cells and a solve of at most n x n*n cells.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import Iterable
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .lts import Element, FlatList, StatePair, Transition, element_keys
+from .lts import Element, FlatList, StatePair, Transition, check_variables, element_keys
 
 DEFAULT_SIZE_GUARD = 5_000
 CHUNK_CELLS = 1 << 20
@@ -48,7 +50,6 @@ class AlignmentSizeError(AlignmentError):
 @dataclass(frozen=True)
 class AlignmentOutcome:
     total_agreement: int
-    matching: tuple[tuple[Element, Element, int], ...]
 
 
 def agreement(a: FlatList, b: FlatList) -> int:
@@ -72,21 +73,13 @@ def _check_uniform(elements: Iterable[Element], side: str) -> type | None:
 
 
 def _coded(
-    groups: list[frozenset], order: tuple[str, ...]
-) -> tuple[list[Element], list[tuple[np.ndarray, np.ndarray]]]:
-    """The groups' elements in one list, and per group the indices of its
-    elements in canonical order with one row of codes each: pre-state
-    values, the label (transitions only), post-state values."""
-    elements = [e for group in groups for e in group]
-    keys, states = element_keys(elements, order)
+    left: frozenset, right: frozenset, order: tuple[str, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """One row of codes per element of each side, in iteration order:
+    pre-state values, the label (transitions only), post-state values."""
+    keys, states = element_keys([*left, *right], order)
     rows = np.hstack((states[keys[:, 0]], keys[:, 1:-1], states[keys[:, -1]]))
-    coded = []
-    stop = 0
-    for group in groups:
-        start, stop = stop, stop + len(group)
-        ordered = start + np.lexsort(keys[start:stop].T[::-1])
-        coded.append((ordered, rows[ordered]))
-    return elements, coded
+    return rows[: len(left)], rows[len(left) :]
 
 
 def _weights(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -97,24 +90,21 @@ def _weights(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return out
 
 
-def _max_matching(left: np.ndarray, right: np.ndarray) -> list[tuple[int, int, int]]:
-    """``(i, j, weight)`` of one maximum-weight matching, ordered by i."""
+def _max_matching(left: np.ndarray, right: np.ndarray) -> int:
+    """The total weight of a maximum-weight matching."""
     if len(left) > len(right):
-        return sorted((i, j, w) for j, i, w in _max_matching(right, left))
+        return _max_matching(right, left)
     n = len(left)
     chunk = max(n, CHUNK_CELLS // n)
-    cols = np.empty(0, dtype=np.intp)
     weights = np.empty((n, 0), dtype=np.int32)
     for start in range(0, len(right), chunk):
-        block = _weights(left, right[start : start + chunk])
-        cols = np.concatenate((cols, np.arange(start, start + block.shape[1])))
-        weights = np.hstack((weights, block))
+        weights = np.hstack((weights, _weights(left, right[start : start + chunk])))
         if weights.shape[1] > n:
             # The union of each row's n best columns (see the module docstring).
             best = np.unique(np.argpartition(weights, -n, axis=1)[:, -n:])
-            cols, weights = cols[best], weights[:, best]
+            weights = weights[:, best]
     rows, picked = linear_sum_assignment(weights, maximize=True)
-    return [(int(i), int(cols[j]), int(weights[i, j])) for i, j in zip(rows, picked)]
+    return int(weights[rows, picked].sum())
 
 
 def similarity(
@@ -126,9 +116,9 @@ def similarity(
 ) -> AlignmentOutcome:
     """Maximum total agreement over all one-to-one partial matchings.
 
-    Zero-score matches add nothing and are left out of the reported
-    matching.  Raises AlignmentSizeError when both remainder sides are
-    larger than ``size_guard`` (the exact solve would be quadratic).
+    Raises StructureError when an element does not bind exactly
+    ``variable_order``, and AlignmentSizeError when both remainder sides
+    are larger than ``size_guard`` (the exact solve would be quadratic).
     """
     order = tuple(variable_order)
     left_set = frozenset(left)
@@ -137,11 +127,17 @@ def similarity(
     right_kind = _check_uniform(right_set, "right set")
     if left_kind and right_kind and left_kind is not right_kind:
         raise AlignmentError("cannot align transitions with state pairs")
+    # A post-state binds the variables of its pre-state (lts).
+    for side in (left_set, right_set):
+        for variables in set(map(attrgetter("pre.variables"), side)):
+            check_variables(variables, order)
 
     identical = left_set & right_set
     rest_left = left_set - identical
     rest_right = right_set - identical
-    groups = [identical]
+    kind = left_kind or right_kind
+    width = 2 * len(order) + (kind is not None and issubclass(kind, Transition))
+    total = width * len(identical)
     if rest_left and rest_right:
         if len(rest_left) > size_guard and len(rest_right) > size_guard:
             raise AlignmentSizeError(
@@ -149,19 +145,5 @@ def similarity(
                 f"({len(rest_left)} x {len(rest_right)} > {size_guard} each); "
                 "raise the guard to force an exact solve"
             )
-        groups += [rest_left, rest_right]
-    elements, ((same, same_rows), *rests) = _coded(groups, order)
-
-    width = same_rows.shape[1]
-    matching: list[tuple[Element, Element, int]] = [
-        (elements[i], elements[i], width) for i in same
-    ]
-    total = width * len(same)
-    if rests:
-        (lefts, left_rows), (rights, right_rows) = rests
-        for i, j, w in _max_matching(left_rows, right_rows):
-            if w > 0:
-                matching.append((elements[lefts[i]], elements[rights[j]], w))
-                total += w
-
-    return AlignmentOutcome(total_agreement=total, matching=tuple(matching))
+        total += _max_matching(*_coded(rest_left, rest_right, order))
+    return AlignmentOutcome(total_agreement=total)

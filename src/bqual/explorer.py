@@ -179,20 +179,9 @@ def infer_domains(machine: MachineAST) -> DomainMap:
     return dict(zip(order, domains))
 
 
-def _bound_domains(any_node: AnyChoice, machine: MachineAST | None) -> list:
+def _bound_domains(any_node: AnyChoice, machine: MachineAST) -> list:
     missing = "bound identifier {} has no membership conjunct in WHERE"
-    context = machine if machine is not None else _EMPTY_MACHINE
-    return _first_domains(any_node.identifiers, any_node.where, BoundRef, context, missing)
-
-
-_EMPTY_MACHINE = MachineAST(
-    name="",
-    sets=(),
-    variables=(),
-    invariant=TruePredicate(),
-    initialisation=Skip(),
-    operations=(),
-)
+    return _first_domains(any_node.identifiers, any_node.where, BoundRef, machine, missing)
 
 
 # --- compilation to closures -------------------------------------------------
@@ -321,7 +310,7 @@ def compile_predicate(pred):
     raise TypeError(f"not a predicate: {type(pred).__name__}")
 
 
-def compile_substitution(sub, machine: MachineAST | None = None):
+def compile_substitution(sub, machine: MachineAST):
     """Compile to ``fn(env) -> list-of-envs``; every returned env is a fresh
     dict extending ``env`` with the substitution's effects."""
     if isinstance(sub, Assign):

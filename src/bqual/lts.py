@@ -150,9 +150,6 @@ class State:
         except ValueError:
             raise StructureError(f"state does not bind variable {name!r}") from None
 
-    def as_dict(self) -> dict[str, Value]:
-        return dict(zip(self.variables, self.values))
-
     @property
     def bindings(self) -> tuple[tuple[str, Value], ...]:
         return tuple(zip(self.variables, self.values))
@@ -248,21 +245,29 @@ FlatList = tuple
 Element = Union[Transition, StatePair]
 
 
-def state_values(state: State, variable_order: tuple[str, ...]) -> tuple[Value, ...]:
-    """The state's values in ``variable_order``; raises StructureError when
-    the state binds a different variable set."""
-    if state.variables is variable_order or state.variables == variable_order:
-        return state.values
+def check_variables(variables: tuple[str, ...], variable_order: tuple[str, ...]) -> None:
+    """Raise StructureError unless a state binding ``variables`` binds
+    exactly ``variable_order``, in that order."""
+    if variables is variable_order or variables == variable_order:
+        return
     declared = set(variable_order)
-    bound = set(state.variables)
+    bound = set(variables)
     for name in variable_order:
         if name not in bound:
             raise StructureError(f"state is missing variable {name!r}")
-    for name in state.variables:
+    for name in variables:
         if name not in declared:
             raise StructureError(f"state binds undeclared variable {name!r}")
-    lookup = state.as_dict()
-    return tuple(lookup[v] for v in variable_order)
+    raise StructureError(
+        f"state binds {list(variables)}, not in the order {list(variable_order)}"
+    )
+
+
+def state_values(state: State, variable_order: tuple[str, ...]) -> tuple[Value, ...]:
+    """The state's values; raises StructureError unless the state binds
+    exactly ``variable_order``, in that order."""
+    check_variables(state.variables, variable_order)
+    return state.values
 
 
 def flatten_transition(t: Transition, variable_order: Iterable[str]) -> FlatList:

@@ -67,12 +67,9 @@ for _name in ("CM1", "CM2", "CM3", "CM4", "CM5", "CM6"):
     globals()[f"_{_name.lower()}_result"] = _result_fixture(_name)
 
 
-def enumerate_substitution(sub, state: State, machine=None) -> set:
-    """All post-states a substitution can reach from ``state``.
-
-    ``machine`` is only needed when a WHERE constrains a bound identifier to
-    a declared enumerated set.
-    """
+def enumerate_substitution(sub, state: State, machine) -> set:
+    """All post-states a substitution of ``machine`` can reach from
+    ``state``."""
     run = compile_substitution(sub, machine)
     order = state.variables
     return {

@@ -74,12 +74,16 @@ class TestInferDomains:
 class TestEnumerateSubstitution:
     def test_inc_minute_at_origin(self, cm1_machine):
         body = dict(cm1_machine.operations)["inc_minute"]
-        posts = enumerate_substitution(body, state_of(cm1_machine, hour=0, minute=0))
+        posts = enumerate_substitution(
+            body, state_of(cm1_machine, hour=0, minute=0), machine=cm1_machine
+        )
         assert posts == {state_of(cm1_machine, hour=0, minute=1)}
 
     def test_unsatisfied_guard_is_empty(self, cm1_machine):
         body = dict(cm1_machine.operations)["inc_hour"]
-        posts = enumerate_substitution(body, state_of(cm1_machine, hour=0, minute=0))
+        posts = enumerate_substitution(
+            body, state_of(cm1_machine, hour=0, minute=0), machine=cm1_machine
+        )
         assert posts == set()
 
     def test_any_reaches_full_grid(self, cm6_machine):
@@ -93,7 +97,9 @@ class TestEnumerateSubstitution:
 
     def test_select_unions_satisfied_branches(self, cm5_machine):
         body = dict(cm5_machine.operations)["inc_minute"]
-        posts = enumerate_substitution(body, state_of(cm5_machine, hour=3, minute=0))
+        posts = enumerate_substitution(
+            body, state_of(cm5_machine, hour=3, minute=0), machine=cm5_machine
+        )
         assert posts == {
             state_of(cm5_machine, hour=6, minute=0),
             state_of(cm5_machine, hour=3, minute=1),
@@ -225,7 +231,7 @@ class TestCompiledPathEquivalence:
     """The fused assignment-sequence and prefiltered ANY fast paths must be
     indistinguishable from the general compilation."""
 
-    def test_fused_sequence_matches_skip_interleaved(self):
+    def test_fused_sequence_matches_skip_interleaved(self, cm1_machine):
         import random
 
         from bqual.bmachine import Assign, BinaryExpr, IntLit, Sequence, Skip, VarRef
@@ -246,9 +252,9 @@ class TestCompiledPathEquivalence:
                 ("hour", "minute"),
                 (intval(rng.randint(0, 9)), intval(rng.randint(0, 9))),
             )
-            assert enumerate_substitution(fused, state) == enumerate_substitution(
-                generic, state
-            )
+            assert enumerate_substitution(
+                fused, state, machine=cm1_machine
+            ) == enumerate_substitution(generic, state, machine=cm1_machine)
 
     def test_any_prefilter_matches_general_path(self, cm6_machine):
         prefiltered_body = dict(cm6_machine.operations)["set_time"]
