@@ -5,8 +5,8 @@
 JSONL form (which ``evaluate --required`` reads back).
 
 Exit codes: 0 success, 1 other errors, 2 parse/lex errors,
-3 exploration truncated (with --strict), 4 a metric was not computable
-(with --strict).
+3 the target or reference exploration was truncated (with --strict),
+4 a metric was not computable (with --strict).
 """
 
 from __future__ import annotations
@@ -111,8 +111,14 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         Path(args.out).write_text(render_report(report, "json"), encoding="utf-8")
     sys.stdout.write(render_report(report, args.format))
     if args.strict:
-        if report.summary.get("truncated"):
-            sys.stderr.write("bqual: exploration was truncated by a limit\n")
+        source = report.provenance["required_source"]
+        cut = {
+            "exploration": report.summary.get("truncated"),
+            "reference exploration": source.get("truncated"),
+        }
+        for what in filter(cut.get, cut):
+            sys.stderr.write(f"bqual: {what} was truncated by a limit\n")
+        if any(cut.values()):
             return EXIT_TRUNCATED
         if report.reasons:
             names = ", ".join(sorted(report.reasons))

@@ -211,7 +211,11 @@ def evaluate(config: EvaluationConfig) -> QualityReport:
         if config.required_path:
             required_source = {"mode": "transitions", "path": config.required_path}
         else:
-            required_source = {"mode": "reference", "path": config.reference_path}
+            required_source = {
+                "mode": "reference",
+                "path": config.reference_path,
+                "truncated": requirement.truncated,
+            }
 
     if requirement is None:
         _mark_all(report, _FUNCTIONAL_METRICS, "no required transitions provided")

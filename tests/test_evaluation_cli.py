@@ -82,6 +82,7 @@ class TestTruncatedEvaluation:
             )
         )
         assert not report.summary["truncated"]
+        assert report.provenance["required_source"]["truncated"]
         reasons = report.reasons
         assert {name for name in reasons if "truncated" in reasons[name]} == {
             "tfcomp", "pfcomp", "tfcorr", "pfcorr", "tfappr", "pfappr", "availability"
@@ -376,6 +377,19 @@ class TestCli:
         )
         assert result.returncode == 3
         assert "truncated" in result.stderr
+
+    def test_strict_truncated_reference_exit_code(self):
+        # CM2 derives 1,417 transitions, reference CM1 1,440.
+        result = run_cli(
+            "evaluate", "--machine", CM2, "--reference", CM1,
+            "--max-transitions", "1420", "--trials", "0", "--strict",
+            "--format", "json",
+        )
+        assert result.returncode == 3
+        assert result.stderr == "bqual: reference exploration was truncated by a limit\n"
+        obj = json.loads(result.stdout)
+        assert obj["summary"]["truncated"] is False
+        assert obj["provenance"]["required_source"]["truncated"] is True
 
     def test_strict_not_computable_exit_code(self):
         result = run_cli("evaluate", "--machine", CM1, "--trials", "0", "--strict")
