@@ -3,8 +3,8 @@
 The golden files hold the report JSON of the corpus runs without the
 metering fields and with corpus paths and the required-transitions path
 reduced to file names, and the sha256 digests of the ``bqual explore
---out`` dumps.  A change that keeps
-the contract leaves every one of them byte-identical.
+--out`` dumps.  A change that keeps the contract leaves every one of them
+byte-identical.
 
 After an intended report change, rewrite them with
 ``PYTHONPATH=src python tests/test_report_contract.py --freeze``.
