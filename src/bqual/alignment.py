@@ -33,7 +33,14 @@ from typing import Iterable
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .lts import Element, FlatList, StatePair, Transition, check_variables, element_keys
+from .lts import (
+    Element,
+    FlatList,
+    StatePair,
+    Transition,
+    check_element_variables,
+    element_keys,
+)
 
 DEFAULT_SIZE_GUARD = 5_000
 CHUNK_CELLS = 1 << 20
@@ -127,10 +134,8 @@ def similarity(
     right_kind = _check_uniform(right_set, "right set")
     if left_kind and right_kind and left_kind is not right_kind:
         raise AlignmentError("cannot align transitions with state pairs")
-    # A post-state binds the variables of its pre-state (lts).
     for side in (left_set, right_set):
-        for variables in set(map(attrgetter("pre.variables"), side)):
-            check_variables(variables, order)
+        check_element_variables(side, order)
 
     identical = left_set & right_set
     rest_left = left_set - identical

@@ -17,6 +17,7 @@ import math
 import resource
 import time
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Collection, Iterable, Mapping
 
 import numpy as np
@@ -59,7 +60,7 @@ from .lts import (
     boolval,
     enumval,
     intval,
-    sorted_transitions,
+    sorted_labels,
     state_codes,
     transition_to_json,
 )
@@ -507,16 +508,99 @@ class ExplorationResult:
         }
 
     @functools.cached_property
-    def ordered_states(self) -> tuple[State, ...]:
-        """The reachable states in canonical order, sorted on first use."""
-        states = tuple(self.states)
-        rank, _ = state_codes(states, self.variable_order)
-        return tuple(states[i] for i in np.argsort(rank))
+    def coding(self) -> "RelationCoding":
+        """The derived relation on integer ids, coded on first use."""
+        return RelationCoding.of(self)
 
-    @functools.cached_property
+    @property
+    def ordered_states(self) -> tuple[State, ...]:
+        """The reachable states in canonical order."""
+        return self.coding.states
+
+    @property
     def ordered_transitions(self) -> tuple[Transition, ...]:
-        """The derived transitions in canonical order, sorted on first use."""
-        return tuple(sorted_transitions(self.transitions))
+        """The derived transitions in canonical order."""
+        return self.coding.transitions
+
+
+@dataclass(frozen=True, eq=False)
+class RelationCoding:
+    """An exploration's derived relation on integer ids, so that edited
+    systems can be re-derived without touching one ``Transition`` per edge
+    (``mutation.apply_plan``).
+
+    State ids are canonical ranks (``lts.state_codes``) and label codes
+    follow the canonical label order, so ordering the edges by ``key``
+    (pre, label, post) puts them in canonical order: edge ``i`` is
+    ``transitions[i]``, from state ``pre[i]`` to state ``post[i]``.
+    """
+
+    states: tuple[State, ...]  # by id
+    transitions: tuple[Transition, ...]  # by edge
+    pre: np.ndarray
+    label: np.ndarray
+    post: np.ndarray
+    key: np.ndarray  # strictly increasing
+    labels: tuple[str, ...]  # by code
+    label_counts: dict[str, int]
+    state_id: dict[State, int]
+    ok: np.ndarray  # the invariant verdict of each state
+    initial: np.ndarray  # ids of the initial states
+    violating: np.ndarray  # mask of the violating edges
+
+    @classmethod
+    def of(cls, result: "ExplorationResult") -> "RelationCoding":
+        states = tuple(result.states)
+        loose = tuple(result.transitions)
+        size, count = len(loose), len(states)
+        # Objects are coded by identity, so no State is hashed per edge.
+        rank, _ = state_codes(
+            states
+            + tuple(map(attrgetter("pre"), loose))
+            + tuple(map(attrgetter("post"), loose)),
+            result.variable_order,
+        )
+        names = tuple(map(attrgetter("label"), loose))
+        labels = tuple(sorted_labels(names))
+        code = {name: i for i, name in enumerate(labels)}
+        label = np.fromiter(map(code.__getitem__, names), np.int64, size)
+        pre, post = rank[count : count + size], rank[count + size :]
+        key = _edge_keys(pre, label, post, len(labels), count)
+        order = np.argsort(key)
+        states = tuple(states[i] for i in np.argsort(rank[:count]))
+        state_id = {state: i for i, state in enumerate(states)}
+        coding = cls(
+            states=states,
+            transitions=tuple(map(loose.__getitem__, order.tolist())),
+            pre=pre[order],
+            label=label[order],
+            post=post[order],
+            key=key[order],
+            labels=labels,
+            label_counts=dict(
+                zip(labels, np.bincount(label, minlength=len(labels)).tolist())
+            ),
+            state_id=state_id,
+            ok=np.fromiter(map(result.verdicts.__getitem__, states), bool, count),
+            initial=np.array([state_id[s] for s in result.initial_states], np.int64),
+            violating=np.zeros(size, dtype=bool),
+        )
+        coding.violating[coding.edges(result.violating)] = True
+        return coding
+
+    def edges(self, transitions: Iterable[Transition]) -> np.ndarray:
+        """The edge index of each of ``transitions``, which must be derived."""
+        code = {name: i for i, name in enumerate(self.labels)}
+        ids = self.state_id
+        triples = np.array(
+            [(ids[t.pre], code[t.label], ids[t.post]) for t in transitions], np.int64
+        ).reshape(-1, 3)
+        keys = _edge_keys(*triples.T, len(self.labels), len(self.states))
+        return np.searchsorted(self.key, keys)
+
+
+def _edge_keys(pre, label, post, n_labels: int, n_states: int) -> np.ndarray:
+    return (pre * n_labels + label) * n_states + post
 
 
 def explore(

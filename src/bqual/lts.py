@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from operator import attrgetter
 from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
@@ -291,10 +292,25 @@ def flatten(element: Element, variable_order: Iterable[str]) -> FlatList:
     raise TypeError(f"cannot flatten {type(element).__name__}")
 
 
+def check_element_variables(
+    elements: Iterable[Element], variable_order: tuple[str, ...]
+) -> None:
+    """Raise StructureError unless every element's states bind exactly
+    ``variable_order``.  A post-state binds the variables of its pre-state
+    (checked on construction), so each distinct ``pre.variables`` tuple is
+    checked once."""
+    for variables in set(map(attrgetter("pre.variables"), elements)):
+        check_variables(variables, variable_order)
+
+
 def set_size(elements: Iterable[Element], variable_order: Iterable[str]) -> int:
-    """Total number of tokens over all flattened elements."""
+    """Total number of tokens over all flattened elements: 2N+1 per
+    transition and 2N per state pair, for N variables."""
     order = tuple(variable_order)
-    return sum(len(flatten(e, order)) for e in elements)
+    elements = list(elements)
+    check_element_variables(elements, order)
+    transitions = sum(isinstance(e, Transition) for e in elements)
+    return 2 * len(order) * len(elements) + transitions
 
 
 def pairs_of(transitions: Iterable[Transition]) -> frozenset:

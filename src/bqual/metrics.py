@@ -6,7 +6,6 @@ report layer turns that into a "not-computed" field with the reason.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -150,64 +149,65 @@ def accountability(result: ExplorationResult) -> Fraction:
     return Fraction(traceable, len(result.states))
 
 
-def fault_tolerance(u_changed: frozenset, u_violating: frozenset) -> Fraction:
-    """One minus the violating share of the masked changed set."""
-    if not u_changed:
+def fault_tolerance(changed: int, violating: int) -> Fraction:
+    """One minus the violating share of the masked changed set, from the
+    sizes of the set and of its violating part."""
+    if not changed:
         raise NotComputable("masked changed set is empty")
-    return 1 - Fraction(len(u_violating), len(u_changed))
+    return 1 - Fraction(violating, changed)
 
 
-def recoverability(u_ok: frozenset, t_derived: frozenset) -> Fraction:
+def recoverability(kept: int, derived: int) -> Fraction:
     """Share of the intended transitions that the changed system keeps
-    deriving without violations."""
-    if not t_derived:
+    deriving without violations: ``kept`` is the size of the masked
+    changed set's non-violating part within the ``derived`` transitions."""
+    if not derived:
         raise NotComputable("no derived transitions")
-    return Fraction(len(u_ok & t_derived), len(t_derived))
+    return Fraction(kept, derived)
 
 
 # --- maintainability ------------------------------------------------------------
 
 
-def functional_analysability(t_derived: frozenset, u_changed: frozenset) -> Fraction:
-    """One minus the Jaccard similarity of derived and masked-changed sets."""
-    union = t_derived | u_changed
+def functional_analysability(common: int, union: int) -> Fraction:
+    """One minus the Jaccard similarity of derived and masked-changed sets,
+    from the sizes of their intersection and union."""
     if not union:
         raise NotComputable("both transition sets are empty")
-    return 1 - Fraction(len(t_derived & u_changed), len(union))
+    return 1 - Fraction(common, union)
 
 
-def fault_analysability(t_violating: frozenset, u_violating: frozenset) -> Fraction:
-    """One minus the Jaccard similarity of the violating subsets; when
-    neither side violates anything the change exposed no difference, which
-    counts as zero analysability."""
-    union = t_violating | u_violating
+def fault_analysability(common: int, union: int) -> Fraction:
+    """One minus the Jaccard similarity of the violating subsets, from the
+    sizes of their intersection and union; when neither side violates
+    anything the change exposed no difference, which counts as zero
+    analysability."""
     if not union:
         return Fraction(0)
-    return 1 - Fraction(len(t_violating & u_violating), len(union))
+    return 1 - Fraction(common, union)
 
 
-def modularity_of(op: str, t_derived: frozenset, t_delta: frozenset) -> Fraction:
-    """Jaccard similarity of the two sets with ``op``'s transitions removed."""
-    keep_derived = frozenset(t for t in t_derived if t.label != op)
-    keep_delta = frozenset(t for t in t_delta if t.label != op)
-    union = keep_derived | keep_delta
+def modularity_of(op: str, common: int, union: int) -> Fraction:
+    """Jaccard similarity of the derived and changed sets with ``op``'s
+    transitions removed, from the sizes of their intersection and union."""
     if not union:
         raise NotComputable(f"no transitions outside operation {op!r}")
-    return Fraction(len(keep_derived & keep_delta), len(union))
+    return Fraction(common, union)
 
 
-def weighted_modularity(per_op: Mapping[str, Fraction], t_derived: frozenset) -> Fraction:
+def weighted_modularity(
+    per_op: Mapping[str, Fraction], label_counts: Mapping[str, int]
+) -> Fraction:
     """Per-operation modularity weighted by each operation's share of the
-    derived transitions."""
-    if not t_derived:
+    derived transitions, given as the number of transitions per label."""
+    total = sum(label_counts.values())
+    if not total:
         raise NotComputable("no derived transitions")
-    counts = Counter(t.label for t in t_derived)
-    missing = [label for label in counts if label not in per_op]
+    missing = [label for label in label_counts if label not in per_op]
     if missing:
         raise NotComputable(f"no modularity value for operation {sorted(missing)[0]!r}")
-    total = len(t_derived)
     return sum(
-        (Fraction(count, total) * per_op[label] for label, count in counts.items()),
+        (Fraction(n, total) * per_op[label] for label, n in label_counts.items()),
         Fraction(0),
     )
 

@@ -2,28 +2,33 @@
 
 Faults live at the transition-system level: a plan inserts transitions
 that the machine never derived and removes transitions it did derive.
-The edited relation is then re-derived from the initial states with the
-exploration's own walk and invariant verdicts (``explorer.reach``), and the
-edits themselves are masked out before the changed system is judged by the
-exploration's violation rule (``explorer.violations``).
+The edited relation is then re-derived from the initial states by a sparse
+breadth-first order over the exploration's integer-coded relation
+(``ExplorationResult.coding``), under the exploration's invariant verdicts,
+and the edits themselves are masked out before the changed system is
+judged by the exploration's violation rule.  That rule is
+``explorer.violations`` in array form; the empty-plan tests pin the two
+together until exploration itself keeps dense state ids.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
 import random
 import zlib
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
-from .explorer import DomainMap, ExplorationResult, reach, violations
+import numpy as np
+
+from .explorer import DomainMap, ExplorationResult, RelationCoding
 from .lts import (
     State,
     Transition,
-    labels_of,
     sorted_labels,
     sorted_transitions,
     transition_from_json,
@@ -54,12 +59,40 @@ class MutationPlan:
     label_scope: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChangedSystem:
-    t_changed: frozenset
-    u_changed: frozenset
-    u_ok: frozenset
-    u_violating: frozenset
+    """One applied plan as masks over the derived edges of ``coding``:
+    ``taken`` holds the derived part of the changed system's transitions,
+    ``extra_taken`` the inserted transitions it reaches, ``masked`` the
+    masked changed set (``u_changed``, always a subset of the derived
+    relation) and ``violating`` its violating part.  The transition sets
+    are built on first read."""
+
+    coding: RelationCoding
+    taken: np.ndarray
+    extra_taken: frozenset
+    masked: np.ndarray
+    violating: np.ndarray
+
+    def _transitions(self, mask: np.ndarray) -> frozenset:
+        edges = np.flatnonzero(mask).tolist()
+        return frozenset(map(self.coding.transitions.__getitem__, edges))
+
+    @functools.cached_property
+    def t_changed(self) -> frozenset:
+        return self._transitions(self.taken) | self.extra_taken
+
+    @functools.cached_property
+    def u_changed(self) -> frozenset:
+        return self._transitions(self.masked)
+
+    @functools.cached_property
+    def u_ok(self) -> frozenset:
+        return self._transitions(self.masked & ~self.violating)
+
+    @functools.cached_property
+    def u_violating(self) -> frozenset:
+        return self._transitions(self.violating)
 
 
 def validate_plan(plan: MutationPlan, t_derived: frozenset) -> None:
@@ -183,49 +216,96 @@ def generate_plan(
 def apply_plan(result: ExplorationResult, plan: MutationPlan) -> ChangedSystem:
     """Edit the transition relation, re-derive reachability, and mask.
 
-    Re-derivation uses the exploration's walk and invariant verdicts,
-    without limits, so no state is cut.  The masked set is judged by the
-    exploration's violation rule, with deadlock relative to the masked set
-    itself.
+    The walk has no limits, so no state is cut, and it never leaves a state
+    that breaks the invariant.  The masked set is judged by the violation
+    rule, with deadlock relative to the masked set itself.
     """
     validate_plan(plan, result.transitions)
-    relation = (result.transitions | plan.extra) - plan.missing
+    coding = result.coding
+    missing = np.zeros(len(coding.transitions), dtype=bool)
+    missing[coding.edges(plan.missing)] = True
 
-    # Traversal order cannot influence the resulting sets, so neither the
-    # initial states nor the adjacency lists are sorted.
-    outgoing: dict[State, list[Transition]] = {}
-    for t in relation:
-        outgoing.setdefault(t.pre, []).append(t)
+    # Inserted transitions may reach states the exploration never did; they
+    # get fresh ids and their verdicts from the shared map.
+    fresh: dict[State, int] = {}
 
-    _, t_changed, _ = reach(
-        result.initial_states,
-        lambda state: outgoing.get(state, ()),
-        result.verdicts,
+    def state_id(state: State) -> int:
+        found = coding.state_id.get(state)
+        if found is None:
+            found = fresh.setdefault(state, len(coding.states) + len(fresh))
+        return found
+
+    extra = tuple(plan.extra)
+    extra_pre = np.array([state_id(t.pre) for t in extra], dtype=np.int64)
+    extra_post = np.array([state_id(t.post) for t in extra], dtype=np.int64)
+    verdicts = [result.verdicts[state] for state in fresh]
+    ok = np.concatenate((coding.ok, np.array(verdicts, dtype=bool)))
+
+    # The walk follows the edges out of states that satisfy the invariant,
+    # from a virtual source that feeds the initial states.  Derived edges
+    # leave only such states, as exploration never expands the others.
+    follow = ~missing
+    extra_follow = ok[extra_pre]
+    source = len(ok)
+    feeds = np.full(len(coding.initial), source)
+    rows = np.concatenate((coding.pre[follow], extra_pre[extra_follow], feeds))
+    columns = np.concatenate(
+        (coding.post[follow], extra_post[extra_follow], coding.initial)
     )
-    u_changed = frozenset((t_changed | plan.missing) - plan.extra)
-    u_violating, _ = violations(u_changed, result.verdicts, ())
-    return ChangedSystem(
-        t_changed=t_changed,
-        u_changed=u_changed,
-        u_ok=u_changed - u_violating,
-        u_violating=u_violating,
+    reached = _reachable(rows, columns, source)
+
+    taken = follow & reached[coding.pre]
+    extra_taken = frozenset(
+        itertools.compress(extra, (extra_follow & reached[extra_pre]).tolist())
     )
+    masked = taken | missing
+    live = np.zeros(len(coding.states), dtype=bool)
+    live[coding.pre[masked]] = True
+    violating = masked & ~(coding.ok[coding.post] & live[coding.post])
+    return ChangedSystem(coding, taken, extra_taken, masked, violating)
+
+
+def _reachable(rows: np.ndarray, columns: np.ndarray, source: int) -> np.ndarray:
+    """Mask of the nodes ``0..source`` that a breadth-first order from
+    ``source`` reaches over the edges ``rows[i] -> columns[i]``."""
+    # Imported at first use: csgraph adds to every start-up of the CLI.
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import breadth_first_order
+
+    nodes = source + 1
+    # The derived edges come sorted by pre-state, which a stable sort
+    # exploits; csgraph converts any weights but float64 on every call.
+    order = np.argsort(rows, kind="stable")
+    starts = np.zeros(nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=nodes), out=starts[1:])
+    graph = csr_matrix(
+        (np.ones(len(rows)), columns[order], starts), shape=(nodes, nodes)
+    )
+    reached = np.zeros(nodes, dtype=bool)
+    reached[breadth_first_order(graph, source, return_predecessors=False)] = True
+    return reached
+
+
+def _count(mask: np.ndarray) -> int:
+    return int(np.count_nonzero(mask))
 
 
 # The four fault-injection metrics, each a function of the derived system
-# and one changed system.
+# and one changed system, whose masked changed set is a subset of the
+# derived transitions.
 FAULT_METRICS = {
     "fault_tolerance": lambda result, changed: fault_tolerance(
-        changed.u_changed, changed.u_violating
+        _count(changed.masked), _count(changed.violating)
     ),
     "recoverability": lambda result, changed: recoverability(
-        changed.u_ok, result.transitions
+        _count(changed.masked & ~changed.violating), len(result.transitions)
     ),
     "functional_analysability": lambda result, changed: functional_analysability(
-        result.transitions, changed.u_changed
+        _count(changed.masked), len(result.transitions)
     ),
     "fault_analysability": lambda result, changed: fault_analysability(
-        result.violating, changed.u_violating
+        _count(changed.coding.violating & changed.violating),
+        _count(changed.coding.violating | changed.violating),
     ),
 }
 
@@ -297,9 +377,8 @@ def per_operation_counts(
     """``(n_extra, n_missing)`` of each operation's label-scoped plan.
     Insertions cannot exceed the operation's free label space, nor removals
     its transitions."""
-    counts = Counter(t.label for t in result.transitions)
     per_op = {}
-    for op, count in counts.items():
+    for op, count in result.coding.label_counts.items():
         space, occupied = _extra_space(result, domains, [op], n_extra, count)
         per_op[op] = (min(n_extra, space - occupied), min(n_missing, count))
     return per_op
@@ -349,16 +428,24 @@ def _modularity(
 ) -> tuple[dict, Fraction]:
     """Modularity of every derived operation, from the changed system that
     ``changed_by`` gives for it.  An operation without one is untouched: its
-    changed system is the derived system itself, so its modularity is 1."""
+    changed system is the derived system itself, so its modularity is 1.
+
+    With ``op`` erased, the changed system's derived part lies inside the
+    derived system, so the two share exactly that part, and their union is
+    the derived system plus the inserted transitions taken."""
+    coding = result.coding
+    counts = coding.label_counts
     per_op: dict[str, Fraction] = {}
-    for op in sorted_labels(labels_of(result.transitions)):
+    for code, op in enumerate(coding.labels):
         changed = changed_by(op)
-        per_op[op] = (
-            Fraction(1)
-            if changed is None
-            else modularity_of(op, result.transitions, changed.t_changed)
-        )
-    return per_op, weighted_modularity(per_op, result.transitions)
+        if changed is None:
+            per_op[op] = Fraction(1)
+            continue
+        common = _count(changed.taken & (coding.label != code))
+        inserted = sum(1 for t in changed.extra_taken if t.label != op)
+        union = len(coding.transitions) - counts[op] + inserted
+        per_op[op] = modularity_of(op, common, union)
+    return per_op, weighted_modularity(per_op, counts)
 
 
 # --- plan files ----------------------------------------------------------------

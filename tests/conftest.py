@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -30,7 +31,7 @@ from bqual.bmachine import (
     TruePredicate,
     VarRef,
 )
-from bqual.explorer import compile_substitution, explore
+from bqual.explorer import compile_predicate, compile_substitution, explore
 from bqual.lts import FlatList, State, Transition, Value, intval
 from bqual.parser import parse_machine
 
@@ -134,6 +135,54 @@ def brute_force_similarity(left, right, variable_order) -> int:
         return top
 
     return best(0, 0)
+
+
+def jaccard_sizes(a: frozenset, b: frozenset) -> tuple[int, int]:
+    """The sizes of the intersection and the union of two sets."""
+    return len(a & b), len(a | b)
+
+
+def erased_sizes(op: str, derived: frozenset, changed: frozenset) -> tuple[int, int]:
+    """``jaccard_sizes`` of two transition sets with ``op``'s transitions
+    removed: the set form of the counts that modularity divides."""
+
+    def erase(transitions):
+        return frozenset(t for t in transitions if t.label != op)
+
+    return jaccard_sizes(erase(derived), erase(changed))
+
+
+def label_counts(transitions) -> Counter:
+    """The number of transitions per label: what weighted modularity takes."""
+    return Counter(t.label for t in transitions)
+
+
+def independent_apply(result, plan, invariant):
+    """Plain set arithmetic plus BFS, sharing nothing with apply_plan."""
+    relation = (set(result.transitions) | set(plan.extra)) - set(plan.missing)
+    holds = compile_predicate(invariant)
+    order = result.variable_order
+
+    def ok(state):
+        return holds(dict(zip(order, state.values)))
+
+    reached = set(result.initial_states)
+    stack = list(result.initial_states)
+    t_changed = set()
+    while stack:
+        state = stack.pop()
+        if not ok(state):
+            continue
+        for t in relation:
+            if t.pre == state:
+                t_changed.add(t)
+                if t.post not in reached:
+                    reached.add(t.post)
+                    stack.append(t.post)
+    u_changed = (t_changed | set(plan.missing)) - set(plan.extra)
+    outs = {t.pre for t in u_changed}
+    u_violating = {t for t in u_changed if not ok(t.post) or t.post not in outs}
+    return t_changed, u_changed, u_violating
 
 
 # Pretty-printer for the parser round-trip tests: emits source that parses

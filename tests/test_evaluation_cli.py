@@ -326,6 +326,16 @@ def _strip_metering(obj):
 
 
 class TestCli:
+    def test_import_leaves_csgraph_unloaded(self):
+        # Only fault injection needs scipy.sparse.csgraph, and it imports it
+        # at first use, so that no start-up of the CLI pays for it.
+        probe = "import sys, bqual.cli; print('scipy.sparse.csgraph' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
+
     def test_evaluate_exit_zero_and_schema(self, tmp_path):
         out = tmp_path / "report.json"
         result = run_cli(

@@ -114,6 +114,14 @@ class TestSetSize:
     def test_uniform_formula(self):
         transitions = {clock_transition((0, m), "inc_minute", (0, m + 1)) for m in range(10)}
         assert set_size(transitions, ORDER) == 5 * 10
+        assert set_size(pairs_of(transitions), ORDER) == 4 * 10
+
+    def test_variable_mismatch_raises(self):
+        transitions = {clock_transition((0, 0), "inc_minute", (0, 1))}
+        with pytest.raises(StructureError, match="second"):
+            set_size(transitions, ("hour", "second"))
+        with pytest.raises(StructureError, match="second"):
+            set_size(pairs_of(transitions), ("hour", "second"))
 
 
 class TestProjections:

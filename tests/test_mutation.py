@@ -11,7 +11,7 @@ import pytest
 
 import bqual
 
-from bqual.explorer import compile_predicate, infer_domains
+from bqual.explorer import infer_domains
 from bqual.lts import State, Transition, intval
 from bqual.mutation import (
     MutationError,
@@ -27,7 +27,7 @@ from bqual.mutation import (
     validate_plan,
 )
 
-from conftest import corpus_path
+from conftest import corpus_path, erased_sizes, independent_apply
 
 ORDER = ("hour", "minute")
 
@@ -50,34 +50,6 @@ def cm5_plan(cm1_machine):
 @pytest.fixture(scope="module")
 def cm1_changed(cm1_result, cm5_plan, cm1_machine):
     return apply_plan(cm1_result, cm5_plan)
-
-
-def independent_apply(result, plan, invariant):
-    """Plain set arithmetic plus BFS, sharing nothing with apply_plan."""
-    relation = (set(result.transitions) | set(plan.extra)) - set(plan.missing)
-    holds = compile_predicate(invariant)
-    order = result.variable_order
-
-    def ok(state):
-        return holds(dict(zip(order, state.values)))
-
-    reached = set(result.initial_states)
-    stack = list(result.initial_states)
-    t_changed = set()
-    while stack:
-        state = stack.pop()
-        if not ok(state):
-            continue
-        for t in relation:
-            if t.pre == state:
-                t_changed.add(t)
-                if t.post not in reached:
-                    reached.add(t.post)
-                    stack.append(t.post)
-    u_changed = (t_changed | set(plan.missing)) - set(plan.extra)
-    outs = {t.pre for t in u_changed}
-    u_violating = {t for t in u_changed if not ok(t.post) or t.post not in outs}
-    return t_changed, u_changed, u_violating
 
 
 class TestPlanFile:
@@ -280,7 +252,7 @@ class TestApplyPlan:
         empty = MutationPlan(extra=frozenset(), missing=frozenset(), seed=0)
         changed = apply_plan(cm4_result, empty)
         assert fault_tolerance(
-            changed.u_changed, changed.u_violating
+            len(changed.u_changed), len(changed.u_violating)
         ) == invariant_satisfiability(cm4_result)
 
     def test_agrees_with_independent_reimplementation(self, cm1_result, cm1_machine):
@@ -458,7 +430,8 @@ class TestModularitySweep:
         )
         changed = apply_plan(result, plan)
         # losing 1->2 strands rst's only transition (3 -> 0 is unreachable)
-        assert modularity_of("fwd", result.transitions, changed.t_changed) == 0
+        sizes = erased_sizes("fwd", result.transitions, changed.t_changed)
+        assert modularity_of("fwd", *sizes) == 0
 
     def test_seeded_sweep_is_deterministic(self, cm1_result, cm1_machine):
         counts = {op: (1, 1) for op in cm1_machine.operation_names}

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bqual.alignment import similarity
+from bqual.explorer import explore
 from bqual.lts import (
     State,
     StatePair,
@@ -29,11 +32,17 @@ from bqual.metrics import (
     tfcomp,
     tfcorr,
 )
+from bqual.mutation import MutationPlan, _modularity, apply_plan, trial_metrics
+from bqual.parser import parse_machine
 
 from conftest import (
     PROPERTY_ORDER,
     brute_force_similarity,
+    erased_sizes,
     flat_sort_key,
+    independent_apply,
+    jaccard_sizes,
+    label_counts,
     machine_to_source,
     pred_to_source,
 )
@@ -66,9 +75,9 @@ def test_ratio_metrics_stay_in_unit_interval(t_d, t_r):
         pfcorr(t_d, t_r, PROPERTY_ORDER),
         pfappr(t_d, t_r, PROPERTY_ORDER),
         reusability(t_d),
-        functional_analysability(t_d, t_r),
-        fault_analysability(t_d, t_r),
-        fault_tolerance(t_d, t_d & t_r),
+        functional_analysability(*jaccard_sizes(t_d, t_r)),
+        fault_analysability(*jaccard_sizes(t_d, t_r)),
+        fault_tolerance(len(t_d), len(t_d & t_r)),
     ]
     for value in checks:
         assert 0 <= value <= 1
@@ -165,7 +174,7 @@ def test_identity_requirements_are_perfect(t):
     assert pfcomp(t, t, PROPERTY_ORDER) == 1
     assert pfcorr(t, t, PROPERTY_ORDER) == 1
     assert pfappr(t, t, PROPERTY_ORDER) == 1
-    assert functional_analysability(t, t) == 0
+    assert functional_analysability(*jaccard_sizes(t, t)) == 0
 
 
 @given(nonempty_sets)
@@ -177,6 +186,98 @@ def test_appropriateness_of_superset_pairs(t):
     )
     assert pairs_of(bigger) >= pairs_of(t)
     assert tfappr(bigger, t) == 1
+
+
+# --- fault injection on the coded relation --------------------------------------
+# The derived system reaches x = 4, which breaks the invariant, so 3 -> 4
+# violates and 4 is never left; 5 and 6 are valid but never derived.
+
+_GATE = (
+    "MACHINE Gate VARIABLES x INVARIANT x : 0..6 & x /= 4 "
+    "INITIALISATION x := 0 OPERATIONS "
+    "up = PRE x < 4 THEN x := x + 1 END; "
+    "down = PRE x > 0 & x < 3 THEN x := x - 1 END END"
+)
+
+
+_GATE_MACHINE = parse_machine(_GATE)
+_GATE_RESULT = explore(_GATE_MACHINE, meter_memory=False)
+
+
+def _gate(pre, label, post):
+    pre_state, post_state = (State(("x",), (intval(x),)) for x in (pre, post))
+    return Transition(pre_state, label, post_state)
+
+
+@st.composite
+def gate_plans(draw):
+    scope = draw(st.sampled_from([None, "up", "down"]))
+    labels = [scope] if scope else ["up", "down"]
+    derived = _GATE_RESULT.transitions
+    removable = [t for t in _GATE_RESULT.ordered_transitions if t.label in labels]
+    edges = (_gate(a, label, b) for a in range(7) for label in labels for b in range(7))
+    insertable = [t for t in edges if t not in derived]
+    return MutationPlan(
+        extra=frozenset(draw(st.sets(st.sampled_from(insertable), max_size=6))),
+        missing=frozenset(draw(st.sets(st.sampled_from(removable)))),
+        seed=0,
+        label_scope=scope,
+    )
+
+
+def _plan(extra, missing=(), scope=None):
+    """A plan on the gate machine from (pre, label, post) triples."""
+
+    def edges(triples):
+        return frozenset(_gate(*triple) for triple in triples)
+
+    return MutationPlan(edges(extra), edges(missing), 0, scope)
+
+
+@given(gate_plans())
+# Into a new state and on from it, into a breaking state and on from it;
+# without the initial state's only out-edge; and one plan scoped to an
+# operation.
+@example(_plan([(3, "up", 5), (5, "up", 6), (2, "down", 4), (4, "down", 0)]))
+@example(_plan([(0, "down", 4), (4, "up", 5)], [(0, "up", 1)]))
+@example(_plan([(0, "down", 6), (6, "down", 2)], [(2, "down", 1)], "down"))
+@settings(max_examples=300, deadline=None)
+def test_coded_apply_plan_matches_set_semantics(plan):
+    result = _GATE_RESULT
+    derived = result.transitions
+    changed = apply_plan(result, plan)
+    t_changed, u_changed, u_violating = map(
+        frozenset, independent_apply(result, plan, _GATE_MACHINE.invariant)
+    )
+    assert changed.t_changed == t_changed
+    assert changed.u_changed == u_changed
+    assert changed.u_violating == u_violating
+    assert changed.u_ok == u_changed - u_violating
+
+    values, _ = trial_metrics(result, changed)
+    assert values == {
+        "fault_tolerance": (
+            1 - Fraction(len(u_violating), len(u_changed)) if u_changed else None
+        ),
+        "recoverability": Fraction(
+            len((u_changed - u_violating) & derived), len(derived)
+        ),
+        "functional_analysability": 1 - Fraction(*jaccard_sizes(derived, u_changed)),
+        "fault_analysability": (
+            1 - Fraction(*jaccard_sizes(result.violating, u_violating))
+            if result.violating | u_violating
+            else 0
+        ),
+    }
+    per_op, weighted = _modularity(result, lambda op: changed)
+    expected = {
+        op: Fraction(*erased_sizes(op, derived, t_changed)) for op in ("down", "up")
+    }
+    assert per_op == expected
+    assert weighted == sum(
+        Fraction(count, len(derived)) * expected[op]
+        for op, count in label_counts(derived).items()
+    )
 
 
 # --- printer / parser round trip ---------------------------------------------
