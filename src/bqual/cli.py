@@ -136,7 +136,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     )
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
-            write_transitions_jsonl(result.transitions, handle)
+            write_transitions_jsonl(result.edge_objects, handle)
         serialized = result_header(result)
     else:
         serialized = serialize_result(result)

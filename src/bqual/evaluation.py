@@ -229,7 +229,7 @@ def evaluate(config: EvaluationConfig) -> QualityReport:
     computations = {
         "invariant_satisfiability": lambda: invariant_satisfiability(result),
         "accountability": lambda: accountability(result),
-        "reusability": lambda: reusability(result.transitions),
+        "reusability": lambda: reusability(result),
     }
     if config.goals_path is not None:
         goals = parse_goals(
@@ -262,7 +262,7 @@ def evaluate(config: EvaluationConfig) -> QualityReport:
             "seed": plan.seed,
         }
     elif cut is None and config.trials > 0:
-        n_default = default_mutation_count(len(result.transitions))
+        n_default = default_mutation_count(len(result.pre))
         n_extra = config.n_extra if config.n_extra is not None else n_default
         n_missing = config.n_missing if config.n_missing is not None else n_default
         outcome = run_trials(

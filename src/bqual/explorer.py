@@ -2,23 +2,26 @@
 
 Variable domains are read off the invariant's membership conjuncts, the
 initialisation and operations are compiled to closures, and the state
-space is derived breadth-first.  A transition is classified as violating
-when its post-state breaks the invariant or has no outgoing transition
-(deadlock-freeness is checked always, as an inherent invariant).  A state
-whose successors a limit dropped is not a deadlock: the cut, not the
-machine, left it without outgoing transitions.
+space is derived breadth-first on dense integer state ids: the walk keeps
+each state's values and invariant verdict by id and the transitions as
+``pre``/``label``/``post`` arrays.  One violation rule, ``violations``,
+judges those arrays (and every system ``mutation.apply_plan`` re-derives):
+a transition violates when its post-state breaks the invariant or has no
+outgoing transition (deadlock-freeness is checked always, as an inherent
+invariant).  A state whose successors a limit dropped is not a deadlock:
+the cut, not the machine, left it without outgoing transitions.  The
+``State`` and ``Transition`` sets are built only when a caller reads them.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import math
 import resource
 import time
+from array import array
 from dataclasses import dataclass, field
-from operator import attrgetter
-from typing import Callable, Collection, Iterable, Mapping
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -60,8 +63,8 @@ from .lts import (
     boolval,
     enumval,
     intval,
+    row_ranks,
     sorted_labels,
-    state_codes,
     transition_to_json,
 )
 from .bmachine import BOOL_SET
@@ -409,94 +412,55 @@ def compile_substitution(sub, machine: MachineAST):
 # --- exploration --------------------------------------------------------------
 
 
-class Verdicts(dict):
-    """Whether each state satisfies the invariant, evaluated on first lookup.
-    An exploration and every system re-derived from it share one map."""
-
-    def __init__(self, holds, variable_order: tuple[str, ...]):
-        super().__init__()
-        self._holds = holds
-        self._order = variable_order
-
-    def __missing__(self, state: State) -> bool:
-        ok = self[state] = self._holds(dict(zip(self._order, state.values)))
-        return ok
+def violations(pre, post, ok, cut: Iterable[int] = ()) -> tuple[np.ndarray, np.ndarray]:
+    """The violating edges among ``pre[i] -> post[i]``, for the invariant
+    verdicts ``ok``, and the live states: those with an outgoing edge or in
+    ``cut`` (a limit dropped their successors).  An edge violates when its
+    post-state breaks the invariant or is not live.  Both are masks."""
+    live = np.zeros(len(ok), dtype=bool)
+    live[pre] = True
+    live[list(cut)] = True
+    return ~(ok[post] & live[post]), live
 
 
-def reach(
-    initial: Collection[State],
-    successors: Callable[[State], Iterable[Transition]],
-    verdicts: Mapping[State, bool],
-    max_states: float = math.inf,
-    max_transitions: float = math.inf,
-) -> tuple[frozenset, frozenset, frozenset]:
-    """Breadth-first walk from ``initial``, in its order, that never expands
-    a state breaking the invariant.  Returns the reached states, the
-    transitions taken, and the states fully expanded: those none of whose
-    successors a limit dropped.  A limit cut the walk short exactly when
-    some reached state is not fully expanded (which ones a limit keeps
-    depends on the order)."""
-    reached = set(initial)
-    taken: set[Transition] = set()
-    frontier = list(initial)
-    cut: set[State] = set()
-    for state in frontier:  # grows while it is walked
-        if not verdicts[state]:
-            continue  # violating states are terminal
-        for t in successors(state):
-            post = t.post
-            new = post not in reached
-            if (new and len(reached) >= max_states) or len(taken) >= max_transitions:
-                cut.add(state)
-                continue
-            if new:
-                reached.add(post)
-                frontier.append(post)
-            taken.add(t)
-    reached = frozenset(reached)
-    return reached, frozenset(taken), reached - cut if cut else reached
-
-
-def violations(
-    transitions: frozenset, verdicts: Mapping[State, bool], cut: Collection[State]
-) -> tuple[frozenset, set]:
-    """The violating transitions and the live states: those with an outgoing
-    transition in ``transitions``, or ``cut``, whose successors a limit
-    dropped.  A transition violates when its post-state breaks the
-    invariant or is not live."""
-    live = {t.pre for t in transitions}
-    live.update(cut)
-    violating = frozenset(
-        t for t in transitions if not verdicts[t.post] or t.post not in live
-    )
-    return violating, live
-
-
-@dataclass
+@dataclass(eq=False)
 class ExplorationResult:
+    """One explored machine as integer arrays, with its object sets built on
+    first read (one ``State`` per id, shared by every transition).
+
+    State ids are dense, in breadth-first order from the initial states:
+    ``rows[i]`` holds state ``i``'s values and ``state_ok[i]`` its verdict.
+    Edge ``j`` goes from ``pre[j]`` to ``post[j]`` by ``labels[label[j]]``
+    and violates when ``violates[j]``; states not ``live`` are deadlocks.
+    Ids never stand in for the canonical order (``coding``)."""
+
     machine_name: str
     variable_order: tuple[str, ...]
-    initial_states: frozenset
-    states: frozenset
-    transitions: frozenset
-    ok: frozenset
-    violating: frozenset
-    deadlock_states: frozenset
+    rows: list[tuple[Value, ...]]
+    state_ok: np.ndarray
+    n_initial: int
+    labels: tuple[str, ...]
+    pre: np.ndarray
+    label: np.ndarray
+    post: np.ndarray
+    violates: np.ndarray
+    live: np.ndarray
     truncated: bool
     cpu_seconds: float
     peak_memory_bytes: int
-    verdicts: Verdicts = field(repr=False, compare=False)
+    holds: Callable[[dict], bool] = field(repr=False)  # the compiled invariant
 
     @property
     def summary(self) -> dict:
         """The exploration counts shared by ``bqual explore`` and the report."""
+        edges, violating = len(self.pre), int(np.count_nonzero(self.violates))
         return {
-            "initial_states": len(self.initial_states),
-            "states": len(self.states),
-            "transitions": len(self.transitions),
-            "ok_transitions": len(self.ok),
-            "violating_transitions": len(self.violating),
-            "deadlock_states": len(self.deadlock_states),
+            "initial_states": self.n_initial,
+            "states": len(self.rows),
+            "transitions": edges,
+            "ok_transitions": edges - violating,
+            "violating_transitions": violating,
+            "deadlock_states": len(self.rows) - int(np.count_nonzero(self.live)),
             "truncated": self.truncated,
         }
 
@@ -508,70 +472,86 @@ class ExplorationResult:
         }
 
     @functools.cached_property
+    def state_objects(self) -> tuple[State, ...]:  # by id
+        order = self.variable_order
+        return tuple(State(order, values) for values in self.rows)
+
+    @functools.cached_property
+    def edge_objects(self) -> tuple[Transition, ...]:  # in walk order
+        states, labels = self.state_objects, self.labels
+        # Memoryviews yield the ids one int at a time, with no list of them.
+        edges = zip(*map(memoryview, (self.pre, self.label, self.post)))
+        return tuple(Transition(states[p], labels[c], states[q]) for p, c, q in edges)
+
+    @functools.cached_property
+    def states(self) -> frozenset:
+        return frozenset(self.state_objects)
+
+    @functools.cached_property
+    def initial_states(self) -> frozenset:
+        return frozenset(self.state_objects[: self.n_initial])
+
+    @functools.cached_property
+    def deadlock_states(self) -> frozenset:
+        return frozenset(itertools.compress(self.state_objects, (~self.live).tolist()))
+
+    @functools.cached_property
+    def transitions(self) -> frozenset:
+        return frozenset(self.edge_objects)
+
+    @functools.cached_property
+    def violating(self) -> frozenset:
+        return frozenset(itertools.compress(self.edge_objects, self.violates.tolist()))
+
+    @functools.cached_property
+    def ok(self) -> frozenset:
+        return self.transitions - self.violating
+
+    @functools.cached_property
     def coding(self) -> "RelationCoding":
-        """The derived relation on integer ids, coded on first use."""
+        """The derived relation in canonical order, coded on first use."""
         return RelationCoding.of(self)
-
-    @property
-    def ordered_states(self) -> tuple[State, ...]:
-        """The reachable states in canonical order."""
-        return self.coding.states
-
-    @property
-    def ordered_transitions(self) -> tuple[Transition, ...]:
-        """The derived transitions in canonical order."""
-        return self.coding.transitions
 
 
 @dataclass(frozen=True, eq=False)
 class RelationCoding:
-    """An exploration's derived relation on integer ids, so that edited
-    systems can be re-derived without touching one ``Transition`` per edge
-    (``mutation.apply_plan``).
+    """An exploration's derived relation on canonical integer ids, so that
+    edited systems can be re-derived without touching one ``Transition``
+    per edge (``mutation.apply_plan``).
 
-    State ids are canonical ranks (``lts.state_codes``) and label codes
-    follow the canonical label order, so ordering the edges by ``key``
-    (pre, label, post) puts them in canonical order: edge ``i`` is
-    ``transitions[i]``, from state ``pre[i]`` to state ``post[i]``.
-    """
+    State ids are canonical ranks (``lts.row_ranks`` of the walk's rows)
+    and label codes follow the canonical label order, so ordering the edges
+    by ``key`` (pre, label, post) puts them in canonical order: edge ``i``
+    is ``transitions[i]``, from state ``pre[i]`` to state ``post[i]``.  The
+    objects are the exploration's own, listed on first read."""
 
-    states: tuple[State, ...]  # by id
-    transitions: tuple[Transition, ...]  # by edge
+    result: ExplorationResult = field(repr=False)
+    walk_ids: np.ndarray  # the walk id of each state id
+    walk_edges: np.ndarray  # the walk index of each edge
     pre: np.ndarray
     label: np.ndarray
     post: np.ndarray
     key: np.ndarray  # strictly increasing
     labels: tuple[str, ...]  # by code
     label_counts: dict[str, int]
-    state_id: dict[State, int]
     ok: np.ndarray  # the invariant verdict of each state
     initial: np.ndarray  # ids of the initial states
     violating: np.ndarray  # mask of the violating edges
 
     @classmethod
-    def of(cls, result: "ExplorationResult") -> "RelationCoding":
-        states = tuple(result.states)
-        loose = tuple(result.transitions)
-        size, count = len(loose), len(states)
-        # Objects are coded by identity, so no State is hashed per edge.
-        rank, _ = state_codes(
-            states
-            + tuple(map(attrgetter("pre"), loose))
-            + tuple(map(attrgetter("post"), loose)),
-            result.variable_order,
-        )
-        names = tuple(map(attrgetter("label"), loose))
+    def of(cls, result: ExplorationResult) -> "RelationCoding":
+        rank, _ = row_ranks(result.rows, len(result.variable_order))
+        names = [result.labels[code] for code in np.unique(result.label).tolist()]
         labels = tuple(sorted_labels(names))
-        code = {name: i for i, name in enumerate(labels)}
-        label = np.fromiter(map(code.__getitem__, names), np.int64, size)
-        pre, post = rank[count : count + size], rank[count + size :]
-        key = _edge_keys(pre, label, post, len(labels), count)
+        relabel = np.searchsorted(labels, result.labels)  # for the names in use
+        pre, label, post = rank[result.pre], relabel[result.label], rank[result.post]
+        key = _edge_keys(pre, label, post, len(labels), len(rank))
         order = np.argsort(key)
-        states = tuple(states[i] for i in np.argsort(rank[:count]))
-        state_id = {state: i for i, state in enumerate(states)}
-        coding = cls(
-            states=states,
-            transitions=tuple(map(loose.__getitem__, order.tolist())),
+        walk_ids = np.argsort(rank)
+        return cls(
+            result=result,
+            walk_ids=walk_ids,
+            walk_edges=order,
             pre=pre[order],
             label=label[order],
             post=post[order],
@@ -580,13 +560,23 @@ class RelationCoding:
             label_counts=dict(
                 zip(labels, np.bincount(label, minlength=len(labels)).tolist())
             ),
-            state_id=state_id,
-            ok=np.fromiter(map(result.verdicts.__getitem__, states), bool, count),
-            initial=np.array([state_id[s] for s in result.initial_states], np.int64),
-            violating=np.zeros(size, dtype=bool),
+            ok=result.state_ok[walk_ids],
+            initial=rank[: result.n_initial],
+            violating=result.violates[order],
         )
-        coding.violating[coding.edges(result.violating)] = True
-        return coding
+
+    @functools.cached_property
+    def states(self) -> tuple[State, ...]:  # by id
+        return tuple(map(self.result.state_objects.__getitem__, self.walk_ids.tolist()))
+
+    @functools.cached_property
+    def transitions(self) -> tuple[Transition, ...]:  # by edge
+        edges = self.result.edge_objects
+        return tuple(map(edges.__getitem__, self.walk_edges.tolist()))
+
+    @functools.cached_property
+    def state_id(self) -> dict[State, int]:
+        return {state: i for i, state in enumerate(self.states)}
 
     def edges(self, transitions: Iterable[Transition]) -> np.ndarray:
         """The edge index of each of ``transitions``, which must be derived."""
@@ -595,7 +585,7 @@ class RelationCoding:
         triples = np.array(
             [(ids[t.pre], code[t.label], ids[t.post]) for t in transitions], np.int64
         ).reshape(-1, 3)
-        keys = _edge_keys(*triples.T, len(self.labels), len(self.states))
+        keys = _edge_keys(*triples.T, len(self.labels), len(self.ok))
         return np.searchsorted(self.key, keys)
 
 
@@ -612,20 +602,23 @@ def explore(
 ) -> ExplorationResult:
     """Breadth-first derivation of the machine's transition system.
 
-    States that violate the invariant are recorded but never expanded;
-    ``truncated`` reports whether a limit cut the run short.
+    States that violate the invariant are recorded but never expanded.  A
+    successor that would pass a limit is dropped and cuts its state (even a
+    duplicate, which otherwise collapses); ``truncated`` says if any was.
     """
     infer_domains(machine)  # every variable must have an enumerable domain
     order = machine.variables
-    verdicts = Verdicts(compile_predicate(machine.invariant), order)
+    holds = compile_predicate(machine.invariant)
     init = compile_substitution(machine.initialisation, machine)
+    labels = tuple(dict.fromkeys(name for name, _ in machine.operations))
     ops = [
-        (name, compile_substitution(body, machine))
+        (labels.index(name), compile_substitution(body, machine))
         for name, body in machine.operations
     ]
 
     started = time.process_time()
-    pool: dict[tuple, State] = {}  # one State object per valuation
+    ids: dict[tuple, int] = {}  # the id of each reached valuation
+    rows: list[tuple] = []  # the valuation of each id
     for env in init({}):
         missing = [v for v in order if v not in env]
         if missing:
@@ -633,48 +626,64 @@ def explore(
                 f"initialisation does not assign {missing[0]!r}"
             )
         values = tuple(env[v] for v in order)
-        if values not in pool:
-            pool[values] = State(order, values)
-    if not pool:
+        if values not in ids:
+            ids[values] = len(rows)
+            rows.append(values)
+    if not rows:
         raise InitialisationError("initialisation is unsatisfiable")
-    initial = list(pool.values())
+    n_initial = len(rows)
 
-    def successors(state: State) -> list[Transition]:
-        env = dict(zip(order, state.values))
-        out = []
-        for label, run in ops:
+    ok: list[bool] = []
+    pre, label, post = array("q"), array("q"), array("q")
+    cut: set[int] = set()
+    for state, row in enumerate(rows):  # rows grows while it is walked
+        env = dict(zip(order, row))
+        ok.append(holds(env))
+        if not ok[-1]:
+            continue  # violating states are terminal
+        for code, run in ops:
+            seen: set[int] = set()
             for result in run(env):
                 values = tuple(map(result.__getitem__, order))
-                post = pool.get(values)
-                if post is None:
-                    post = pool[values] = State(order, values)
-                out.append(Transition(state, label, post))
-        return out
-
-    states, transitions, expanded = reach(
-        initial, successors, verdicts, max_states, max_transitions
-    )
+                target = ids.get(values)
+                new = target is None
+                if (new and len(rows) >= max_states) or len(pre) >= max_transitions:
+                    cut.add(state)
+                    continue
+                if new:
+                    target = ids[values] = len(rows)
+                    rows.append(values)
+                elif target in seen:
+                    continue
+                seen.add(target)
+                pre.append(state)
+                label.append(code)
+                post.append(target)
     cpu_seconds = time.process_time() - started
     peak = 0
     if meter_memory:
         # Lifetime peak RSS of the process (kilobytes on Linux).
         peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
 
-    cut = states - expanded
-    violating, live = violations(transitions, verdicts, cut)
+    pre, label, post = (np.frombuffer(a, dtype=np.int64) for a in (pre, label, post))
+    state_ok = np.array(ok, dtype=bool)
+    violates, live = violations(pre, post, state_ok, cut)
     return ExplorationResult(
         machine_name=machine.name,
         variable_order=order,
-        initial_states=frozenset(initial),
-        states=states,
-        transitions=transitions,
-        ok=transitions - violating,
-        violating=violating,
-        deadlock_states=states - live,
+        rows=rows,
+        state_ok=state_ok,
+        n_initial=n_initial,
+        labels=labels,
+        pre=pre,
+        label=label,
+        post=post,
+        violates=violates,
+        live=live,
         truncated=bool(cut),
         cpu_seconds=cpu_seconds,
         peak_memory_bytes=peak,
-        verdicts=verdicts,
+        holds=holds,
     )
 
 
@@ -690,7 +699,7 @@ def check_goal(result: ExplorationResult, goal: Predicate) -> bool:
         raise EvalTypeError("goal predicates cannot use bound identifiers")
     holds = compile_predicate(goal)
     order = result.variable_order
-    return any(holds(dict(zip(order, s.values))) for s in result.states)
+    return any(holds(dict(zip(order, values))) for values in result.rows)
 
 
 def result_header(result: ExplorationResult) -> dict:
@@ -706,10 +715,11 @@ def result_header(result: ExplorationResult) -> dict:
 def serialize_result(result: ExplorationResult) -> dict:
     """``result_header`` plus every transition as its canonical object,
     canonically sorted and flagged ``violates``."""
+    coding = result.coding
     return dict(
         result_header(result),
         transitions=[
-            dict(transition_to_json(t), violates=(t in result.violating))
-            for t in result.ordered_transitions
+            dict(transition_to_json(t), violates=flag)
+            for t, flag in zip(coding.transitions, coding.violating.tolist())
         ],
     )

@@ -2,9 +2,11 @@
 
 States, transitions and state pairs are immutable, hashable and safe to
 share between workers.  Machines can reach millions of transitions, so the
-types cache their hashes and intern common values.  The canonical order
-of states, and with it of transitions and pairs, is computed in one place,
-``state_codes``, from integer value codes.
+types cache their hashes and intern common values; an exploration builds
+them only when they are read.  The canonical order of states, and with it
+of transitions and pairs, is computed in one place, ``row_ranks``, from
+integer value codes: of an exploration's value rows directly, or of the
+states of transitions and pairs through ``element_keys``.
 """
 
 from __future__ import annotations
@@ -354,39 +356,33 @@ def transition_from_json(
     return Transition(decode_state(obj["pre"]), obj["op"], decode_state(obj["post"]))
 
 
-def state_codes(
-    states: Sequence[State], variable_order: tuple[str, ...]
+def row_ranks(
+    table: Sequence[tuple[Value, ...]], width: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The canonical integer coding of ``states``: ``(rank, rows)``.
+    """The canonical integer coding of value rows: ``(rank, rows)``.
 
     Each distinct value is coded by its rank in the canonical value order
-    (``Value.sort_key``) and each distinct state object becomes one row of
-    codes in ``variable_order``, so the lexicographic order of the rows is
-    the canonical state order.  ``rows`` holds the distinct rows in that
-    order and ``rank[i]`` is the index of ``states[i]``'s row: equal states
-    share a rank even when they are distinct objects.  Objects are told
-    apart by ``id``, never by ``State.__eq__``.
+    (``Value.sort_key``) and each row of ``width`` values becomes one row of
+    codes, so the lexicographic order of the rows is the canonical state
+    order.  ``rows`` holds the distinct rows in that order and ``rank[i]``
+    is the index of ``table[i]``'s row: equal rows share a rank.
     """
-    objects = dict(zip(map(id, states), states))
-    slot = {key: i for i, key in enumerate(objects)}
-    table = [state_values(s, variable_order) for s in objects.values()]
     values = sorted(set(itertools.chain.from_iterable(table)), key=Value.sort_key)
     code = {v: i for i, v in enumerate(values)}
-    shape = (len(table), len(variable_order))
+    shape = (len(table), width)
     coded = np.fromiter(
         map(code.__getitem__, itertools.chain.from_iterable(table)),
         np.int32,
         shape[0] * shape[1],
     ).reshape(shape)
-    order = np.lexsort(coded.T[::-1]) if shape[1] else np.arange(shape[0])
+    order = np.lexsort(coded.T[::-1]) if width else np.arange(shape[0])
     coded = coded[order]
     # A row starts a new rank where it differs from the row before it.
     starts = np.ones(len(coded), dtype=bool)
     starts[1:] = (coded[1:] != coded[:-1]).any(axis=1)
     rank = np.empty_like(order)
     rank[order] = np.cumsum(starts) - 1
-    picks = np.fromiter(map(slot.__getitem__, map(id, states)), np.intp, len(states))
-    return rank[picks], coded[starts]
+    return rank, coded[starts]
 
 
 def element_keys(
@@ -397,13 +393,17 @@ def element_keys(
     ``keys`` has one row per element: the rank of its pre-state, the code
     of its label (transitions only; labels in code-point order) and the
     rank of its post-state, so the lexicographic order of the keys is the
-    canonical element order.  ``rows`` are the state rows of
-    ``state_codes``, indexed by rank.
+    canonical element order.  ``rows`` are the state rows of ``row_ranks``,
+    indexed by rank.  Each state object is coded once, told apart from the
+    others by ``id``, never by ``State.__eq__``.
     """
     size = len(elements)
-    rank, rows = state_codes(
-        [e.pre for e in elements] + [e.post for e in elements], variable_order
-    )
+    states = [e.pre for e in elements] + [e.post for e in elements]
+    objects = dict(zip(map(id, states), states))
+    slot = {key: i for i, key in enumerate(objects)}
+    table = [state_values(s, variable_order) for s in objects.values()]
+    rank, rows = row_ranks(table, len(variable_order))
+    rank = rank[np.fromiter(map(slot.__getitem__, map(id, states)), np.intp, 2 * size)]
     columns = [rank[:size], rank[size:]]
     if size and isinstance(elements[0], Transition):
         names = [t.label for t in elements]

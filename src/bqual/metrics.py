@@ -10,6 +10,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from .alignment import DEFAULT_SIZE_GUARD, AlignmentOutcome, similarity
 from .bmachine import Predicate
 from .explorer import ExplorationResult, check_goal
@@ -125,28 +127,28 @@ def pfappr(
 
 def invariant_satisfiability(result: ExplorationResult) -> Fraction:
     """Share of derived transitions that trigger no violation."""
-    if not result.transitions:
+    summary = result.summary
+    if not summary["transitions"]:
         raise NotComputable("no derived transitions")
-    return Fraction(len(result.ok), len(result.transitions))
+    return Fraction(summary["ok_transitions"], summary["transitions"])
 
 
 def availability(result: ExplorationResult, f_required: frozenset) -> Fraction:
     """Share of required operations that never trigger a violation."""
     if not f_required:
         raise NotComputable("no required operations")
-    clean = labels_of(result.transitions) - labels_of(result.violating)
-    return Fraction(len(clean & f_required), len(f_required))
+    clean = np.setdiff1d(result.label, result.label[result.violates]).tolist()
+    names = {result.labels[code] for code in clean}
+    return Fraction(len(names & f_required), len(f_required))
 
 
 def accountability(result: ExplorationResult) -> Fraction:
     """Share of derived states with at most one ingoing transition."""
-    if not result.states:
+    count = len(result.rows)
+    if not count:
         raise NotComputable("no derived states")
-    ingoing: dict = {}
-    for t in result.transitions:
-        ingoing[t.post] = ingoing.get(t.post, 0) + 1
-    traceable = sum(1 for s in result.states if ingoing.get(s, 0) <= 1)
-    return Fraction(traceable, len(result.states))
+    ingoing = np.bincount(result.post, minlength=count)
+    return Fraction(int(np.count_nonzero(ingoing <= 1)), count)
 
 
 def fault_tolerance(changed: int, violating: int) -> Fraction:
@@ -212,18 +214,22 @@ def weighted_modularity(
     )
 
 
-def reusability(t_derived: frozenset) -> Fraction:
-    """One minus operations per derived transition."""
-    if not t_derived:
+def reusability(derived: ExplorationResult | frozenset) -> Fraction:
+    """One minus operations per derived transition (of an exploration or a set)."""
+    if isinstance(derived, ExplorationResult):
+        operations, size = len(np.unique(derived.label)), len(derived.label)
+    else:
+        operations, size = len(labels_of(derived)), len(derived)
+    if not size:
         raise NotComputable("no derived transitions")
-    return 1 - Fraction(len(labels_of(t_derived)), len(t_derived))
+    return 1 - Fraction(operations, size)
 
 
 # --- performance efficiency and usability ----------------------------------------
 
 
 def capacity(result: ExplorationResult) -> int:
-    return len(result.states) + len(result.transitions)
+    return len(result.rows) + len(result.pre)
 
 
 def goal_appropriateness(result: ExplorationResult, goals: GoalSpec) -> Fraction:

@@ -4,11 +4,10 @@ Faults live at the transition-system level: a plan inserts transitions
 that the machine never derived and removes transitions it did derive.
 The edited relation is then re-derived from the initial states by a sparse
 breadth-first order over the exploration's integer-coded relation
-(``ExplorationResult.coding``), under the exploration's invariant verdicts,
-and the edits themselves are masked out before the changed system is
-judged by the exploration's violation rule.  That rule is
-``explorer.violations`` in array form; the empty-plan tests pin the two
-together until exploration itself keeps dense state ids.
+(``ExplorationResult.coding``), under the exploration's invariant verdicts
+(states only a plan reaches are judged by its compiled invariant, per
+plan), and the edits themselves are masked out before the changed system
+is judged by the exploration's own violation rule, ``explorer.violations``.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .explorer import DomainMap, ExplorationResult, RelationCoding
+from .explorer import DomainMap, ExplorationResult, RelationCoding, violations
 from .lts import (
     State,
     Transition,
@@ -129,19 +128,17 @@ def _extra_space(
     """``(space, occupied)`` for extra transitions over ``labels``: the size
     of the pre-state x label x post-valuation space they are drawn from, and
     how many derived transitions lie in it.  ``derived`` bounds that count;
-    when ``n_extra`` fits beside the bound, the bound is returned unscanned."""
+    when ``n_extra`` fits beside the bound, the bound is returned uncounted."""
     order = result.variable_order
     product_size = math.prod(len(domains[name].values()) for name in order)
-    space = len(result.states) * len(labels) * product_size
+    space = len(result.rows) * len(labels) * product_size
     occupied = min(derived, space)
     if n_extra > space - occupied:
-        label_set = set(labels)
-        occupied = sum(
-            1
-            for t in result.transitions
-            if t.label in label_set
-            and all(domains[name].contains(v) for name, v in zip(order, t.post.values))
-        )
+        checks = [domains[name].contains for name in order]
+        rows = [all(check(v) for check, v in zip(checks, row)) for row in result.rows]
+        in_domain = np.array(rows, dtype=bool)
+        codes = [code for code, name in enumerate(result.labels) if name in labels]
+        occupied = _count(in_domain[result.post] & np.isin(result.label, codes))
     return space, occupied
 
 
@@ -165,9 +162,9 @@ def generate_plan(
     order = result.variable_order
 
     pool = (
-        [t for t in result.ordered_transitions if t.label == label_scope]
+        [t for t in result.coding.transitions if t.label == label_scope]
         if label_scope is not None
-        else result.ordered_transitions
+        else result.coding.transitions
     )
     if n_missing > len(pool):
         raise MutationError(
@@ -179,14 +176,14 @@ def generate_plan(
     if n_extra and not label_pool:
         raise MutationError("no labels to draw extra transitions from")
     space, occupied = _extra_space(
-        result, domains, label_pool, n_extra, len(result.transitions)
+        result, domains, label_pool, n_extra, len(result.pre)
     )
     if n_extra > space - occupied:
         raise MutationError(
             f"cannot draw {n_extra} distinct extra transitions from a space "
             f"of {space} with {occupied} already derived"
         )
-    states = result.ordered_states
+    states = result.coding.states
     value_pools = [domains[name].values() for name in order]
 
     extra: set[Transition] = set()
@@ -222,23 +219,18 @@ def apply_plan(result: ExplorationResult, plan: MutationPlan) -> ChangedSystem:
     """
     validate_plan(plan, result.transitions)
     coding = result.coding
-    missing = np.zeros(len(coding.transitions), dtype=bool)
+    missing = np.zeros(len(coding.key), dtype=bool)
     missing[coding.edges(plan.missing)] = True
 
     # Inserted transitions may reach states the exploration never did; they
-    # get fresh ids and their verdicts from the shared map.
-    fresh: dict[State, int] = {}
-
-    def state_id(state: State) -> int:
-        found = coding.state_id.get(state)
-        if found is None:
-            found = fresh.setdefault(state, len(coding.states) + len(fresh))
-        return found
-
+    # get the next ids, judged by the exploration's invariant.
+    ids = dict(coding.state_id)
     extra = tuple(plan.extra)
-    extra_pre = np.array([state_id(t.pre) for t in extra], dtype=np.int64)
-    extra_post = np.array([state_id(t.post) for t in extra], dtype=np.int64)
-    verdicts = [result.verdicts[state] for state in fresh]
+    extra_pre = np.array([ids.setdefault(t.pre, len(ids)) for t in extra], np.int64)
+    extra_post = np.array([ids.setdefault(t.post, len(ids)) for t in extra], np.int64)
+    order = result.variable_order
+    fresh = itertools.islice(ids, len(coding.ok), None)
+    verdicts = [result.holds(dict(zip(order, state.values))) for state in fresh]
     ok = np.concatenate((coding.ok, np.array(verdicts, dtype=bool)))
 
     # The walk follows the edges out of states that satisfy the invariant,
@@ -259,9 +251,8 @@ def apply_plan(result: ExplorationResult, plan: MutationPlan) -> ChangedSystem:
         itertools.compress(extra, (extra_follow & reached[extra_pre]).tolist())
     )
     masked = taken | missing
-    live = np.zeros(len(coding.states), dtype=bool)
-    live[coding.pre[masked]] = True
-    violating = masked & ~(coding.ok[coding.post] & live[coding.post])
+    violating = masked.copy()
+    violating[masked], _ = violations(coding.pre[masked], coding.post[masked], coding.ok)
     return ChangedSystem(coding, taken, extra_taken, masked, violating)
 
 
@@ -298,10 +289,10 @@ FAULT_METRICS = {
         _count(changed.masked), _count(changed.violating)
     ),
     "recoverability": lambda result, changed: recoverability(
-        _count(changed.masked & ~changed.violating), len(result.transitions)
+        _count(changed.masked & ~changed.violating), len(result.pre)
     ),
     "functional_analysability": lambda result, changed: functional_analysability(
-        _count(changed.masked), len(result.transitions)
+        _count(changed.masked), len(result.pre)
     ),
     "fault_analysability": lambda result, changed: fault_analysability(
         _count(changed.coding.violating & changed.violating),
@@ -443,7 +434,7 @@ def _modularity(
             continue
         common = _count(changed.taken & (coding.label != code))
         inserted = sum(1 for t in changed.extra_taken if t.label != op)
-        union = len(coding.transitions) - counts[op] + inserted
+        union = len(coding.key) - counts[op] + inserted
         per_op[op] = modularity_of(op, common, union)
     return per_op, weighted_modularity(per_op, counts)
 
@@ -471,11 +462,9 @@ def plan_from_json(
     for key in ("extra", "missing"):
         if key not in obj or not isinstance(obj[key], list):
             raise MutationError(f"plan is missing the {key!r} transition list")
-    extra = frozenset(
-        transition_from_json(item, order, element_sets) for item in obj["extra"]
-    )
-    missing = frozenset(
-        transition_from_json(item, order, element_sets) for item in obj["missing"]
+    extra, missing = (
+        frozenset(transition_from_json(item, order, element_sets) for item in obj[key])
+        for key in ("extra", "missing")
     )
     seed = obj.get("seed", 0)
     if not isinstance(seed, int):
@@ -483,12 +472,7 @@ def plan_from_json(
     label_scope = obj.get("label_scope")
     if label_scope is not None and not isinstance(label_scope, str):
         raise MutationError("label_scope must be an operation name")
-    return MutationPlan(
-        extra=extra,
-        missing=missing,
-        seed=seed,
-        label_scope=label_scope,
-    )
+    return MutationPlan(extra, missing, seed, label_scope)
 
 
 def load_plan(

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
+from typing import Callable, Collection, Iterable, Mapping
 
 import pytest
 
@@ -31,7 +34,13 @@ from bqual.bmachine import (
     TruePredicate,
     VarRef,
 )
-from bqual.explorer import compile_predicate, compile_substitution, explore
+from bqual.explorer import (
+    InitialisationError,
+    compile_predicate,
+    compile_substitution,
+    explore,
+    infer_domains,
+)
 from bqual.lts import FlatList, State, Transition, Value, intval
 from bqual.parser import parse_machine
 
@@ -183,6 +192,122 @@ def independent_apply(result, plan, invariant):
     outs = {t.pre for t in u_changed}
     u_violating = {t for t in u_changed if not ok(t.post) or t.post not in outs}
     return t_changed, u_changed, u_violating
+
+
+class Verdicts(dict):
+    """Whether each state satisfies the invariant, evaluated on first lookup."""
+
+    def __init__(self, holds, variable_order: tuple[str, ...]):
+        super().__init__()
+        self._holds = holds
+        self._order = variable_order
+
+    def __missing__(self, state: State) -> bool:
+        ok = self[state] = self._holds(dict(zip(self._order, state.values)))
+        return ok
+
+
+def reach(
+    initial: Collection[State],
+    successors: Callable[[State], Iterable[Transition]],
+    verdicts: Mapping[State, bool],
+    max_states: float = math.inf,
+    max_transitions: float = math.inf,
+) -> tuple[frozenset, frozenset, frozenset]:
+    """Breadth-first walk from ``initial``, in its order, that never expands
+    a state breaking the invariant.  Returns the reached states, the
+    transitions taken, and the states fully expanded: those none of whose
+    successors a limit dropped.  A limit cut the walk short exactly when
+    some reached state is not fully expanded (which ones a limit keeps
+    depends on the order)."""
+    reached = set(initial)
+    taken: set[Transition] = set()
+    frontier = list(initial)
+    cut: set[State] = set()
+    for state in frontier:  # grows while it is walked
+        if not verdicts[state]:
+            continue  # violating states are terminal
+        for t in successors(state):
+            post = t.post
+            new = post not in reached
+            if (new and len(reached) >= max_states) or len(taken) >= max_transitions:
+                cut.add(state)
+                continue
+            if new:
+                reached.add(post)
+                frontier.append(post)
+            taken.add(t)
+    reached = frozenset(reached)
+    return reached, frozenset(taken), reached - cut if cut else reached
+
+
+def violations(
+    transitions: frozenset, verdicts: Mapping[State, bool], cut: Collection[State]
+) -> tuple[frozenset, set]:
+    """The violating transitions and the live states: those with an outgoing
+    transition in ``transitions``, or ``cut``, whose successors a limit
+    dropped.  A transition violates when its post-state breaks the
+    invariant or is not live."""
+    live = {t.pre for t in transitions}
+    live.update(cut)
+    violating = frozenset(
+        t for t in transitions if not verdicts[t.post] or t.post not in live
+    )
+    return violating, live
+
+
+def independent_explore(
+    machine, max_states: float = math.inf, max_transitions: float = math.inf
+) -> SimpleNamespace:
+    """The exploration as a walk over ``State`` and ``Transition`` objects
+    and set arithmetic, sharing only the closure compiler with ``explore``."""
+    infer_domains(machine)
+    order = machine.variables
+    verdicts = Verdicts(compile_predicate(machine.invariant), order)
+    init = compile_substitution(machine.initialisation, machine)
+    ops = [
+        (name, compile_substitution(body, machine))
+        for name, body in machine.operations
+    ]
+    pool: dict[tuple, State] = {}  # one State object per valuation
+    for env in init({}):
+        missing = [v for v in order if v not in env]
+        if missing:
+            raise InitialisationError(
+                f"initialisation does not assign {missing[0]!r}"
+            )
+        values = tuple(env[v] for v in order)
+        if values not in pool:
+            pool[values] = State(order, values)
+    if not pool:
+        raise InitialisationError("initialisation is unsatisfiable")
+    initial = list(pool.values())
+
+    def successors(state: State) -> list[Transition]:
+        env = dict(zip(order, state.values))
+        out = []
+        for label, run in ops:
+            for result in run(env):
+                values = tuple(map(result.__getitem__, order))
+                post = pool.get(values)
+                if post is None:
+                    post = pool[values] = State(order, values)
+                out.append(Transition(state, label, post))
+        return out
+
+    states, transitions, expanded = reach(
+        initial, successors, verdicts, max_states, max_transitions
+    )
+    cut = states - expanded
+    violating, live = violations(transitions, verdicts, cut)
+    return SimpleNamespace(
+        initial_states=frozenset(initial),
+        states=states,
+        transitions=transitions,
+        violating=violating,
+        deadlock_states=states - live,
+        truncated=bool(cut),
+    )
 
 
 # Pretty-printer for the parser round-trip tests: emits source that parses

@@ -43,6 +43,38 @@ def load_schema():
         return json.load(handle)
 
 
+def test_evaluation_without_trials_builds_no_transition(tmp_path, monkeypatch):
+    from bqual.explorer import explore
+    from bqual.lts import Transition
+    from bqual.parser import parse_machine
+
+    # A jump clock: CM1 plus set_time onto 03:00 and 03:01.  Without
+    # requirements or trials every metric reads the exploration's arrays.
+    source = corpus_source("CM6.mch").replace(
+        "hh : 0..23 & mm : 0..59", "hh : 3..3 & mm : 0..1"
+    )
+    machine = tmp_path / "jump.mch"
+    machine.write_text(source, encoding="utf-8")
+    built = []
+    construct = Transition.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        construct(self, *args)
+
+    monkeypatch.setattr(Transition, "__init__", counting)
+    config = EvaluationConfig(machine_path=str(machine), goals_path=GOALS, trials=0)
+    report = evaluate(config)
+    render_report(report, "json")
+    assert report.summary["transitions"] == 1440 * 3
+    assert report.value("accountability") == 1 - Fraction(2, 1440)
+    assert report.value("reusability") == 1 - Fraction(4, 1440 * 3)
+    assert built == []
+    # The count sees the transitions once they are read.
+    result = explore(parse_machine(source), meter_memory=False)
+    assert len(result.transitions) == len(built)
+
+
 class TestTruncatedEvaluation:
     """A cut LTS yields no metric that reads it; the counts stay."""
 

@@ -282,13 +282,13 @@ class TestModularity:
 
 class TestReusability:
     def test_cm1(self, cm1_result):
-        assert reusability(cm1_result.transitions) == 1 - Fraction(3, 1440)
+        assert reusability(cm1_result) == 1 - Fraction(3, 1440)
 
     def test_single_transition(self):
         assert reusability(frozenset({toy((0, 0), "a", (0, 1))})) == 0
 
     def test_cm4(self, cm4_result):
-        assert reusability(cm4_result.transitions) == 1 - Fraction(3, 1465)
+        assert reusability(cm4_result) == 1 - Fraction(3, 1465)
 
 
 class TestCapacityAndGoals:

@@ -170,6 +170,33 @@ class TestGeneratePlan:
             )
 
 
+    @pytest.mark.parametrize(
+        "labels, occupied", [(["up"], 3), (["down"], 3), (["up", "down"], 6)]
+    )
+    def test_extra_space_counts_posts_inside_the_domains(self, labels, occupied):
+        from bqual.explorer import explore
+        from bqual.mutation import _extra_space
+        from bqual.parser import parse_machine
+
+        # up is unguarded, so 3 -> 4 leaves x : 0..3 and 4 is a derived state.
+        machine = parse_machine(
+            "MACHINE Up VARIABLES x INVARIANT x : 0..3 INITIALISATION x := 0 "
+            "OPERATIONS up = x := x + 1; down = PRE x > 0 THEN x := x - 1 END END"
+        )
+        result = explore(machine, meter_memory=False)
+        domains = infer_domains(machine)
+        scanned = sum(
+            1
+            for t in result.transitions
+            if t.label in labels
+            and all(domains["x"].contains(v) for v in t.post.values)
+        )
+        assert scanned == occupied
+        space = len(result.states) * len(labels) * 4
+        derived = len(result.transitions)
+        assert _extra_space(result, domains, labels, space, derived) == (space, occupied)
+
+
 # Draws two plans on a machine with enumerated, boolean and integer
 # variables and prints them; set iteration order varies with the hash seed.
 _PLAN_SCRIPT = """

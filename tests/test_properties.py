@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from bqual.alignment import similarity
-from bqual.explorer import explore
+from bqual.explorer import ExplorerError, explore
 from bqual.lts import (
     State,
     StatePair,
@@ -41,6 +41,7 @@ from conftest import (
     erased_sizes,
     flat_sort_key,
     independent_apply,
+    independent_explore,
     jaccard_sizes,
     label_counts,
     machine_to_source,
@@ -188,6 +189,91 @@ def test_appropriateness_of_superset_pairs(t):
     assert tfappr(bigger, t) == 1
 
 
+# --- exploration against the object walk -----------------------------------------
+# Small machines over x : 0..top and y : 0..1 whose operations produce the
+# cases the walk must get right: an ANY whose body ignores a bound
+# identifier and overlapping SELECT branches (duplicate successors), posts
+# that leave the domain or hit a banned value (invariant violations),
+# uncovered guards (deadlocks) and arithmetic on a boolean (an error only
+# once the state that runs it is reached).
+
+
+@st.composite
+def small_machines(draw):
+    top = draw(st.integers(min_value=2, max_value=4))
+    x_values = st.integers(min_value=0, max_value=top)
+    banned = draw(st.none() | x_values)
+    posts = st.sampled_from(["0", "x + 1", "2"])
+
+    def x():
+        return draw(x_values)
+
+    templates = [
+        lambda: f"PRE x < {x()} THEN x := x + {draw(st.sampled_from([1, 2]))} END",
+        lambda: f"ANY a, b WHERE a : 0..{x()} & b : 0..1 THEN x := a END",
+        lambda: "ANY a WHERE a : 0..1 THEN y := a END",
+        lambda: (
+            f"SELECT x <= {x()} THEN x := {draw(posts)} "
+            f"WHEN x >= {x()} THEN x := {draw(posts)} END"
+        ),
+        lambda: f"PRE x = {x()} THEN y := 1 - y END",
+        lambda: f"PRE x = {x()} & y = 1 THEN x := x + TRUE END",
+    ]
+    picks = draw(st.lists(st.sampled_from(templates), min_size=1, max_size=4))
+    operations = "; ".join(f"op{i} = {template()}" for i, template in enumerate(picks))
+    initialisation = draw(st.sampled_from(
+        ["x := 0; y := 0", "ANY v WHERE v : 0..1 THEN x := v; y := v END"]
+    ))
+    invariant = f"x : 0..{top} & y : 0..1"
+    if banned is not None:
+        invariant += f" & x /= {banned}"
+    return (
+        f"MACHINE Small VARIABLES x, y INVARIANT {invariant} "
+        f"INITIALISATION {initialisation} OPERATIONS {operations} END"
+    )
+
+
+def _explored(run):
+    try:
+        result = run()
+    except ExplorerError as exc:
+        return type(exc)
+    return (
+        result.initial_states,
+        result.states,
+        result.transitions,
+        result.violating,
+        result.deadlock_states,
+        result.truncated,
+    )
+
+
+# From x = 0 the ANY yields x := 0 and x := 1 twice each, so with a bound
+# of 1 or 2 a duplicate arrives once the transition bound is reached.
+_DUPLICATES = (
+    "MACHINE Dup VARIABLES x, y INVARIANT x : 0..2 & y : 0..1 "
+    "INITIALISATION x := 0; y := 0 OPERATIONS "
+    "op0 = ANY a, b WHERE a : 0..1 & b : 0..1 THEN x := a END END"
+)
+
+
+@given(
+    small_machines(),
+    st.none() | st.integers(min_value=1, max_value=12),
+    st.none() | st.integers(min_value=0, max_value=40),
+)
+@example(_DUPLICATES, None, 1)
+@example(_DUPLICATES, None, 2)
+@example(_DUPLICATES, 1, None)
+@settings(max_examples=300, deadline=None)
+def test_explore_matches_object_walk(source, max_states, max_transitions):
+    machine = parse_machine(source)
+    limits = {"max_states": max_states, "max_transitions": max_transitions}
+    limits = {name: value for name, value in limits.items() if value is not None}
+    got = _explored(lambda: explore(machine, meter_memory=False, **limits))
+    assert got == _explored(lambda: independent_explore(machine, **limits))
+
+
 # --- fault injection on the coded relation --------------------------------------
 # The derived system reaches x = 4, which breaks the invariant, so 3 -> 4
 # violates and 4 is never left; 5 and 6 are valid but never derived.
@@ -214,7 +300,7 @@ def gate_plans(draw):
     scope = draw(st.sampled_from([None, "up", "down"]))
     labels = [scope] if scope else ["up", "down"]
     derived = _GATE_RESULT.transitions
-    removable = [t for t in _GATE_RESULT.ordered_transitions if t.label in labels]
+    removable = [t for t in _GATE_RESULT.coding.transitions if t.label in labels]
     edges = (_gate(a, label, b) for a in range(7) for label in labels for b in range(7))
     insertable = [t for t in edges if t not in derived]
     return MutationPlan(
