@@ -21,7 +21,7 @@ import resource
 import time
 from array import array
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -512,6 +512,17 @@ class ExplorationResult:
         """The derived relation in canonical order, coded on first use."""
         return RelationCoding.of(self)
 
+    @functools.cached_property
+    def ordered_states(self) -> tuple[State, ...]:
+        """The reachable states in canonical order: by ``coding`` id."""
+        return tuple(map(self.state_objects.__getitem__, self.coding.walk_ids.tolist()))
+
+    @functools.cached_property
+    def ordered_transitions(self) -> tuple[Transition, ...]:
+        """The derived transitions in canonical order: by ``coding`` edge."""
+        edges = self.edge_objects
+        return tuple(map(edges.__getitem__, self.coding.walk_edges.tolist()))
+
 
 @dataclass(frozen=True, eq=False)
 class RelationCoding:
@@ -522,10 +533,9 @@ class RelationCoding:
     State ids are canonical ranks (``lts.row_ranks`` of the walk's rows)
     and label codes follow the canonical label order, so ordering the edges
     by ``key`` (pre, label, post) puts them in canonical order: edge ``i``
-    is ``transitions[i]``, from state ``pre[i]`` to state ``post[i]``.  The
-    objects are the exploration's own, listed on first read."""
+    goes from state ``pre[i]`` to state ``post[i]``, and the exploration's
+    ``ordered_states`` and ``ordered_transitions`` list the objects so."""
 
-    result: ExplorationResult = field(repr=False)
     walk_ids: np.ndarray  # the walk id of each state id
     walk_edges: np.ndarray  # the walk index of each edge
     pre: np.ndarray
@@ -549,7 +559,6 @@ class RelationCoding:
         order = np.argsort(key)
         walk_ids = np.argsort(rank)
         return cls(
-            result=result,
             walk_ids=walk_ids,
             walk_edges=order,
             pre=pre[order],
@@ -565,23 +574,12 @@ class RelationCoding:
             violating=result.violates[order],
         )
 
-    @functools.cached_property
-    def states(self) -> tuple[State, ...]:  # by id
-        return tuple(map(self.result.state_objects.__getitem__, self.walk_ids.tolist()))
-
-    @functools.cached_property
-    def transitions(self) -> tuple[Transition, ...]:  # by edge
-        edges = self.result.edge_objects
-        return tuple(map(edges.__getitem__, self.walk_edges.tolist()))
-
-    @functools.cached_property
-    def state_id(self) -> dict[State, int]:
-        return {state: i for i, state in enumerate(self.states)}
-
-    def edges(self, transitions: Iterable[Transition]) -> np.ndarray:
-        """The edge index of each of ``transitions``, which must be derived."""
+    def edges(
+        self, transitions: Iterable[Transition], ids: Mapping[State, int]
+    ) -> np.ndarray:
+        """The edge index of each of ``transitions``, which must be derived,
+        given the id of each state."""
         code = {name: i for i, name in enumerate(self.labels)}
-        ids = self.state_id
         triples = np.array(
             [(ids[t.pre], code[t.label], ids[t.post]) for t in transitions], np.int64
         ).reshape(-1, 3)
@@ -715,11 +713,11 @@ def result_header(result: ExplorationResult) -> dict:
 def serialize_result(result: ExplorationResult) -> dict:
     """``result_header`` plus every transition as its canonical object,
     canonically sorted and flagged ``violates``."""
-    coding = result.coding
+    flags = result.coding.violating.tolist()
     return dict(
         result_header(result),
         transitions=[
             dict(transition_to_json(t), violates=flag)
-            for t, flag in zip(coding.transitions, coding.violating.tolist())
+            for t, flag in zip(result.ordered_transitions, flags)
         ],
     )

@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .explorer import DomainMap, ExplorationResult, RelationCoding, violations
+from .explorer import DomainMap, ExplorationResult, violations
 from .lts import (
     State,
     Transition,
@@ -60,14 +60,14 @@ class MutationPlan:
 
 @dataclass(frozen=True, eq=False)
 class ChangedSystem:
-    """One applied plan as masks over the derived edges of ``coding``:
+    """One applied plan as masks over the derived edges of ``result.coding``:
     ``taken`` holds the derived part of the changed system's transitions,
     ``extra_taken`` the inserted transitions it reaches, ``masked`` the
     masked changed set (``u_changed``, always a subset of the derived
     relation) and ``violating`` its violating part.  The transition sets
     are built on first read."""
 
-    coding: RelationCoding
+    result: ExplorationResult
     taken: np.ndarray
     extra_taken: frozenset
     masked: np.ndarray
@@ -75,7 +75,7 @@ class ChangedSystem:
 
     def _transitions(self, mask: np.ndarray) -> frozenset:
         edges = np.flatnonzero(mask).tolist()
-        return frozenset(map(self.coding.transitions.__getitem__, edges))
+        return frozenset(map(self.result.ordered_transitions.__getitem__, edges))
 
     @functools.cached_property
     def t_changed(self) -> frozenset:
@@ -162,9 +162,9 @@ def generate_plan(
     order = result.variable_order
 
     pool = (
-        [t for t in result.coding.transitions if t.label == label_scope]
+        [t for t in result.ordered_transitions if t.label == label_scope]
         if label_scope is not None
-        else result.coding.transitions
+        else result.ordered_transitions
     )
     if n_missing > len(pool):
         raise MutationError(
@@ -183,7 +183,7 @@ def generate_plan(
             f"cannot draw {n_extra} distinct extra transitions from a space "
             f"of {space} with {occupied} already derived"
         )
-    states = result.coding.states
+    states = result.ordered_states
     value_pools = [domains[name].values() for name in order]
 
     extra: set[Transition] = set()
@@ -219,12 +219,12 @@ def apply_plan(result: ExplorationResult, plan: MutationPlan) -> ChangedSystem:
     """
     validate_plan(plan, result.transitions)
     coding = result.coding
+    ids = {state: i for i, state in enumerate(result.ordered_states)}
     missing = np.zeros(len(coding.key), dtype=bool)
-    missing[coding.edges(plan.missing)] = True
+    missing[coding.edges(plan.missing, ids)] = True
 
     # Inserted transitions may reach states the exploration never did; they
     # get the next ids, judged by the exploration's invariant.
-    ids = dict(coding.state_id)
     extra = tuple(plan.extra)
     extra_pre = np.array([ids.setdefault(t.pre, len(ids)) for t in extra], np.int64)
     extra_post = np.array([ids.setdefault(t.post, len(ids)) for t in extra], np.int64)
@@ -253,7 +253,7 @@ def apply_plan(result: ExplorationResult, plan: MutationPlan) -> ChangedSystem:
     masked = taken | missing
     violating = masked.copy()
     violating[masked], _ = violations(coding.pre[masked], coding.post[masked], coding.ok)
-    return ChangedSystem(coding, taken, extra_taken, masked, violating)
+    return ChangedSystem(result, taken, extra_taken, masked, violating)
 
 
 def _reachable(rows: np.ndarray, columns: np.ndarray, source: int) -> np.ndarray:
@@ -295,8 +295,8 @@ FAULT_METRICS = {
         _count(changed.masked), len(result.pre)
     ),
     "fault_analysability": lambda result, changed: fault_analysability(
-        _count(changed.coding.violating & changed.violating),
-        _count(changed.coding.violating | changed.violating),
+        _count(result.coding.violating & changed.violating),
+        _count(result.coding.violating | changed.violating),
     ),
 }
 

@@ -300,7 +300,7 @@ def gate_plans(draw):
     scope = draw(st.sampled_from([None, "up", "down"]))
     labels = [scope] if scope else ["up", "down"]
     derived = _GATE_RESULT.transitions
-    removable = [t for t in _GATE_RESULT.coding.transitions if t.label in labels]
+    removable = [t for t in _GATE_RESULT.ordered_transitions if t.label in labels]
     edges = (_gate(a, label, b) for a in range(7) for label in labels for b in range(7))
     insertable = [t for t in edges if t not in derived]
     return MutationPlan(
