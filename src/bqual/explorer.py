@@ -21,7 +21,7 @@ import resource
 import time
 from array import array
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -515,7 +515,7 @@ class ExplorationResult:
     @functools.cached_property
     def ordered_states(self) -> tuple[State, ...]:
         """The reachable states in canonical order: by ``coding`` id."""
-        return tuple(map(self.state_objects.__getitem__, self.coding.walk_ids.tolist()))
+        return tuple(self.coding.state_id)
 
     @functools.cached_property
     def ordered_transitions(self) -> tuple[Transition, ...]:
@@ -536,7 +536,6 @@ class RelationCoding:
     goes from state ``pre[i]`` to state ``post[i]``, and the exploration's
     ``ordered_states`` and ``ordered_transitions`` list the objects so."""
 
-    walk_ids: np.ndarray  # the walk id of each state id
     walk_edges: np.ndarray  # the walk index of each edge
     pre: np.ndarray
     label: np.ndarray
@@ -544,6 +543,7 @@ class RelationCoding:
     key: np.ndarray  # strictly increasing
     labels: tuple[str, ...]  # by code
     label_counts: dict[str, int]
+    state_id: dict[State, int]  # the exploration's state objects, by id
     ok: np.ndarray  # the invariant verdict of each state
     initial: np.ndarray  # ids of the initial states
     violating: np.ndarray  # mask of the violating edges
@@ -557,9 +557,8 @@ class RelationCoding:
         pre, label, post = rank[result.pre], relabel[result.label], rank[result.post]
         key = _edge_keys(pre, label, post, len(labels), len(rank))
         order = np.argsort(key)
-        walk_ids = np.argsort(rank)
+        walk_ids, states = np.argsort(rank), result.state_objects
         return cls(
-            walk_ids=walk_ids,
             walk_edges=order,
             pre=pre[order],
             label=label[order],
@@ -569,17 +568,16 @@ class RelationCoding:
             label_counts=dict(
                 zip(labels, np.bincount(label, minlength=len(labels)).tolist())
             ),
+            state_id={states[walk]: i for i, walk in enumerate(walk_ids.tolist())},
             ok=result.state_ok[walk_ids],
             initial=rank[: result.n_initial],
             violating=result.violates[order],
         )
 
-    def edges(
-        self, transitions: Iterable[Transition], ids: Mapping[State, int]
-    ) -> np.ndarray:
-        """The edge index of each of ``transitions``, which must be derived,
-        given the id of each state."""
+    def edges(self, transitions: Iterable[Transition]) -> np.ndarray:
+        """The edge index of each of ``transitions``, which must be derived."""
         code = {name: i for i, name in enumerate(self.labels)}
+        ids = self.state_id
         triples = np.array(
             [(ids[t.pre], code[t.label], ids[t.post]) for t in transitions], np.int64
         ).reshape(-1, 3)

@@ -219,12 +219,12 @@ def apply_plan(result: ExplorationResult, plan: MutationPlan) -> ChangedSystem:
     """
     validate_plan(plan, result.transitions)
     coding = result.coding
-    ids = {state: i for i, state in enumerate(result.ordered_states)}
     missing = np.zeros(len(coding.key), dtype=bool)
-    missing[coding.edges(plan.missing, ids)] = True
+    missing[coding.edges(plan.missing)] = True
 
     # Inserted transitions may reach states the exploration never did; they
     # get the next ids, judged by the exploration's invariant.
+    ids = dict(coding.state_id)
     extra = tuple(plan.extra)
     extra_pre = np.array([ids.setdefault(t.pre, len(ids)) for t in extra], np.int64)
     extra_post = np.array([ids.setdefault(t.post, len(ids)) for t in extra], np.int64)
