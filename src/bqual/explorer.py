@@ -553,7 +553,7 @@ class RelationCoding:
         rank, _ = row_ranks(result.rows, len(result.variable_order))
         names = [result.labels[code] for code in np.unique(result.label).tolist()]
         labels = tuple(sorted_labels(names))
-        relabel = np.searchsorted(labels, result.labels)  # for the names in use
+        relabel = np.searchsorted(labels, result.labels)  # unused names: never read
         pre, label, post = rank[result.pre], relabel[result.label], rank[result.post]
         key = _edge_keys(pre, label, post, len(labels), len(rank))
         order = np.argsort(key)
