@@ -31,7 +31,7 @@ from .explorer import (
     ExplorerError,
     explore,
     result_header,
-    serialize_result,
+    write_result,
 )
 from .alignment import DEFAULT_SIZE_GUARD
 from .lexer import LexError
@@ -134,13 +134,12 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         max_states=args.max_states,
         max_transitions=args.max_transitions,
     )
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            write_transitions_jsonl(result.edge_objects, handle)
-        serialized = result_header(result)
-    else:
-        serialized = serialize_result(result)
-    sys.stdout.write(json.dumps(serialized, indent=2) + "\n")
+    if not args.out:
+        write_result(result, sys.stdout)
+        return EXIT_OK
+    with open(args.out, "w", encoding="utf-8") as handle:
+        write_transitions_jsonl(result.edge_objects, handle)
+    sys.stdout.write(json.dumps(result_header(result), indent=2) + "\n")
     return EXIT_OK
 
 

@@ -10,13 +10,16 @@ a transition violates when its post-state breaks the invariant or has no
 outgoing transition (deadlock-freeness is checked always, as an inherent
 invariant).  A state whose successors a limit dropped is not a deadlock:
 the cut, not the machine, left it without outgoing transitions.  The
-``State`` and ``Transition`` sets are built only when a caller reads them.
+walk's ids are the only state and edge ids; the canonical order is one
+permutation of them, and the ``State`` and ``Transition`` sets are built
+only when a caller reads them.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import json
 import resource
 import time
 from array import array
@@ -431,8 +434,10 @@ class ExplorationResult:
     State ids are dense, in breadth-first order from the initial states:
     ``rows[i]`` holds state ``i``'s values and ``state_ok[i]`` its verdict.
     Edge ``j`` goes from ``pre[j]`` to ``post[j]`` by ``labels[label[j]]``
-    and violates when ``violates[j]``; states not ``live`` are deadlocks.
-    Ids never stand in for the canonical order (``coding``)."""
+    (label codes in canonical order) and violates when ``violates[j]``;
+    states not ``live`` are deadlocks.  These are the only state and edge
+    ids; the canonical order is one permutation of them, computed on first
+    read and used only where the order shows: the ``ordered_*`` views."""
 
     machine_name: str
     variable_order: tuple[str, ...]
@@ -508,85 +513,52 @@ class ExplorationResult:
         return self.transitions - self.violating
 
     @functools.cached_property
-    def coding(self) -> "RelationCoding":
-        """The derived relation in canonical order, coded on first use."""
-        return RelationCoding.of(self)
+    def state_id(self) -> dict[State, int]:
+        """The id of each of ``state_objects``."""
+        return {state: i for i, state in enumerate(self.state_objects)}
+
+    @functools.cached_property
+    def label_counts(self) -> dict[str, int]:
+        """The number of edges of each operation that has any, by label."""
+        counts = np.bincount(self.label, minlength=len(self.labels)).tolist()
+        return {name: n for name, n in zip(self.labels, counts) if n}
+
+    @functools.cached_property
+    def _canonical(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(rank, order, keys)``: each state's canonical rank, the edge ids
+        in canonical order and their (pre rank, label, post rank) keys, so
+        ``keys`` is strictly increasing."""
+        rank, _ = row_ranks(self.rows, len(self.variable_order))
+        keys = _edge_keys(rank, self.pre, self.label, self.post, len(self.labels))
+        order = np.argsort(keys)
+        return rank, order, keys[order]
 
     @functools.cached_property
     def ordered_states(self) -> tuple[State, ...]:
-        """The reachable states in canonical order: by ``coding`` id."""
-        return tuple(self.coding.state_id)
+        """The reachable states in canonical order."""
+        states = self.state_objects
+        return tuple(map(states.__getitem__, np.argsort(self._canonical[0]).tolist()))
 
     @functools.cached_property
     def ordered_transitions(self) -> tuple[Transition, ...]:
-        """The derived transitions in canonical order: by ``coding`` edge."""
+        """The derived transitions in canonical order."""
         edges = self.edge_objects
-        return tuple(map(edges.__getitem__, self.coding.walk_edges.tolist()))
-
-
-@dataclass(frozen=True, eq=False)
-class RelationCoding:
-    """An exploration's derived relation on canonical integer ids, so that
-    edited systems can be re-derived without touching one ``Transition``
-    per edge (``mutation.apply_plan``).
-
-    State ids are canonical ranks (``lts.row_ranks`` of the walk's rows)
-    and label codes follow the canonical label order, so ordering the edges
-    by ``key`` (pre, label, post) puts them in canonical order: edge ``i``
-    goes from state ``pre[i]`` to state ``post[i]``, and the exploration's
-    ``ordered_states`` and ``ordered_transitions`` list the objects so."""
-
-    walk_edges: np.ndarray  # the walk index of each edge
-    pre: np.ndarray
-    label: np.ndarray
-    post: np.ndarray
-    key: np.ndarray  # strictly increasing
-    labels: tuple[str, ...]  # by code
-    label_counts: dict[str, int]
-    state_id: dict[State, int]  # the exploration's state objects, by id
-    ok: np.ndarray  # the invariant verdict of each state
-    initial: np.ndarray  # ids of the initial states
-    violating: np.ndarray  # mask of the violating edges
-
-    @classmethod
-    def of(cls, result: ExplorationResult) -> "RelationCoding":
-        rank, _ = row_ranks(result.rows, len(result.variable_order))
-        names = [result.labels[code] for code in np.unique(result.label).tolist()]
-        labels = tuple(sorted_labels(names))
-        relabel = np.searchsorted(labels, result.labels)  # unused names: never read
-        pre, label, post = rank[result.pre], relabel[result.label], rank[result.post]
-        key = _edge_keys(pre, label, post, len(labels), len(rank))
-        order = np.argsort(key)
-        walk_ids, states = np.argsort(rank), result.state_objects
-        return cls(
-            walk_edges=order,
-            pre=pre[order],
-            label=label[order],
-            post=post[order],
-            key=key[order],
-            labels=labels,
-            label_counts=dict(
-                zip(labels, np.bincount(label, minlength=len(labels)).tolist())
-            ),
-            state_id={states[walk]: i for i, walk in enumerate(walk_ids.tolist())},
-            ok=result.state_ok[walk_ids],
-            initial=rank[: result.n_initial],
-            violating=result.violates[order],
-        )
+        return tuple(map(edges.__getitem__, self._canonical[1].tolist()))
 
     def edges(self, transitions: Iterable[Transition]) -> np.ndarray:
-        """The edge index of each of ``transitions``, which must be derived."""
+        """The edge id of each of ``transitions``, which must be derived."""
+        rank, order, keys = self._canonical
         code = {name: i for i, name in enumerate(self.labels)}
         ids = self.state_id
         triples = np.array(
             [(ids[t.pre], code[t.label], ids[t.post]) for t in transitions], np.int64
         ).reshape(-1, 3)
-        keys = _edge_keys(*triples.T, len(self.labels), len(self.ok))
-        return np.searchsorted(self.key, keys)
+        wanted = _edge_keys(rank, *triples.T, len(self.labels))
+        return order[np.searchsorted(keys, wanted)]
 
 
-def _edge_keys(pre, label, post, n_labels: int, n_states: int) -> np.ndarray:
-    return (pre * n_labels + label) * n_states + post
+def _edge_keys(rank, pre, label, post, n_labels: int) -> np.ndarray:
+    return (rank[pre] * n_labels + label) * len(rank) + rank[post]
 
 
 def explore(
@@ -606,7 +578,7 @@ def explore(
     order = machine.variables
     holds = compile_predicate(machine.invariant)
     init = compile_substitution(machine.initialisation, machine)
-    labels = tuple(dict.fromkeys(name for name, _ in machine.operations))
+    labels = tuple(sorted_labels(name for name, _ in machine.operations))
     ops = [
         (labels.index(name), compile_substitution(body, machine))
         for name, body in machine.operations
@@ -708,14 +680,16 @@ def result_header(result: ExplorationResult) -> dict:
     }
 
 
-def serialize_result(result: ExplorationResult) -> dict:
+def write_result(result: ExplorationResult, stream) -> None:
     """``result_header`` plus every transition as its canonical object,
-    canonically sorted and flagged ``violates``."""
-    flags = result.coding.violating.tolist()
-    return dict(
-        result_header(result),
-        transitions=[
-            dict(transition_to_json(t), violates=flag)
-            for t, flag in zip(result.ordered_transitions, flags)
-        ],
-    )
+    canonically sorted and flagged ``violates``: the ``json.dumps`` text of
+    that document at indent 2, written one transition at a time."""
+    head = json.dumps(result_header(result), indent=2)
+    stream.write(head[: -len("\n}")] + ',\n  "transitions": [')
+    flags = result.violates[result._canonical[1]].tolist()
+    separator = "\n"
+    for t, flag in zip(result.ordered_transitions, flags):
+        entry = json.dumps(dict(transition_to_json(t), violates=flag), indent=2)
+        stream.write(separator + "    " + entry.replace("\n", "\n    "))
+        separator = ",\n"
+    stream.write("\n  ]\n}\n" if flags else "]\n}\n")

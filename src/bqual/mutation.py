@@ -3,11 +3,12 @@
 Faults live at the transition-system level: a plan inserts transitions
 that the machine never derived and removes transitions it did derive.
 The edited relation is then re-derived from the initial states by a sparse
-breadth-first order over the exploration's integer-coded relation
-(``ExplorationResult.coding``), under the exploration's invariant verdicts
-(states only a plan reaches are judged by its compiled invariant, per
-plan), and the edits themselves are masked out before the changed system
-is judged by the exploration's own violation rule, ``explorer.violations``.
+breadth-first order over the exploration's own ``pre``/``label``/``post``
+arrays, under its invariant verdicts (states only a plan reaches are
+judged by its compiled invariant, per plan), and the edits themselves are
+masked out before the changed system is judged by the exploration's own
+violation rule, ``explorer.violations``.  Changed systems are masks over
+the exploration's edge ids.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ class MutationPlan:
 
 @dataclass(frozen=True, eq=False)
 class ChangedSystem:
-    """One applied plan as masks over the derived edges of ``result.coding``:
+    """One applied plan as masks over the derived edges of ``result``:
     ``taken`` holds the derived part of the changed system's transitions,
     ``extra_taken`` the inserted transitions it reaches, ``masked`` the
     masked changed set (``u_changed``, always a subset of the derived
@@ -75,7 +76,7 @@ class ChangedSystem:
 
     def _transitions(self, mask: np.ndarray) -> frozenset:
         edges = np.flatnonzero(mask).tolist()
-        return frozenset(map(self.result.ordered_transitions.__getitem__, edges))
+        return frozenset(map(self.result.edge_objects.__getitem__, edges))
 
     @functools.cached_property
     def t_changed(self) -> frozenset:
@@ -218,20 +219,20 @@ def apply_plan(result: ExplorationResult, plan: MutationPlan) -> ChangedSystem:
     rule, with deadlock relative to the masked set itself.
     """
     validate_plan(plan, result.transitions)
-    coding = result.coding
-    missing = np.zeros(len(coding.key), dtype=bool)
-    missing[coding.edges(plan.missing)] = True
+    pre, post = result.pre, result.post
+    missing = np.zeros(len(pre), dtype=bool)
+    missing[result.edges(plan.missing)] = True
 
     # Inserted transitions may reach states the exploration never did; they
     # get the next ids, judged by the exploration's invariant.
-    ids = dict(coding.state_id)
+    ids = dict(result.state_id)
     extra = tuple(plan.extra)
     extra_pre = np.array([ids.setdefault(t.pre, len(ids)) for t in extra], np.int64)
     extra_post = np.array([ids.setdefault(t.post, len(ids)) for t in extra], np.int64)
     order = result.variable_order
-    fresh = itertools.islice(ids, len(coding.ok), None)
+    fresh = itertools.islice(ids, len(result.rows), None)
     verdicts = [result.holds(dict(zip(order, state.values))) for state in fresh]
-    ok = np.concatenate((coding.ok, np.array(verdicts, dtype=bool)))
+    ok = np.concatenate((result.state_ok, np.array(verdicts, dtype=bool)))
 
     # The walk follows the edges out of states that satisfy the invariant,
     # from a virtual source that feeds the initial states.  Derived edges
@@ -239,20 +240,19 @@ def apply_plan(result: ExplorationResult, plan: MutationPlan) -> ChangedSystem:
     follow = ~missing
     extra_follow = ok[extra_pre]
     source = len(ok)
-    feeds = np.full(len(coding.initial), source)
-    rows = np.concatenate((coding.pre[follow], extra_pre[extra_follow], feeds))
-    columns = np.concatenate(
-        (coding.post[follow], extra_post[extra_follow], coding.initial)
-    )
+    feeds = np.full(result.n_initial, source)
+    rows = np.concatenate((pre[follow], extra_pre[extra_follow], feeds))
+    initial = np.arange(result.n_initial)
+    columns = np.concatenate((post[follow], extra_post[extra_follow], initial))
     reached = _reachable(rows, columns, source)
 
-    taken = follow & reached[coding.pre]
+    taken = follow & reached[pre]
     extra_taken = frozenset(
         itertools.compress(extra, (extra_follow & reached[extra_pre]).tolist())
     )
     masked = taken | missing
     violating = masked.copy()
-    violating[masked], _ = violations(coding.pre[masked], coding.post[masked], coding.ok)
+    violating[masked], _ = violations(pre[masked], post[masked], result.state_ok)
     return ChangedSystem(result, taken, extra_taken, masked, violating)
 
 
@@ -295,8 +295,8 @@ FAULT_METRICS = {
         _count(changed.masked), len(result.pre)
     ),
     "fault_analysability": lambda result, changed: fault_analysability(
-        _count(result.coding.violating & changed.violating),
-        _count(result.coding.violating | changed.violating),
+        _count(result.violates & changed.violating),
+        _count(result.violates | changed.violating),
     ),
 }
 
@@ -369,7 +369,7 @@ def per_operation_counts(
     Insertions cannot exceed the operation's free label space, nor removals
     its transitions."""
     per_op = {}
-    for op, count in result.coding.label_counts.items():
+    for op, count in result.label_counts.items():
         space, occupied = _extra_space(result, domains, [op], n_extra, count)
         per_op[op] = (min(n_extra, space - occupied), min(n_missing, count))
     return per_op
@@ -424,17 +424,16 @@ def _modularity(
     With ``op`` erased, the changed system's derived part lies inside the
     derived system, so the two share exactly that part, and their union is
     the derived system plus the inserted transitions taken."""
-    coding = result.coding
-    counts = coding.label_counts
+    counts = result.label_counts
     per_op: dict[str, Fraction] = {}
-    for code, op in enumerate(coding.labels):
+    for op, count in counts.items():
         changed = changed_by(op)
         if changed is None:
             per_op[op] = Fraction(1)
             continue
-        common = _count(changed.taken & (coding.label != code))
+        common = _count(changed.taken & (result.label != result.labels.index(op)))
         inserted = sum(1 for t in changed.extra_taken if t.label != op)
-        union = len(coding.key) - counts[op] + inserted
+        union = len(result.pre) - count + inserted
         per_op[op] = modularity_of(op, common, union)
     return per_op, weighted_modularity(per_op, counts)
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import io
 import itertools
+import json
 
 import pytest
 
@@ -15,7 +17,7 @@ from bqual.explorer import (
     check_goal,
     explore,
     infer_domains,
-    serialize_result,
+    write_result,
 )
 from bqual.lts import State, boolval, enumval, intval
 from bqual.parser import parse_machine, parse_predicate
@@ -430,7 +432,9 @@ class TestMetering:
 
 
 def test_serialize_result_summary(cm4_result):
-    blob = serialize_result(cm4_result)
+    text = io.StringIO()
+    write_result(cm4_result, text)
+    blob = json.loads(text.getvalue())
     assert blob["summary"]["transitions"] == 1465
     assert blob["summary"]["violating_transitions"] == 25
     assert len(blob["transitions"]) == 1465

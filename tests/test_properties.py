@@ -194,8 +194,9 @@ def test_appropriateness_of_superset_pairs(t):
 # cases the walk must get right: an ANY whose body ignores a bound
 # identifier and overlapping SELECT branches (duplicate successors), posts
 # that leave the domain or hit a banned value (invariant violations),
-# uncovered guards (deadlocks) and arithmetic on a boolean (an error only
-# once the state that runs it is reached).
+# uncovered guards (deadlocks), arithmetic on a boolean (an error only
+# once the state that runs it is reached) and an operation that never
+# fires, under names declared in any order.
 
 
 @st.composite
@@ -218,9 +219,11 @@ def small_machines(draw):
         ),
         lambda: f"PRE x = {x()} THEN y := 1 - y END",
         lambda: f"PRE x = {x()} & y = 1 THEN x := x + TRUE END",
+        lambda: "PRE x < 0 THEN x := 0 END",
     ]
     picks = draw(st.lists(st.sampled_from(templates), min_size=1, max_size=4))
-    operations = "; ".join(f"op{i} = {template()}" for i, template in enumerate(picks))
+    names = draw(st.permutations([f"op{i}" for i in range(len(picks))]))
+    operations = "; ".join(f"{name} = {pick()}" for name, pick in zip(names, picks))
     initialisation = draw(st.sampled_from(
         ["x := 0; y := 0", "ANY v WHERE v : 0..1 THEN x := v; y := v END"]
     ))
@@ -237,8 +240,8 @@ def _explored(run):
     try:
         result = run()
     except ExplorerError as exc:
-        return type(exc)
-    return (
+        return type(exc), None
+    sets = (
         result.initial_states,
         result.states,
         result.transitions,
@@ -246,6 +249,7 @@ def _explored(run):
         result.deadlock_states,
         result.truncated,
     )
+    return sets, result
 
 
 # From x = 0 the ANY yields x := 0 and x := 1 twice each, so with a bound
@@ -254,6 +258,14 @@ _DUPLICATES = (
     "MACHINE Dup VARIABLES x, y INVARIANT x : 0..2 & y : 0..1 "
     "INITIALISATION x := 0; y := 0 OPERATIONS "
     "op0 = ANY a, b WHERE a : 0..1 & b : 0..1 THEN x := a END END"
+)
+# Operations declared out of code-point order, one of which never fires;
+# from x = 2 both of the others fire, so their codes order its edges.
+_UNORDERED = (
+    "MACHINE Unordered VARIABLES x, y INVARIANT x : 0..3 & y : 0..1 "
+    "INITIALISATION x := 0; y := 0 OPERATIONS "
+    "zeta = PRE x < 3 THEN x := x + 1 END; never = PRE x < 0 THEN x := 0 END; "
+    "alpha = PRE x >= 2 THEN y := 1 - y END END"
 )
 
 
@@ -265,13 +277,23 @@ _DUPLICATES = (
 @example(_DUPLICATES, None, 1)
 @example(_DUPLICATES, None, 2)
 @example(_DUPLICATES, 1, None)
+@example(_UNORDERED, None, None)
 @settings(max_examples=300, deadline=None)
 def test_explore_matches_object_walk(source, max_states, max_transitions):
     machine = parse_machine(source)
     limits = {"max_states": max_states, "max_transitions": max_transitions}
     limits = {name: value for name, value in limits.items() if value is not None}
-    got = _explored(lambda: explore(machine, meter_memory=False, **limits))
-    assert got == _explored(lambda: independent_explore(machine, **limits))
+    got, result = _explored(lambda: explore(machine, meter_memory=False, **limits))
+    want, oracle = _explored(lambda: independent_explore(machine, **limits))
+    assert got == want
+    if result is None:
+        return
+    # One id space: the canonical order is a permutation of the walk's edges.
+    ordered = list(result.ordered_transitions)
+    assert ordered == sorted_transitions(result.transitions)
+    assert [result.edge_objects[i] for i in result.edges(ordered)] == ordered
+    counts = label_counts(oracle.transitions)
+    assert list(result.label_counts.items()) == sorted(counts.items())
 
 
 # --- fault injection on the coded relation --------------------------------------
