@@ -26,7 +26,6 @@ from .explorer import (
     DEFAULT_MAX_TRANSITIONS,
     ExplorationResult,
     explore,
-    infer_domains,
 )
 from .lexer import word_count
 from .lts import pairs_of, read_transitions_jsonl
@@ -180,7 +179,6 @@ def default_mutation_count(transition_count: int) -> int:
 def evaluate(config: EvaluationConfig) -> QualityReport:
     source = Path(config.machine_path).read_text(encoding="utf-8")
     machine = parse_machine(source)
-    domains = infer_domains(machine)
     result = explore(
         machine,
         max_states=config.max_states,
@@ -265,20 +263,12 @@ def evaluate(config: EvaluationConfig) -> QualityReport:
         n_default = default_mutation_count(len(result.pre))
         n_extra = config.n_extra if config.n_extra is not None else n_default
         n_missing = config.n_missing if config.n_missing is not None else n_default
-        outcome = run_trials(
-            result,
-            domains,
-            config.trials,
-            n_extra,
-            n_missing,
-            seed,
-            labels=machine.operation_names,
-        )
+        outcome = run_trials(result, config.trials, n_extra, n_missing, seed)
         values = outcome.means
         reasons = dict.fromkeys(FAULT_METRICS, "not computable in any trial")
         report.trial_exclusions = outcome.exclusions
-        per_op_counts = per_operation_counts(result, domains, n_extra, n_missing)
-        sweep = partial(modularity_sweep, result, domains, per_op_counts, seed)
+        per_op_counts = per_operation_counts(result, n_extra, n_missing)
+        sweep = partial(modularity_sweep, result, per_op_counts, seed)
         mutation_prov = {
             "mode": "seeded",
             "trials": config.trials,

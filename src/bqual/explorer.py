@@ -437,7 +437,10 @@ class ExplorationResult:
     (label codes in canonical order) and violates when ``violates[j]``;
     states not ``live`` are deadlocks.  These are the only state and edge
     ids; the canonical order is one permutation of them, computed on first
-    read and used only where the order shows: the ``ordered_*`` views."""
+    read and used only where the order shows: ``ordered_transitions``,
+    ``edges`` and the seeded draws.  ``domains`` holds the variable domains
+    inferred from the invariant, from which fault injection draws
+    post-states."""
 
     machine_name: str
     variable_order: tuple[str, ...]
@@ -453,6 +456,7 @@ class ExplorationResult:
     truncated: bool
     cpu_seconds: float
     peak_memory_bytes: int
+    domains: DomainMap = field(repr=False)
     holds: Callable[[dict], bool] = field(repr=False)  # the compiled invariant
 
     @property
@@ -509,10 +513,6 @@ class ExplorationResult:
         return frozenset(itertools.compress(self.edge_objects, self.violates.tolist()))
 
     @functools.cached_property
-    def ok(self) -> frozenset:
-        return self.transitions - self.violating
-
-    @functools.cached_property
     def state_id(self) -> dict[State, int]:
         """The id of each of ``state_objects``."""
         return {state: i for i, state in enumerate(self.state_objects)}
@@ -532,12 +532,6 @@ class ExplorationResult:
         keys = _edge_keys(rank, self.pre, self.label, self.post, len(self.labels))
         order = np.argsort(keys)
         return rank, order, keys[order]
-
-    @functools.cached_property
-    def ordered_states(self) -> tuple[State, ...]:
-        """The reachable states in canonical order."""
-        states = self.state_objects
-        return tuple(map(states.__getitem__, np.argsort(self._canonical[0]).tolist()))
 
     @functools.cached_property
     def ordered_transitions(self) -> tuple[Transition, ...]:
@@ -574,7 +568,7 @@ def explore(
     successor that would pass a limit is dropped and cuts its state (even a
     duplicate, which otherwise collapses); ``truncated`` says if any was.
     """
-    infer_domains(machine)  # every variable must have an enumerable domain
+    domains = infer_domains(machine)
     order = machine.variables
     holds = compile_predicate(machine.invariant)
     init = compile_substitution(machine.initialisation, machine)
@@ -651,6 +645,7 @@ def explore(
         truncated=bool(cut),
         cpu_seconds=cpu_seconds,
         peak_memory_bytes=peak,
+        domains=domains,
         holds=holds,
     )
 

@@ -426,10 +426,10 @@ def sorted_labels(labels: Iterable[str]) -> list[str]:
 
 
 def write_transitions_jsonl(transitions: Iterable[Transition], stream) -> int:
-    """Write one canonical JSON object per line, canonically sorted.
+    """Write one canonical JSON object per line, in the order given.
     Returns the number of lines written."""
     count = 0
-    for t in sorted_transitions(transitions):
+    for t in transitions:
         stream.write(json.dumps(transition_to_json(t), separators=(", ", ": ")))
         stream.write("\n")
         count += 1

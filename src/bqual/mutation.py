@@ -9,11 +9,15 @@ judged by its compiled invariant, per plan), and the edits themselves are
 masked out before the changed system is judged by the exploration's own
 violation rule, ``explorer.violations``.  Changed systems are masks over
 the exploration's edge ids.
+
+A seeded plan draws from the exploration alone: its states, its
+operations and the variable domains ``explore`` inferred
+(``ExplorationResult.domains``).  Its only other inputs are the two counts,
+the seed and an optional operation scope.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
@@ -25,11 +29,10 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .explorer import DomainMap, ExplorationResult, violations
+from .explorer import ExplorationResult, violations
 from .lts import (
     State,
     Transition,
-    sorted_labels,
     sorted_transitions,
     transition_from_json,
     transition_to_json,
@@ -61,50 +64,30 @@ class MutationPlan:
 
 @dataclass(frozen=True, eq=False)
 class ChangedSystem:
-    """One applied plan as masks over the derived edges of ``result``:
+    """One applied plan as masks over the derived edges of its exploration:
     ``taken`` holds the derived part of the changed system's transitions,
     ``extra_taken`` the inserted transitions it reaches, ``masked`` the
     masked changed set (``u_changed``, always a subset of the derived
-    relation) and ``violating`` its violating part.  The transition sets
-    are built on first read."""
+    relation) and ``violating`` its violating part."""
 
-    result: ExplorationResult
     taken: np.ndarray
     extra_taken: frozenset
     masked: np.ndarray
     violating: np.ndarray
 
-    def _transitions(self, mask: np.ndarray) -> frozenset:
-        edges = np.flatnonzero(mask).tolist()
-        return frozenset(map(self.result.edge_objects.__getitem__, edges))
-
-    @functools.cached_property
-    def t_changed(self) -> frozenset:
-        return self._transitions(self.taken) | self.extra_taken
-
-    @functools.cached_property
-    def u_changed(self) -> frozenset:
-        return self._transitions(self.masked)
-
-    @functools.cached_property
-    def u_ok(self) -> frozenset:
-        return self._transitions(self.masked & ~self.violating)
-
-    @functools.cached_property
-    def u_violating(self) -> frozenset:
-        return self._transitions(self.violating)
-
 
 def validate_plan(plan: MutationPlan, t_derived: frozenset) -> None:
+    """Reject a plan that does not edit ``t_derived``; each message names
+    the first offending transition in canonical order."""
     overlap = plan.extra & t_derived
     if overlap:
         raise MutationError(
-            f"extra transition {next(iter(overlap))!r} is already derived"
+            f"extra transition {sorted_transitions(overlap)[0]!r} is already derived"
         )
     stray = plan.missing - t_derived
     if stray:
         raise MutationError(
-            f"missing transition {next(iter(stray))!r} is not derived"
+            f"missing transition {sorted_transitions(stray)[0]!r} is not derived"
         )
     if plan.extra & plan.missing:
         raise MutationError("a transition cannot be both extra and missing")
@@ -115,22 +98,18 @@ def validate_plan(plan: MutationPlan, t_derived: frozenset) -> None:
         if off_label:
             raise MutationError(
                 f"plan is scoped to {plan.label_scope!r} but touches "
-                f"{next(iter(off_label)).label!r}"
+                f"{sorted_transitions(off_label)[0].label!r}"
             )
 
 
 def _extra_space(
-    result: ExplorationResult,
-    domains: DomainMap,
-    labels: list[str],
-    n_extra: int,
-    derived: int,
+    result: ExplorationResult, labels: list[str], n_extra: int, derived: int
 ) -> tuple[int, int]:
     """``(space, occupied)`` for extra transitions over ``labels``: the size
     of the pre-state x label x post-valuation space they are drawn from, and
     how many derived transitions lie in it.  ``derived`` bounds that count;
     when ``n_extra`` fits beside the bound, the bound is returned uncounted."""
-    order = result.variable_order
+    order, domains = result.variable_order, result.domains
     product_size = math.prod(len(domains[name].values()) for name in order)
     space = len(result.rows) * len(labels) * product_size
     occupied = min(derived, space)
@@ -145,8 +124,6 @@ def _extra_space(
 
 def generate_plan(
     result: ExplorationResult,
-    domains: DomainMap,
-    labels: Iterable[str],
     n_extra: int,
     n_missing: int,
     seed: int,
@@ -155,12 +132,18 @@ def generate_plan(
     """Draw a random plan, fully determined by ``seed``.
 
     Removals are sampled uniformly without replacement from the derived
-    transitions; insertions combine a reachable pre-state, a label, and a
-    post-state drawn from the product of the variable domains, rejecting
-    anything already derived or already drawn.
+    transitions; insertions combine a reachable pre-state, a label (the
+    machine's operations, or only ``label_scope``), and a post-state drawn
+    from the product of the variable domains, rejecting anything already
+    derived or already drawn.
     """
+    for name, count in (("n_extra", n_extra), ("n_missing", n_missing)):
+        if count < 0:
+            raise MutationError(f"{name} must not be negative, got {count}")
+    if label_scope is not None and label_scope not in result.labels:
+        raise MutationError(f"plan is scoped to an unknown operation {label_scope!r}")
     rng = random.Random(seed)
-    order = result.variable_order
+    order, domains = result.variable_order, result.domains
 
     pool = (
         [t for t in result.ordered_transitions if t.label == label_scope]
@@ -173,18 +156,17 @@ def generate_plan(
         )
     missing = frozenset(rng.sample(pool, n_missing)) if n_missing else frozenset()
 
-    label_pool = [label_scope] if label_scope is not None else sorted_labels(labels)
+    label_pool = [label_scope] if label_scope is not None else list(result.labels)
     if n_extra and not label_pool:
         raise MutationError("no labels to draw extra transitions from")
-    space, occupied = _extra_space(
-        result, domains, label_pool, n_extra, len(result.pre)
-    )
+    space, occupied = _extra_space(result, label_pool, n_extra, len(result.pre))
     if n_extra > space - occupied:
         raise MutationError(
             f"cannot draw {n_extra} distinct extra transitions from a space "
             f"of {space} with {occupied} already derived"
         )
-    states = result.ordered_states
+    states = result.state_objects
+    by_rank = np.argsort(result._canonical[0]).tolist()  # ids in canonical order
     value_pools = [domains[name].values() for name in order]
 
     extra: set[Transition] = set()
@@ -195,7 +177,7 @@ def generate_plan(
             raise MutationError(
                 "too many rejected draws while generating extra transitions"
             )
-        pre = rng.choice(states)
+        pre = states[rng.choice(by_rank)]
         label = rng.choice(label_pool)
         post = State(order, tuple(rng.choice(values) for values in value_pools))
         candidate = Transition(pre, label, post)
@@ -253,7 +235,7 @@ def apply_plan(result: ExplorationResult, plan: MutationPlan) -> ChangedSystem:
     masked = taken | missing
     violating = masked.copy()
     violating[masked], _ = violations(pre[masked], post[masked], result.state_ok)
-    return ChangedSystem(result, taken, extra_taken, masked, violating)
+    return ChangedSystem(taken, extra_taken, masked, violating)
 
 
 def _reachable(rows: np.ndarray, columns: np.ndarray, source: int) -> np.ndarray:
@@ -324,13 +306,7 @@ def trial_metrics(
 
 
 def run_trials(
-    result: ExplorationResult,
-    domains: DomainMap,
-    trial_count: int,
-    n_extra: int,
-    n_missing: int,
-    seed: int,
-    labels: Iterable[str],
+    result: ExplorationResult, trial_count: int, n_extra: int, n_missing: int, seed: int
 ) -> TrialOutcome:
     """Average the fault-injection metrics over seeded trials.
 
@@ -342,9 +318,7 @@ def run_trials(
         raise MutationError("trial count must be at least 1")
     samples: dict[str, list] = {name: [] for name in FAULT_METRICS}
     for i in range(trial_count):
-        plan = generate_plan(
-            result, domains, labels, n_extra, n_missing, seed ^ i
-        )
+        plan = generate_plan(result, n_extra, n_missing, seed ^ i)
         values, _ = trial_metrics(result, apply_plan(result, plan))
         for name, value in values.items():
             if value is not None:
@@ -363,23 +337,20 @@ def _op_seed(seed: int, op: str) -> int:
 
 
 def per_operation_counts(
-    result: ExplorationResult, domains: DomainMap, n_extra: int, n_missing: int
+    result: ExplorationResult, n_extra: int, n_missing: int
 ) -> dict[str, tuple[int, int]]:
     """``(n_extra, n_missing)`` of each operation's label-scoped plan.
     Insertions cannot exceed the operation's free label space, nor removals
     its transitions."""
     per_op = {}
     for op, count in result.label_counts.items():
-        space, occupied = _extra_space(result, domains, [op], n_extra, count)
+        space, occupied = _extra_space(result, [op], n_extra, count)
         per_op[op] = (min(n_extra, space - occupied), min(n_missing, count))
     return per_op
 
 
 def modularity_sweep(
-    result: ExplorationResult,
-    domains: DomainMap,
-    per_op_counts: Mapping[str, tuple[int, int]],
-    seed: int,
+    result: ExplorationResult, per_op_counts: Mapping[str, tuple[int, int]], seed: int
 ) -> tuple[dict, Fraction]:
     """Per-operation modularity from label-scoped plans, plus the
     transition-share-weighted total."""
@@ -389,13 +360,7 @@ def modularity_sweep(
             raise MutationError(f"no mutation counts for operation {op!r}")
         n_extra, n_missing = per_op_counts[op]
         plan = generate_plan(
-            result,
-            domains,
-            [op],
-            n_extra,
-            n_missing,
-            _op_seed(seed, op),
-            label_scope=op,
+            result, n_extra, n_missing, _op_seed(seed, op), label_scope=op
         )
         return apply_plan(result, plan)
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from collections import Counter
@@ -192,6 +193,23 @@ def independent_apply(result, plan, invariant):
     outs = {t.pre for t in u_changed}
     u_violating = {t for t in u_changed if not ok(t.post) or t.post not in outs}
     return t_changed, u_changed, u_violating
+
+
+def changed_sets(result, changed) -> SimpleNamespace:
+    """The transition sets of a changed system of ``result``, from its masks
+    over the derived edges: ``t_changed`` (the transitions the changed
+    system takes, inserted ones included), ``u_changed`` (the masked set),
+    and its ``u_ok`` and ``u_violating`` parts."""
+
+    def transitions(mask):
+        return frozenset(itertools.compress(result.edge_objects, mask.tolist()))
+
+    return SimpleNamespace(
+        t_changed=transitions(changed.taken) | changed.extra_taken,
+        u_changed=transitions(changed.masked),
+        u_ok=transitions(changed.masked & ~changed.violating),
+        u_violating=transitions(changed.violating),
+    )
 
 
 class Verdicts(dict):

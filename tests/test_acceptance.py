@@ -8,7 +8,7 @@ from fractions import Fraction
 
 from bqual.alignment import similarity
 from bqual.evaluation import load_required
-from bqual.explorer import explore, infer_domains
+from bqual.explorer import explore
 from bqual.lts import set_size
 from bqual.metrics import (
     accountability,
@@ -36,6 +36,7 @@ from bqual.evaluation import parse_goals
 from conftest import (
     PROPERTY_ORDER,
     brute_force_similarity,
+    changed_sets,
     corpus_path,
     corpus_source,
     erased_sizes,
@@ -97,7 +98,7 @@ def test_criterion_05_cm1_with_explicit_plan(cm1_result, cm1_machine, cm5_result
         corpus_path("cm5-plan.json"), ORDER, cm1_machine.element_sets
     )
     changed = apply_plan(cm1_result, plan)
-    assert len(changed.u_changed) == 1050
+    assert len(changed_sets(cm1_result, changed).u_changed) == 1050
     values, _ = trial_metrics(cm1_result, changed)
     assert values["fault_tolerance"] == 1 - Fraction(1, 1050)
     assert values["recoverability"] == Fraction(1049, 1440)
@@ -118,7 +119,7 @@ def test_criterion_06_cm6_recoverability(cm6_result, cm6_machine):
     plan = load_plan(
         corpus_path("cm5-plan.json"), ORDER, cm6_machine.element_sets
     )
-    changed = apply_plan(cm6_result, plan)
+    changed = changed_sets(cm6_result, apply_plan(cm6_result, plan))
     derived = cm6_result.transitions
     assert recoverability(len(changed.u_ok & derived), len(derived)) == 1
     ok(6, "CM6 + same plan: recoverability 1")
@@ -154,10 +155,9 @@ def test_criterion_09_similarity_oracle():
     ok(9, "similarity equals the brute-force matching maximum on 500 instances")
 
 
-def test_criterion_10_property_suite(cm1_result, cm1_machine):
+def test_criterion_10_property_suite(cm1_result):
     rng = random.Random(0x25010)
     full_length = 2 * len(PROPERTY_ORDER) + 1
-    domains = infer_domains(cm1_machine)
     cases = 10_000
     for case in range(cases):
         t_d = random_transition_set(rng)
@@ -186,17 +186,13 @@ def test_criterion_10_property_suite(cm1_result, cm1_machine):
         assert 0 <= fault_analysability(*jaccard_sizes(t_d, t_r)) <= 1
         if case % 500 == 0:
             seed = rng.randrange(2**32)
-            first = generate_plan(
-                cm1_result, domains, cm1_machine.operation_names, 3, 3, seed
-            )
-            second = generate_plan(
-                cm1_result, domains, cm1_machine.operation_names, 3, 3, seed
-            )
+            first = generate_plan(cm1_result, 3, 3, seed)
+            second = generate_plan(cm1_result, 3, 3, seed)
             assert first == second
     ok(10, f"{cases} random cases: ranges, partial>=total, symmetry, bound, determinism")
 
 
-def test_criterion_11_mutated_variant_diverges(request, cm1_result, cm1_machine):
+def test_criterion_11_mutated_variant_diverges(request, cm1_result):
     t_r = cm1_result.transitions
     for name in ("cm1", "cm2", "cm3", "cm4", "cm5", "cm6"):
         t_self = request.getfixturevalue(f"{name}_result").transitions
@@ -205,15 +201,8 @@ def test_criterion_11_mutated_variant_diverges(request, cm1_result, cm1_machine)
         assert tfappr(t_self, t_self) == 1
 
     five_percent = max(1, -(-len(t_r) * 5 // 100))
-    plan = generate_plan(
-        cm1_result,
-        infer_domains(cm1_machine),
-        cm1_machine.operation_names,
-        five_percent,
-        five_percent,
-        seed=0,
-    )
-    variant = apply_plan(cm1_result, plan).t_changed
+    plan = generate_plan(cm1_result, five_percent, five_percent, seed=0)
+    variant = changed_sets(cm1_result, apply_plan(cm1_result, plan)).t_changed
     assert tfcomp(variant, t_r) < 1
     assert tfcorr(variant, t_r) < 1
     ok(11, "self-evaluation all-ones; 5% seeded mutant strictly lowers tfcomp and tfcorr")

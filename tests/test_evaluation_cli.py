@@ -501,6 +501,13 @@ class TestCli:
         result = run_cli("evaluate", "--machine", "/nonexistent.mch")
         assert result.returncode == 1
 
+    @pytest.mark.parametrize("flag", ["--n-extra", "--n-missing"])
+    def test_negative_mutation_count_exit_one(self, flag):
+        result = run_cli("evaluate", "--machine", CM1, "--trials", "1", flag, "-3")
+        assert result.returncode == 1
+        name = flag[2:].replace("-", "_")
+        assert result.stderr == f"bqual: {name} must not be negative, got -3\n"
+
     def test_truncation_without_strict_exits_zero(self):
         result = run_cli(
             "evaluate", "--machine", CM1, "--max-states", "10",

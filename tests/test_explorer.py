@@ -147,13 +147,6 @@ class TestExploreClocks:
     def test_all_clocks_complete_within_default_limits(self, request, name):
         assert not request.getfixturevalue(f"{name}_result").truncated
 
-    def test_partition_invariant(self, cm4_result):
-        assert cm4_result.ok | cm4_result.violating == cm4_result.transitions
-        assert not (cm4_result.ok & cm4_result.violating)
-        assert len(cm4_result.ok) + len(cm4_result.violating) == len(
-            cm4_result.transitions
-        )
-
     def test_initial_states_included(self, cm1_result):
         assert cm1_result.initial_states <= cm1_result.states
         for t in itertools.islice(cm1_result.transitions, 50):

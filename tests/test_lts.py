@@ -20,6 +20,7 @@ from bqual.lts import (
     pairs_of,
     read_transitions_jsonl,
     set_size,
+    sorted_transitions,
     transition_from_json,
     transition_to_json,
     write_transitions_jsonl,
@@ -190,7 +191,7 @@ class TestJson:
             clock_transition((0, 0), "a", (0, 1)),
         }
         buffer = io.StringIO()
-        assert write_transitions_jsonl(transitions, buffer) == 2
+        assert write_transitions_jsonl(sorted_transitions(transitions), buffer) == 2
         lines = buffer.getvalue().splitlines()
         assert json.loads(lines[0])["pre"] == {"hour": 0, "minute": 0}
         buffer.seek(0)

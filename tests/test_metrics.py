@@ -195,7 +195,8 @@ class TestFaultMetrics:
 
     def test_recoverability_bounds(self, cm1_result):
         derived = cm1_result.transitions
-        assert recoverability(len(cm1_result.ok & derived), len(derived)) == 1
+        ok = derived - cm1_result.violating
+        assert recoverability(len(ok & derived), len(derived)) == 1
         assert recoverability(0, len(derived)) == 0
 
     def test_functional_analysability_identical(self, cm1_result):

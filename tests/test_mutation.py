@@ -27,7 +27,7 @@ from bqual.mutation import (
     validate_plan,
 )
 
-from conftest import corpus_path, erased_sizes, independent_apply
+from conftest import changed_sets, corpus_path, erased_sizes, independent_apply
 
 ORDER = ("hour", "minute")
 
@@ -102,26 +102,20 @@ class TestValidatePlan:
 
 
 class TestGeneratePlan:
-    def test_deterministic(self, cm1_result, cm1_machine):
-        domains = infer_domains(cm1_machine)
-        labels = cm1_machine.operation_names
-        a = generate_plan(cm1_result, domains, labels, 4, 4, seed=11)
-        b = generate_plan(cm1_result, domains, labels, 4, 4, seed=11)
+    def test_deterministic(self, cm1_result):
+        a = generate_plan(cm1_result, 4, 4, seed=11)
+        b = generate_plan(cm1_result, 4, 4, seed=11)
         assert a == b
-        c = generate_plan(cm1_result, domains, labels, 4, 4, seed=12)
+        c = generate_plan(cm1_result, 4, 4, seed=12)
         assert c != a
 
-    def test_empty_counts(self, cm1_result, cm1_machine):
-        plan = generate_plan(
-            cm1_result, infer_domains(cm1_machine), cm1_machine.operation_names, 0, 0, 5
-        )
+    def test_empty_counts(self, cm1_result):
+        plan = generate_plan(cm1_result, 0, 0, 5)
         assert plan.extra == frozenset() and plan.missing == frozenset()
 
     def test_draws_respect_structure(self, cm1_result, cm1_machine):
         domains = infer_domains(cm1_machine)
-        plan = generate_plan(
-            cm1_result, domains, cm1_machine.operation_names, 10, 10, seed=3
-        )
+        plan = generate_plan(cm1_result, 10, 10, seed=3)
         assert len(plan.extra) == 10 and len(plan.missing) == 10
         assert not plan.extra & cm1_result.transitions
         assert plan.missing <= cm1_result.transitions
@@ -131,29 +125,17 @@ class TestGeneratePlan:
             for name, value in zip(ORDER, t.post.values):
                 assert domains[name].contains(value)
 
-    def test_label_scope(self, cm1_result, cm1_machine):
-        plan = generate_plan(
-            cm1_result,
-            infer_domains(cm1_machine),
-            cm1_machine.operation_names,
-            3,
-            3,
-            seed=4,
-            label_scope="inc_hour",
-        )
+    def test_label_scope(self, cm1_result):
+        plan = generate_plan(cm1_result, 3, 3, seed=4, label_scope="inc_hour")
         assert all(t.label == "inc_hour" for t in plan.extra | plan.missing)
 
-    def test_unsatisfiable_missing_count(self, cm1_result, cm1_machine):
+    def test_unsatisfiable_missing_count(self, cm1_result):
         with pytest.raises(MutationError, match="cannot remove"):
-            generate_plan(
-                cm1_result,
-                infer_domains(cm1_machine),
-                cm1_machine.operation_names,
-                0,
-                2,
-                seed=1,
-                label_scope="next_day",
-            )
+            generate_plan(cm1_result, 0, 2, seed=1, label_scope="next_day")
+
+    def test_unknown_scope_rejected(self, cm1_result):
+        with pytest.raises(MutationError, match="unknown operation 'tick'"):
+            generate_plan(cm1_result, 1, 0, seed=0, label_scope="tick")
 
     def test_exhausted_extra_space(self):
         from bqual.explorer import explore
@@ -165,9 +147,7 @@ class TestGeneratePlan:
         )
         result = explore(machine, meter_memory=False)
         with pytest.raises(MutationError, match="cannot draw"):
-            generate_plan(
-                result, infer_domains(machine), ("loop",), 1, 0, seed=0
-            )
+            generate_plan(result, 1, 0, seed=0)
 
 
     @pytest.mark.parametrize(
@@ -194,14 +174,14 @@ class TestGeneratePlan:
         assert scanned == occupied
         space = len(result.states) * len(labels) * 4
         derived = len(result.transitions)
-        assert _extra_space(result, domains, labels, space, derived) == (space, occupied)
+        assert _extra_space(result, labels, space, derived) == (space, occupied)
 
 
 # Draws two plans on a machine with enumerated, boolean and integer
 # variables and prints them; set iteration order varies with the hash seed.
 _PLAN_SCRIPT = """
 import json
-from bqual.explorer import explore, infer_domains
+from bqual.explorer import explore
 from bqual.mutation import generate_plan, plan_to_json
 from bqual.parser import parse_machine
 
@@ -215,17 +195,16 @@ machine = parse_machine(
     "bump = PRE n < 2 THEN n := n + 1 END END"
 )
 result = explore(machine, meter_memory=False)
-domains = infer_domains(machine)
-labels = machine.operation_names
 plans = [
-    generate_plan(result, domains, labels, 5, 5, seed=11),
-    generate_plan(result, domains, labels, 3, 3, seed=11, label_scope="paint"),
+    generate_plan(result, 5, 5, seed=11),
+    generate_plan(result, 3, 3, seed=11, label_scope="paint"),
 ]
 print(json.dumps([plan_to_json(plan) for plan in plans]))
 """
 
 
-def test_plans_do_not_depend_on_hash_seed():
+def _outputs_under_hash_seeds(script: str, *args: str) -> list[str]:
+    """The stdout of ``script`` run under PYTHONHASHSEED 1 and 2."""
     src = str(Path(bqual.__file__).resolve().parents[1])
     outputs = []
     for hash_seed in ("1", "2"):
@@ -234,41 +213,89 @@ def test_plans_do_not_depend_on_hash_seed():
             filter(None, (src, os.environ.get("PYTHONPATH")))
         )
         run = subprocess.run(
-            [sys.executable, "-c", _PLAN_SCRIPT],
+            [sys.executable, "-c", script, *args],
             capture_output=True,
             text=True,
             env=env,
         )
         assert run.returncode == 0, run.stderr
         outputs.append(run.stdout)
+    return outputs
+
+
+def test_plans_do_not_depend_on_hash_seed():
+    outputs = _outputs_under_hash_seeds(_PLAN_SCRIPT)
     plans = json.loads(outputs[0])
     assert [len(p["extra"]) + len(p["missing"]) for p in plans] == [10, 6]
     assert outputs[0] == outputs[1]
 
 
+# Prints the message validate_plan gives for each of three plans on CM1 with
+# six offending transitions apiece: derived extras, underived removals, and
+# removals under two operations outside the plan's scope.
+_VALIDATE_SCRIPT = """
+import sys
+from pathlib import Path
+from bqual.explorer import explore
+from bqual.lts import Transition
+from bqual.mutation import MutationError, MutationPlan, validate_plan
+from bqual.parser import parse_machine
+
+result = explore(parse_machine(Path(sys.argv[1]).read_text()), meter_memory=False)
+derived = result.ordered_transitions[::239][:6]
+underived = [Transition(t.post, t.label, t.pre) for t in derived]
+by_label = {label: [] for label in result.labels}
+for t in result.ordered_transitions:
+    by_label[t.label].append(t)
+off_scope = by_label["inc_hour"][:3] + by_label["inc_minute"][-3:]
+plans = [
+    MutationPlan(frozenset(derived), frozenset(), 0),
+    MutationPlan(frozenset(), frozenset(underived), 0),
+    MutationPlan(frozenset(), frozenset(off_scope), 0, "next_day"),
+]
+for plan in plans:
+    try:
+        validate_plan(plan, result.transitions)
+    except MutationError as exc:
+        print(exc)
+"""
+
+
+def test_validate_plan_names_the_first_offender():
+    outputs = _outputs_under_hash_seeds(_VALIDATE_SCRIPT, str(corpus_path("CM1.mch")))
+    assert outputs[0].splitlines() == [
+        "extra transition [(0,0),inc_minute,(0,1)] is already derived",
+        "missing transition [(0,1),inc_minute,(0,0)] is not derived",
+        "plan is scoped to 'next_day' but touches 'inc_hour'",
+    ]
+    assert outputs[0] == outputs[1]
+
+
 class TestApplyPlan:
-    def test_cm5_walkthrough(self, cm1_changed):
-        assert len(cm1_changed.t_changed) == 1050
-        assert len(cm1_changed.u_changed) == 1050
-        assert cm1_changed.u_violating == frozenset(
+    def test_cm5_walkthrough(self, cm1_result, cm1_changed):
+        changed = changed_sets(cm1_result, cm1_changed)
+        assert len(changed.t_changed) == 1050
+        assert len(changed.u_changed) == 1050
+        assert changed.u_violating == frozenset(
             {clock_transition((5, 29), "inc_minute", (5, 30))}
         )
-        assert len(cm1_changed.u_ok) == 1049
+        assert len(changed.u_ok) == 1049
 
-    def test_extra_masked_out(self, cm1_changed, cm5_plan):
-        assert not cm1_changed.u_changed & cm5_plan.extra
-        assert cm5_plan.missing <= cm1_changed.u_changed
+    def test_extra_masked_out(self, cm1_result, cm1_changed, cm5_plan):
+        changed = changed_sets(cm1_result, cm1_changed)
+        assert not changed.u_changed & cm5_plan.extra
+        assert cm5_plan.missing <= changed.u_changed
 
     def test_empty_plan_is_identity(self, cm1_result, cm1_machine):
         empty = MutationPlan(extra=frozenset(), missing=frozenset(), seed=0)
-        changed = apply_plan(cm1_result, empty)
+        changed = changed_sets(cm1_result, apply_plan(cm1_result, empty))
         assert changed.t_changed == cm1_result.transitions
         assert changed.u_changed == cm1_result.transitions
         assert changed.u_violating == cm1_result.violating
 
     def test_empty_plan_on_violating_machine(self, cm4_result, cm4_machine):
         empty = MutationPlan(extra=frozenset(), missing=frozenset(), seed=0)
-        changed = apply_plan(cm4_result, empty)
+        changed = changed_sets(cm4_result, apply_plan(cm4_result, empty))
         assert changed.u_violating == cm4_result.violating
 
     def test_empty_plan_fault_tolerance_is_invariant_satisfiability(
@@ -277,26 +304,24 @@ class TestApplyPlan:
         from bqual.metrics import fault_tolerance, invariant_satisfiability
 
         empty = MutationPlan(extra=frozenset(), missing=frozenset(), seed=0)
-        changed = apply_plan(cm4_result, empty)
+        changed = changed_sets(cm4_result, apply_plan(cm4_result, empty))
         assert fault_tolerance(
             len(changed.u_changed), len(changed.u_violating)
         ) == invariant_satisfiability(cm4_result)
 
     def test_agrees_with_independent_reimplementation(self, cm1_result, cm1_machine):
-        domains = infer_domains(cm1_machine)
         for seed in range(6):
-            plan = generate_plan(
-                cm1_result, domains, cm1_machine.operation_names, 5, 5, seed
-            )
-            changed = apply_plan(cm1_result, plan)
+            plan = generate_plan(cm1_result, 5, 5, seed)
+            changed = changed_sets(cm1_result, apply_plan(cm1_result, plan))
             t2, u2, v2 = independent_apply(cm1_result, plan, cm1_machine.invariant)
             assert changed.t_changed == frozenset(t2)
             assert changed.u_changed == frozenset(u2)
             assert changed.u_violating == frozenset(v2)
 
     def test_masking_identity(self, cm1_changed, cm5_plan, cm1_result):
-        reconstructed = (cm1_changed.t_changed | cm5_plan.missing) - cm5_plan.extra
-        assert cm1_changed.u_changed == reconstructed
+        changed = changed_sets(cm1_result, cm1_changed)
+        reconstructed = (changed.t_changed | cm5_plan.missing) - cm5_plan.extra
+        assert changed.u_changed == reconstructed
 
     def test_cm5_machine_equals_plan_application(self, cm1_result, cm5_result, cm1_machine):
         # The jump-to-6:00 edit expressed as a transition-level plan derives
@@ -307,7 +332,7 @@ class TestApplyPlan:
             seed=0,
             label_scope="inc_minute",
         )
-        changed = apply_plan(cm1_result, plan)
+        changed = changed_sets(cm1_result, apply_plan(cm1_result, plan))
         assert changed.t_changed == cm5_result.transitions
 
 
@@ -346,13 +371,13 @@ class TestSharedVerdicts:
         if not first_violating:
             plans.reverse()
         for plan in plans:
-            changed = apply_plan(result, plan)
+            changed = changed_sets(result, apply_plan(result, plan))
             t2, u2, v2 = independent_apply(result, plan, machine.invariant)
             assert changed.t_changed == frozenset(t2)
             assert changed.u_changed == frozenset(u2)
             assert changed.u_violating == frozenset(v2)
-        assert len(apply_plan(result, into_violation).t_changed) == 5
-        assert len(apply_plan(result, from_new_state).t_changed) == 6
+        for plan, taken in ((into_violation, 5), (from_new_state, 6)):
+            assert len(changed_sets(result, apply_plan(result, plan)).t_changed) == taken
 
 
 class TestTrialMetrics:
@@ -366,31 +391,16 @@ class TestTrialMetrics:
 
 
 class TestRunTrials:
-    def test_deterministic(self, cm1_result, cm1_machine):
-        domains = infer_domains(cm1_machine)
-        a = run_trials(
-            cm1_result, domains, 5, 3, 3, 9,
-            labels=cm1_machine.operation_names,
-        )
-        b = run_trials(
-            cm1_result, domains, 5, 3, 3, 9,
-            labels=cm1_machine.operation_names,
-        )
+    def test_deterministic(self, cm1_result):
+        a = run_trials(cm1_result, 5, 3, 3, 9)
+        b = run_trials(cm1_result, 5, 3, 3, 9)
         assert a.means == b.means
         assert a.exclusions == b.exclusions
 
-    def test_frozen_golden_means(self, cm1_result, cm1_machine):
+    def test_frozen_golden_means(self, cm1_result):
         # Frozen under seed 42 after cross-validating every trial against
         # independent_apply (see test_agrees_with_independent_reimplementation).
-        outcome = run_trials(
-            cm1_result,
-            infer_domains(cm1_machine),
-            20,
-            5,
-            5,
-            42,
-            labels=cm1_machine.operation_names,
-        )
+        outcome = run_trials(cm1_result, 20, 5, 5, 42)
         assert outcome.means["recoverability"] == Fraction(431, 2400)
         assert outcome.means["functional_analysability"] == Fraction(2941, 3600)
         assert outcome.means["fault_analysability"] == 1
@@ -404,35 +414,22 @@ class TestRunTrials:
             "fault_analysability": 0,
         }
 
-    def test_zero_trials_rejected(self, cm1_result, cm1_machine):
+    def test_zero_trials_rejected(self, cm1_result):
         with pytest.raises(MutationError):
-            run_trials(
-                cm1_result,
-                infer_domains(cm1_machine),
-                0,
-                1,
-                1,
-                0,
-                cm1_machine.operation_names,
-            )
+            run_trials(cm1_result, 0, 1, 1, 0)
 
 
 class TestModularitySweep:
     def test_empty_plans_give_all_ones(self, cm1_result, cm1_machine):
         counts = {op: (0, 0) for op in cm1_machine.operation_names}
-        per_op, weighted = modularity_sweep(
-            cm1_result, infer_domains(cm1_machine), counts, 0
-        )
+        per_op, weighted = modularity_sweep(cm1_result, counts, 0)
         assert all(value == 1 for value in per_op.values())
         assert weighted == 1
 
-    def test_missing_operation_rejected(self, cm1_result, cm1_machine):
+    def test_missing_operation_rejected(self, cm1_result):
         with pytest.raises(MutationError, match="next_day"):
             modularity_sweep(
-                cm1_result,
-                infer_domains(cm1_machine),
-                {"inc_minute": (0, 0), "inc_hour": (0, 0)},
-                0,
+                cm1_result, {"inc_minute": (0, 0), "inc_hour": (0, 0)}, 0
             )
 
     def test_two_op_toy_hand_values(self):
@@ -455,14 +452,13 @@ class TestModularitySweep:
             seed=0,
             label_scope="fwd",
         )
-        changed = apply_plan(result, plan)
+        changed = changed_sets(result, apply_plan(result, plan))
         # losing 1->2 strands rst's only transition (3 -> 0 is unreachable)
         sizes = erased_sizes("fwd", result.transitions, changed.t_changed)
         assert modularity_of("fwd", *sizes) == 0
 
     def test_seeded_sweep_is_deterministic(self, cm1_result, cm1_machine):
         counts = {op: (1, 1) for op in cm1_machine.operation_names}
-        domains = infer_domains(cm1_machine)
-        first = modularity_sweep(cm1_result, domains, counts, 5)
-        second = modularity_sweep(cm1_result, domains, counts, 5)
+        first = modularity_sweep(cm1_result, counts, 5)
+        second = modularity_sweep(cm1_result, counts, 5)
         assert first == second

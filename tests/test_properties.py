@@ -38,6 +38,7 @@ from bqual.parser import parse_machine
 from conftest import (
     PROPERTY_ORDER,
     brute_force_similarity,
+    changed_sets,
     erased_sizes,
     flat_sort_key,
     independent_apply,
@@ -357,10 +358,11 @@ def test_coded_apply_plan_matches_set_semantics(plan):
     t_changed, u_changed, u_violating = map(
         frozenset, independent_apply(result, plan, _GATE_MACHINE.invariant)
     )
-    assert changed.t_changed == t_changed
-    assert changed.u_changed == u_changed
-    assert changed.u_violating == u_violating
-    assert changed.u_ok == u_changed - u_violating
+    got = changed_sets(result, changed)
+    assert got.t_changed == t_changed
+    assert got.u_changed == u_changed
+    assert got.u_violating == u_violating
+    assert got.u_ok == u_changed - u_violating
 
     values, _ = trial_metrics(result, changed)
     assert values == {
