@@ -524,24 +524,25 @@ class ExplorationResult:
         return {name: n for name, n in zip(self.labels, counts) if n}
 
     @functools.cached_property
-    def _canonical(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(rank, order, keys)``: each state's canonical rank, the edge ids
-        in canonical order and their (pre rank, label, post rank) keys, so
-        ``keys`` is strictly increasing."""
+    def _canonical(self) -> tuple[np.ndarray, list[int], np.ndarray, np.ndarray]:
+        """``(rank, by_rank, order, keys)``: each state's canonical rank, the
+        state ids in canonical order, the edge ids in canonical order and
+        their (pre rank, label, post rank) keys, so ``keys`` is strictly
+        increasing."""
         rank, _ = row_ranks(self.rows, len(self.variable_order))
         keys = _edge_keys(rank, self.pre, self.label, self.post, len(self.labels))
         order = np.argsort(keys)
-        return rank, order, keys[order]
+        return rank, np.argsort(rank).tolist(), order, keys[order]
 
     @functools.cached_property
     def ordered_transitions(self) -> tuple[Transition, ...]:
         """The derived transitions in canonical order."""
         edges = self.edge_objects
-        return tuple(map(edges.__getitem__, self._canonical[1].tolist()))
+        return tuple(map(edges.__getitem__, self._canonical[2].tolist()))
 
     def edges(self, transitions: Iterable[Transition]) -> np.ndarray:
         """The edge id of each of ``transitions``, which must be derived."""
-        rank, order, keys = self._canonical
+        rank, _, order, keys = self._canonical
         code = {name: i for i, name in enumerate(self.labels)}
         ids = self.state_id
         triples = np.array(
@@ -681,7 +682,7 @@ def write_result(result: ExplorationResult, stream) -> None:
     that document at indent 2, written one transition at a time."""
     head = json.dumps(result_header(result), indent=2)
     stream.write(head[: -len("\n}")] + ',\n  "transitions": [')
-    flags = result.violates[result._canonical[1]].tolist()
+    flags = result.violates[result._canonical[2]].tolist()
     separator = "\n"
     for t, flag in zip(result.ordered_transitions, flags):
         entry = json.dumps(dict(transition_to_json(t), violates=flag), indent=2)

@@ -157,8 +157,6 @@ def generate_plan(
     missing = frozenset(rng.sample(pool, n_missing)) if n_missing else frozenset()
 
     label_pool = [label_scope] if label_scope is not None else list(result.labels)
-    if n_extra and not label_pool:
-        raise MutationError("no labels to draw extra transitions from")
     space, occupied = _extra_space(result, label_pool, n_extra, len(result.pre))
     if n_extra > space - occupied:
         raise MutationError(
@@ -166,7 +164,7 @@ def generate_plan(
             f"of {space} with {occupied} already derived"
         )
     states = result.state_objects
-    by_rank = np.argsort(result._canonical[0]).tolist()  # ids in canonical order
+    by_rank = result._canonical[1]
     value_pools = [domains[name].values() for name in order]
 
     extra: set[Transition] = set()
