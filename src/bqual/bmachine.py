@@ -1,11 +1,13 @@
 """AST for the bounded machine language.
 
-All nodes are frozen dataclasses, so machines compare structurally.
+All nodes are frozen dataclasses, so machines compare structurally and one
+generic walk over their fields, ``nodes``, reaches every nested node; the
+reference and assignment queries are each one pass over it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Union
 
 BOOL_SET = "BOOL"
@@ -174,60 +176,33 @@ def conjuncts(pred: Predicate) -> list[Predicate]:
     return [pred]
 
 
+def nodes(node):
+    """Yield ``node`` and every AST node nested in its fields, depth first,
+    descending through tuples (``Sequence.steps``, the ``(guard, body)``
+    pairs of ``Select.branches``); names and literal values are skipped."""
+    if is_dataclass(node):
+        yield node
+        children = [getattr(node, f.name) for f in fields(node)]
+    elif isinstance(node, tuple):
+        children = node
+    else:
+        return
+    for child in children:
+        yield from nodes(child)
+
+
 def free_variables(node) -> frozenset:
     """Machine variables referenced anywhere inside a predicate or
     expression (bound identifiers excluded)."""
-    out: set[str] = set()
-    _collect_refs(node, out, VarRef)
-    return frozenset(out)
+    return frozenset(n.name for n in nodes(node) if isinstance(n, VarRef))
 
 
 def bound_references(node) -> frozenset:
-    out: set[str] = set()
-    _collect_refs(node, out, BoundRef)
-    return frozenset(out)
-
-
-def _collect_refs(node, out: set, ref_type) -> None:
-    if isinstance(node, ref_type):
-        out.add(node.name)
-    elif isinstance(node, BinaryExpr):
-        _collect_refs(node.left, out, ref_type)
-        _collect_refs(node.right, out, ref_type)
-    elif isinstance(node, Comparison):
-        _collect_refs(node.left, out, ref_type)
-        _collect_refs(node.right, out, ref_type)
-    elif isinstance(node, RangeMembership):
-        _collect_refs(node.expr, out, ref_type)
-        _collect_refs(node.low, out, ref_type)
-        _collect_refs(node.high, out, ref_type)
-    elif isinstance(node, SetMembership):
-        _collect_refs(node.expr, out, ref_type)
-    elif isinstance(node, (And, Or)):
-        _collect_refs(node.left, out, ref_type)
-        _collect_refs(node.right, out, ref_type)
-    elif isinstance(node, Not):
-        _collect_refs(node.inner, out, ref_type)
+    """Bound identifiers referenced anywhere inside a predicate or
+    expression."""
+    return frozenset(n.name for n in nodes(node) if isinstance(n, BoundRef))
 
 
 def assigned_variables(sub: Substitution) -> frozenset:
     """Every machine variable written somewhere inside a substitution."""
-    if isinstance(sub, Assign):
-        return frozenset({sub.variable})
-    if isinstance(sub, Sequence):
-        out: frozenset = frozenset()
-        for step in sub.steps:
-            out |= assigned_variables(step)
-        return out
-    if isinstance(sub, Precondition):
-        return assigned_variables(sub.body)
-    if isinstance(sub, Select):
-        out = frozenset()
-        for _, body in sub.branches:
-            out |= assigned_variables(body)
-        return out
-    if isinstance(sub, AnyChoice):
-        return assigned_variables(sub.body)
-    if isinstance(sub, Skip):
-        return frozenset()
-    raise TypeError(f"not a substitution: {type(sub).__name__}")
+    return frozenset(n.variable for n in nodes(sub) if isinstance(n, Assign))

@@ -177,6 +177,8 @@ def default_mutation_count(transition_count: int) -> int:
 
 
 def evaluate(config: EvaluationConfig) -> QualityReport:
+    if config.trials < 0:
+        raise EvaluationError(f"trials must not be negative, got {config.trials}")
     source = Path(config.machine_path).read_text(encoding="utf-8")
     machine = parse_machine(source)
     result = explore(

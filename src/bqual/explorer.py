@@ -384,29 +384,19 @@ def compile_substitution(sub, machine: MachineAST):
                 for vals in valuations
                 if where(dict(zip(identifiers, vals)))
             ]
+            where = None
 
-            def any_prefiltered(env):
-                out = []
-                for vals in valuations:
-                    inner = env.copy()
-                    for name, v in zip(identifiers, vals):
-                        inner[name] = v
-                    out.extend(body(inner))
-                return out
-
-            return any_prefiltered
-
-        def any_general(env):
+        def any_choice(env):
             out = []
             for vals in valuations:
                 inner = env.copy()
                 for name, v in zip(identifiers, vals):
                     inner[name] = v
-                if where(inner):
+                if where is None or where(inner):
                     out.extend(body(inner))
             return out
 
-        return any_general
+        return any_choice
     if isinstance(sub, Skip):
         return lambda env: (env,)
     raise TypeError(f"not a substitution: {type(sub).__name__}")

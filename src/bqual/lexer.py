@@ -1,12 +1,15 @@
 """Tokenizer for the bounded machine language.
 
-Comments come in two forms, ``(* ... *)`` and ``// ...`` to end of line;
-both are dropped from the token stream but their spans are remembered so
-that the word count can be taken over comment-free text.
+Comments come in two forms, ``(* ... *)`` and ``// ...`` to end of line.
+``strip_comments`` blanks them with one regex (spaces, newlines kept), so
+positions in the stripped text are positions in the source; the word count
+is taken over that text.  ``tokenize`` then reads it with one named-group
+regex (space, int, word, symbol, illegal), tracking the line as it goes.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 KEYWORDS = frozenset(
@@ -54,6 +57,17 @@ _SYMBOLS = (
     "}",
 )
 
+# A block comment ends at its first "*)".  One that never ends matches the
+# empty ``unterminated`` group at its "(*", so the scan stays linear; the
+# leftmost of "(*" and "//" wins.
+_COMMENT = re.compile(r"\(\*(?:.*?\*\)|(?P<unterminated>))|//[^\n]*", re.DOTALL)
+# ``\d`` is ``str.isdecimal``, the digits ``int()`` reads; only ``\n`` breaks
+# a line, so "\r", "\f" and "\u2028" are one column each.
+_TOKEN = re.compile(
+    r"(?P<space>\s+)|(?P<int>\d+)|(?P<word>[^\W\d]\w*)|(?P<symbol>%s)|(?P<illegal>.)"
+    % "|".join(map(re.escape, _SYMBOLS))
+)
+
 
 class LexError(ValueError):
     def __init__(self, message: str, line: int, column: int):
@@ -76,42 +90,16 @@ class Token:
 def strip_comments(source: str) -> str:
     """Blank out every comment (spaces, newlines kept) so token positions
     in the result match positions in the original source."""
-    out: list[str] = []
-    i, n = 0, len(source)
-    line, col = 1, 1
 
-    def blank(upto: int) -> None:
-        nonlocal i, line, col
-        while i < upto:
-            if source[i] == "\n":
-                out.append("\n")
-                line += 1
-                col = 1
-            else:
-                out.append(" ")
-                col += 1
-            i += 1
+    def blank(match: re.Match) -> str:
+        if match.group("unterminated") is not None:
+            start = match.start()
+            line = source.count("\n", 0, start) + 1
+            column = start - source.rfind("\n", 0, start)
+            raise LexError("unterminated comment", line, column)
+        return re.sub(r"[^\n]", " ", match.group())
 
-    while i < n:
-        ch = source[i]
-        if ch == "(" and source.startswith("(*", i):
-            start_line, start_col = line, col
-            end = source.find("*)", i + 2)
-            if end < 0:
-                raise LexError("unterminated comment", start_line, start_col)
-            blank(end + 2)
-        elif ch == "/" and source.startswith("//", i):
-            end = source.find("\n", i)
-            blank(n if end < 0 else end)
-        else:
-            out.append(ch)
-            if ch == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-    return "".join(out)
+    return _COMMENT.sub(blank, source)
 
 
 def word_count(source: str) -> int:
@@ -124,48 +112,23 @@ def tokenize(source: str) -> list[Token]:
     character outside the language."""
     text = strip_comments(source)
     tokens: list[Token] = []
-    i, n = 0, len(text)
-    line, col = 1, 1
-
-    def advance(k: int) -> None:
-        nonlocal i, line, col
-        for _ in range(k):
-            if text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            advance(1)
+    line, line_start = 1, 0
+    for match in _TOKEN.finditer(text):
+        kind, word, start = match.lastgroup, match.group(), match.start()
+        if kind == "space":
+            breaks = word.count("\n")
+            if breaks:
+                line += breaks
+                line_start = start + word.rindex("\n") + 1
             continue
-        if ch.isdigit():
-            start_line, start_col = line, col
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(Token("int", text[i:j], start_line, start_col))
-            advance(j - i)
-            continue
-        if ch.isalpha() or ch == "_":
-            start_line, start_col = line, col
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
+        column = start - line_start + 1
+        if kind == "word" and (word[0].isalpha() or word[0] == "_"):
             kind = "keyword" if word in KEYWORDS else "ident"
-            tokens.append(Token(kind, word, start_line, start_col))
-            advance(j - i)
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append(Token(sym, sym, line, col))
-                advance(len(sym))
-                break
-        else:
-            raise LexError(f"illegal character {ch!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
+        elif kind in ("word", "illegal"):
+            # ``[^\W\d]`` also admits numeric characters such as '²' and '½'.
+            raise LexError(f"illegal character {word[0]!r}", line, column)
+        elif kind == "symbol":
+            kind = word
+        tokens.append(Token(kind, word, line, column))
+    tokens.append(Token("eof", "", line, len(text) - line_start + 1))
     return tokens

@@ -261,12 +261,9 @@ def _parse_simple_substitution(stream: _TokenStream, scope: _Scope) -> Substitut
             stream.expect("keyword", "END")
             return Precondition(guard, body)
         if tok.text == "SELECT":
-            stream.advance()
             branches = []
-            guard = _parse_predicate(stream, scope)
-            stream.expect("keyword", "THEN")
-            branches.append((guard, _parse_substitution(stream, scope)))
-            while stream.accept("keyword", "WHEN"):
+            # SELECT opens the first branch and WHEN each later one.
+            while stream.accept("keyword", "WHEN" if branches else "SELECT"):
                 guard = _parse_predicate(stream, scope)
                 stream.expect("keyword", "THEN")
                 branches.append((guard, _parse_substitution(stream, scope)))

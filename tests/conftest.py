@@ -6,7 +6,7 @@ import random
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Callable, Collection, Iterable, Mapping
+from typing import Callable, Collection, Iterable, Iterator, Mapping
 
 import pytest
 
@@ -42,6 +42,7 @@ from bqual.explorer import (
     explore,
     infer_domains,
 )
+from bqual.lexer import _SYMBOLS, KEYWORDS, LexError, Token
 from bqual.lts import FlatList, State, Transition, Value, intval
 from bqual.parser import parse_machine
 
@@ -326,6 +327,103 @@ def independent_explore(
         deadlock_states=states - live,
         truncated=bool(cut),
     )
+
+
+# The scanner as two character loops, the reference for ``bqual.lexer``'s
+# regex scan; the tokens come one at a time, so a test can stop at any.  Its
+# one known difference: ``isdigit`` admits digits such as '²' into an
+# ``int`` token, which ``int()`` cannot read.
+
+
+def independent_strip_comments(source: str) -> str:
+    """Blank out every comment (spaces, newlines kept) so token positions
+    in the result match positions in the original source."""
+    out: list[str] = []
+    i, n = 0, len(source)
+    line, col = 1, 1
+
+    def blank(upto: int) -> None:
+        nonlocal i, line, col
+        while i < upto:
+            if source[i] == "\n":
+                out.append("\n")
+                line += 1
+                col = 1
+            else:
+                out.append(" ")
+                col += 1
+            i += 1
+
+    while i < n:
+        ch = source[i]
+        if ch == "(" and source.startswith("(*", i):
+            start_line, start_col = line, col
+            end = source.find("*)", i + 2)
+            if end < 0:
+                raise LexError("unterminated comment", start_line, start_col)
+            blank(end + 2)
+        elif ch == "/" and source.startswith("//", i):
+            end = source.find("\n", i)
+            blank(n if end < 0 else end)
+        else:
+            out.append(ch)
+            if ch == "\n":
+                line += 1
+                col = 1
+            else:
+                col += 1
+            i += 1
+    return "".join(out)
+
+
+def independent_tokenize(source: str) -> Iterator[Token]:
+    """Yield the tokens of ``source`` in order; raises LexError on any
+    character outside the language."""
+    text = independent_strip_comments(source)
+    i, n = 0, len(text)
+    line, col = 1, 1
+
+    def advance(k: int) -> None:
+        nonlocal i, line, col
+        for _ in range(k):
+            if text[i] == "\n":
+                line += 1
+                col = 1
+            else:
+                col += 1
+            i += 1
+
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            advance(1)
+            continue
+        if ch.isdigit():
+            start_line, start_col = line, col
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            yield Token("int", text[i:j], start_line, start_col)
+            advance(j - i)
+            continue
+        if ch.isalpha() or ch == "_":
+            start_line, start_col = line, col
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            word = text[i:j]
+            kind = "keyword" if word in KEYWORDS else "ident"
+            yield Token(kind, word, start_line, start_col)
+            advance(j - i)
+            continue
+        for sym in _SYMBOLS:
+            if text.startswith(sym, i):
+                yield Token(sym, sym, line, col)
+                advance(len(sym))
+                break
+        else:
+            raise LexError(f"illegal character {ch!r}", line, col)
+    yield Token("eof", "", line, col)
 
 
 # Pretty-printer for the parser round-trip tests: emits source that parses

@@ -501,7 +501,7 @@ class TestCli:
         result = run_cli("evaluate", "--machine", "/nonexistent.mch")
         assert result.returncode == 1
 
-    @pytest.mark.parametrize("flag", ["--n-extra", "--n-missing"])
+    @pytest.mark.parametrize("flag", ["--n-extra", "--n-missing", "--trials"])
     def test_negative_mutation_count_exit_one(self, flag):
         result = run_cli("evaluate", "--machine", CM1, "--trials", "1", flag, "-3")
         assert result.returncode == 1

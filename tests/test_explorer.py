@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from bqual.bmachine import TruePredicate
+from bqual.bmachine import BoundRef, Comparison, IntLit, Not, Or, TruePredicate, VarRef
 from bqual.explorer import (
     BoolDomain,
     DomainError,
@@ -413,6 +413,31 @@ class TestCheckGoal:
         )
         goal = parse_predicate("hour = red", machine)
         with pytest.raises(EvalTypeError):
+            check_goal(cm1_result, goal)
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "not(second = 1) or hour = 0",
+            "hour : 0..second",
+            "hour = 0 & (minute = 1 or not(second = 2))",
+        ],
+    )
+    def test_undeclared_variable_in_goal(self, cm1_result, source):
+        machine = parse_machine(
+            "MACHINE G VARIABLES hour, minute, second "
+            "INVARIANT hour : 0..23 & minute : 0..59 & second : 0..59 "
+            "INITIALISATION hour := 0; minute := 0; second := 0 "
+            "OPERATIONS o = skip END"
+        )
+        goal = parse_predicate(source, machine)
+        with pytest.raises(EvalTypeError, match="undeclared variable 'second'"):
+            check_goal(cm1_result, goal)
+
+    def test_bound_identifier_in_goal(self, cm1_result):
+        bound = Not(Comparison("=", BoundRef("v"), IntLit(1)))
+        goal = Or(Comparison("=", VarRef("hour"), IntLit(0)), bound)
+        with pytest.raises(EvalTypeError, match="cannot use bound identifiers"):
             check_goal(cm1_result, goal)
 
 

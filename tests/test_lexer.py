@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import time
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from bqual.lexer import LexError, strip_comments, tokenize, word_count
+from bqual.lexer import _SYMBOLS, KEYWORDS, LexError, strip_comments, tokenize, word_count
 
-from conftest import corpus_source
+from conftest import corpus_source, independent_strip_comments, independent_tokenize
 
 
 class TestTokenize:
@@ -85,3 +88,60 @@ def test_strip_comments_preserves_layout():
     stripped = strip_comments(source)
     assert stripped.count("\n") == source.count("\n")
     assert stripped.split() == ["x", "y", "w"]
+
+
+def test_unterminated_comment_scan_is_linear():
+    # Each "(*" after the first is unterminated too; a scan that retried
+    # from every one of them would take minutes here.
+    start = time.perf_counter()
+    with pytest.raises(LexError, match=r"^1:1: unterminated comment$"):
+        tokenize("(* " * 200_000)
+    assert time.perf_counter() - start < 5
+
+
+FRAGMENTS = (
+    *sorted(KEYWORDS),
+    *_SYMBOLS,
+    *("(*", "*)", "(*)", "//", "x", "_y1", "42", "?"),
+    *(" ", "\t", "\n", "\r", "\f", "\u2028"),
+    *("é", "٣", "²", "½", "Ⅻ"),
+)
+
+
+def _outcome(fn, text):
+    try:
+        return fn(text)
+    except LexError as err:
+        return (str(err), err.line, err.column)
+
+
+def _tuples(tokens):
+    return [(t.kind, t.text, t.line, t.column) for t in tokens]
+
+
+def _expected_scan(text):
+    """The character loops' tokens, except that the scan rejects the first
+    digit that ``int()`` cannot read, such as '²', which the loops put into
+    an ``int`` token: their one known difference."""
+    tokens = []
+    for tok in independent_tokenize(text):
+        if tok.kind == "int" and not tok.text.isdecimal():
+            at = next(i for i, ch in enumerate(tok.text) if not ch.isdecimal())
+            raise LexError(f"illegal character {tok.text[at]!r}", tok.line, tok.column + at)
+        tokens.append(tok)
+    return _tuples(tokens)
+
+
+@given(st.lists(st.sampled_from(FRAGMENTS), max_size=40).map("".join))
+@example("(*)")
+@example("a(*x*)b // c\n(* d")
+@example("(* // *) x // (* \n y")
+@example("x\r\n\f\u2028 y\n\n  z")
+@example("x 3² x²")
+@example("²½")
+@settings(max_examples=500)
+def test_scan_matches_character_loops(text):
+    assert _outcome(lambda t: _tuples(tokenize(t)), text) == _outcome(_expected_scan, text)
+    assert _outcome(strip_comments, text) == _outcome(independent_strip_comments, text)
+    words = _outcome(lambda t: len(independent_strip_comments(t).split()), text)
+    assert _outcome(word_count, text) == words

@@ -180,15 +180,32 @@ class TestParallel:
         "INITIALISATION x := 0; y := 0 OPERATIONS o = {body} END"
     )
 
-    def test_disjoint_parallel_accepted(self):
-        machine = parse_machine(self.BASE.format(body="x := 1 || y := 1"))
+    @pytest.mark.parametrize(
+        "body",
+        ["x := 1 || y := 1", "PRE x = 0 THEN y := 1 END || x := 0"],
+        ids=["plain", "pre"],
+    )
+    def test_disjoint_parallel_accepted(self, body):
+        machine = parse_machine(self.BASE.format(body=body))
         body = machine.operations[0][1]
         assert isinstance(body, Sequence)
         assert len(body.steps) == 2
 
-    def test_overlapping_parallel_rejected(self):
-        with pytest.raises(ParseError, match="parallel"):
-            parse_machine(self.BASE.format(body="x := 1 || x := 0"))
+    # The clash hidden under each substitution that nests another.
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "x := 1 || x := 0",
+            "PRE x = 0 THEN x := 1 END || x := 0",
+            "SELECT x = 0 THEN y := 1 WHEN x = 1 THEN x := 1 END || x := 0",
+            "ANY v WHERE v : 0..1 THEN x := v END || x := 0",
+            "PRE x = 0 THEN y := 1; x := 1 END || x := 0",
+        ],
+        ids=["plain", "pre", "select", "any", "sequence"],
+    )
+    def test_overlapping_parallel_rejected(self, body):
+        with pytest.raises(ParseError, match="parallel branches both assign 'x'"):
+            parse_machine(self.BASE.format(body=body))
 
 
 def test_substitution_sequence_vs_next_operation():
