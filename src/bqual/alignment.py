@@ -3,12 +3,14 @@
 Elements are scored by positional agreement of their flattened token lists
 (``lts.flatten``, ``agreement``).  Identical elements are always part of
 some maximum matching, since a full-score pair can never be beaten by
-splitting it, so each counts its full width and is not coded; the
+splitting it, so each counts its full width and is not scored; the
 remainders go through an exact rectangular assignment solve, of which only
 the total is kept.
 
-The solve works on the canonical integer coding of ``lts.element_keys``,
-computed once for both remainders so that they share value codes: each
+Both sides come on one integer coding (``lts.Coded``): ``evaluate`` codes
+two relations with ``lts.code_relations`` and the set-form entry point
+codes its sets with ``lts.element_keys``, so the two sides share value
+codes and identical elements are found as equal keys.  Each remainder
 element becomes a row of codes in flattened order (the value codes of its
 states around its label's code).  A weight is the number of equal codes in
 two rows.  With n rows on the smaller side, only each row's n best columns
@@ -34,11 +36,12 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .lts import (
+    Coded,
     Element,
     FlatList,
     StatePair,
     Transition,
-    check_element_variables,
+    edge_keys,
     element_keys,
 )
 
@@ -79,14 +82,39 @@ def _check_uniform(elements: Iterable[Element], side: str) -> type | None:
     return next(iter(kinds), None)
 
 
-def _coded(
-    left: frozenset, right: frozenset, order: tuple[str, ...]
-) -> tuple[np.ndarray, np.ndarray]:
-    """One row of codes per element of each side, in iteration order:
-    pre-state values, the label (transitions only), post-state values."""
-    keys, states = element_keys([*left, *right], order)
-    rows = np.hstack((states[keys[:, 0]], keys[:, 1:-1], states[keys[:, -1]]))
-    return rows[: len(left)], rows[len(left) :]
+def code_elements(
+    left: Iterable[Element],
+    right: Iterable[Element],
+    variable_order: Iterable[str] | None = None,
+) -> tuple[Coded, Coded]:
+    """Two collections of transitions, or of state pairs, on one coding.
+
+    Without ``variable_order`` the first element's variables are used.
+    Raises AlignmentError when a side holds anything else or the sides mix
+    kinds, and StructureError when an element does not bind exactly the
+    variables, in order."""
+    left, right = frozenset(left), frozenset(right)
+    left_kind = _check_uniform(left, "left set")
+    right_kind = _check_uniform(right, "right set")
+    if left_kind and right_kind and left_kind is not right_kind:
+        raise AlignmentError("cannot align transitions with state pairs")
+    elements = [*left, *right]
+    if variable_order is None:
+        variable_order = elements[0].pre.variables if elements else ()
+    columns, states = element_keys(elements, tuple(variable_order))
+    pre, post = columns[:, 0], columns[:, -1]
+    kind = left_kind or right_kind
+    if kind is not None and issubclass(kind, Transition):
+        n_labels = int(columns[:, 1].max()) + 1
+        keys = edge_keys(pre, columns[:, 1], post, len(states), n_labels)
+    else:
+        n_labels = None
+        keys = edge_keys(pre, 0, post, len(states), 1)
+    split = len(left)
+    return (
+        Coded(np.sort(keys[:split]), states, n_labels),
+        Coded(np.sort(keys[split:]), states, n_labels),
+    )
 
 
 def _weights(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -115,40 +143,32 @@ def _max_matching(left: np.ndarray, right: np.ndarray) -> int:
 
 
 def similarity(
-    left: Iterable[Element],
-    right: Iterable[Element],
-    variable_order: Iterable[str],
+    left: Coded | Iterable[Element],
+    right: Coded | Iterable[Element],
+    variable_order: Iterable[str] | None = None,
     *,
     size_guard: int = DEFAULT_SIZE_GUARD,
 ) -> AlignmentOutcome:
     """Maximum total agreement over all one-to-one partial matchings.
 
-    Raises StructureError when an element does not bind exactly
-    ``variable_order``, and AlignmentSizeError when both remainder sides
-    are larger than ``size_guard`` (the exact solve would be quadratic).
+    ``left`` and ``right`` are two sides of ``Coded`` elements on one
+    coding, or collections of transitions or of state pairs, which are
+    coded first (``code_elements``, which raises on a mixed or malformed
+    side).  Raises AlignmentSizeError when both remainder sides are larger
+    than ``size_guard`` (the exact solve would be quadratic).
     """
-    order = tuple(variable_order)
-    left_set = frozenset(left)
-    right_set = frozenset(right)
-    left_kind = _check_uniform(left_set, "left set")
-    right_kind = _check_uniform(right_set, "right set")
-    if left_kind and right_kind and left_kind is not right_kind:
-        raise AlignmentError("cannot align transitions with state pairs")
-    for side in (left_set, right_set):
-        check_element_variables(side, order)
-
-    identical = left_set & right_set
-    rest_left = left_set - identical
-    rest_right = right_set - identical
-    kind = left_kind or right_kind
-    width = 2 * len(order) + (kind is not None and issubclass(kind, Transition))
-    total = width * len(identical)
-    if rest_left and rest_right:
-        if len(rest_left) > size_guard and len(rest_right) > size_guard:
+    if not isinstance(left, Coded):
+        left, right = code_elements(left, right, variable_order)
+    identical = left.common(right)
+    total = left.width * identical
+    n_left, n_right = len(left) - identical, len(right) - identical
+    if n_left and n_right:
+        if n_left > size_guard and n_right > size_guard:
             raise AlignmentSizeError(
                 f"both remainders exceed the size guard "
-                f"({len(rest_left)} x {len(rest_right)} > {size_guard} each); "
+                f"({n_left} x {n_right} > {size_guard} each); "
                 "raise the guard to force an exact solve"
             )
-        total += _max_matching(*_coded(rest_left, rest_right, order))
+        rest_left, rest_right = left.remainder(right), right.remainder(left)
+        total += _max_matching(left.rows(rest_left), right.rows(rest_right))
     return AlignmentOutcome(total_agreement=total)

@@ -28,7 +28,7 @@ from .explorer import (
     explore,
 )
 from .lexer import word_count
-from .lts import pairs_of, read_transitions_jsonl
+from .lts import code_relations, read_transitions_jsonl
 from .metrics import (
     DERIVED_CHARACTERISTICS,
     REPORT_GROUPS,
@@ -39,14 +39,12 @@ from .metrics import (
     accountability,
     availability,
     capacity,
+    completeness,
+    correctness,
     goal_appropriateness,
     invariant_satisfiability,
     learnability,
-    pfcomp,
-    pfcorr,
     reusability,
-    tfcomp,
-    tfcorr,
 )
 from .mutation import (
     FAULT_METRICS,
@@ -116,7 +114,8 @@ def load_required(
     max_transitions: int = DEFAULT_MAX_TRANSITIONS,
 ) -> RequirementSpec:
     """Required transitions from a transitions file or from exploring a
-    reference machine whose variables match the target's."""
+    reference machine whose variables match the target's; either way they
+    come as a relation of arrays, and no transition object is built."""
     if (required_path is None) == (reference_path is None):
         raise EvaluationError(
             "exactly one of a transitions file or a reference machine is required"
@@ -144,7 +143,7 @@ def load_required(
         meter_memory=False,
     )
     return RequirementSpec(
-        required_transitions=result.transitions, truncated=result.truncated
+        required_transitions=result.relation, truncated=result.truncated
     )
 
 
@@ -310,23 +309,23 @@ def _functional_metrics(
     requirement: RequirementSpec,
     size_guard: int,
 ) -> None:
-    """The six functional metrics and availability.  Each alignment runs on
-    first use and is shared: pfcomp and pfcorr align the transitions;
-    tfappr and pfappr are tfcomp and pfcomp on the label-erased pairs."""
-    t_d = result.transitions
-    t_r = requirement.required_transitions
-    p_d, p_r = pairs_of(t_d), requirement.required_pairs
-    order = result.variable_order
-    aligned = cache(partial(similarity, t_d, t_r, order, size_guard=size_guard))
-    aligned_pairs = cache(partial(similarity, p_d, p_r, order, size_guard=size_guard))
+    """The six functional metrics and availability, counted on one coding of
+    the derived and required relations.  Each alignment runs on first use
+    and is shared: pfcomp and pfcorr align the transitions; tfappr and
+    pfappr are tfcomp and pfcomp on the label-erased pairs."""
+    required = requirement.required_transitions
+    t_d, t_r = code_relations(result.relation, required)
+    p_d, p_r = t_d.pairs(), t_r.pairs()
+    aligned = cache(partial(similarity, t_d, t_r, size_guard=size_guard))
+    aligned_pairs = cache(partial(similarity, p_d, p_r, size_guard=size_guard))
     computations = {
-        "tfcomp": lambda: tfcomp(t_d, t_r),
-        "pfcomp": lambda: pfcomp(t_d, t_r, order, aligned=aligned()),
-        "tfcorr": lambda: tfcorr(t_d, t_r),
-        "pfcorr": lambda: pfcorr(t_d, t_r, order, aligned=aligned()),
-        "tfappr": lambda: tfcomp(p_d, p_r),
-        "pfappr": lambda: pfcomp(p_d, p_r, order, aligned=aligned_pairs()),
-        "availability": lambda: availability(result, requirement.required_operations),
+        "tfcomp": lambda: completeness(t_d.common(t_r), len(t_r)),
+        "pfcomp": lambda: completeness(aligned().total_agreement, t_r.size),
+        "tfcorr": lambda: correctness(t_d.common(t_r), len(t_d)),
+        "pfcorr": lambda: correctness(aligned().total_agreement, t_d.size),
+        "tfappr": lambda: completeness(p_d.common(p_r), len(p_r)),
+        "pfappr": lambda: completeness(aligned_pairs().total_agreement, p_r.size),
+        "availability": lambda: availability(result, required.operations),
     }
     for name, compute in computations.items():
         _set_or_mark(report, name, compute)

@@ -60,15 +60,17 @@ from .lts import (
     KIND_ENUM,
     KIND_INT,
     TRUE,
+    Relation,
     State,
     Transition,
     Value,
     boolval,
+    canonical_edges,
+    edge_keys,
     enumval,
     intval,
-    row_ranks,
     sorted_labels,
-    transition_to_json,
+    state_texts,
 )
 from .bmachine import BOOL_SET
 
@@ -471,16 +473,19 @@ class ExplorationResult:
         }
 
     @functools.cached_property
-    def state_objects(self) -> tuple[State, ...]:  # by id
-        order = self.variable_order
-        return tuple(State(order, values) for values in self.rows)
+    def relation(self) -> Relation:
+        """The derived transitions as a Relation over the walk's own arrays."""
+        return Relation(
+            self.variable_order, self.rows, self.labels, self.pre, self.label, self.post
+        )
 
-    @functools.cached_property
+    @property
+    def state_objects(self) -> tuple[State, ...]:  # by id
+        return self.relation.state_objects
+
+    @property
     def edge_objects(self) -> tuple[Transition, ...]:  # in walk order
-        states, labels = self.state_objects, self.labels
-        # Memoryviews yield the ids one int at a time, with no list of them.
-        edges = zip(*map(memoryview, (self.pre, self.label, self.post)))
-        return tuple(Transition(states[p], labels[c], states[q]) for p, c, q in edges)
+        return self.relation.edge_objects
 
     @functools.cached_property
     def states(self) -> frozenset:
@@ -519,10 +524,8 @@ class ExplorationResult:
         state ids in canonical order, the edge ids in canonical order and
         their (pre rank, label, post rank) keys, so ``keys`` is strictly
         increasing."""
-        rank, _ = row_ranks(self.rows, len(self.variable_order))
-        keys = _edge_keys(rank, self.pre, self.label, self.post, len(self.labels))
-        order = np.argsort(keys)
-        return rank, np.argsort(rank).tolist(), order, keys[order]
+        rank, order, keys = self.relation.canonical
+        return rank, np.argsort(rank).tolist(), order, keys
 
     @functools.cached_property
     def ordered_transitions(self) -> tuple[Transition, ...]:
@@ -538,12 +541,9 @@ class ExplorationResult:
         triples = np.array(
             [(ids[t.pre], code[t.label], ids[t.post]) for t in transitions], np.int64
         ).reshape(-1, 3)
-        wanted = _edge_keys(rank, *triples.T, len(self.labels))
+        pre, label, post = triples.T
+        wanted = edge_keys(rank[pre], label, rank[post], len(rank), len(self.labels))
         return order[np.searchsorted(keys, wanted)]
-
-
-def _edge_keys(rank, pre, label, post, n_labels: int) -> np.ndarray:
-    return (rank[pre] * n_labels + label) * len(rank) + rank[post]
 
 
 def explore(
@@ -558,7 +558,11 @@ def explore(
     States that violate the invariant are recorded but never expanded.  A
     successor that would pass a limit is dropped and cuts its state (even a
     duplicate, which otherwise collapses); ``truncated`` says if any was.
+    A negative limit is an ExplorerError.
     """
+    for name, limit in (("max_states", max_states), ("max_transitions", max_transitions)):
+        if limit < 0:
+            raise ExplorerError(f"{name} must not be negative, got {limit}")
     domains = infer_domains(machine)
     order = machine.variables
     holds = compile_predicate(machine.invariant)
@@ -669,13 +673,22 @@ def result_header(result: ExplorationResult) -> dict:
 def write_result(result: ExplorationResult, stream) -> None:
     """``result_header`` plus every transition as its canonical object,
     canonically sorted and flagged ``violates``: the ``json.dumps`` text of
-    that document at indent 2, written one transition at a time."""
+    that document at indent 2.  Each state's object is rendered once
+    (``state_texts``) and the transitions are written a chunk at a time."""
     head = json.dumps(result_header(result), indent=2)
     stream.write(head[: -len("\n}")] + ',\n  "transitions": [')
-    flags = result.violates[result._canonical[2]].tolist()
+    # A state object sits two levels into an entry that is itself indented
+    # by four spaces.
+    states = [s.replace("\n", "\n      ") for s in state_texts(result.relation, indent=2)]
+    ops = [json.dumps(name) for name in result.labels]
+    flags = ("false", "true")
     separator = "\n"
-    for t, flag in zip(result.ordered_transitions, flags):
-        entry = json.dumps(dict(transition_to_json(t), violates=flag), indent=2)
-        stream.write(separator + "    " + entry.replace("\n", "\n    "))
+    for ids, pre, label, post in canonical_edges(result.relation):
+        violates = result.violates[ids].tolist()
+        stream.write(separator + ",\n".join(
+            f'    {{\n      "pre": {states[p]},\n      "op": {ops[c]},\n'
+            f'      "post": {states[q]},\n      "violates": {flags[v]}\n    }}'
+            for p, c, q, v in zip(pre, label, post, violates)
+        ))
         separator = ",\n"
-    stream.write("\n  ]\n}\n" if flags else "]\n}\n")
+    stream.write("\n  ]\n}\n" if len(result.pre) else "]\n}\n")

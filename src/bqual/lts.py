@@ -7,12 +7,22 @@ them only when they are read.  The canonical order of states, and with it
 of transitions and pairs, is computed in one place, ``row_ranks``, from
 integer value codes: of an exploration's value rows directly, or of the
 states of transitions and pairs through ``element_keys``.
+
+A set of transitions travels as a ``Relation`` of integer arrays: an
+exploration hands over its own, ``read_transitions_jsonl`` reads a file
+into one and ``write_transitions_jsonl`` writes one, rendering each state's
+JSON text once.  The functional metrics compare two relations as ``Coded``
+sorted int64 keys on one shared coding (``code_relations``), never as
+objects.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import re
+from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -334,6 +344,31 @@ def transition_to_json(t: Transition) -> dict:
     }
 
 
+def transition_parts(obj) -> tuple[dict, str, dict]:
+    """The pre-state object, operation name and post-state object of a
+    decoded transition object; raises StructureError naming what is wrong."""
+    if not isinstance(obj, dict):
+        raise StructureError(f"transition must be a JSON object, not {type(obj).__name__}")
+    for key in ("pre", "op", "post"):
+        if key not in obj:
+            raise StructureError(f"transition object is missing {key!r}")
+    if not isinstance(obj["op"], str):
+        raise StructureError("transition 'op' must be a string")
+    for key in ("pre", "post"):
+        if not isinstance(obj[key], dict):
+            kind = type(obj[key]).__name__
+            raise StructureError(f"transition {key!r} must be a JSON object, not {kind}")
+    return obj["pre"], obj["op"], obj["post"]
+
+
+def state_row(
+    mapping: Mapping, variable_order: tuple[str, ...], element_sets=None
+) -> tuple[Value, ...]:
+    """Decode a state's JSON object into its values in ``variable_order``."""
+    decoded = {name: value_from_json(item, element_sets) for name, item in mapping.items()}
+    return State.from_mapping(decoded, variable_order).values
+
+
 def transition_from_json(
     obj: Mapping,
     variable_order: Iterable[str],
@@ -341,19 +376,12 @@ def transition_from_json(
 ) -> Transition:
     """Decode the canonical JSON object against a known variable order."""
     order = tuple(variable_order)
-    for key in ("pre", "op", "post"):
-        if key not in obj:
-            raise StructureError(f"transition object is missing {key!r}")
-    if not isinstance(obj["op"], str):
-        raise StructureError("transition 'op' must be a string")
-
-    def decode_state(mapping: Mapping) -> State:
-        decoded = {
-            name: value_from_json(item, element_sets) for name, item in mapping.items()
-        }
-        return State.from_mapping(decoded, order)
-
-    return Transition(decode_state(obj["pre"]), obj["op"], decode_state(obj["post"]))
+    pre, op, post = transition_parts(obj)
+    return Transition(
+        State(order, state_row(pre, order, element_sets)),
+        op,
+        State(order, state_row(post, order, element_sets)),
+    )
 
 
 def row_ranks(
@@ -425,35 +453,286 @@ def sorted_labels(labels: Iterable[str]) -> list[str]:
     return sorted(set(labels))
 
 
-def write_transitions_jsonl(transitions: Iterable[Transition], stream) -> int:
-    """Write one canonical JSON object per line, in the order given.
+# --- transitions as integer arrays ------------------------------------------
+
+
+def edge_keys(pre, label, post, n_states: int, n_labels: int) -> np.ndarray:
+    """One int64 key per edge, ``(pre·L + label)·S + post`` for S states
+    and L labels, ordered as the (pre, label, post) triples are."""
+    keys = np.multiply(pre, n_labels, dtype=np.int64)
+    keys += label
+    keys *= n_states
+    keys += post
+    return keys
+
+
+def edge_columns(keys: np.ndarray, n_states: int, n_labels: int):
+    """The (pre, label, post) columns of ``edge_keys``."""
+    rest, post = np.divmod(keys, n_states)
+    pre, label = np.divmod(rest, n_labels)
+    return pre, label, post
+
+
+def distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct keys, sorted: ``keys`` is sorted in place and masked
+    where a key equals its neighbour (on millions of keys ``np.unique`` is
+    many times slower)."""
+    keys.sort()
+    keep = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys if keep.all() else keys[keep]
+
+
+def _matches(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The positions of the common keys of sorted distinct ``a`` and ``b``,
+    in each, found by searching the smaller in the larger, so that the
+    working memory is that of the smaller."""
+    if len(a) > len(b):
+        in_b, in_a = _matches(b, a)
+        return in_a, in_b
+    at = np.searchsorted(b, a)
+    hit = at < len(b)
+    hit[hit] = b[at[hit]] == a[hit]
+    return np.flatnonzero(hit), at[hit]
+
+
+@dataclass(frozen=True, eq=False)
+class Relation:
+    """A set of transitions as integer arrays.
+
+    Transition ``j`` goes from state ``pre[j]`` to state ``post[j]`` by
+    operation ``labels[label[j]]``; ``rows[i]`` holds state ``i``'s values
+    in ``variable_order``.  Rows, labels and transitions are each distinct,
+    and labels are in code-point order.  An exploration hands over its
+    arrays as one (``ExplorationResult.relation``) and a transitions file
+    is read into one; the objects are built only when read.
+    """
+
+    variable_order: tuple[str, ...]
+    rows: Sequence[tuple[Value, ...]]
+    labels: tuple[str, ...]
+    pre: np.ndarray
+    label: np.ndarray
+    post: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.pre)
+
+    @property
+    def operations(self) -> frozenset:
+        """The labels of the operations with at least one transition."""
+        used = np.bincount(self.label, minlength=len(self.labels)).nonzero()[0]
+        return frozenset(self.labels[code] for code in used.tolist())
+
+    @functools.cached_property
+    def canonical(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(rank, order, keys)``: each state's canonical rank, the
+        transition ids in canonical order and their ``edge_keys`` over
+        (pre rank, label, post rank), so ``keys`` is strictly increasing."""
+        rank, _ = row_ranks(self.rows, len(self.variable_order))
+        keys = edge_keys(
+            rank[self.pre], self.label, rank[self.post], len(rank), len(self.labels)
+        )
+        order = np.argsort(keys)
+        return rank, order, keys[order]
+
+    @functools.cached_property
+    def state_objects(self) -> tuple[State, ...]:  # by id
+        order = self.variable_order
+        return tuple(State(order, values) for values in self.rows)
+
+    @functools.cached_property
+    def edge_objects(self) -> tuple[Transition, ...]:  # by id
+        states, labels = self.state_objects, self.labels
+        # Memoryviews yield the ids one int at a time, with no list of them.
+        edges = zip(*map(memoryview, (self.pre, self.label, self.post)))
+        return tuple(Transition(states[p], labels[c], states[q]) for p, c, q in edges)
+
+    @property
+    def transitions(self) -> frozenset:
+        return frozenset(self.edge_objects)
+
+
+def canonical_edges(relation: Relation, chunk: int = 1 << 16):
+    """The relation's transitions in canonical order, ``chunk`` at a time:
+    lists of transition ids, pre-state ids, label codes and post-state ids."""
+    order = relation.canonical[1]
+    for start in range(0, len(order), chunk):
+        ids = order[start : start + chunk]
+        columns = (relation.pre, relation.label, relation.post)
+        yield ids.tolist(), *(column[ids].tolist() for column in columns)
+
+
+def state_texts(relation: Relation, **layout) -> list[str]:
+    """The JSON text of each state's canonical object, by state id, as
+    ``json.dumps`` lays it out with ``layout``: rendered once per state and
+    shared by every transition that reads it."""
+    order = relation.variable_order
+    return [
+        json.dumps(dict(zip(order, map(Value.to_json, row))), **layout)
+        for row in relation.rows
+    ]
+
+
+_SEPARATORS = (", ", ": ")
+
+
+def write_transitions_jsonl(relation: Relation, stream) -> int:
+    """Write one canonical JSON object per line, in canonical order: the
+    ``json.dumps`` text of ``transition_to_json`` of each transition.
     Returns the number of lines written."""
-    count = 0
-    for t in transitions:
-        stream.write(json.dumps(transition_to_json(t), separators=(", ", ": ")))
-        stream.write("\n")
-        count += 1
-    return count
+    states = state_texts(relation, separators=_SEPARATORS)
+    ops = [json.dumps(name) for name in relation.labels]
+    for _, pre, label, post in canonical_edges(relation):
+        stream.write("".join(
+            f'{{"pre": {states[p]}, "op": {ops[c]}, "post": {states[q]}}}\n'
+            for p, c, q in zip(pre, label, post)
+        ))
+    return len(relation)
+
+
+# A line as ``write_transitions_jsonl`` writes it: the texts of the pre-state
+# object, the operation name and the post-state object.
+_CANONICAL_LINE = re.compile(
+    r'^\{"pre": (\{[^{}\n]*\}), "op": ("[^"\\\n]*"), "post": (\{[^{}\n]*\})\}$',
+    re.MULTILINE,
+)
 
 
 def read_transitions_jsonl(
     stream,
     variable_order: Iterable[str],
     element_sets: Mapping[str, str] | None = None,
-) -> frozenset:
-    """Read canonical transition JSON lines; blank lines are ignored."""
+) -> Relation:
+    """Read canonical transition JSON lines into a Relation.
+
+    Blank lines are ignored, duplicate transitions collapse and a state's
+    keys may come in any order.  Each line is split into the JSON texts of
+    its states and operation, by one regular expression when it is laid out
+    as the writer lays it out and by ``json.loads`` otherwise.  Each
+    distinct state text is decoded once; a text keeps JSON's types apart
+    (``true`` is not ``1``, nor ``1.0``), and the decoded values are
+    interned, so two spellings of one state are one state.  When anything
+    is wrong, the lines are decoded one by one (``transition_from_json``)
+    and the first fault is raised with its line number.
+    """
     order = tuple(variable_order)
-    out = set()
-    for lineno, line in enumerate(stream, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise StructureError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
-        try:
-            out.add(transition_from_json(obj, order, element_sets))
-        except StructureError as exc:
-            raise StructureError(f"line {lineno}: {exc}") from exc
-    return frozenset(out)
+    lines = [line.strip() for line in stream]
+    try:
+        return _read_lines([line for line in lines if line], order, element_sets)
+    except ValueError:
+        for lineno, line in enumerate(lines, start=1):
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise StructureError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+            try:
+                transition_from_json(obj, order, element_sets)
+            except StructureError as exc:
+                raise StructureError(f"line {lineno}: {exc}") from exc
+        raise
+
+
+def _line_texts(line: str) -> tuple[str, str, str]:
+    pre, op, post = transition_parts(json.loads(line))
+    return json.dumps(pre), json.dumps(op), json.dumps(post)
+
+
+def _read_lines(lines: list[str], order: tuple[str, ...], element_sets) -> Relation:
+    """The Relation of non-blank lines; raises ValueError on any fault."""
+    found = _CANONICAL_LINE.findall("\n".join(lines))
+    if len(found) != len(lines):
+        found = list(map(_line_texts, lines))
+    pres, ops, posts = zip(*found) if found else ((), (), ())
+    ids: dict[tuple[Value, ...], int] = {}  # the id of each state's values
+    known = dict.fromkeys(pres + posts)  # the id of each state's text
+    for text in known:
+        values = state_row(json.loads(text), order, element_sets)
+        known[text] = ids.setdefault(values, len(ids))
+    names = {text: json.loads(text) for text in dict.fromkeys(ops)}
+    labels = sorted_labels(names.values())
+    code = {text: labels.index(name) for text, name in names.items()}
+    columns = (
+        np.fromiter(map(table.__getitem__, column), np.int64, len(found))
+        for table, column in ((known, pres), (code, ops), (known, posts))
+    )
+    keys = distinct(edge_keys(*columns, len(ids), len(labels)))
+    edges = edge_columns(keys, len(ids), len(labels))
+    return Relation(order, list(ids), tuple(labels), *edges)
+
+
+@dataclass(frozen=True, eq=False)
+class Coded:
+    """Distinct transitions or state pairs as sorted int64 keys, on a
+    coding that the two sides of a comparison share.
+
+    ``states`` holds the state rows of ``row_ranks`` (value codes), indexed
+    by rank.  A transition's key is ``edge_keys`` of (pre rank, label code,
+    post rank) with ``n_labels`` labels; a pair's, with ``n_labels`` None,
+    is ``pre·S + post``.  Equal keys on the two sides are equal elements.
+    """
+
+    keys: np.ndarray
+    states: np.ndarray
+    n_labels: int | None
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    @property
+    def width(self) -> int:
+        """Tokens per flattened element: 2N+1 for a transition and 2N for a
+        state pair, for N variables."""
+        return 2 * self.states.shape[1] + (self.n_labels is not None)
+
+    @property
+    def size(self) -> int:
+        """Total number of tokens over all flattened elements (``set_size``)."""
+        return self.width * len(self.keys)
+
+    def common(self, other: "Coded") -> int:
+        """The number of elements on both sides."""
+        return len(_matches(self.keys, other.keys)[0])
+
+    def remainder(self, other: "Coded") -> np.ndarray:
+        """The keys of the elements that ``other`` does not hold."""
+        return np.delete(self.keys, _matches(self.keys, other.keys)[0])
+
+    def pairs(self) -> "Coded":
+        """The label-erased pre/post pairs; duplicates collapse."""
+        n_states = len(self.states)
+        pairs = self.keys // ((self.n_labels or 1) * n_states)
+        pairs *= n_states
+        pairs += self.keys % n_states
+        return Coded(distinct(pairs), self.states, None)
+
+    def rows(self, keys: np.ndarray) -> np.ndarray:
+        """One row of codes per key, in flattened order: the pre-state's
+        value codes, the label code (transitions only), the post-state's."""
+        pre, label, post = edge_columns(keys, len(self.states), self.n_labels or 1)
+        parts = [self.states[pre], self.states[post]]
+        if self.n_labels is not None:
+            parts.insert(1, label[:, None].astype(self.states.dtype))
+        return np.hstack(parts)
+
+
+def code_relations(derived: Relation, required: Relation) -> tuple[Coded, Coded]:
+    """Two relations on one coding: a single ``row_ranks`` call over both
+    sides' rows, so that equal valuations share a rank, and labels coded in
+    code-point order over the union of their names."""
+    rank, states = row_ranks([*derived.rows, *required.rows], len(derived.variable_order))
+    labels = sorted_labels([*derived.labels, *required.labels])
+
+    def side(relation: Relation, rank: np.ndarray) -> Coded:
+        code = np.array([labels.index(name) for name in relation.labels], dtype=np.int32)
+        keys = edge_keys(
+            rank[relation.pre], code[relation.label], rank[relation.post],
+            len(states), len(labels),
+        )
+        return Coded(distinct(keys), states, len(labels))
+
+    rank = rank.astype(np.int32)
+    split = len(derived.rows)
+    return side(derived, rank[:split]), side(required, rank[split:])

@@ -1,7 +1,14 @@
 """The quality equations, computed in exact rational arithmetic.
 
 Every ratio metric raises NotComputable instead of dividing by zero; the
-report layer turns that into a "not-computed" field with the reason.
+report layer turns that into a "not-computed" field with the reason.  The
+equations take counts: the functional ones (``completeness``,
+``correctness``) the sizes of the two sides on one integer coding
+(``lts.Coded``) and what they share, as ``evaluate`` computes them from
+the relations' arrays.  ``tfcomp``, ``pfcomp``, ``tfcorr``, ``pfcorr``,
+``tfappr`` and ``pfappr`` are the same equations on sets of transitions:
+each codes its sets (``alignment.code_elements``) and counts on the same
+coding.
 """
 
 from __future__ import annotations
@@ -12,10 +19,10 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .alignment import DEFAULT_SIZE_GUARD, AlignmentOutcome, similarity
+from .alignment import DEFAULT_SIZE_GUARD, code_elements, similarity
 from .bmachine import Predicate
 from .explorer import ExplorationResult, check_goal
-from .lts import labels_of, pairs_of, set_size
+from .lts import Relation, labels_of
 
 
 class NotComputable(ValueError):
@@ -28,20 +35,11 @@ class NotComputable(ValueError):
 
 @dataclass(frozen=True)
 class RequirementSpec:
-    """Required transitions plus the projections the metrics consume.
-    ``truncated`` says whether a limit cut the reference exploration short
-    that derived them."""
+    """The required transitions, as a relation.  ``truncated`` says whether
+    a limit cut the reference exploration short that derived them."""
 
-    required_transitions: frozenset
+    required_transitions: Relation
     truncated: bool
-
-    @property
-    def required_pairs(self) -> frozenset:
-        return pairs_of(self.required_transitions)
-
-    @property
-    def required_operations(self) -> frozenset:
-        return labels_of(self.required_transitions)
 
 
 @dataclass(frozen=True)
@@ -52,60 +50,56 @@ class GoalSpec:
 # --- functional suitability ---------------------------------------------------
 
 
+def completeness(common: int, required: int) -> Fraction:
+    """The share of the required side that the derived side matches:
+    TFComp and TFAppr from the number of shared transitions (or pairs) and
+    of required ones, PFComp and PFAppr from the alignment's total
+    agreement and the required side's token count."""
+    if not required:
+        raise NotComputable("no required transitions")
+    return Fraction(common, required)
+
+
+def correctness(common: int, derived: int) -> Fraction:
+    """The share of the derived side that the required side matches:
+    TFCorr and PFCorr, from counts as in ``completeness``."""
+    if not derived:
+        raise NotComputable("no derived transitions")
+    return Fraction(common, derived)
+
+
 def tfcomp(t_derived: frozenset, t_required: frozenset) -> Fraction:
     """Share of the required transitions that were derived."""
-    if not t_required:
-        raise NotComputable("no required transitions")
-    return Fraction(len(t_derived & t_required), len(t_required))
+    derived, required = code_elements(t_derived, t_required)
+    return completeness(derived.common(required), len(required))
 
 
 def pfcomp(
-    t_derived: frozenset,
-    t_required: frozenset,
-    variable_order: Iterable[str],
-    *,
-    aligned: AlignmentOutcome | None = None,
+    t_derived: frozenset, t_required: frozenset, variable_order: Iterable[str]
 ) -> Fraction:
-    """Alignment score against the required set, relative to its size.
-
-    ``aligned`` is ``similarity(t_derived, t_required, ...)`` when the
-    caller already has it (``pfcorr`` aligns the same two sets); without
-    it the sets are aligned under the default size guard."""
-    if not t_required:
-        raise NotComputable("no required transitions")
-    order = tuple(variable_order)
-    if aligned is None:
-        aligned = similarity(t_derived, t_required, order)
-    return Fraction(aligned.total_agreement, set_size(t_required, order))
+    """Alignment score against the required set, relative to its size."""
+    derived, required = code_elements(t_derived, t_required, variable_order)
+    return completeness(similarity(derived, required).total_agreement, required.size)
 
 
 def tfcorr(t_derived: frozenset, t_required: frozenset) -> Fraction:
     """Share of the derived transitions that were required."""
-    if not t_derived:
-        raise NotComputable("no derived transitions")
-    return Fraction(len(t_derived & t_required), len(t_derived))
+    derived, required = code_elements(t_derived, t_required)
+    return correctness(derived.common(required), len(derived))
 
 
 def pfcorr(
-    t_derived: frozenset,
-    t_required: frozenset,
-    variable_order: Iterable[str],
-    *,
-    aligned: AlignmentOutcome | None = None,
+    t_derived: frozenset, t_required: frozenset, variable_order: Iterable[str]
 ) -> Fraction:
-    """Alignment score against the derived set, relative to its size;
-    ``aligned`` as in ``pfcomp``."""
-    if not t_derived:
-        raise NotComputable("no derived transitions")
-    order = tuple(variable_order)
-    if aligned is None:
-        aligned = similarity(t_derived, t_required, order)
-    return Fraction(aligned.total_agreement, set_size(t_derived, order))
+    """Alignment score against the derived set, relative to its size."""
+    derived, required = code_elements(t_derived, t_required, variable_order)
+    return correctness(similarity(derived, required).total_agreement, derived.size)
 
 
 def tfappr(t_derived: frozenset, t_required: frozenset) -> Fraction:
     """``tfcomp`` over the label-erased pre/post pairs."""
-    return tfcomp(pairs_of(t_derived), pairs_of(t_required))
+    derived, required = (c.pairs() for c in code_elements(t_derived, t_required))
+    return completeness(derived.common(required), len(required))
 
 
 def pfappr(
@@ -116,10 +110,10 @@ def pfappr(
     size_guard: int = DEFAULT_SIZE_GUARD,
 ) -> Fraction:
     """``pfcomp`` over the label-erased pre/post pairs."""
-    order = tuple(variable_order)
-    p_derived, p_required = pairs_of(t_derived), pairs_of(t_required)
-    aligned = similarity(p_derived, p_required, order, size_guard=size_guard)
-    return pfcomp(p_derived, p_required, order, aligned=aligned)
+    coded = code_elements(t_derived, t_required, variable_order)
+    derived, required = (c.pairs() for c in coded)
+    aligned = similarity(derived, required, size_guard=size_guard)
+    return completeness(aligned.total_agreement, required.size)
 
 
 # --- security and reliability --------------------------------------------------

@@ -123,7 +123,7 @@ class TestSimilarity:
 
     @pytest.mark.parametrize("pairs", [False, True], ids=["transitions", "pairs"])
     def test_variable_mismatch_names_variable(self, cm1_result, pairs):
-        # Every element is identical, so none of them goes through the coding.
+        # Every element is identical; coding them still checks their variables.
         elements = cm1_result.transitions
         if pairs:
             elements = pairs_of(elements)

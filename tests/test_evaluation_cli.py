@@ -75,6 +75,50 @@ def test_evaluation_without_trials_builds_no_transition(tmp_path, monkeypatch):
     assert len(result.transitions) == len(built)
 
 
+def _count_objects(monkeypatch) -> list:
+    """Record every Transition and StatePair built from now on."""
+    from bqual.lts import StatePair, Transition
+
+    built = []
+    for kind in (Transition, StatePair):
+        construct = kind.__init__
+
+        def counting(self, *args, _construct=construct):
+            built.append(args)
+            _construct(self, *args)
+
+        monkeypatch.setattr(kind, "__init__", counting)
+    return built
+
+
+@pytest.mark.parametrize("source", ["reference", "required"])
+def test_functional_metrics_build_no_transition(tmp_path, monkeypatch, source):
+    # The required relation goes from the file (or the reference's walk) to
+    # the metric counts as arrays.
+    dump = tmp_path / "cm1.jsonl"
+    assert run_cli("explore", "--machine", CM1, "--out", str(dump)).returncode == 0
+    built = _count_objects(monkeypatch)
+    paths = {"reference_path": CM1} if source == "reference" else {"required_path": str(dump)}
+    report = evaluate(EvaluationConfig(machine_path=CM2, trials=0, **paths))
+    render_report(report, "json")
+    assert report.value("tfcomp") == Fraction(697, 720)
+    assert report.value("pfcomp") == Fraction(7062, 7200)
+    assert report.value("tfappr") == Fraction(697, 720)
+    assert report.value("availability") == 1
+    assert built == []
+
+
+def test_explore_out_builds_no_transition(tmp_path, monkeypatch, capsys):
+    from bqual import cli
+
+    built = _count_objects(monkeypatch)
+    dump = tmp_path / "cm4.jsonl"
+    assert cli.main(["explore", "--machine", CM4, "--out", str(dump)]) == 0
+    assert json.loads(capsys.readouterr().out)["summary"]["transitions"] == 1465
+    assert len(dump.read_text(encoding="utf-8").splitlines()) == 1465
+    assert built == []
+
+
 class TestTruncatedEvaluation:
     """A cut LTS yields no metric that reads it; the counts stay."""
 
@@ -126,9 +170,10 @@ class TestTruncatedEvaluation:
 class TestLoadRequired:
     def test_reference_mode(self, cm2_machine):
         spec = load_required(cm2_machine, reference_path=CM1)
-        assert len(spec.required_transitions) == 1440
-        assert spec.required_operations == {"inc_minute", "inc_hour", "next_day"}
-        assert len(spec.required_pairs) == 1440
+        required = spec.required_transitions
+        assert len(required) == 1440
+        assert required.operations == {"inc_minute", "inc_hour", "next_day"}
+        assert len(set(zip(required.pre.tolist(), required.post.tolist()))) == 1440
 
     def test_reference_variable_mismatch(self, cm2_machine, tmp_path):
         other = tmp_path / "other.mch"
@@ -282,7 +327,8 @@ class TestEvaluatePipeline:
         kinds = []
 
         def counted(left, right, *args, **kwargs):
-            kinds.append(type(next(iter(left))).__name__)
+            # evaluate aligns coded sides; pairs carry no label codes.
+            kinds.append("StatePair" if left.n_labels is None else "Transition")
             return original(left, right, *args, **kwargs)
 
         for name, module in list(sys.modules.items()):
@@ -507,6 +553,39 @@ class TestCli:
         assert result.returncode == 1
         name = flag[2:].replace("-", "_")
         assert result.stderr == f"bqual: {name} must not be negative, got -3\n"
+
+    @pytest.mark.parametrize("command", ["explore", "evaluate"])
+    @pytest.mark.parametrize("flag", ["--max-states", "--max-transitions"])
+    def test_negative_limit_exit_one(self, command, flag):
+        result = run_cli(command, "--machine", CM1, flag, "-1")
+        assert result.returncode == 1
+        name = flag[2:].replace("-", "_")
+        assert result.stderr == f"bqual: {name} must not be negative, got -1\n"
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("1", "line 2: transition must be a JSON object, not int"),
+            (
+                '{"pre": {"hour": 0, "minute": 0}, "op": "inc_minute", "post": 5}',
+                "line 2: transition 'post' must be a JSON object, not int",
+            ),
+        ],
+        ids=["line-not-object", "post-not-object"],
+    )
+    def test_required_line_not_an_object_exit_one(self, tmp_path, line, message):
+        path = tmp_path / "req.jsonl"
+        path.write_text(
+            '{"pre": {"hour": 0, "minute": 0}, "op": "inc_minute", '
+            '"post": {"hour": 0, "minute": 1}}\n' + line + "\n",
+            encoding="utf-8",
+        )
+        result = run_cli(
+            "evaluate", "--machine", CM1, "--required", str(path), "--trials", "0"
+        )
+        assert result.returncode == 1
+        assert result.stderr == f"bqual: {message}\n"
 
     def test_truncation_without_strict_exits_zero(self):
         result = run_cli(

@@ -3,10 +3,12 @@ from __future__ import annotations
 import io
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from bqual.lts import (
+    Relation,
     State,
     StatePair,
     StructureError,
@@ -190,16 +192,94 @@ class TestJson:
             clock_transition((0, 1), "a", (0, 2)),
             clock_transition((0, 0), "a", (0, 1)),
         }
+        # States and transitions out of canonical order: the writer sorts.
+        rows = [(intval(0), intval(1)), (intval(0), intval(2)), (intval(0), intval(0))]
+        pre, label, post = np.array([0, 2]), np.array([0, 0]), np.array([1, 0])
+        relation = Relation(ORDER, rows, ("a",), pre, label, post)
+        assert relation.transitions == frozenset(transitions)
         buffer = io.StringIO()
-        assert write_transitions_jsonl(sorted_transitions(transitions), buffer) == 2
+        assert write_transitions_jsonl(relation, buffer) == 2
         lines = buffer.getvalue().splitlines()
         assert json.loads(lines[0])["pre"] == {"hour": 0, "minute": 0}
+        assert lines == [
+            json.dumps(transition_to_json(t), separators=(", ", ": "))
+            for t in sorted_transitions(transitions)
+        ]
         buffer.seek(0)
-        assert read_transitions_jsonl(buffer, ORDER) == frozenset(transitions)
+        assert read_transitions_jsonl(buffer, ORDER).transitions == frozenset(transitions)
 
     def test_jsonl_bad_line_reports_position(self):
         with pytest.raises(StructureError, match="line 1"):
             read_transitions_jsonl(io.StringIO("{nope}\n"), ORDER)
+
+
+GOOD = '{"pre": {"hour": 0, "minute": 0}, "op": "a", "post": {"hour": 0, "minute": 1}}'
+
+
+def read_lines(*lines):
+    return read_transitions_jsonl(io.StringIO("\n".join(lines) + "\n"), ORDER)
+
+
+class TestReadTransitions:
+    @pytest.mark.parametrize("first, second", [("1", "true"), ("true", "1")])
+    def test_true_is_not_one(self, first, second):
+        line = '{"pre": {"hour": %s, "minute": 0}, "op": "a", "post": {"hour": 1, "minute": 1}}'
+        relation = read_lines(line % first, line % second)
+        assert len(relation) == 2
+        post = clock_state(1, 1)
+        assert relation.transitions == {
+            Transition(State(ORDER, (intval(1), intval(0))), "a", post),
+            Transition(State(ORDER, (boolval(True), intval(0))), "a", post),
+        }
+
+    def test_duplicate_line_collapses(self):
+        relation = read_lines(GOOD, GOOD)
+        assert len(relation) == 1
+        assert len(relation.rows) == 2
+
+    def test_key_order_is_free(self):
+        permuted = '{"post": {"minute": 1, "hour": 0}, "op": "a", "pre": {"minute": 0, "hour": 0}}'
+        relation = read_lines(GOOD, permuted)
+        assert len(relation) == 1
+        assert relation.transitions == {clock_transition((0, 0), "a", (0, 1))}
+
+    def test_blank_lines_ignored(self):
+        other = GOOD.replace('"a"', '"b"')
+        relation = read_lines("", GOOD, "   ", "", other, "\t")
+        assert len(relation) == 2
+        assert relation.operations == {"a", "b"}
+
+    def test_labels_in_code_point_order(self):
+        relation = read_lines(GOOD.replace('"a"', '"b"'), GOOD.replace('"a"', '"B"'), GOOD)
+        assert relation.labels == ("B", "a", "b")
+        assert sorted(t.label for t in relation.transitions) == ["B", "a", "b"]
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("{nope}", "invalid JSON"),
+            ("1", "transition must be a JSON object, not int"),
+            ("[]", "transition must be a JSON object, not list"),
+            ('{"op": "a", "post": {"hour": 0, "minute": 1}}', "missing 'pre'"),
+            (GOOD.replace('"op": "a"', '"op": 3'), "'op' must be a string"),
+            (GOOD.replace('"post": {"hour": 0, "minute": 1}', '"post": 5'),
+             "transition 'post' must be a JSON object, not int"),
+            (GOOD.replace('"pre": {"hour": 0, "minute": 0}', '"pre": [0, 0]'),
+             "transition 'pre' must be a JSON object, not list"),
+            (GOOD.replace('"minute": 0', '"second": 0'), "undeclared variable 'second'"),
+            (GOOD.replace(', "minute": 0', ""), "missing variable 'minute'"),
+            # 0.0 == 0, but a decoded state is never reused for another type.
+            (GOOD.replace('"hour": 0, "minute": 0', '"hour": 0.0, "minute": 0'),
+             "cannot decode value of type float"),
+            (GOOD.replace('"hour": 0, "minute": 1', '"hour": "red", "minute": 1'),
+             "unknown enumerated element 'red'"),
+        ],
+    )
+    def test_errors_name_the_line(self, bad, message):
+        with pytest.raises(StructureError) as info:
+            read_lines(GOOD, "", bad, GOOD)
+        assert str(info.value).startswith("line 3: ")
+        assert message in str(info.value)
 
 
 values = st.integers(min_value=-3, max_value=3).map(intval)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import io
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -12,13 +14,16 @@ from bqual.lts import (
     StatePair,
     Transition,
     boolval,
+    code_relations,
     element_keys,
     enumval,
     flatten,
     intval,
     pairs_of,
+    read_transitions_jsonl,
     set_size,
     sorted_transitions,
+    transition_to_json,
 )
 from bqual.metrics import (
     fault_analysability,
@@ -83,6 +88,38 @@ def test_ratio_metrics_stay_in_unit_interval(t_d, t_r):
     ]
     for value in checks:
         assert 0 <= value <= 1
+
+
+def _read_relation(transitions, sort_keys: bool):
+    # Sorted keys ("op", "post", "pre") take the reader's json.loads path.
+    lines = (json.dumps(transition_to_json(t), sort_keys=sort_keys) for t in transitions)
+    return read_transitions_jsonl(io.StringIO("\n".join(lines)), PROPERTY_ORDER)
+
+
+@given(transition_sets(), transition_sets(), st.booleans())
+@settings(max_examples=200)
+def test_coded_counts_match_set_formulas(t_d, t_r, sort_keys):
+    # evaluate's path: two relations read as arrays, on one coding.
+    derived, required = code_relations(
+        _read_relation(t_d, sort_keys), _read_relation(t_r, sort_keys)
+    )
+    p_d, p_r = pairs_of(t_d), pairs_of(t_r)
+    assert (len(derived), len(required)) == (len(t_d), len(t_r))
+    assert derived.common(required) == len(t_d & t_r)
+    assert (len(derived.pairs()), len(required.pairs())) == (len(p_d), len(p_r))
+    assert derived.pairs().common(required.pairs()) == len(p_d & p_r)
+    assert (derived.size, required.size) == (
+        set_size(t_d, PROPERTY_ORDER), set_size(t_r, PROPERTY_ORDER)
+    )
+    assert similarity(derived, required).total_agreement == similarity(
+        t_d, t_r, PROPERTY_ORDER
+    ).total_agreement
+    # The set-form entry points against the set formulas.
+    if t_r:
+        assert tfcomp(t_d, t_r) == Fraction(len(t_d & t_r), len(t_r))
+        assert tfappr(t_d, t_r) == Fraction(len(p_d & p_r), len(p_r))
+    if t_d:
+        assert tfcorr(t_d, t_r) == Fraction(len(t_d & t_r), len(t_d))
 
 
 @given(nonempty_sets, nonempty_sets)
