@@ -599,6 +599,9 @@ _CANONICAL_LINE = re.compile(
 )
 
 
+_BLOCK = 1 << 16  # lines read and decoded at a time
+
+
 def read_transitions_jsonl(
     stream,
     variable_order: Iterable[str],
@@ -607,21 +610,35 @@ def read_transitions_jsonl(
     """Read canonical transition JSON lines into a Relation.
 
     Blank lines are ignored, duplicate transitions collapse and a state's
-    keys may come in any order.  Each line is split into the JSON texts of
-    its states and operation, by one regular expression when it is laid out
-    as the writer lays it out and by ``json.loads`` otherwise.  Each
-    distinct state text is decoded once; a text keeps JSON's types apart
-    (``true`` is not ``1``, nor ``1.0``), and the decoded values are
-    interned, so two spellings of one state are one state.  When anything
-    is wrong, the lines are decoded one by one (``transition_from_json``)
-    and the first fault is raised with its line number.
+    keys may come in any order.  The lines are read a block at a time, and
+    each is split into the JSON texts of its states and operation, by one
+    regular expression when it is laid out as the writer lays it out and
+    by ``json.loads`` otherwise.  Each distinct state text is decoded once;
+    a text keeps JSON's types apart (``true`` is not ``1``, nor ``1.0``),
+    and the decoded values are interned, so two spellings of one state are
+    one state.  When anything in a block is wrong, its lines are decoded
+    one by one (``transition_from_json``) and the first fault is raised
+    with its line number.
     """
     order = tuple(variable_order)
-    lines = [line.strip() for line in stream]
-    try:
-        return _read_lines([line for line in lines if line], order, element_sets)
-    except ValueError:
-        for lineno, line in enumerate(lines, start=1):
+    known: dict[str, int] = {}  # the id of each state text
+    ids: dict[tuple[Value, ...], int] = {}  # the id of each state's values
+    ops: dict[str, int] = {}  # the code of each operation text, as first read
+    names: dict[str, int] = {}  # the code of each operation name, as first read
+    empty = np.empty(0, dtype=np.int64)
+    blocks = [(empty, empty, empty)]
+    first = 1  # the number of the block's first line
+    while block := [line.strip() for line in itertools.islice(stream, _BLOCK)]:
+        lines = [line for line in block if line]
+        try:
+            columns = _read_block(lines, order, element_sets, known, ids, ops, names)
+        except ValueError as exc:
+            fault = exc
+        else:
+            blocks.append(columns)
+            first += len(block)
+            continue
+        for lineno, line in enumerate(block, start=first):
             if not line:
                 continue
             try:
@@ -632,7 +649,22 @@ def read_transitions_jsonl(
                 transition_from_json(obj, order, element_sets)
             except StructureError as exc:
                 raise StructureError(f"line {lineno}: {exc}") from exc
-        raise
+        raise fault
+
+    labels = sorted_labels(names)
+    recode = np.array([labels.index(name) for name in names], dtype=np.int64)
+    pre, label, post = (np.concatenate(column) for column in zip(*blocks))
+    keys = distinct(edge_keys(pre, recode[label], post, len(ids), len(labels)))
+    edges = edge_columns(keys, len(ids), len(labels))
+    return Relation(order, list(ids), tuple(labels), *edges)
+
+
+# A line as ``write_transitions_jsonl`` writes it: the texts of the pre-state
+# object, the operation name and the post-state object.
+_CANONICAL_LINE = re.compile(
+    r'^\{"pre": (\{[^{}\n]*\}), "op": ("[^"\\\n]*"), "post": (\{[^{}\n]*\})\}$',
+    re.MULTILINE,
+)
 
 
 def _line_texts(line: str) -> tuple[str, str, str]:
@@ -640,27 +672,24 @@ def _line_texts(line: str) -> tuple[str, str, str]:
     return json.dumps(pre), json.dumps(op), json.dumps(post)
 
 
-def _read_lines(lines: list[str], order: tuple[str, ...], element_sets) -> Relation:
-    """The Relation of non-blank lines; raises ValueError on any fault."""
+def _read_block(lines, order, element_sets, known, ids, ops, names) -> tuple:
+    """The (pre, label, post) id columns of non-blank lines, extending the
+    maps ``read_transitions_jsonl`` keeps; raises ValueError on any fault."""
     found = _CANONICAL_LINE.findall("\n".join(lines))
     if len(found) != len(lines):
         found = list(map(_line_texts, lines))
-    pres, ops, posts = zip(*found) if found else ((), (), ())
-    ids: dict[tuple[Value, ...], int] = {}  # the id of each state's values
-    known = dict.fromkeys(pres + posts)  # the id of each state's text
-    for text in known:
-        values = state_row(json.loads(text), order, element_sets)
-        known[text] = ids.setdefault(values, len(ids))
-    names = {text: json.loads(text) for text in dict.fromkeys(ops)}
-    labels = sorted_labels(names.values())
-    code = {text: labels.index(name) for text, name in names.items()}
-    columns = (
+    pres, texts, posts = zip(*found) if found else ((), (), ())
+    for text in dict.fromkeys(pres + posts):
+        if text not in known:
+            values = state_row(json.loads(text), order, element_sets)
+            known[text] = ids.setdefault(values, len(ids))
+    for text in dict.fromkeys(texts):
+        if text not in ops:
+            ops[text] = names.setdefault(json.loads(text), len(names))
+    return tuple(
         np.fromiter(map(table.__getitem__, column), np.int64, len(found))
-        for table, column in ((known, pres), (code, ops), (known, posts))
+        for table, column in ((known, pres), (ops, texts), (known, posts))
     )
-    keys = distinct(edge_keys(*columns, len(ids), len(labels)))
-    edges = edge_columns(keys, len(ids), len(labels))
-    return Relation(order, list(ids), tuple(labels), *edges)
 
 
 @dataclass(frozen=True, eq=False)

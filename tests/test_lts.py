@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import bqual.lts
+
 from bqual.lts import (
     Relation,
     State,
@@ -248,6 +250,16 @@ class TestReadTransitions:
         relation = read_lines("", GOOD, "   ", "", other, "\t")
         assert len(relation) == 2
         assert relation.operations == {"a", "b"}
+
+    def test_blocks_share_states_and_number_lines(self, monkeypatch):
+        monkeypatch.setattr(bqual.lts, "_BLOCK", 2)
+        other = GOOD.replace('"a"', '"b"')
+        later = other.replace('"minute": 1', '"minute": 2')
+        relation = read_lines(GOOD, other, "", GOOD, later)
+        assert (len(relation), len(relation.rows)) == (3, 3)
+        assert relation.labels == ("a", "b")
+        with pytest.raises(StructureError, match="^line 5: invalid JSON"):
+            read_lines(GOOD, other, "", GOOD, "{nope}")
 
     def test_labels_in_code_point_order(self):
         relation = read_lines(GOOD.replace('"a"', '"b"'), GOOD.replace('"a"', '"B"'), GOOD)
