@@ -138,7 +138,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         write_result(result, sys.stdout)
         return EXIT_OK
     with open(args.out, "w", encoding="utf-8") as handle:
-        write_transitions_jsonl(result.relation, handle)
+        write_transitions_jsonl(result, handle)
     sys.stdout.write(json.dumps(result_header(result), indent=2) + "\n")
     return EXIT_OK
 

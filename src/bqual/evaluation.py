@@ -15,11 +15,11 @@ import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
+from functools import partial
 from pathlib import Path
 
 from . import __version__
-from .alignment import DEFAULT_SIZE_GUARD, AlignmentError, similarity
+from .alignment import DEFAULT_SIZE_GUARD, AlignmentError
 from .bmachine import MachineAST
 from .explorer import (
     DEFAULT_MAX_STATES,
@@ -39,8 +39,7 @@ from .metrics import (
     accountability,
     availability,
     capacity,
-    completeness,
-    correctness,
+    functional,
     goal_appropriateness,
     invariant_satisfiability,
     learnability,
@@ -142,9 +141,7 @@ def load_required(
         max_transitions=max_transitions,
         meter_memory=False,
     )
-    return RequirementSpec(
-        required_transitions=result.relation, truncated=result.truncated
-    )
+    return RequirementSpec(required_transitions=result, truncated=result.truncated)
 
 
 _GOAL_LINE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*:\s*(.+?)\s*$")
@@ -309,24 +306,11 @@ def _functional_metrics(
     requirement: RequirementSpec,
     size_guard: int,
 ) -> None:
-    """The six functional metrics and availability, counted on one coding of
-    the derived and required relations.  Each alignment runs on first use
-    and is shared: pfcomp and pfcorr align the transitions; tfappr and
-    pfappr are tfcomp and pfcomp on the label-erased pairs."""
+    """The six functional metrics, on one coding of the derived and required
+    relations, and availability."""
     required = requirement.required_transitions
-    t_d, t_r = code_relations(result.relation, required)
-    p_d, p_r = t_d.pairs(), t_r.pairs()
-    aligned = cache(partial(similarity, t_d, t_r, size_guard=size_guard))
-    aligned_pairs = cache(partial(similarity, p_d, p_r, size_guard=size_guard))
-    computations = {
-        "tfcomp": lambda: completeness(t_d.common(t_r), len(t_r)),
-        "pfcomp": lambda: completeness(aligned().total_agreement, t_r.size),
-        "tfcorr": lambda: correctness(t_d.common(t_r), len(t_d)),
-        "pfcorr": lambda: correctness(aligned().total_agreement, t_d.size),
-        "tfappr": lambda: completeness(p_d.common(p_r), len(p_r)),
-        "pfappr": lambda: completeness(aligned_pairs().total_agreement, p_r.size),
-        "availability": lambda: availability(result, required.operations),
-    }
+    computations = functional(*code_relations(result, required), size_guard=size_guard)
+    computations["availability"] = lambda: availability(result, required.operations)
     for name, compute in computations.items():
         _set_or_mark(report, name, compute)
 

@@ -10,9 +10,11 @@ a transition violates when its post-state breaks the invariant or has no
 outgoing transition (deadlock-freeness is checked always, as an inherent
 invariant).  A state whose successors a limit dropped is not a deadlock:
 the cut, not the machine, left it without outgoing transitions.  The
-walk's ids are the only state and edge ids; the canonical order is one
-permutation of them, and the ``State`` and ``Transition`` sets are built
-only when a caller reads them.
+exploration is itself an ``lts.Relation`` over the walk's arrays, so the
+functional metrics, the transition writers and fault injection read it
+directly.  The walk's ids are the only state and edge ids; the canonical
+order is one permutation of them, and the ``State`` and ``Transition``
+sets are built only when a caller reads them.
 """
 
 from __future__ import annotations
@@ -418,31 +420,25 @@ def violations(pre, post, ok, cut: Iterable[int] = ()) -> tuple[np.ndarray, np.n
     return ~(ok[post] & live[post]), live
 
 
-@dataclass(eq=False)
-class ExplorationResult:
-    """One explored machine as integer arrays, with its object sets built on
-    first read (one ``State`` per id, shared by every transition).
+@dataclass(frozen=True, eq=False)
+class ExplorationResult(Relation):
+    """One explored machine: the derived transitions as a ``Relation`` over
+    the walk's own arrays, with each state's verdict and each edge's.
 
-    State ids are dense, in breadth-first order from the initial states:
-    ``rows[i]`` holds state ``i``'s values and ``state_ok[i]`` its verdict.
-    Edge ``j`` goes from ``pre[j]`` to ``post[j]`` by ``labels[label[j]]``
-    (label codes in canonical order) and violates when ``violates[j]``;
+    State ids are dense, in breadth-first order from the initial states
+    (the first ``n_initial``): ``rows[i]`` holds state ``i``'s values and
+    ``state_ok[i]`` its verdict.  Edge ``j`` violates when ``violates[j]``;
     states not ``live`` are deadlocks.  These are the only state and edge
-    ids; the canonical order is one permutation of them, computed on first
-    read and used only where the order shows: ``ordered_transitions``,
-    ``edges`` and the seeded draws.  ``domains`` holds the variable domains
-    inferred from the invariant, from which fault injection draws
-    post-states."""
+    ids; the canonical order (``Relation.canonical``) is one permutation of
+    them, used only where the order shows: ``ordered_transitions``,
+    ``edges``, the written transitions and the seeded draws.  The object
+    sets are built on first read (one ``State`` per id, shared by every
+    transition).  ``domains`` holds the variable domains inferred from the
+    invariant, from which fault injection draws post-states."""
 
     machine_name: str
-    variable_order: tuple[str, ...]
-    rows: list[tuple[Value, ...]]
     state_ok: np.ndarray
     n_initial: int
-    labels: tuple[str, ...]
-    pre: np.ndarray
-    label: np.ndarray
-    post: np.ndarray
     violates: np.ndarray
     live: np.ndarray
     truncated: bool
@@ -473,21 +469,6 @@ class ExplorationResult:
         }
 
     @functools.cached_property
-    def relation(self) -> Relation:
-        """The derived transitions as a Relation over the walk's own arrays."""
-        return Relation(
-            self.variable_order, self.rows, self.labels, self.pre, self.label, self.post
-        )
-
-    @property
-    def state_objects(self) -> tuple[State, ...]:  # by id
-        return self.relation.state_objects
-
-    @property
-    def edge_objects(self) -> tuple[Transition, ...]:  # in walk order
-        return self.relation.edge_objects
-
-    @functools.cached_property
     def states(self) -> frozenset:
         return frozenset(self.state_objects)
 
@@ -500,10 +481,6 @@ class ExplorationResult:
         return frozenset(itertools.compress(self.state_objects, (~self.live).tolist()))
 
     @functools.cached_property
-    def transitions(self) -> frozenset:
-        return frozenset(self.edge_objects)
-
-    @functools.cached_property
     def violating(self) -> frozenset:
         return frozenset(itertools.compress(self.edge_objects, self.violates.tolist()))
 
@@ -513,29 +490,14 @@ class ExplorationResult:
         return {state: i for i, state in enumerate(self.state_objects)}
 
     @functools.cached_property
-    def label_counts(self) -> dict[str, int]:
-        """The number of edges of each operation that has any, by label."""
-        counts = np.bincount(self.label, minlength=len(self.labels)).tolist()
-        return {name: n for name, n in zip(self.labels, counts) if n}
-
-    @functools.cached_property
-    def _canonical(self) -> tuple[np.ndarray, list[int], np.ndarray, np.ndarray]:
-        """``(rank, by_rank, order, keys)``: each state's canonical rank, the
-        state ids in canonical order, the edge ids in canonical order and
-        their (pre rank, label, post rank) keys, so ``keys`` is strictly
-        increasing."""
-        rank, order, keys = self.relation.canonical
-        return rank, np.argsort(rank).tolist(), order, keys
-
-    @functools.cached_property
     def ordered_transitions(self) -> tuple[Transition, ...]:
         """The derived transitions in canonical order."""
         edges = self.edge_objects
-        return tuple(map(edges.__getitem__, self._canonical[2].tolist()))
+        return tuple(map(edges.__getitem__, self.canonical[2].tolist()))
 
     def edges(self, transitions: Iterable[Transition]) -> np.ndarray:
         """The edge id of each of ``transitions``, which must be derived."""
-        rank, _, order, keys = self._canonical
+        rank, _, order, keys = self.canonical
         code = {name: i for i, name in enumerate(self.labels)}
         ids = self.state_id
         triples = np.array(
@@ -679,11 +641,11 @@ def write_result(result: ExplorationResult, stream) -> None:
     stream.write(head[: -len("\n}")] + ',\n  "transitions": [')
     # A state object sits two levels into an entry that is itself indented
     # by four spaces.
-    states = [s.replace("\n", "\n      ") for s in state_texts(result.relation, indent=2)]
+    states = [s.replace("\n", "\n      ") for s in state_texts(result, indent=2)]
     ops = [json.dumps(name) for name in result.labels]
     flags = ("false", "true")
     separator = "\n"
-    for ids, pre, label, post in canonical_edges(result.relation):
+    for ids, pre, label, post in canonical_edges(result):
         violates = result.violates[ids].tolist()
         stream.write(separator + ",\n".join(
             f'    {{\n      "pre": {states[p]},\n      "op": {ops[c]},\n'

@@ -8,12 +8,12 @@ of transitions and pairs, is computed in one place, ``row_ranks``, from
 integer value codes: of an exploration's value rows directly, or of the
 states of transitions and pairs through ``element_keys``.
 
-A set of transitions travels as a ``Relation`` of integer arrays: an
-exploration hands over its own, ``read_transitions_jsonl`` reads a file
-into one and ``write_transitions_jsonl`` writes one, rendering each state's
-JSON text once.  The functional metrics compare two relations as ``Coded``
-sorted int64 keys on one shared coding (``code_relations``), never as
-objects.
+A set of transitions travels as a ``Relation`` of integer arrays, the one
+transition-set type: an exploration is one (``ExplorationResult`` extends
+it), ``read_transitions_jsonl`` reads a file into one and
+``write_transitions_jsonl`` writes one, rendering each state's JSON text
+once.  The functional metrics compare two relations as ``Coded`` sorted
+int64 keys on one shared coding (``code_relations``), never as objects.
 """
 
 from __future__ import annotations
@@ -503,9 +503,9 @@ class Relation:
     Transition ``j`` goes from state ``pre[j]`` to state ``post[j]`` by
     operation ``labels[label[j]]``; ``rows[i]`` holds state ``i``'s values
     in ``variable_order``.  Rows, labels and transitions are each distinct,
-    and labels are in code-point order.  An exploration hands over its
-    arrays as one (``ExplorationResult.relation``) and a transitions file
-    is read into one; the objects are built only when read.
+    and labels are in code-point order.  An exploration is one
+    (``ExplorationResult`` extends it) and a transitions file is read into
+    one; the objects are built only when read.
     """
 
     variable_order: tuple[str, ...]
@@ -518,23 +518,29 @@ class Relation:
     def __len__(self) -> int:
         return len(self.pre)
 
+    @functools.cached_property
+    def label_counts(self) -> dict[str, int]:
+        """The number of transitions of each operation that has any, by label."""
+        counts = np.bincount(self.label, minlength=len(self.labels)).tolist()
+        return {name: n for name, n in zip(self.labels, counts) if n}
+
     @property
     def operations(self) -> frozenset:
         """The labels of the operations with at least one transition."""
-        used = np.bincount(self.label, minlength=len(self.labels)).nonzero()[0]
-        return frozenset(self.labels[code] for code in used.tolist())
+        return frozenset(self.label_counts)
 
     @functools.cached_property
-    def canonical(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(rank, order, keys)``: each state's canonical rank, the
-        transition ids in canonical order and their ``edge_keys`` over
-        (pre rank, label, post rank), so ``keys`` is strictly increasing."""
+    def canonical(self) -> tuple[np.ndarray, list[int], np.ndarray, np.ndarray]:
+        """``(rank, by_rank, order, keys)``: each state's canonical rank, the
+        state ids in canonical order, the transition ids in canonical order
+        and their ``edge_keys`` over (pre rank, label, post rank), so
+        ``keys`` is strictly increasing."""
         rank, _ = row_ranks(self.rows, len(self.variable_order))
         keys = edge_keys(
             rank[self.pre], self.label, rank[self.post], len(rank), len(self.labels)
         )
         order = np.argsort(keys)
-        return rank, order, keys[order]
+        return rank, np.argsort(rank).tolist(), order, keys[order]
 
     @functools.cached_property
     def state_objects(self) -> tuple[State, ...]:  # by id
@@ -548,7 +554,7 @@ class Relation:
         edges = zip(*map(memoryview, (self.pre, self.label, self.post)))
         return tuple(Transition(states[p], labels[c], states[q]) for p, c, q in edges)
 
-    @property
+    @functools.cached_property
     def transitions(self) -> frozenset:
         return frozenset(self.edge_objects)
 
@@ -556,7 +562,7 @@ class Relation:
 def canonical_edges(relation: Relation, chunk: int = 1 << 16):
     """The relation's transitions in canonical order, ``chunk`` at a time:
     lists of transition ids, pre-state ids, label codes and post-state ids."""
-    order = relation.canonical[1]
+    order = relation.canonical[2]
     for start in range(0, len(order), chunk):
         ids = order[start : start + chunk]
         columns = (relation.pre, relation.label, relation.post)
@@ -657,14 +663,6 @@ def read_transitions_jsonl(
     keys = distinct(edge_keys(pre, recode[label], post, len(ids), len(labels)))
     edges = edge_columns(keys, len(ids), len(labels))
     return Relation(order, list(ids), tuple(labels), *edges)
-
-
-# A line as ``write_transitions_jsonl`` writes it: the texts of the pre-state
-# object, the operation name and the post-state object.
-_CANONICAL_LINE = re.compile(
-    r'^\{"pre": (\{[^{}\n]*\}), "op": ("[^"\\\n]*"), "post": (\{[^{}\n]*\})\}$',
-    re.MULTILINE,
-)
 
 
 def _line_texts(line: str) -> tuple[str, str, str]:

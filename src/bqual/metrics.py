@@ -2,27 +2,28 @@
 
 Every ratio metric raises NotComputable instead of dividing by zero; the
 report layer turns that into a "not-computed" field with the reason.  The
-equations take counts: the functional ones (``completeness``,
-``correctness``) the sizes of the two sides on one integer coding
-(``lts.Coded``) and what they share, as ``evaluate`` computes them from
-the relations' arrays.  ``tfcomp``, ``pfcomp``, ``tfcorr``, ``pfcorr``,
-``tfappr`` and ``pfappr`` are the same equations on sets of transitions:
-each codes its sets (``alignment.code_elements``) and counts on the same
-coding.
+equations take counts.  The six functional ones are written once, in
+``functional``, on the sizes of the two sides on one integer coding
+(``lts.Coded``) and what they share: ``evaluate`` codes the derived and
+required relations (``lts.code_relations``), and the set-form ``tfcomp``,
+``pfcomp``, ``tfcorr``, ``pfcorr``, ``tfappr`` and ``pfappr`` code their
+sets of transitions (``alignment.code_elements``) and look their metric
+up in it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from functools import cache
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
 from .alignment import DEFAULT_SIZE_GUARD, code_elements, similarity
 from .bmachine import Predicate
 from .explorer import ExplorationResult, check_goal
-from .lts import Relation, labels_of
+from .lts import Coded, Relation, labels_of
 
 
 class NotComputable(ValueError):
@@ -68,38 +69,54 @@ def correctness(common: int, derived: int) -> Fraction:
     return Fraction(common, derived)
 
 
+def functional(
+    t_derived: Coded, t_required: Coded, *, size_guard: int = DEFAULT_SIZE_GUARD
+) -> dict[str, Callable[[], Fraction]]:
+    """The six functional metrics of the derived and required transitions,
+    on one coding, as callables by name.  TFAppr and PFAppr are TFComp and
+    PFComp of the label-erased pairs.  What they share is computed on first
+    use and kept: the alignment of the transitions, read by pfcomp and
+    pfcorr, and the metrics of the pairs, read by tfappr and pfappr."""
+    t_d, t_r = t_derived, t_required
+    aligned = cache(lambda: similarity(t_d, t_r, size_guard=size_guard))
+    erased = cache(lambda: functional(t_d.pairs(), t_r.pairs(), size_guard=size_guard))
+    return {
+        "tfcomp": lambda: completeness(t_d.common(t_r), len(t_r)),
+        "pfcomp": lambda: completeness(aligned().total_agreement, t_r.size),
+        "tfcorr": lambda: correctness(t_d.common(t_r), len(t_d)),
+        "pfcorr": lambda: correctness(aligned().total_agreement, t_d.size),
+        "tfappr": lambda: erased()["tfcomp"](),
+        "pfappr": lambda: erased()["pfcomp"](),
+    }
+
+
 def tfcomp(t_derived: frozenset, t_required: frozenset) -> Fraction:
     """Share of the required transitions that were derived."""
-    derived, required = code_elements(t_derived, t_required)
-    return completeness(derived.common(required), len(required))
+    return functional(*code_elements(t_derived, t_required))["tfcomp"]()
 
 
 def pfcomp(
     t_derived: frozenset, t_required: frozenset, variable_order: Iterable[str]
 ) -> Fraction:
     """Alignment score against the required set, relative to its size."""
-    derived, required = code_elements(t_derived, t_required, variable_order)
-    return completeness(similarity(derived, required).total_agreement, required.size)
+    return functional(*code_elements(t_derived, t_required, variable_order))["pfcomp"]()
 
 
 def tfcorr(t_derived: frozenset, t_required: frozenset) -> Fraction:
     """Share of the derived transitions that were required."""
-    derived, required = code_elements(t_derived, t_required)
-    return correctness(derived.common(required), len(derived))
+    return functional(*code_elements(t_derived, t_required))["tfcorr"]()
 
 
 def pfcorr(
     t_derived: frozenset, t_required: frozenset, variable_order: Iterable[str]
 ) -> Fraction:
     """Alignment score against the derived set, relative to its size."""
-    derived, required = code_elements(t_derived, t_required, variable_order)
-    return correctness(similarity(derived, required).total_agreement, derived.size)
+    return functional(*code_elements(t_derived, t_required, variable_order))["pfcorr"]()
 
 
 def tfappr(t_derived: frozenset, t_required: frozenset) -> Fraction:
     """``tfcomp`` over the label-erased pre/post pairs."""
-    derived, required = (c.pairs() for c in code_elements(t_derived, t_required))
-    return completeness(derived.common(required), len(required))
+    return functional(*code_elements(t_derived, t_required))["tfappr"]()
 
 
 def pfappr(
@@ -111,9 +128,7 @@ def pfappr(
 ) -> Fraction:
     """``pfcomp`` over the label-erased pre/post pairs."""
     coded = code_elements(t_derived, t_required, variable_order)
-    derived, required = (c.pairs() for c in coded)
-    aligned = similarity(derived, required, size_guard=size_guard)
-    return completeness(aligned.total_agreement, required.size)
+    return functional(*coded, size_guard=size_guard)["pfappr"]()
 
 
 # --- security and reliability --------------------------------------------------
@@ -208,15 +223,12 @@ def weighted_modularity(
     )
 
 
-def reusability(derived: ExplorationResult | frozenset) -> Fraction:
-    """One minus operations per derived transition (of an exploration or a set)."""
-    if isinstance(derived, ExplorationResult):
-        operations, size = len(np.unique(derived.label)), len(derived.label)
-    else:
-        operations, size = len(labels_of(derived)), len(derived)
-    if not size:
+def reusability(derived: Relation | frozenset) -> Fraction:
+    """One minus operations per derived transition (of a relation or a set)."""
+    ops = derived.operations if isinstance(derived, Relation) else labels_of(derived)
+    if not len(derived):
         raise NotComputable("no derived transitions")
-    return 1 - Fraction(operations, size)
+    return 1 - Fraction(len(ops), len(derived))
 
 
 # --- performance efficiency and usability ----------------------------------------

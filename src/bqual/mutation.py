@@ -164,7 +164,7 @@ def generate_plan(
             f"of {space} with {occupied} already derived"
         )
     states = result.state_objects
-    by_rank = result._canonical[1]
+    by_rank = result.canonical[1]
     value_pools = [domains[name].values() for name in order]
 
     extra: set[Transition] = set()
@@ -420,6 +420,8 @@ def plan_from_json(
     variable_order: Iterable[str],
     element_sets: Mapping[str, str] | None = None,
 ) -> MutationPlan:
+    if not isinstance(obj, dict):
+        raise MutationError(f"plan must be a JSON object, not {type(obj).__name__}")
     order = tuple(variable_order)
     for key in ("extra", "missing"):
         if key not in obj or not isinstance(obj[key], list):
@@ -429,7 +431,7 @@ def plan_from_json(
         for key in ("extra", "missing")
     )
     seed = obj.get("seed", 0)
-    if not isinstance(seed, int):
+    if isinstance(seed, bool) or not isinstance(seed, int):
         raise MutationError("plan seed must be an integer")
     label_scope = obj.get("label_scope")
     if label_scope is not None and not isinstance(label_scope, str):

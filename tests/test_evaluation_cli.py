@@ -451,6 +451,23 @@ class TestCli:
         assert obj["metrics"]["fault_analysability"] == 1.0
         assert obj["provenance"]["mutation"]["mode"] == "plan"
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("5", "plan must be a JSON object, not int"),
+            ('"extra missing"', "plan must be a JSON object, not str"),
+            ('{"extra": [], "missing": [], "seed": true}', "plan seed must be an integer"),
+        ],
+        ids=["number", "string", "boolean-seed"],
+    )
+    def test_malformed_plan_exit_one(self, tmp_path, text, message):
+        plan = tmp_path / "plan.json"
+        plan.write_text(text, encoding="utf-8")
+        result = run_cli("evaluate", "--machine", CM1, "--plan", str(plan))
+        assert result.returncode == 1
+        assert result.stderr == f"bqual: {message}\n"
+        assert result.stdout == ""
+
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.mch"
         bad.write_text("MACHINE Broken VARIABLES", encoding="utf-8")

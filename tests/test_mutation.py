@@ -70,6 +70,15 @@ class TestPlanFile:
         with pytest.raises(MutationError, match="seed"):
             plan_from_json({"extra": [], "missing": [], "seed": "nope"}, ORDER)
 
+    def test_boolean_seed_rejected(self):
+        with pytest.raises(MutationError, match="seed"):
+            plan_from_json({"extra": [], "missing": [], "seed": True}, ORDER)
+
+    @pytest.mark.parametrize("obj", [5, "extra missing", ["extra", "missing"], None])
+    def test_non_object_plan_rejected(self, obj):
+        with pytest.raises(MutationError, match="plan must be a JSON object"):
+            plan_from_json(obj, ORDER)
+
 
 class TestValidatePlan:
     def test_extra_already_derived(self, cm1_result):

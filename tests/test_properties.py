@@ -5,6 +5,7 @@ import json
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bqual.alignment import similarity
@@ -26,8 +27,10 @@ from bqual.lts import (
     transition_to_json,
 )
 from bqual.metrics import (
+    NotComputable,
     fault_analysability,
     fault_tolerance,
+    functional,
     functional_analysability,
     pfappr,
     pfcomp,
@@ -120,6 +123,26 @@ def test_coded_counts_match_set_formulas(t_d, t_r, sort_keys):
         assert tfappr(t_d, t_r) == Fraction(len(p_d & p_r), len(p_r))
     if t_d:
         assert tfcorr(t_d, t_r) == Fraction(len(t_d & t_r), len(t_d))
+    # The one copy of the equations against the set formulas, with the
+    # exhaustive matching as the alignment's oracle.
+    matched = brute_force_similarity(t_d, t_r, PROPERTY_ORDER)
+    matched_pairs = brute_force_similarity(p_d, p_r, PROPERTY_ORDER)
+    expected = {
+        "tfcomp": (len(t_d & t_r), len(t_r)),
+        "pfcomp": (matched, set_size(t_r, PROPERTY_ORDER)),
+        "tfcorr": (len(t_d & t_r), len(t_d)),
+        "pfcorr": (matched, set_size(t_d, PROPERTY_ORDER)),
+        "tfappr": (len(p_d & p_r), len(p_r)),
+        "pfappr": (matched_pairs, set_size(p_r, PROPERTY_ORDER)),
+    }
+    values = functional(derived, required)
+    assert values.keys() == expected.keys()
+    for name, (common, size) in expected.items():
+        if size:
+            assert values[name]() == Fraction(common, size)
+        else:
+            with pytest.raises(NotComputable):
+                values[name]()
 
 
 @given(nonempty_sets, nonempty_sets)
