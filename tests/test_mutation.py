@@ -158,6 +158,25 @@ class TestGeneratePlan:
         with pytest.raises(MutationError, match="cannot draw"):
             generate_plan(result, 1, 0, seed=0)
 
+    def test_draw_cap_trips_at_the_same_draw(self, monkeypatch):
+        from bqual import mutation
+        from bqual.explorer import explore
+        from bqual.parser import parse_machine
+
+        # 898 of the 900 (x, set, x') slots are derived; under seed 0 the
+        # second free one is found by draw 1056 (frozen).
+        machine = parse_machine(
+            "MACHINE Full VARIABLES x INVARIANT x : 0..29 INITIALISATION x := 0 "
+            "OPERATIONS set = ANY v WHERE v : 0..29 & (x > 0 or v > 1) "
+            "THEN x := v END END"
+        )
+        result = explore(machine, meter_memory=False)
+        monkeypatch.setattr(mutation, "_MAX_DRAW_ATTEMPTS", 1056)
+        assert len(generate_plan(result, 2, 0, seed=0).extra) == 2
+        monkeypatch.setattr(mutation, "_MAX_DRAW_ATTEMPTS", 1055)
+        with pytest.raises(MutationError, match="too many rejected draws"):
+            generate_plan(result, 2, 0, seed=0)
+
 
     @pytest.mark.parametrize(
         "labels, occupied", [(["up"], 3), (["down"], 3), (["up", "down"], 6)]
