@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 import resource
 import time
 from array import array
@@ -71,8 +72,10 @@ from .lts import (
     edge_keys,
     enumval,
     intval,
+    lookup,
     sorted_labels,
     state_texts,
+    state_values,
 )
 from .bmachine import BOOL_SET
 
@@ -409,6 +412,29 @@ def compile_substitution(sub, machine: MachineAST):
 # --- exploration --------------------------------------------------------------
 
 
+@dataclass(frozen=True, eq=False)
+class DrawSpace:
+    """The product of the variable domains, as fault injection draws
+    post-states from it.
+
+    A valuation inside the domains has an index there: the mixed-radix
+    number of its values' positions in ``Domain.values()`` (FALSE before
+    TRUE, enumerated elements as declared, integers ascending), the first
+    variable most significant, with one radix per variable (its domain's
+    size), out of ``size``, their product.  ``index[i]`` is state
+    ``i``'s index, or -1 when it lies outside the domains; ``by_index``
+    holds the states inside in index order.  ``derived`` holds the sorted
+    keys ``(pre·L + label)·size + index[post]`` of the derived edges whose
+    post-state is inside, for L labels.  Indices and keys are int64, or
+    Python ints in object arrays when S·L·size passes int64."""
+
+    radices: tuple[int, ...]
+    size: int
+    index: np.ndarray
+    by_index: np.ndarray
+    derived: np.ndarray
+
+
 def violations(pre, post, ok, cut: Iterable[int] = ()) -> tuple[np.ndarray, np.ndarray]:
     """The violating edges among ``pre[i] -> post[i]``, for the invariant
     verdicts ``ok``, and the live states: those with an outgoing edge or in
@@ -434,7 +460,8 @@ class ExplorationResult(Relation):
     ``edges``, the written transitions and the seeded draws.  The object
     sets are built on first read (one ``State`` per id, shared by every
     transition).  ``domains`` holds the variable domains inferred from the
-    invariant, from which fault injection draws post-states."""
+    invariant, from which fault injection draws post-states on the ids and
+    domain indices of ``draw_space``."""
 
     machine_name: str
     state_ok: np.ndarray
@@ -485,27 +512,80 @@ class ExplorationResult(Relation):
         return frozenset(itertools.compress(self.edge_objects, self.violates.tolist()))
 
     @functools.cached_property
-    def state_id(self) -> dict[State, int]:
-        """The id of each of ``state_objects``."""
-        return {state: i for i, state in enumerate(self.state_objects)}
-
-    @functools.cached_property
     def ordered_transitions(self) -> tuple[Transition, ...]:
         """The derived transitions in canonical order."""
         edges = self.edge_objects
         return tuple(map(edges.__getitem__, self.canonical[2].tolist()))
 
-    def edges(self, transitions: Iterable[Transition]) -> np.ndarray:
-        """The edge id of each of ``transitions``, which must be derived."""
+    def edge_ids(self, pre, label, post) -> np.ndarray:
+        """The id of the derived edge from state ``pre[i]`` to ``post[i]``
+        by label code ``label[i]``, or -1 where none is derived; an id
+        outside the states or a code outside the labels names none."""
         rank, _, order, keys = self.canonical
+        n_states, n_labels = len(rank), len(self.labels)
+        pre, label, post = (np.asarray(column, np.int64) for column in (pre, label, post))
+        known = np.flatnonzero(
+            (pre >= 0) & (pre < n_states) & (post >= 0) & (post < n_states)
+            & (label >= 0) & (label < n_labels)
+        )
+        wanted = edge_keys(
+            rank[pre[known]], label[known], rank[post[known]], n_states, n_labels
+        )
+        hit, at = lookup(keys, wanted)
+        ids = np.full(len(pre), -1, dtype=np.int64)
+        ids[known[hit]] = order[at[hit]]
+        return ids
+
+    def edges(self, transitions: Iterable[Transition]) -> np.ndarray:
+        """The edge id of each of ``transitions``; raises ExplorerError
+        naming the first that is not derived."""
+        transitions = list(transitions)
+        ids = {row: i for i, row in enumerate(self.rows)}
         code = {name: i for i, name in enumerate(self.labels)}
-        ids = self.state_id
+        order = self.variable_order
+
+        def state(s: State) -> int:
+            return ids.get(state_values(s, order), -1)
+
         triples = np.array(
-            [(ids[t.pre], code[t.label], ids[t.post]) for t in transitions], np.int64
+            [(state(t.pre), code.get(t.label, -1), state(t.post)) for t in transitions],
+            np.int64,
         ).reshape(-1, 3)
-        pre, label, post = triples.T
-        wanted = edge_keys(rank[pre], label, rank[post], len(rank), len(self.labels))
-        return order[np.searchsorted(keys, wanted)]
+        found = self.edge_ids(*triples.T)
+        stray = np.flatnonzero(found < 0)
+        if len(stray):
+            raise ExplorerError(f"transition {transitions[stray[0]]!r} is not derived")
+        return found
+
+    @functools.cached_property
+    def draw_space(self) -> DrawSpace:
+        """The domains' product with this exploration's states and derived
+        edges placed in it, built on first read (by fault injection)."""
+        order, n_labels = self.variable_order, len(self.labels)
+        positions = [
+            {value: i for i, value in enumerate(self.domains[name].values())}
+            for name in order
+        ]
+        radices = tuple(map(len, positions))
+        size = math.prod(radices)
+        dtype = np.int64 if len(self.rows) * n_labels * size < 2**63 else object
+        digits = np.array(
+            [[at.get(value, -1) for at, value in zip(positions, row)] for row in self.rows],
+            dtype=np.int64,
+        ).reshape(len(self.rows), len(order))
+        index = np.zeros(len(self.rows), dtype=dtype)
+        for column, radix in zip(digits.T, radices):
+            index = index * radix + column
+        index[(digits < 0).any(axis=1)] = -1
+        placed = np.flatnonzero(index >= 0)
+        by_index = placed[np.argsort(index[placed])]
+        pre, label, post = self.pre, self.label, index[self.post]
+        inside = post >= 0
+        if not inside.all():
+            pre, label, post = pre[inside], label[inside], post[inside]
+        derived = edge_keys(pre, label, post, size, n_labels, dtype)
+        derived.sort()
+        return DrawSpace(radices, size, index, by_index, derived)
 
 
 def explore(

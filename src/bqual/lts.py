@@ -456,10 +456,11 @@ def sorted_labels(labels: Iterable[str]) -> list[str]:
 # --- transitions as integer arrays ------------------------------------------
 
 
-def edge_keys(pre, label, post, n_states: int, n_labels: int) -> np.ndarray:
-    """One int64 key per edge, ``(pre·L + label)·S + post`` for S states
-    and L labels, ordered as the (pre, label, post) triples are."""
-    keys = np.multiply(pre, n_labels, dtype=np.int64)
+def edge_keys(pre, label, post, n_states: int, n_labels: int, dtype=np.int64) -> np.ndarray:
+    """One key per edge, ``(pre·L + label)·S + post`` for S states and L
+    labels, ordered as the (pre, label, post) triples are: int64, or Python
+    ints with ``dtype=object`` where S·L passes int64."""
+    keys = np.multiply(pre, n_labels, dtype=dtype)
     keys += label
     keys *= n_states
     keys += post
@@ -483,6 +484,15 @@ def distinct(keys: np.ndarray) -> np.ndarray:
     return keys if keep.all() else keys[keep]
 
 
+def lookup(table: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(hit, at)``: which of ``keys`` the sorted ``table`` holds, and where
+    each key sits in it (``table[at[i]] == keys[i]`` where ``hit[i]``)."""
+    at = np.searchsorted(table, keys)
+    hit = at < len(table)
+    hit[hit] = table[at[hit]] == keys[hit]
+    return hit, at
+
+
 def _matches(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The positions of the common keys of sorted distinct ``a`` and ``b``,
     in each, found by searching the smaller in the larger, so that the
@@ -490,9 +500,7 @@ def _matches(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if len(a) > len(b):
         in_b, in_a = _matches(b, a)
         return in_a, in_b
-    at = np.searchsorted(b, a)
-    hit = at < len(b)
-    hit[hit] = b[at[hit]] == a[hit]
+    hit, at = lookup(b, a)
     return np.flatnonzero(hit), at[hit]
 
 

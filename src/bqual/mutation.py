@@ -10,17 +10,21 @@ masked out before the changed system is judged by the exploration's own
 violation rule, ``explorer.violations``.  Changed systems are masks over
 the exploration's edge ids.
 
-A seeded plan draws from the exploration alone: its states, its
-operations and the variable domains ``explore`` inferred
-(``ExplorationResult.domains``).  Its only other inputs are the two counts,
-the seed and an optional operation scope.
+A plan is applied as ``Edits``: arrays of the exploration's edge, state
+and label ids.  A seeded plan draws from the exploration alone: its
+states, its operations and the variable domains ``explore`` inferred
+(``ExplorationResult.domains``), on the ids and domain indices of
+``ExplorationResult.draw_space``; its only other inputs are the two
+counts, the seed and an optional operation scope.  ``Transition`` objects
+appear only at the edges: a ``MutationPlan`` read from a plan file (or
+built by hand) is validated and converted once, and ``generate_plan``
+converts a drawn plan's own transitions for its callers.  The seeded
+trials and the modularity sweep stay on ids throughout.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
-import math
 import random
 import zlib
 from dataclasses import dataclass
@@ -29,11 +33,13 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .explorer import ExplorationResult, violations
+from .explorer import ExplorationResult, ExplorerError, violations
 from .lts import (
     State,
     Transition,
+    lookup,
     sorted_transitions,
+    state_values,
     transition_from_json,
     transition_to_json,
 )
@@ -63,43 +69,81 @@ class MutationPlan:
 
 
 @dataclass(frozen=True, eq=False)
-class ChangedSystem:
-    """One applied plan as masks over the derived edges of its exploration:
-    ``taken`` holds the derived part of the changed system's transitions,
-    ``extra_taken`` the inserted transitions it reaches, ``masked`` the
-    masked changed set (``u_changed``, always a subset of the derived
-    relation) and ``violating`` its violating part."""
+class Edits:
+    """A plan on an exploration's ids: the derived edges it removes
+    (``missing``) and the transitions it inserts, from state ``pre[i]`` to
+    ``post[i]`` by label code ``label[i]``.  A state id past the
+    exploration's states names a state only the plan reaches; ``fresh``
+    holds their values, in id order."""
 
+    missing: np.ndarray
+    pre: np.ndarray
+    label: np.ndarray
+    post: np.ndarray
+    fresh: tuple = ()
+
+
+@dataclass(frozen=True, eq=False)
+class ChangedSystem:
+    """One applied plan, ``edits``, as masks: ``taken`` over the derived
+    edges holds the derived part of the changed system's transitions,
+    ``extra_taken`` over the plan's inserted transitions those it reaches,
+    ``masked`` the masked changed set (``u_changed``, always a subset of
+    the derived relation) and ``violating`` its violating part."""
+
+    edits: Edits
     taken: np.ndarray
-    extra_taken: frozenset
+    extra_taken: np.ndarray
     masked: np.ndarray
     violating: np.ndarray
 
 
-def validate_plan(plan: MutationPlan, t_derived: frozenset) -> None:
-    """Reject a plan that does not edit ``t_derived``; each message names
-    the first offending transition in canonical order."""
-    overlap = plan.extra & t_derived
-    if overlap:
-        raise MutationError(
-            f"extra transition {sorted_transitions(overlap)[0]!r} is already derived"
-        )
-    stray = plan.missing - t_derived
-    if stray:
-        raise MutationError(
-            f"missing transition {sorted_transitions(stray)[0]!r} is not derived"
-        )
-    if plan.extra & plan.missing:
-        raise MutationError("a transition cannot be both extra and missing")
-    if plan.label_scope is not None:
-        off_label = {
-            t for t in plan.extra | plan.missing if t.label != plan.label_scope
-        }
-        if off_label:
+def validate_plan(plan: MutationPlan, result: ExplorationResult) -> Edits:
+    """``plan`` on ``result``'s ids; raises MutationError unless it edits
+    ``result``: it may name only declared operations, insert only
+    transitions not derived, remove only derived ones and, when scoped,
+    touch only its operation.  Each message names the first offending
+    transition in canonical order."""
+    labels = result.labels
+    if plan.label_scope is not None and plan.label_scope not in labels:
+        raise MutationError(f"plan is scoped to an unknown operation {plan.label_scope!r}")
+    # The canonical order of a set keeps each subset in canonical order.
+    touched = sorted_transitions(plan.extra | plan.missing)
+    for t in touched:
+        if t.label not in labels:
             raise MutationError(
-                f"plan is scoped to {plan.label_scope!r} but touches "
-                f"{sorted_transitions(off_label)[0].label!r}"
+                f"transition {t!r} names an undeclared operation {t.label!r}"
             )
+    extra = [t for t in touched if t in plan.extra]
+    missing = [t for t in touched if t in plan.missing]
+
+    ids = {row: i for i, row in enumerate(result.rows)}
+    fresh: dict[tuple, int] = {}  # the values of each state only the plan reaches
+    order = result.variable_order
+
+    def state(s: State) -> int:
+        values = state_values(s, order)
+        if values in ids:
+            return ids[values]
+        return len(ids) + fresh.setdefault(values, len(fresh))
+
+    pre = np.array([state(t.pre) for t in extra], np.int64)
+    post = np.array([state(t.post) for t in extra], np.int64)
+    label = np.array([labels.index(t.label) for t in extra], np.int64)
+    derived = np.flatnonzero(result.edge_ids(pre, label, post) >= 0)
+    if len(derived):
+        raise MutationError(f"extra transition {extra[derived[0]]!r} is already derived")
+    try:
+        removed = result.edges(missing)
+    except ExplorerError as exc:
+        raise MutationError(f"missing {exc}") from None
+    if plan.label_scope is not None:
+        for t in touched:
+            if t.label != plan.label_scope:
+                raise MutationError(
+                    f"plan is scoped to {plan.label_scope!r} but touches {t.label!r}"
+                )
+    return Edits(removed, pre, label, post, tuple(fresh))
 
 
 def _extra_space(
@@ -109,17 +153,113 @@ def _extra_space(
     of the pre-state x label x post-valuation space they are drawn from, and
     how many derived transitions lie in it.  ``derived`` bounds that count;
     when ``n_extra`` fits beside the bound, the bound is returned uncounted."""
-    order, domains = result.variable_order, result.domains
-    product_size = math.prod(len(domains[name].values()) for name in order)
-    space = len(result.rows) * len(labels) * product_size
+    draw_space = result.draw_space
+    space = len(result.rows) * len(labels) * draw_space.size
     occupied = min(derived, space)
     if n_extra > space - occupied:
-        checks = [domains[name].contains for name in order]
-        rows = [all(check(v) for check, v in zip(checks, row)) for row in result.rows]
-        in_domain = np.array(rows, dtype=bool)
+        inside = draw_space.index >= 0
         codes = [code for code, name in enumerate(result.labels) if name in labels]
-        occupied = _count(in_domain[result.post] & np.isin(result.label, codes))
+        occupied = _count(inside[result.post] & np.isin(result.label, codes))
     return space, occupied
+
+
+def _draw(
+    result: ExplorationResult,
+    n_extra: int,
+    n_missing: int,
+    seed: int,
+    label_scope: str | None = None,
+) -> Edits:
+    """The seeded plan of ``generate_plan``, on ids.
+
+    The random calls are those of the plan's definition (docs/formats.md,
+    "Seeded draws"): one ``sample`` of the positions of the canonically
+    ordered pool, then per extra candidate one ``choice`` of the pre-state
+    among the states in canonical order, one of the label and one of each
+    variable's value index, in declaration order.  Candidates are drawn in
+    batches of as many as are still wanted, so that no batch draws past
+    the draw that completes the plan or trips the cap."""
+    for name, count in (("n_extra", n_extra), ("n_missing", n_missing)):
+        if count < 0:
+            raise MutationError(f"{name} must not be negative, got {count}")
+    labels = result.labels
+    if label_scope is not None and label_scope not in labels:
+        raise MutationError(f"plan is scoped to an unknown operation {label_scope!r}")
+    rng = random.Random(seed)
+    _, by_rank, pool, _ = result.canonical
+
+    codes = range(len(labels)) if label_scope is None else [labels.index(label_scope)]
+    if label_scope is not None:
+        pool = pool[result.label[pool] == codes[0]]
+    if n_missing > len(pool):
+        raise MutationError(
+            f"cannot remove {n_missing} of {len(pool)} eligible transitions"
+        )
+    missing = pool[rng.sample(range(len(pool)), n_missing)]
+
+    scope = [labels[code] for code in codes]
+    space, occupied = _extra_space(result, scope, n_extra, len(result.pre))
+    if n_extra > space - occupied:
+        raise MutationError(
+            f"cannot draw {n_extra} distinct extra transitions from a space "
+            f"of {space} with {occupied} already derived"
+        )
+    if not n_extra:
+        empty = np.zeros(0, dtype=np.int64)
+        return Edits(missing, empty, empty, empty)
+    draw_space = result.draw_space
+    radices = [(radix, range(radix)) for radix in draw_space.radices]
+    n_labels, choice = len(labels), rng.choice
+    extra: dict = {}  # the accepted keys, in draw order
+    attempts = 0
+    cap = max(_MAX_DRAW_ATTEMPTS, 100 * n_extra)
+    while len(extra) < n_extra:
+        batch = min(n_extra - len(extra), cap - attempts)
+        if batch <= 0:
+            raise MutationError(
+                "too many rejected draws while generating extra transitions"
+            )
+        attempts += batch
+        keys = []
+        for _ in range(batch):
+            key = choice(by_rank) * n_labels + choice(codes)
+            for radix, indices in radices:
+                key = key * radix + choice(indices)
+            keys.append(key)
+        derived, _ = lookup(draw_space.derived, np.array(keys, draw_space.derived.dtype))
+        for key, old in zip(keys, derived.tolist()):
+            if not old:
+                extra.setdefault(key)
+    keys = np.array(list(extra), draw_space.derived.dtype)
+    return _edits_of(result, missing, keys)
+
+
+def _edits_of(result: ExplorationResult, missing: np.ndarray, keys: np.ndarray) -> Edits:
+    """The ``Edits`` of drawn keys ``(pre·L + label)·size + post index``:
+    a post index names the reached state there, if any, or else a fresh
+    state with the values it encodes."""
+    draw_space, n_labels = result.draw_space, len(result.labels)
+    rest, index = keys // draw_space.size, keys % draw_space.size
+    pre, label = (column.astype(np.int64) for column in (rest // n_labels, rest % n_labels))
+    by_index = draw_space.by_index
+    reached, at = lookup(draw_space.index[by_index], index)
+    post = np.empty(len(keys), dtype=np.int64)
+    post[reached] = by_index[at[reached]]
+    fresh, slot = np.unique(index[~reached], return_inverse=True)
+    post[~reached] = len(result.rows) + slot.reshape(-1)
+    order, domains = result.variable_order, result.domains
+    pools = [domains[name].values() for name in order] if len(fresh) else []
+    return Edits(missing, pre, label, post, tuple(_valuation(int(i), pools) for i in fresh))
+
+
+def _valuation(index: int, pools: list[tuple]) -> tuple:
+    """The values whose positions in the domain value lists ``pools``
+    the domain index ``index`` encodes."""
+    values = []
+    for pool in reversed(pools):
+        index, at = divmod(index, len(pool))
+        values.append(pool[at])
+    return tuple(reversed(values))
 
 
 def generate_plan(
@@ -135,105 +275,71 @@ def generate_plan(
     transitions; insertions combine a reachable pre-state, a label (the
     machine's operations, or only ``label_scope``), and a post-state drawn
     from the product of the variable domains, rejecting anything already
-    derived or already drawn.
+    derived or already drawn.  The plan's own transitions are built as
+    objects; the seeded trials draw the same plans on ids.
     """
-    for name, count in (("n_extra", n_extra), ("n_missing", n_missing)):
-        if count < 0:
-            raise MutationError(f"{name} must not be negative, got {count}")
-    if label_scope is not None and label_scope not in result.labels:
-        raise MutationError(f"plan is scoped to an unknown operation {label_scope!r}")
-    rng = random.Random(seed)
-    order, domains = result.variable_order, result.domains
+    edits = _draw(result, n_extra, n_missing, seed, label_scope)
+    rows, order, labels = result.rows, result.variable_order, result.labels
+    states: dict[int, State] = {}
 
-    pool = (
-        [t for t in result.ordered_transitions if t.label == label_scope]
-        if label_scope is not None
-        else result.ordered_transitions
-    )
-    if n_missing > len(pool):
-        raise MutationError(
-            f"cannot remove {n_missing} of {len(pool)} eligible transitions"
-        )
-    missing = frozenset(rng.sample(pool, n_missing)) if n_missing else frozenset()
+    def state(i: int) -> State:
+        if i not in states:
+            values = rows[i] if i < len(rows) else edits.fresh[i - len(rows)]
+            states[i] = State(order, values)
+        return states[i]
 
-    label_pool = [label_scope] if label_scope is not None else list(result.labels)
-    space, occupied = _extra_space(result, label_pool, n_extra, len(result.pre))
-    if n_extra > space - occupied:
-        raise MutationError(
-            f"cannot draw {n_extra} distinct extra transitions from a space "
-            f"of {space} with {occupied} already derived"
-        )
-    states = result.state_objects
-    by_rank = result.canonical[1]
-    value_pools = [domains[name].values() for name in order]
+    def transitions(pre, label, post) -> frozenset:
+        columns = zip(*(column.tolist() for column in (pre, label, post)))
+        return frozenset(Transition(state(p), labels[c], state(q)) for p, c, q in columns)
 
-    extra: set[Transition] = set()
-    attempts = 0
-    while len(extra) < n_extra:
-        attempts += 1
-        if attempts > max(_MAX_DRAW_ATTEMPTS, 100 * n_extra):
-            raise MutationError(
-                "too many rejected draws while generating extra transitions"
-            )
-        pre = states[rng.choice(by_rank)]
-        label = rng.choice(label_pool)
-        post = State(order, tuple(rng.choice(values) for values in value_pools))
-        candidate = Transition(pre, label, post)
-        if candidate in result.transitions or candidate in extra:
-            continue
-        extra.add(candidate)
-
+    m = edits.missing
     return MutationPlan(
-        extra=frozenset(extra),
-        missing=missing,
+        extra=transitions(edits.pre, edits.label, edits.post),
+        missing=transitions(result.pre[m], result.label[m], result.post[m]),
         seed=seed,
         label_scope=label_scope,
     )
 
 
 def apply_plan(result: ExplorationResult, plan: MutationPlan) -> ChangedSystem:
+    """Validate ``plan`` against ``result`` (``validate_plan``) and apply it."""
+    return _apply(result, validate_plan(plan, result))
+
+
+def _apply(result: ExplorationResult, edits: Edits) -> ChangedSystem:
     """Edit the transition relation, re-derive reachability, and mask.
 
     The walk has no limits, so no state is cut, and it never leaves a state
     that breaks the invariant.  The masked set is judged by the violation
     rule, with deadlock relative to the masked set itself.
     """
-    validate_plan(plan, result.transitions)
     pre, post = result.pre, result.post
     missing = np.zeros(len(pre), dtype=bool)
-    missing[result.edges(plan.missing)] = True
+    missing[edits.missing] = True
 
-    # Inserted transitions may reach states the exploration never did; they
-    # get the next ids, judged by the exploration's invariant.
-    ids = dict(result.state_id)
-    extra = tuple(plan.extra)
-    extra_pre = np.array([ids.setdefault(t.pre, len(ids)) for t in extra], np.int64)
-    extra_post = np.array([ids.setdefault(t.post, len(ids)) for t in extra], np.int64)
+    # States only the plan reaches are judged by the exploration's invariant.
     order = result.variable_order
-    fresh = itertools.islice(ids, len(result.rows), None)
-    verdicts = [result.holds(dict(zip(order, state.values))) for state in fresh]
+    verdicts = [result.holds(dict(zip(order, values))) for values in edits.fresh]
     ok = np.concatenate((result.state_ok, np.array(verdicts, dtype=bool)))
 
     # The walk follows the edges out of states that satisfy the invariant,
     # from a virtual source that feeds the initial states.  Derived edges
     # leave only such states, as exploration never expands the others.
     follow = ~missing
-    extra_follow = ok[extra_pre]
+    extra_follow = ok[edits.pre]
     source = len(ok)
     feeds = np.full(result.n_initial, source)
-    rows = np.concatenate((pre[follow], extra_pre[extra_follow], feeds))
+    rows = np.concatenate((pre[follow], edits.pre[extra_follow], feeds))
     initial = np.arange(result.n_initial)
-    columns = np.concatenate((post[follow], extra_post[extra_follow], initial))
+    columns = np.concatenate((post[follow], edits.post[extra_follow], initial))
     reached = _reachable(rows, columns, source)
 
     taken = follow & reached[pre]
-    extra_taken = frozenset(
-        itertools.compress(extra, (extra_follow & reached[extra_pre]).tolist())
-    )
+    extra_taken = extra_follow & reached[edits.pre]
     masked = taken | missing
     violating = masked.copy()
     violating[masked], _ = violations(pre[masked], post[masked], result.state_ok)
-    return ChangedSystem(taken, extra_taken, masked, violating)
+    return ChangedSystem(edits, taken, extra_taken, masked, violating)
 
 
 def _reachable(rows: np.ndarray, columns: np.ndarray, source: int) -> np.ndarray:
@@ -316,8 +422,8 @@ def run_trials(
         raise MutationError("trial count must be at least 1")
     samples: dict[str, list] = {name: [] for name in FAULT_METRICS}
     for i in range(trial_count):
-        plan = generate_plan(result, n_extra, n_missing, seed ^ i)
-        values, _ = trial_metrics(result, apply_plan(result, plan))
+        changed = _apply(result, _draw(result, n_extra, n_missing, seed ^ i))
+        values, _ = trial_metrics(result, changed)
         for name, value in values.items():
             if value is not None:
                 samples[name].append(value)
@@ -357,10 +463,7 @@ def modularity_sweep(
         if op not in per_op_counts:
             raise MutationError(f"no mutation counts for operation {op!r}")
         n_extra, n_missing = per_op_counts[op]
-        plan = generate_plan(
-            result, n_extra, n_missing, _op_seed(seed, op), label_scope=op
-        )
-        return apply_plan(result, plan)
+        return _apply(result, _draw(result, n_extra, n_missing, _op_seed(seed, op), op))
 
     return _modularity(result, changed_by)
 
@@ -394,8 +497,9 @@ def _modularity(
         if changed is None:
             per_op[op] = Fraction(1)
             continue
-        common = _count(changed.taken & (result.label != result.labels.index(op)))
-        inserted = sum(1 for t in changed.extra_taken if t.label != op)
+        code = result.labels.index(op)
+        common = _count(changed.taken & (result.label != code))
+        inserted = _count(changed.extra_taken & (changed.edits.label != code))
         union = len(result.pre) - count + inserted
         per_op[op] = modularity_of(op, common, union)
     return per_op, weighted_modularity(per_op, counts)

@@ -198,15 +198,29 @@ def independent_apply(result, plan, invariant):
 
 def changed_sets(result, changed) -> SimpleNamespace:
     """The transition sets of a changed system of ``result``, from its masks
-    over the derived edges: ``t_changed`` (the transitions the changed
-    system takes, inserted ones included), ``u_changed`` (the masked set),
-    and its ``u_ok`` and ``u_violating`` parts."""
+    over the derived edges and over its plan's inserted transitions:
+    ``t_changed`` (the transitions the changed system takes, inserted ones
+    included), ``u_changed`` (the masked set), and its ``u_ok`` and
+    ``u_violating`` parts."""
 
     def transitions(mask):
         return frozenset(itertools.compress(result.edge_objects, mask.tolist()))
 
+    edits = changed.edits
+    rows = [*result.rows, *edits.fresh]
+
+    def state(i):
+        return State(result.variable_order, rows[i])
+
+    inserted = frozenset(
+        Transition(state(p), result.labels[c], state(q))
+        for p, c, q, taken in zip(
+            *(a.tolist() for a in (edits.pre, edits.label, edits.post, changed.extra_taken))
+        )
+        if taken
+    )
     return SimpleNamespace(
-        t_changed=transitions(changed.taken) | changed.extra_taken,
+        t_changed=transitions(changed.taken) | inserted,
         u_changed=transitions(changed.masked),
         u_ok=transitions(changed.masked & ~changed.violating),
         u_violating=transitions(changed.violating),

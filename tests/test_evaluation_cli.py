@@ -468,6 +468,29 @@ class TestCli:
         assert result.stderr == f"bqual: {message}\n"
         assert result.stdout == ""
 
+    @pytest.mark.parametrize(
+        "plan, message",
+        [
+            (
+                {"extra": [{"pre": {"hour": 0, "minute": 0}, "op": "bogus",
+                            "post": {"hour": 0, "minute": 2}}], "missing": []},
+                "transition [(0,0),bogus,(0,2)] names an undeclared operation 'bogus'",
+            ),
+            (
+                {"extra": [], "missing": [], "label_scope": "tick"},
+                "plan is scoped to an unknown operation 'tick'",
+            ),
+        ],
+        ids=["extra", "scope"],
+    )
+    def test_undeclared_operation_in_plan_exit_one(self, tmp_path, plan, message):
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(plan), encoding="utf-8")
+        result = run_cli("evaluate", "--machine", CM1, "--plan", str(path))
+        assert result.returncode == 1
+        assert result.stderr == f"bqual: {message}\n"
+        assert result.stdout == ""
+
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.mch"
         bad.write_text("MACHINE Broken VARIABLES", encoding="utf-8")

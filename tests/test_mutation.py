@@ -88,7 +88,7 @@ class TestValidatePlan:
             seed=0,
         )
         with pytest.raises(MutationError, match="already derived"):
-            validate_plan(plan, cm1_result.transitions)
+            validate_plan(plan, cm1_result)
 
     def test_missing_not_derived(self, cm1_result):
         plan = MutationPlan(
@@ -97,7 +97,7 @@ class TestValidatePlan:
             seed=0,
         )
         with pytest.raises(MutationError, match="not derived"):
-            validate_plan(plan, cm1_result.transitions)
+            validate_plan(plan, cm1_result)
 
     def test_scope_mismatch(self, cm1_result):
         plan = MutationPlan(
@@ -107,7 +107,36 @@ class TestValidatePlan:
             label_scope="inc_minute",
         )
         with pytest.raises(MutationError, match="scoped"):
-            validate_plan(plan, cm1_result.transitions)
+            validate_plan(plan, cm1_result)
+
+
+    def test_undeclared_operation(self, cm1_result):
+        plan = MutationPlan(
+            extra=frozenset({clock_transition((0, 0), "bogus", (9, 9))}),
+            missing=frozenset(),
+            seed=0,
+        )
+        with pytest.raises(
+            MutationError,
+            match=r"^transition \[\(0,0\),bogus,\(9,9\)\] names an undeclared operation 'bogus'$",
+        ):
+            validate_plan(plan, cm1_result)
+
+    def test_unknown_scope(self, cm1_result):
+        plan = MutationPlan(frozenset(), frozenset(), seed=0, label_scope="tick")
+        with pytest.raises(MutationError, match="unknown operation 'tick'"):
+            validate_plan(plan, cm1_result)
+
+    def test_ids(self, cm1_result, cm5_plan):
+        edits = validate_plan(cm5_plan, cm1_result)
+        (removed,) = cm5_plan.missing
+        assert cm1_result.edge_objects[edits.missing[0]] == removed
+        (inserted,) = cm5_plan.extra
+        pre, label, post = edits.pre[0], edits.label[0], edits.post[0]
+        assert cm1_result.state_objects[pre] == inserted.pre
+        assert cm1_result.labels[label] == inserted.label
+        assert cm1_result.state_objects[post] == inserted.post
+        assert edits.fresh == ()
 
 
 class TestGeneratePlan:
@@ -283,7 +312,7 @@ plans = [
 ]
 for plan in plans:
     try:
-        validate_plan(plan, result.transitions)
+        validate_plan(plan, result)
     except MutationError as exc:
         print(exc)
 """
@@ -406,6 +435,41 @@ class TestSharedVerdicts:
             assert changed.u_violating == frozenset(v2)
         for plan, taken in ((into_violation, 5), (from_new_state, 6)):
             assert len(changed_sets(result, apply_plan(result, plan)).t_changed) == taken
+
+
+class TestNoObjectsOnTheSeededPath:
+    """Seeded trials, the modularity sweep and a plan file's application
+    work on the exploration's ids; no object view of it is built."""
+
+    VIEWS = ("transitions", "edge_objects", "ordered_transitions", "state_id")
+
+    @staticmethod
+    def explored(source):
+        from bqual.explorer import explore
+        from bqual.parser import parse_machine
+
+        return explore(parse_machine(source), meter_memory=False)
+
+    @pytest.mark.parametrize("jump", [False, True], ids=["CM1", "jump-clock"])
+    def test_trials_and_sweep(self, jump, monkeypatch):
+        from bqual.mutation import per_operation_counts
+
+        source = (corpus_path("CM6.mch") if jump else corpus_path("CM1.mch")).read_text()
+        # A jump clock: CM1 plus set_time onto 03:00-03:04.
+        source = source.replace("hh : 0..23 & mm : 0..59", "hh : 3..3 & mm : 0..4")
+        result = self.explored(source)
+        built = []
+        monkeypatch.setattr(Transition, "__init__", lambda self, *args: built.append(args))
+        run_trials(result, 3, 15, 15, 7)
+        modularity_sweep(result, per_operation_counts(result, 15, 15), 7)
+        assert built == []
+        assert not set(self.VIEWS) & set(vars(result))
+
+    def test_plan_file(self, cm1_machine, cm5_plan):
+        result = self.explored(corpus_path("CM1.mch").read_text())
+        changed = apply_plan(result, cm5_plan)
+        trial_metrics(result, changed)
+        assert not set(self.VIEWS) & set(vars(result))
 
 
 class TestTrialMetrics:
