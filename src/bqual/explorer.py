@@ -114,17 +114,11 @@ class IntRangeDomain:
     def values(self) -> tuple[Value, ...]:
         return tuple(intval(n) for n in range(self.low, self.high + 1))
 
-    def contains(self, value: Value) -> bool:
-        return value.kind == KIND_INT and self.low <= value.payload <= self.high
-
 
 @dataclass(frozen=True)
 class BoolDomain:
     def values(self) -> tuple[Value, ...]:
         return (FALSE, TRUE)
-
-    def contains(self, value: Value) -> bool:
-        return value.kind == KIND_BOOL
 
 
 @dataclass(frozen=True)
@@ -134,11 +128,6 @@ class EnumDomain:
 
     def values(self) -> tuple[Value, ...]:
         return tuple(enumval(self.set_name, e) for e in self.elements)
-
-    def contains(self, value: Value) -> bool:
-        return value.kind == KIND_ENUM and value.payload[0] == self.set_name and (
-            value.payload[1] in self.elements
-        )
 
 
 Domain = IntRangeDomain | BoolDomain | EnumDomain

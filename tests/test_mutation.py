@@ -161,7 +161,7 @@ class TestGeneratePlan:
             assert t.pre in cm1_result.states
             assert t.label in cm1_machine.operation_names
             for name, value in zip(ORDER, t.post.values):
-                assert domains[name].contains(value)
+                assert value in domains[name].values()
 
     def test_label_scope(self, cm1_result):
         plan = generate_plan(cm1_result, 3, 3, seed=4, label_scope="inc_hour")
@@ -226,7 +226,7 @@ class TestGeneratePlan:
             1
             for t in result.transitions
             if t.label in labels
-            and all(domains["x"].contains(v) for v in t.post.values)
+            and all(v in domains["x"].values() for v in t.post.values)
         )
         assert scanned == occupied
         space = len(result.states) * len(labels) * 4
