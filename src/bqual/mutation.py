@@ -253,8 +253,8 @@ def _edits_of(result: ExplorationResult, missing: np.ndarray, keys: np.ndarray) 
 
 
 def _valuation(index: int, pools: list[tuple]) -> tuple:
-    """The values whose positions in the domain value lists ``pools``
-    the domain index ``index`` encodes."""
+    """The valuation whose domain index is ``index``, one value from each
+    of the domains' value lists ``pools``."""
     values = []
     for pool in reversed(pools):
         index, at = divmod(index, len(pool))
