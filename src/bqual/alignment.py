@@ -167,7 +167,7 @@ def similarity(
             raise AlignmentSizeError(
                 f"both remainders exceed the size guard "
                 f"({n_left} x {n_right} > {size_guard} each); "
-                "raise the guard to force an exact solve"
+                "raise --similarity-threshold to force an exact solve"
             )
         rest_left, rest_right = left.remainder(right), right.remainder(left)
         total += _max_matching(left.rows(rest_left), right.rows(rest_right))

@@ -245,14 +245,14 @@ def evaluate(config: EvaluationConfig) -> QualityReport:
 
     # fault injection ------------------------------------------------------------
     if cut is None and config.plan_path is not None:
-        plan = load_plan(config.plan_path, machine.variables, machine.element_sets)
+        plan = load_plan(config.plan_path, result, machine.element_sets)
         changed = apply_plan(result, plan)
         values, reasons = trial_metrics(result, changed)
         sweep = partial(plan_modularity, result, plan, changed)
         mutation_prov = {
             "mode": "plan",
             "plan_path": config.plan_path,
-            "n_extra": len(plan.extra),
+            "n_extra": len(plan.pre),
             "n_missing": len(plan.missing),
             "label_scope": plan.label_scope,
             "seed": plan.seed,

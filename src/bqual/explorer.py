@@ -64,8 +64,6 @@ from .lts import (
     KIND_INT,
     TRUE,
     Relation,
-    State,
-    Transition,
     Value,
     boolval,
     canonical_edges,
@@ -75,7 +73,6 @@ from .lts import (
     lookup,
     sorted_labels,
     state_texts,
-    state_values,
 )
 from .bmachine import BOOL_SET
 
@@ -445,8 +442,8 @@ class ExplorationResult(Relation):
     ``state_ok[i]`` its verdict.  Edge ``j`` violates when ``violates[j]``;
     states not ``live`` are deadlocks.  These are the only state and edge
     ids; the canonical order (``Relation.canonical``) is one permutation of
-    them, used only where the order shows: ``ordered_transitions``,
-    ``edges``, the written transitions and the seeded draws.  The object
+    them, used only where the order shows: ``edge_ids``, the written
+    transitions and the seeded draws.  The object
     sets are built on first read (one ``State`` per id, shared by every
     transition).  ``domains`` holds the variable domains inferred from the
     invariant, from which fault injection draws post-states on the ids and
@@ -500,18 +497,14 @@ class ExplorationResult(Relation):
     def violating(self) -> frozenset:
         return frozenset(itertools.compress(self.edge_objects, self.violates.tolist()))
 
-    @functools.cached_property
-    def ordered_transitions(self) -> tuple[Transition, ...]:
-        """The derived transitions in canonical order."""
-        edges = self.edge_objects
-        return tuple(map(edges.__getitem__, self.canonical[2].tolist()))
-
     def edge_ids(self, pre, label, post) -> np.ndarray:
         """The id of the derived edge from state ``pre[i]`` to ``post[i]``
         by label code ``label[i]``, or -1 where none is derived; an id
-        outside the states or a code outside the labels names none."""
-        rank, _, order, keys = self.canonical
+        outside the states or a code outside the labels names none.  Its
+        sorted keys are built per call, not kept."""
+        rank, _, order = self.canonical
         n_states, n_labels = len(rank), len(self.labels)
+        keys = edge_keys(rank[self.pre], self.label, rank[self.post], n_states, n_labels)
         pre, label, post = (np.asarray(column, np.int64) for column in (pre, label, post))
         known = np.flatnonzero(
             (pre >= 0) & (pre < n_states) & (post >= 0) & (post < n_states)
@@ -520,31 +513,10 @@ class ExplorationResult(Relation):
         wanted = edge_keys(
             rank[pre[known]], label[known], rank[post[known]], n_states, n_labels
         )
-        hit, at = lookup(keys, wanted)
+        hit, at = lookup(keys[order], wanted)
         ids = np.full(len(pre), -1, dtype=np.int64)
         ids[known[hit]] = order[at[hit]]
         return ids
-
-    def edges(self, transitions: Iterable[Transition]) -> np.ndarray:
-        """The edge id of each of ``transitions``; raises ExplorerError
-        naming the first that is not derived."""
-        transitions = list(transitions)
-        ids = {row: i for i, row in enumerate(self.rows)}
-        code = {name: i for i, name in enumerate(self.labels)}
-        order = self.variable_order
-
-        def state(s: State) -> int:
-            return ids.get(state_values(s, order), -1)
-
-        triples = np.array(
-            [(state(t.pre), code.get(t.label, -1), state(t.post)) for t in transitions],
-            np.int64,
-        ).reshape(-1, 3)
-        found = self.edge_ids(*triples.T)
-        stray = np.flatnonzero(found < 0)
-        if len(stray):
-            raise ExplorerError(f"transition {transitions[stray[0]]!r} is not derived")
-        return found
 
     @functools.cached_property
     def draw_space(self) -> DrawSpace:

@@ -163,10 +163,6 @@ class State:
         except ValueError:
             raise StructureError(f"state does not bind variable {name!r}") from None
 
-    @property
-    def bindings(self) -> tuple[tuple[str, Value], ...]:
-        return tuple(zip(self.variables, self.values))
-
     def __eq__(self, other):
         if self is other:
             return True
@@ -335,15 +331,6 @@ def labels_of(transitions: Iterable[Transition]) -> frozenset:
     return frozenset(t.label for t in transitions)
 
 
-def transition_to_json(t: Transition) -> dict:
-    """Canonical JSON object: {"pre": {...}, "op": name, "post": {...}}."""
-    return {
-        "pre": {name: value.to_json() for name, value in t.pre.bindings},
-        "op": t.label,
-        "post": {name: value.to_json() for name, value in t.post.bindings},
-    }
-
-
 def transition_parts(obj) -> tuple[dict, str, dict]:
     """The pre-state object, operation name and post-state object of a
     decoded transition object; raises StructureError naming what is wrong."""
@@ -369,18 +356,15 @@ def state_row(
     return State.from_mapping(decoded, variable_order).values
 
 
-def transition_from_json(
-    obj: Mapping,
-    variable_order: Iterable[str],
-    element_sets: Mapping[str, str] | None = None,
-) -> Transition:
-    """Decode the canonical JSON object against a known variable order."""
-    order = tuple(variable_order)
+def transition_values(
+    obj, variable_order: tuple[str, ...], element_sets: Mapping[str, str] | None = None
+) -> tuple[tuple[Value, ...], str, tuple[Value, ...]]:
+    """The pre-state's values, operation name and post-state's values of a
+    decoded transition object, against a known variable order; raises
+    StructureError naming what is wrong."""
     pre, op, post = transition_parts(obj)
-    return Transition(
-        State(order, state_row(pre, order, element_sets)),
-        op,
-        State(order, state_row(post, order, element_sets)),
+    return state_row(pre, variable_order, element_sets), op, state_row(
+        post, variable_order, element_sets
     )
 
 
@@ -438,14 +422,6 @@ def element_keys(
         code = {name: i for i, name in enumerate(sorted(set(names)))}
         columns.insert(1, np.fromiter(map(code.__getitem__, names), np.intp, size))
     return np.column_stack(columns).astype(np.int32), rows
-
-
-def sorted_transitions(transitions: Iterable[Transition]) -> list[Transition]:
-    """The transitions in canonical order."""
-    transitions = list(transitions)
-    order = transitions[0].pre.variables if transitions else ()
-    keys, _ = element_keys(transitions, order)
-    return [transitions[i] for i in np.lexsort(keys.T[::-1])]
 
 
 def sorted_labels(labels: Iterable[str]) -> list[str]:
@@ -538,17 +514,15 @@ class Relation:
         return frozenset(self.label_counts)
 
     @functools.cached_property
-    def canonical(self) -> tuple[np.ndarray, list[int], np.ndarray, np.ndarray]:
-        """``(rank, by_rank, order, keys)``: each state's canonical rank, the
-        state ids in canonical order, the transition ids in canonical order
-        and their ``edge_keys`` over (pre rank, label, post rank), so
-        ``keys`` is strictly increasing."""
+    def canonical(self) -> tuple[np.ndarray, list[int], np.ndarray]:
+        """``(rank, by_rank, order)``: each state's canonical rank, the state
+        ids in canonical order and the transition ids in canonical order,
+        that of their ``edge_keys`` over (pre rank, label, post rank)."""
         rank, _ = row_ranks(self.rows, len(self.variable_order))
         keys = edge_keys(
             rank[self.pre], self.label, rank[self.post], len(rank), len(self.labels)
         )
-        order = np.argsort(keys)
-        return rank, np.argsort(rank).tolist(), order, keys[order]
+        return rank, np.argsort(rank).tolist(), np.argsort(keys)
 
     @functools.cached_property
     def state_objects(self) -> tuple[State, ...]:  # by id
@@ -593,7 +567,8 @@ _SEPARATORS = (", ", ": ")
 
 def write_transitions_jsonl(relation: Relation, stream) -> int:
     """Write one canonical JSON object per line, in canonical order: the
-    ``json.dumps`` text of ``transition_to_json`` of each transition.
+    ``json.dumps`` text of ``{"pre": {...}, "op": name, "post": {...}}``
+    for each transition, each state's values in declaration order.
     Returns the number of lines written."""
     states = state_texts(relation, separators=_SEPARATORS)
     ops = [json.dumps(name) for name in relation.labels]
@@ -631,7 +606,7 @@ def read_transitions_jsonl(
     a text keeps JSON's types apart (``true`` is not ``1``, nor ``1.0``),
     and the decoded values are interned, so two spellings of one state are
     one state.  When anything in a block is wrong, its lines are decoded
-    one by one (``transition_from_json``) and the first fault is raised
+    one by one (``transition_values``) and the first fault is raised
     with its line number.
     """
     order = tuple(variable_order)
@@ -660,7 +635,7 @@ def read_transitions_jsonl(
             except json.JSONDecodeError as exc:
                 raise StructureError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
             try:
-                transition_from_json(obj, order, element_sets)
+                transition_values(obj, order, element_sets)
             except StructureError as exc:
                 raise StructureError(f"line {lineno}: {exc}") from exc
         raise fault

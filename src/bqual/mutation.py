@@ -10,16 +10,15 @@ masked out before the changed system is judged by the exploration's own
 violation rule, ``explorer.violations``.  Changed systems are masks over
 the exploration's edge ids.
 
-A plan is applied as ``Edits``: arrays of the exploration's edge, state
-and label ids.  A seeded plan draws from the exploration alone: its
-states, its operations and the variable domains ``explore`` inferred
-(``ExplorationResult.domains``), on the ids and domain indices of
+A ``MutationPlan`` is the one plan type: arrays of the exploration's edge,
+state and label ids.  ``generate_plan`` draws one from the exploration
+alone: its states, its operations and the variable domains ``explore``
+inferred (``ExplorationResult.domains``), on the ids and domain indices of
 ``ExplorationResult.draw_space``; its only other inputs are the two
-counts, the seed and an optional operation scope.  ``Transition`` objects
-appear only at the edges: a ``MutationPlan`` read from a plan file (or
-built by hand) is validated and converted once, and ``generate_plan``
-converts a drawn plan's own transitions for its callers.  The seeded
-trials and the modularity sweep stay on ids throughout.
+counts, the seed and an optional operation scope.  A plan file is decoded
+straight to ids (``plan_from_json``), and ``plan_to_json`` writes a plan
+from its ids in canonical order; no ``Transition`` object is built on any
+path.
 """
 
 from __future__ import annotations
@@ -29,20 +28,12 @@ import random
 import zlib
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
 from .explorer import ExplorationResult, ExplorerError, violations
-from .lts import (
-    State,
-    Transition,
-    lookup,
-    sorted_transitions,
-    state_values,
-    transition_from_json,
-    transition_to_json,
-)
+from .lts import StructureError, Value, lookup, row_ranks, transition_values
 from .metrics import (
     NotComputable,
     fault_analysability,
@@ -60,90 +51,46 @@ class MutationError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class MutationPlan:
-    extra: frozenset
-    missing: frozenset
-    seed: int
-    label_scope: str | None = None
-
-
 @dataclass(frozen=True, eq=False)
-class Edits:
+class MutationPlan:
     """A plan on an exploration's ids: the derived edges it removes
     (``missing``) and the transitions it inserts, from state ``pre[i]`` to
     ``post[i]`` by label code ``label[i]``.  A state id past the
     exploration's states names a state only the plan reaches; ``fresh``
-    holds their values, in id order."""
+    holds their values, in id order.  ``seed`` is the seed it was drawn
+    under (provenance only for a plan file) and ``label_scope``, when set,
+    the one operation it touches.  Plans compare by content."""
 
     missing: np.ndarray
     pre: np.ndarray
     label: np.ndarray
     post: np.ndarray
     fresh: tuple = ()
+    seed: int = 0
+    label_scope: str | None = None
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MutationPlan):
+            return NotImplemented
+        return all(
+            np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+            for a, b in zip(vars(self).values(), vars(other).values())
+        )
 
 
 @dataclass(frozen=True, eq=False)
 class ChangedSystem:
-    """One applied plan, ``edits``, as masks: ``taken`` over the derived
+    """One applied plan, ``plan``, as masks: ``taken`` over the derived
     edges holds the derived part of the changed system's transitions,
     ``extra_taken`` over the plan's inserted transitions those it reaches,
     ``masked`` the masked changed set (``u_changed``, always a subset of
     the derived relation) and ``violating`` its violating part."""
 
-    edits: Edits
+    plan: MutationPlan
     taken: np.ndarray
     extra_taken: np.ndarray
     masked: np.ndarray
     violating: np.ndarray
-
-
-def validate_plan(plan: MutationPlan, result: ExplorationResult) -> Edits:
-    """``plan`` on ``result``'s ids; raises MutationError unless it edits
-    ``result``: it may name only declared operations, insert only
-    transitions not derived, remove only derived ones and, when scoped,
-    touch only its operation.  Each message names the first offending
-    transition in canonical order."""
-    labels = result.labels
-    if plan.label_scope is not None and plan.label_scope not in labels:
-        raise MutationError(f"plan is scoped to an unknown operation {plan.label_scope!r}")
-    # The canonical order of a set keeps each subset in canonical order.
-    touched = sorted_transitions(plan.extra | plan.missing)
-    for t in touched:
-        if t.label not in labels:
-            raise MutationError(
-                f"transition {t!r} names an undeclared operation {t.label!r}"
-            )
-    extra = [t for t in touched if t in plan.extra]
-    missing = [t for t in touched if t in plan.missing]
-
-    ids = {row: i for i, row in enumerate(result.rows)}
-    fresh: dict[tuple, int] = {}  # the values of each state only the plan reaches
-    order = result.variable_order
-
-    def state(s: State) -> int:
-        values = state_values(s, order)
-        if values in ids:
-            return ids[values]
-        return len(ids) + fresh.setdefault(values, len(fresh))
-
-    pre = np.array([state(t.pre) for t in extra], np.int64)
-    post = np.array([state(t.post) for t in extra], np.int64)
-    label = np.array([labels.index(t.label) for t in extra], np.int64)
-    derived = np.flatnonzero(result.edge_ids(pre, label, post) >= 0)
-    if len(derived):
-        raise MutationError(f"extra transition {extra[derived[0]]!r} is already derived")
-    try:
-        removed = result.edges(missing)
-    except ExplorerError as exc:
-        raise MutationError(f"missing {exc}") from None
-    if plan.label_scope is not None:
-        for t in touched:
-            if t.label != plan.label_scope:
-                raise MutationError(
-                    f"plan is scoped to {plan.label_scope!r} but touches {t.label!r}"
-                )
-    return Edits(removed, pre, label, post, tuple(fresh))
 
 
 def _extra_space(
@@ -163,14 +110,20 @@ def _extra_space(
     return space, occupied
 
 
-def _draw(
+def generate_plan(
     result: ExplorationResult,
     n_extra: int,
     n_missing: int,
     seed: int,
     label_scope: str | None = None,
-) -> Edits:
-    """The seeded plan of ``generate_plan``, on ids.
+) -> MutationPlan:
+    """Draw a random plan, fully determined by ``seed``.
+
+    Removals are sampled uniformly without replacement from the derived
+    transitions; insertions combine a reached pre-state, a label (the
+    machine's operations, or only ``label_scope``), and a post-state drawn
+    from the product of the variable domains, rejecting anything already
+    derived or already drawn.
 
     The random calls are those of the plan's definition (docs/formats.md,
     "Seeded draws"): one ``sample`` of the positions of the canonically
@@ -186,7 +139,7 @@ def _draw(
     if label_scope is not None and label_scope not in labels:
         raise MutationError(f"plan is scoped to an unknown operation {label_scope!r}")
     rng = random.Random(seed)
-    _, by_rank, pool, _ = result.canonical
+    _, by_rank, pool = result.canonical
 
     codes = range(len(labels)) if label_scope is None else [labels.index(label_scope)]
     if label_scope is not None:
@@ -206,7 +159,7 @@ def _draw(
         )
     if not n_extra:
         empty = np.zeros(0, dtype=np.int64)
-        return Edits(missing, empty, empty, empty)
+        return MutationPlan(missing, empty, empty, empty, (), seed, label_scope)
     draw_space = result.draw_space
     radices = [(radix, range(radix)) for radix in draw_space.radices]
     n_labels, choice = len(labels), rng.choice
@@ -231,13 +184,14 @@ def _draw(
             if not old:
                 extra.setdefault(key)
     keys = np.array(list(extra), draw_space.derived.dtype)
-    return _edits_of(result, missing, keys)
+    fresh, pre, label, post = _drawn(result, keys)
+    return MutationPlan(missing, pre, label, post, fresh, seed, label_scope)
 
 
-def _edits_of(result: ExplorationResult, missing: np.ndarray, keys: np.ndarray) -> Edits:
-    """The ``Edits`` of drawn keys ``(pre·L + label)·size + post index``:
-    a post index names the reached state there, if any, or else a fresh
-    state with the values it encodes."""
+def _drawn(result: ExplorationResult, keys: np.ndarray) -> tuple:
+    """``(fresh, pre, label, post)`` of the drawn keys
+    ``(pre·L + label)·size + post index``: a post index names the reached
+    state there, if any, or else a fresh state with the values it encodes."""
     draw_space, n_labels = result.draw_space, len(result.labels)
     rest, index = keys // draw_space.size, keys % draw_space.size
     pre, label = (column.astype(np.int64) for column in (rest // n_labels, rest % n_labels))
@@ -249,7 +203,7 @@ def _edits_of(result: ExplorationResult, missing: np.ndarray, keys: np.ndarray) 
     post[~reached] = len(result.rows) + slot.reshape(-1)
     order, domains = result.variable_order, result.domains
     pools = [domains[name].values() for name in order] if len(fresh) else []
-    return Edits(missing, pre, label, post, tuple(_valuation(int(i), pools) for i in fresh))
+    return tuple(_valuation(int(i), pools) for i in fresh), pre, label, post
 
 
 def _valuation(index: int, pools: list[tuple]) -> tuple:
@@ -262,51 +216,7 @@ def _valuation(index: int, pools: list[tuple]) -> tuple:
     return tuple(reversed(values))
 
 
-def generate_plan(
-    result: ExplorationResult,
-    n_extra: int,
-    n_missing: int,
-    seed: int,
-    label_scope: str | None = None,
-) -> MutationPlan:
-    """Draw a random plan, fully determined by ``seed``.
-
-    Removals are sampled uniformly without replacement from the derived
-    transitions; insertions combine a reachable pre-state, a label (the
-    machine's operations, or only ``label_scope``), and a post-state drawn
-    from the product of the variable domains, rejecting anything already
-    derived or already drawn.  The plan's own transitions are built as
-    objects; the seeded trials draw the same plans on ids.
-    """
-    edits = _draw(result, n_extra, n_missing, seed, label_scope)
-    rows, order, labels = result.rows, result.variable_order, result.labels
-    states: dict[int, State] = {}
-
-    def state(i: int) -> State:
-        if i not in states:
-            values = rows[i] if i < len(rows) else edits.fresh[i - len(rows)]
-            states[i] = State(order, values)
-        return states[i]
-
-    def transitions(pre, label, post) -> frozenset:
-        columns = zip(*(column.tolist() for column in (pre, label, post)))
-        return frozenset(Transition(state(p), labels[c], state(q)) for p, c, q in columns)
-
-    m = edits.missing
-    return MutationPlan(
-        extra=transitions(edits.pre, edits.label, edits.post),
-        missing=transitions(result.pre[m], result.label[m], result.post[m]),
-        seed=seed,
-        label_scope=label_scope,
-    )
-
-
 def apply_plan(result: ExplorationResult, plan: MutationPlan) -> ChangedSystem:
-    """Validate ``plan`` against ``result`` (``validate_plan``) and apply it."""
-    return _apply(result, validate_plan(plan, result))
-
-
-def _apply(result: ExplorationResult, edits: Edits) -> ChangedSystem:
     """Edit the transition relation, re-derive reachability, and mask.
 
     The walk has no limits, so no state is cut, and it never leaves a state
@@ -315,31 +225,35 @@ def _apply(result: ExplorationResult, edits: Edits) -> ChangedSystem:
     """
     pre, post = result.pre, result.post
     missing = np.zeros(len(pre), dtype=bool)
-    missing[edits.missing] = True
+    missing[plan.missing] = True
 
     # States only the plan reaches are judged by the exploration's invariant.
-    order = result.variable_order
-    verdicts = [result.holds(dict(zip(order, values))) for values in edits.fresh]
+    verdicts = []
+    for values in plan.fresh:
+        try:
+            verdicts.append(result.holds(dict(zip(result.variable_order, values))))
+        except ExplorerError as exc:
+            raise MutationError(f"plan-only state {_state_text(values)}: {exc}") from None
     ok = np.concatenate((result.state_ok, np.array(verdicts, dtype=bool)))
 
     # The walk follows the edges out of states that satisfy the invariant,
     # from a virtual source that feeds the initial states.  Derived edges
     # leave only such states, as exploration never expands the others.
     follow = ~missing
-    extra_follow = ok[edits.pre]
+    extra_follow = ok[plan.pre]
     source = len(ok)
     feeds = np.full(result.n_initial, source)
-    rows = np.concatenate((pre[follow], edits.pre[extra_follow], feeds))
+    rows = np.concatenate((pre[follow], plan.pre[extra_follow], feeds))
     initial = np.arange(result.n_initial)
-    columns = np.concatenate((post[follow], edits.post[extra_follow], initial))
+    columns = np.concatenate((post[follow], plan.post[extra_follow], initial))
     reached = _reachable(rows, columns, source)
 
     taken = follow & reached[pre]
-    extra_taken = extra_follow & reached[edits.pre]
+    extra_taken = extra_follow & reached[plan.pre]
     masked = taken | missing
     violating = masked.copy()
     violating[masked], _ = violations(pre[masked], post[masked], result.state_ok)
-    return ChangedSystem(edits, taken, extra_taken, masked, violating)
+    return ChangedSystem(plan, taken, extra_taken, masked, violating)
 
 
 def _reachable(rows: np.ndarray, columns: np.ndarray, source: int) -> np.ndarray:
@@ -422,7 +336,7 @@ def run_trials(
         raise MutationError("trial count must be at least 1")
     samples: dict[str, list] = {name: [] for name in FAULT_METRICS}
     for i in range(trial_count):
-        changed = _apply(result, _draw(result, n_extra, n_missing, seed ^ i))
+        changed = apply_plan(result, generate_plan(result, n_extra, n_missing, seed ^ i))
         values, _ = trial_metrics(result, changed)
         for name, value in values.items():
             if value is not None:
@@ -463,7 +377,8 @@ def modularity_sweep(
         if op not in per_op_counts:
             raise MutationError(f"no mutation counts for operation {op!r}")
         n_extra, n_missing = per_op_counts[op]
-        return _apply(result, _draw(result, n_extra, n_missing, _op_seed(seed, op), op))
+        plan = generate_plan(result, n_extra, n_missing, _op_seed(seed, op), op)
+        return apply_plan(result, plan)
 
     return _modularity(result, changed_by)
 
@@ -499,7 +414,7 @@ def _modularity(
             continue
         code = result.labels.index(op)
         common = _count(changed.taken & (result.label != code))
-        inserted = _count(changed.extra_taken & (changed.edits.label != code))
+        inserted = _count(changed.extra_taken & (changed.plan.label != code))
         union = len(result.pre) - count + inserted
         per_op[op] = modularity_of(op, common, union)
     return per_op, weighted_modularity(per_op, counts)
@@ -508,10 +423,22 @@ def _modularity(
 # --- plan files ----------------------------------------------------------------
 
 
-def plan_to_json(plan: MutationPlan) -> dict:
+def plan_to_json(result: ExplorationResult, plan: MutationPlan) -> dict:
+    """The plan's JSON object, each list in canonical order."""
+    rows, order, labels = [*result.rows, *plan.fresh], result.variable_order, result.labels
+
+    def transitions(*columns) -> list:
+        triples = [(rows[p], labels[c], rows[q]) for p, c, q in zip(*map(list, columns))]
+        return [
+            {"pre": dict(zip(order, map(Value.to_json, pre))), "op": op,
+             "post": dict(zip(order, map(Value.to_json, post)))}
+            for pre, op, post in _canonical(triples, len(order))
+        ]
+
+    m = plan.missing
     obj = {
-        "extra": [transition_to_json(t) for t in sorted_transitions(plan.extra)],
-        "missing": [transition_to_json(t) for t in sorted_transitions(plan.missing)],
+        "extra": transitions(plan.pre, plan.label, plan.post),
+        "missing": transitions(result.pre[m], result.label[m], result.post[m]),
         "seed": plan.seed,
     }
     if plan.label_scope is not None:
@@ -519,38 +446,104 @@ def plan_to_json(plan: MutationPlan) -> dict:
     return obj
 
 
+def _canonical(transitions: list, width: int) -> list:
+    """The ``(pre values, operation, post values)`` triples in canonical
+    order: the states, coded by ``row_ranks``, in canonical order and the
+    operations in code-point order, as strings compare."""
+    rows = list(dict.fromkeys(row for pre, _, post in transitions for row in (pre, post)))
+    rank = dict(zip(rows, row_ranks(rows, width)[0].tolist()))
+    return sorted(transitions, key=lambda t: (rank[t[0]], t[1], rank[t[2]]))
+
+
 def plan_from_json(
     obj: Mapping,
-    variable_order: Iterable[str],
+    result: ExplorationResult,
     element_sets: Mapping[str, str] | None = None,
 ) -> MutationPlan:
+    """The plan that the decoded JSON object ``obj`` gives, on ``result``'s
+    ids.  The ``extra`` and ``missing`` lists are sets: a transition listed
+    twice counts once, and a state's keys may come in any order.  Raises
+    StructureError for a malformed transition, naming its list and item, and
+    MutationError unless the plan is well formed and edits ``result``: it
+    may name only declared operations, insert only transitions not derived,
+    remove only derived ones and, when scoped, touch only its operation.
+    Each message names the first offending transition in canonical order,
+    and the plan holds its transitions in that order."""
     if not isinstance(obj, dict):
         raise MutationError(f"plan must be a JSON object, not {type(obj).__name__}")
-    order = tuple(variable_order)
     for key in ("extra", "missing"):
         if key not in obj or not isinstance(obj[key], list):
             raise MutationError(f"plan is missing the {key!r} transition list")
-    extra, missing = (
-        frozenset(transition_from_json(item, order, element_sets) for item in obj[key])
-        for key in ("extra", "missing")
-    )
+    # Each list as its distinct (pre values, operation, post values), in listed order.
+    order, extra, missing = result.variable_order, {}, {}
+    for key, transitions in (("extra", extra), ("missing", missing)):
+        for n, item in enumerate(obj[key], start=1):
+            try:
+                transitions[transition_values(item, order, element_sets)] = None
+            except StructureError as exc:
+                raise StructureError(f"{key} item {n}: {exc}") from None
     seed = obj.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise MutationError("plan seed must be an integer")
     label_scope = obj.get("label_scope")
     if label_scope is not None and not isinstance(label_scope, str):
         raise MutationError("label_scope must be an operation name")
-    return MutationPlan(extra, missing, seed, label_scope)
+
+    labels = result.labels
+    if label_scope is not None and label_scope not in labels:
+        raise MutationError(f"plan is scoped to an unknown operation {label_scope!r}")
+    touched = _canonical(list(dict.fromkeys([*extra, *missing])), len(order))
+    for t in touched:
+        if t[1] not in labels:
+            raise MutationError(
+                f"transition {_transition_text(t)} names an undeclared operation {t[1]!r}"
+            )
+
+    # A state not reached takes the next id where it first appears (in the extras).
+    ids = {row: i for i, row in enumerate(result.rows)}
+
+    def columns(transitions: list) -> np.ndarray:
+        triples = [
+            (ids.setdefault(pre, len(ids)), labels.index(op), ids.setdefault(post, len(ids)))
+            for pre, op, post in transitions
+        ]
+        return np.array(triples, np.int64).reshape(-1, 3).T
+
+    inserted = [t for t in touched if t in extra]
+    removed = [t for t in touched if t in missing]
+    extras = columns(inserted)
+    fresh = tuple(ids)[len(result.rows) :]
+    found = result.edge_ids(*np.hstack((extras, columns(removed))))
+    derived, stray = found[: len(inserted)] >= 0, found[len(inserted) :] < 0
+    if derived.any():
+        text = _transition_text(inserted[derived.argmax()])
+        raise MutationError(f"extra transition {text} is already derived")
+    if stray.any():
+        text = _transition_text(removed[stray.argmax()])
+        raise MutationError(f"missing transition {text} is not derived")
+    off_scope = [op for _, op, _ in touched if label_scope not in (None, op)]
+    if off_scope:
+        raise MutationError(f"plan is scoped to {label_scope!r} but touches {off_scope[0]!r}")
+    return MutationPlan(found[len(inserted) :], *extras, fresh, seed, label_scope)
+
+
+def _state_text(values: tuple) -> str:  # as ``State`` and ``Transition`` print
+    return f"({','.join(map(repr, values))})"
+
+
+def _transition_text(t: tuple) -> str:
+    return f"[{_state_text(t[0])},{t[1]},{_state_text(t[2])}]"
 
 
 def load_plan(
     path,
-    variable_order: Iterable[str],
+    result: ExplorationResult,
     element_sets: Mapping[str, str] | None = None,
 ) -> MutationPlan:
+    """The plan in the JSON file at ``path`` (``plan_from_json``)."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
             obj = json.load(handle)
         except json.JSONDecodeError as exc:
             raise MutationError(f"{path}: invalid JSON ({exc.msg})") from exc
-    return plan_from_json(obj, variable_order, element_sets)
+    return plan_from_json(obj, result, element_sets)

@@ -8,6 +8,7 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, Collection, Iterable, Iterator, Mapping
 
+import numpy as np
 import pytest
 
 from bqual.bmachine import (
@@ -43,7 +44,8 @@ from bqual.explorer import (
     infer_domains,
 )
 from bqual.lexer import _SYMBOLS, KEYWORDS, LexError, Token
-from bqual.lts import FlatList, State, Transition, Value, intval
+from bqual.lts import FlatList, State, Transition, Value, element_keys, intval
+from bqual.mutation import plan_from_json
 from bqual.parser import parse_machine
 
 CORPUS = Path(__file__).parent / "corpus"
@@ -168,9 +170,56 @@ def label_counts(transitions) -> Counter:
     return Counter(t.label for t in transitions)
 
 
+def transition_to_json(t: Transition) -> dict:
+    """Canonical JSON object: {"pre": {...}, "op": name, "post": {...}}."""
+
+    def state(s: State) -> dict:
+        return {name: value.to_json() for name, value in zip(s.variables, s.values)}
+
+    return {"pre": state(t.pre), "op": t.label, "post": state(t.post)}
+
+
+def sorted_transitions(transitions: Iterable[Transition]) -> list[Transition]:
+    """The transitions in canonical order."""
+    transitions = list(transitions)
+    order = transitions[0].pre.variables if transitions else ()
+    keys, _ = element_keys(transitions, order)
+    return [transitions[i] for i in np.lexsort(keys.T[::-1])]
+
+
+def object_plan(result, extra=(), missing=(), label_scope=None, element_sets=None):
+    """The plan on ``result`` that inserts the ``Transition`` objects
+    ``extra`` and removes ``missing``, read from its plan-file object."""
+    obj = {
+        "extra": [transition_to_json(t) for t in extra],
+        "missing": [transition_to_json(t) for t in missing],
+        "label_scope": label_scope,
+    }
+    return plan_from_json(obj, result, element_sets)
+
+
+def inserted_transitions(result, plan) -> list:
+    """The transitions a plan on ``result`` inserts, as objects, in the
+    plan's order."""
+    rows = [*result.rows, *plan.fresh]
+
+    def state(i):
+        return State(result.variable_order, rows[i])
+
+    columns = (column.tolist() for column in (plan.pre, plan.label, plan.post))
+    return [Transition(state(p), result.labels[c], state(q)) for p, c, q in zip(*columns)]
+
+
+def plan_transitions(result, plan) -> tuple[frozenset, frozenset]:
+    """The transitions a plan on ``result`` inserts and removes, as objects."""
+    missing = frozenset(result.edge_objects[i] for i in plan.missing.tolist())
+    return frozenset(inserted_transitions(result, plan)), missing
+
+
 def independent_apply(result, plan, invariant):
     """Plain set arithmetic plus BFS, sharing nothing with apply_plan."""
-    relation = (set(result.transitions) | set(plan.extra)) - set(plan.missing)
+    extra, missing = plan_transitions(result, plan)
+    relation = (set(result.transitions) | extra) - missing
     holds = compile_predicate(invariant)
     order = result.variable_order
 
@@ -190,7 +239,7 @@ def independent_apply(result, plan, invariant):
                 if t.post not in reached:
                     reached.add(t.post)
                     stack.append(t.post)
-    u_changed = (t_changed | set(plan.missing)) - set(plan.extra)
+    u_changed = (t_changed | missing) - extra
     outs = {t.pre for t in u_changed}
     u_violating = {t for t in u_changed if not ok(t.post) or t.post not in outs}
     return t_changed, u_changed, u_violating
@@ -206,18 +255,10 @@ def changed_sets(result, changed) -> SimpleNamespace:
     def transitions(mask):
         return frozenset(itertools.compress(result.edge_objects, mask.tolist()))
 
-    edits = changed.edits
-    rows = [*result.rows, *edits.fresh]
-
-    def state(i):
-        return State(result.variable_order, rows[i])
-
     inserted = frozenset(
-        Transition(state(p), result.labels[c], state(q))
-        for p, c, q, taken in zip(
-            *(a.tolist() for a in (edits.pre, edits.label, edits.post, changed.extra_taken))
+        itertools.compress(
+            inserted_transitions(result, changed.plan), changed.extra_taken.tolist()
         )
-        if taken
     )
     return SimpleNamespace(
         t_changed=transitions(changed.taken) | inserted,

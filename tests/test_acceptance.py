@@ -96,7 +96,7 @@ def test_criterion_04_cm4_violations(cm4_result, cm2_machine):
 
 def test_criterion_05_cm1_with_explicit_plan(cm1_result, cm1_machine, cm5_result):
     plan = load_plan(
-        corpus_path("cm5-plan.json"), ORDER, cm1_machine.element_sets
+        corpus_path("cm5-plan.json"), cm1_result, cm1_machine.element_sets
     )
     changed = apply_plan(cm1_result, plan)
     assert len(changed_sets(cm1_result, changed).u_changed) == 1050
@@ -118,7 +118,7 @@ def test_criterion_05_cm1_with_explicit_plan(cm1_result, cm1_machine, cm5_result
 
 def test_criterion_06_cm6_recoverability(cm6_result, cm6_machine):
     plan = load_plan(
-        corpus_path("cm5-plan.json"), ORDER, cm6_machine.element_sets
+        corpus_path("cm5-plan.json"), cm6_result, cm6_machine.element_sets
     )
     changed = changed_sets(cm6_result, apply_plan(cm6_result, plan))
     derived = cm6_result.transitions

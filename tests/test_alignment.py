@@ -18,7 +18,6 @@ from bqual.lts import (
     intval,
     pairs_of,
     set_size,
-    sorted_transitions,
 )
 
 from conftest import (
@@ -26,6 +25,7 @@ from conftest import (
     PROPERTY_ORDER,
     brute_force_similarity,
     random_transition_set,
+    sorted_transitions,
 )
 
 ORDER = ("hour", "minute")

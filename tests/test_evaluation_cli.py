@@ -491,6 +491,29 @@ class TestCli:
         assert result.stderr == f"bqual: {message}\n"
         assert result.stdout == ""
 
+    @pytest.mark.parametrize(
+        "plan, message",
+        [
+            (
+                {"extra": [5], "missing": [], "seed": 0},
+                "extra item 1: transition must be a JSON object, not int",
+            ),
+            (
+                {"extra": [{"pre": {"hour": 0, "minute": 0}, "op": "inc_minute",
+                            "post": {"hour": True, "minute": 0}}], "missing": []},
+                "plan-only state (TRUE,0): range membership needs integers",
+            ),
+        ],
+        ids=["item", "plan-only-state"],
+    )
+    def test_plan_error_names_where_exit_one(self, tmp_path, plan, message):
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(plan), encoding="utf-8")
+        result = run_cli("evaluate", "--machine", CM1, "--plan", str(path))
+        assert result.returncode == 1
+        assert result.stderr == f"bqual: {message}\n"
+        assert result.stdout == ""
+
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.mch"
         bad.write_text("MACHINE Broken VARIABLES", encoding="utf-8")

@@ -12,7 +12,6 @@ from bqual.explorer import (
     DomainError,
     EnumDomain,
     EvalTypeError,
-    ExplorerError,
     InitialisationError,
     IntRangeDomain,
     check_goal,
@@ -21,9 +20,10 @@ from bqual.explorer import (
     write_result,
 )
 from bqual.lts import State, Transition, boolval, enumval, intval
+from bqual.mutation import MutationError
 from bqual.parser import parse_machine, parse_predicate
 
-from conftest import enumerate_substitution
+from conftest import enumerate_substitution, object_plan, sorted_transitions
 
 
 def state_of(machine, **values):
@@ -156,35 +156,41 @@ class TestExploreClocks:
 
 
 class TestEdges:
+    """A plan file's transitions map to the exploration's edge ids
+    (``edge_ids``); the first that is not derived is named."""
+
     def test_derived_transitions_map_to_their_ids(self, cm1_result):
         ids = [0, 7, 1439]
         wanted = [cm1_result.edge_objects[i] for i in ids]
-        assert cm1_result.edges(wanted).tolist() == ids
+        plan = object_plan(cm1_result, missing=wanted)
+        assert sorted(plan.missing.tolist()) == ids
+        assert [cm1_result.edge_objects[i] for i in plan.missing] == sorted_transitions(wanted)
 
     def test_a_transition_between_derived_states_is_not_derived(self, cm1_result):
         s, labels = cm1_result.state_objects, cm1_result.labels
         stray = Transition(s[0], labels[0], s[5])
         assert stray not in cm1_result.transitions
-        message = r"^transition \[\(0,0\),inc_hour,\(0,5\)\] is not derived$"
-        with pytest.raises(ExplorerError, match=message):
-            cm1_result.edges([cm1_result.edge_objects[3], stray])
+        message = r"^missing transition \[\(0,0\),inc_hour,\(0,5\)\] is not derived$"
+        with pytest.raises(MutationError, match=message):
+            object_plan(cm1_result, missing=[cm1_result.edge_objects[3], stray])
 
     def test_a_transition_past_the_last_key_is_not_derived(self, cm1_result):
         last = State(("hour", "minute"), (intval(23), intval(59)))
         message = r"\[\(23,59\),next_day,\(23,59\)\] is not derived"
-        with pytest.raises(ExplorerError, match=message):
-            cm1_result.edges([Transition(last, "next_day", last)])
+        with pytest.raises(MutationError, match=message):
+            object_plan(cm1_result, missing=[Transition(last, "next_day", last)])
 
     def test_unreached_states_and_undeclared_operations_are_not_derived(self, cm4_result):
         def clock(h, m):
             return State(("hour", "minute"), (intval(h), intval(m)))
 
-        for stray in (
-            Transition(clock(0, 60), "inc_minute", clock(0, 61)),
-            Transition(clock(0, 0), "tick", clock(0, 1)),
-        ):
-            with pytest.raises(ExplorerError, match="is not derived"):
-                cm4_result.edges([stray])
+        unreached = Transition(clock(0, 60), "inc_minute", clock(0, 61))
+        with pytest.raises(MutationError, match="is not derived"):
+            object_plan(cm4_result, missing=[unreached])
+        # An undeclared operation is named before any edge is looked up.
+        undeclared = Transition(clock(0, 0), "tick", clock(0, 1))
+        with pytest.raises(MutationError, match="names an undeclared operation 'tick'"):
+            object_plan(cm4_result, missing=[undeclared])
         assert cm4_result.edge_ids([0, 1440, -1], [0, 0, 0], [1, 0, 0]).tolist() == [-1, -1, -1]
 
 

@@ -24,11 +24,11 @@ from bqual.lts import (
     pairs_of,
     read_transitions_jsonl,
     set_size,
-    sorted_transitions,
-    transition_from_json,
-    transition_to_json,
+    transition_values,
     write_transitions_jsonl,
 )
+
+from conftest import sorted_transitions, transition_to_json
 
 ORDER = ("hour", "minute")
 
@@ -167,8 +167,11 @@ class TestStateInvariants:
 
 class TestJson:
     def test_canonical_object(self):
-        t = clock_transition((1, 59), "inc_hour", (2, 0))
-        assert transition_to_json(t) == {
+        rows = [(intval(1), intval(59)), (intval(2), intval(0))]
+        relation = Relation(ORDER, rows, ("inc_hour",), *(np.array([i]) for i in (0, 0, 1)))
+        buffer = io.StringIO()
+        write_transitions_jsonl(relation, buffer)
+        assert json.loads(buffer.getvalue()) == {
             "pre": {"hour": 1, "minute": 59},
             "op": "inc_hour",
             "post": {"hour": 2, "minute": 0},
@@ -181,13 +184,13 @@ class TestJson:
         t = Transition(pre, "switch", post)
         encoded = transition_to_json(t)
         assert encoded["pre"] == {"light": "red", "open": False}
-        decoded = transition_from_json(encoded, order, {"red": "COLOR", "green": "COLOR"})
-        assert decoded == t
+        decoded = transition_values(encoded, order, {"red": "COLOR", "green": "COLOR"})
+        assert decoded == (pre.values, "switch", post.values)
 
     def test_unknown_element_rejected(self):
         obj = {"pre": {"x": "blue"}, "op": "op", "post": {"x": "blue"}}
         with pytest.raises(StructureError, match="blue"):
-            transition_from_json(obj, ("x",), {"red": "COLOR"})
+            transition_values(obj, ("x",), {"red": "COLOR"})
 
     def test_jsonl_round_trip_sorted(self):
         transitions = {

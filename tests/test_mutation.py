@@ -12,10 +12,9 @@ import pytest
 import bqual
 
 from bqual.explorer import infer_domains
-from bqual.lts import State, Transition, intval
+from bqual.lts import State, StructureError, Transition, boolval, intval
 from bqual.mutation import (
     MutationError,
-    MutationPlan,
     apply_plan,
     generate_plan,
     load_plan,
@@ -24,10 +23,17 @@ from bqual.mutation import (
     plan_to_json,
     run_trials,
     trial_metrics,
-    validate_plan,
 )
 
-from conftest import changed_sets, corpus_path, erased_sizes, independent_apply
+from conftest import (
+    changed_sets,
+    corpus_path,
+    erased_sizes,
+    independent_apply,
+    object_plan,
+    plan_transitions,
+    transition_to_json,
+)
 
 ORDER = ("hour", "minute")
 
@@ -41,10 +47,8 @@ def clock_transition(pre, label, post):
 
 
 @pytest.fixture(scope="module")
-def cm5_plan(cm1_machine):
-    return load_plan(
-        corpus_path("cm5-plan.json"), ("hour", "minute"), cm1_machine.element_sets
-    )
+def cm5_plan(cm1_machine, cm1_result):
+    return load_plan(corpus_path("cm5-plan.json"), cm1_result, cm1_machine.element_sets)
 
 
 @pytest.fixture(scope="module")
@@ -52,91 +56,124 @@ def cm1_changed(cm1_result, cm5_plan, cm1_machine):
     return apply_plan(cm1_result, cm5_plan)
 
 
+def clock_json(pre, label, post) -> dict:
+    return transition_to_json(clock_transition(pre, label, post))
+
+
 class TestPlanFile:
-    def test_shipped_plan(self, cm5_plan):
-        assert cm5_plan.extra == frozenset(
-            {clock_transition((3, 0), "inc_minute", (12, 0))}
-        )
-        assert cm5_plan.missing == frozenset(
-            {clock_transition((5, 29), "inc_minute", (5, 30))}
-        )
+    def test_shipped_plan(self, cm1_result, cm5_plan):
+        extra, missing = plan_transitions(cm1_result, cm5_plan)
+        assert extra == frozenset({clock_transition((3, 0), "inc_minute", (12, 0))})
+        assert missing == frozenset({clock_transition((5, 29), "inc_minute", (5, 30))})
         assert cm5_plan.label_scope == "inc_minute"
 
-    def test_round_trip(self, cm5_plan):
-        again = plan_from_json(plan_to_json(cm5_plan), ORDER)
+    def test_round_trip(self, cm1_result, cm5_plan):
+        again = plan_from_json(plan_to_json(cm1_result, cm5_plan), cm1_result)
         assert again == cm5_plan
 
-    def test_bad_seed_rejected(self):
+    def test_bad_seed_rejected(self, cm1_result):
         with pytest.raises(MutationError, match="seed"):
-            plan_from_json({"extra": [], "missing": [], "seed": "nope"}, ORDER)
+            plan_from_json({"extra": [], "missing": [], "seed": "nope"}, cm1_result)
 
-    def test_boolean_seed_rejected(self):
+    def test_boolean_seed_rejected(self, cm1_result):
         with pytest.raises(MutationError, match="seed"):
-            plan_from_json({"extra": [], "missing": [], "seed": True}, ORDER)
+            plan_from_json({"extra": [], "missing": [], "seed": True}, cm1_result)
 
     @pytest.mark.parametrize("obj", [5, "extra missing", ["extra", "missing"], None])
-    def test_non_object_plan_rejected(self, obj):
+    def test_non_object_plan_rejected(self, obj, cm1_result):
         with pytest.raises(MutationError, match="plan must be a JSON object"):
-            plan_from_json(obj, ORDER)
+            plan_from_json(obj, cm1_result)
+
+    def test_a_transition_listed_twice_counts_once(self, cm1_result):
+        once = clock_json((3, 0), "inc_minute", (12, 0))
+        permuted = dict(once, post={"minute": 0, "hour": 12})
+        plan = plan_from_json({"extra": [once, permuted], "missing": []}, cm1_result)
+        assert len(plan.pre) == 1
+        assert plan_to_json(cm1_result, plan)["extra"] == [once]
+
+    @pytest.mark.parametrize(
+        "edge, message",
+        [
+            (
+                ((0, 0), "inc_minute", (0, 1)),
+                r"^extra transition \[\(0,0\),inc_minute,\(0,1\)\] is already derived$",
+            ),
+            (
+                ((0, 0), "inc_minute", (0, 2)),
+                r"^missing transition \[\(0,0\),inc_minute,\(0,2\)\] is not derived$",
+            ),
+        ],
+        ids=["derived", "underived"],
+    )
+    def test_a_transition_in_both_lists_is_rejected(self, cm1_result, edge, message):
+        obj = {"extra": [clock_json(*edge)], "missing": [clock_json(*edge)]}
+        with pytest.raises(MutationError, match=message):
+            plan_from_json(obj, cm1_result)
+
+    def test_true_is_not_one(self, cm1_result):
+        derived = clock_json((0, 0), "inc_minute", (0, 1))
+        plan = plan_from_json({"extra": [], "missing": [derived]}, cm1_result)
+        assert len(plan.missing) == 1
+        boolean = dict(derived, post={"hour": 0, "minute": True})
+        message = r"^missing transition \[\(0,0\),inc_minute,\(0,TRUE\)\] is not derived$"
+        with pytest.raises(MutationError, match=message):
+            plan_from_json({"extra": [], "missing": [boolean]}, cm1_result)
+        plan = plan_from_json({"extra": [boolean], "missing": []}, cm1_result)
+        assert plan.fresh == ((intval(0), boolval(True)),)
+
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ({"extra": [5], "missing": []}, "extra item 1: transition must be a JSON object"),
+            (
+                {"extra": [], "missing": [{"pre": {"hour": 0}, "op": "inc_hour", "post": {}}]},
+                "missing item 1: state is missing variable 'minute'",
+            ),
+        ],
+        ids=["extra", "missing"],
+    )
+    def test_decode_errors_name_the_list_and_item(self, cm1_result, obj, message):
+        with pytest.raises(StructureError, match=f"^{message}"):
+            plan_from_json(obj, cm1_result)
 
 
 class TestValidatePlan:
     def test_extra_already_derived(self, cm1_result):
-        plan = MutationPlan(
-            extra=frozenset({clock_transition((0, 0), "inc_minute", (0, 1))}),
-            missing=frozenset(),
-            seed=0,
-        )
+        extra = [clock_transition((0, 0), "inc_minute", (0, 1))]
         with pytest.raises(MutationError, match="already derived"):
-            validate_plan(plan, cm1_result)
+            object_plan(cm1_result, extra=extra)
 
     def test_missing_not_derived(self, cm1_result):
-        plan = MutationPlan(
-            extra=frozenset(),
-            missing=frozenset({clock_transition((0, 0), "inc_minute", (9, 9))}),
-            seed=0,
-        )
+        missing = [clock_transition((0, 0), "inc_minute", (9, 9))]
         with pytest.raises(MutationError, match="not derived"):
-            validate_plan(plan, cm1_result)
+            object_plan(cm1_result, missing=missing)
 
     def test_scope_mismatch(self, cm1_result):
-        plan = MutationPlan(
-            extra=frozenset({clock_transition((0, 0), "inc_hour", (9, 9))}),
-            missing=frozenset(),
-            seed=0,
-            label_scope="inc_minute",
-        )
+        extra = [clock_transition((0, 0), "inc_hour", (9, 9))]
         with pytest.raises(MutationError, match="scoped"):
-            validate_plan(plan, cm1_result)
-
+            object_plan(cm1_result, extra=extra, label_scope="inc_minute")
 
     def test_undeclared_operation(self, cm1_result):
-        plan = MutationPlan(
-            extra=frozenset({clock_transition((0, 0), "bogus", (9, 9))}),
-            missing=frozenset(),
-            seed=0,
-        )
+        extra = [clock_transition((0, 0), "bogus", (9, 9))]
         with pytest.raises(
             MutationError,
             match=r"^transition \[\(0,0\),bogus,\(9,9\)\] names an undeclared operation 'bogus'$",
         ):
-            validate_plan(plan, cm1_result)
+            object_plan(cm1_result, extra=extra)
 
     def test_unknown_scope(self, cm1_result):
-        plan = MutationPlan(frozenset(), frozenset(), seed=0, label_scope="tick")
         with pytest.raises(MutationError, match="unknown operation 'tick'"):
-            validate_plan(plan, cm1_result)
+            object_plan(cm1_result, label_scope="tick")
 
     def test_ids(self, cm1_result, cm5_plan):
-        edits = validate_plan(cm5_plan, cm1_result)
-        (removed,) = cm5_plan.missing
-        assert cm1_result.edge_objects[edits.missing[0]] == removed
-        (inserted,) = cm5_plan.extra
-        pre, label, post = edits.pre[0], edits.label[0], edits.post[0]
+        removed = clock_transition((5, 29), "inc_minute", (5, 30))
+        assert cm1_result.edge_objects[cm5_plan.missing[0]] == removed
+        inserted = clock_transition((3, 0), "inc_minute", (12, 0))
+        pre, label, post = cm5_plan.pre[0], cm5_plan.label[0], cm5_plan.post[0]
         assert cm1_result.state_objects[pre] == inserted.pre
         assert cm1_result.labels[label] == inserted.label
         assert cm1_result.state_objects[post] == inserted.post
-        assert edits.fresh == ()
+        assert cm5_plan.fresh == ()
 
 
 class TestGeneratePlan:
@@ -149,15 +186,15 @@ class TestGeneratePlan:
 
     def test_empty_counts(self, cm1_result):
         plan = generate_plan(cm1_result, 0, 0, 5)
-        assert plan.extra == frozenset() and plan.missing == frozenset()
+        assert plan_transitions(cm1_result, plan) == (frozenset(), frozenset())
 
     def test_draws_respect_structure(self, cm1_result, cm1_machine):
         domains = infer_domains(cm1_machine)
-        plan = generate_plan(cm1_result, 10, 10, seed=3)
-        assert len(plan.extra) == 10 and len(plan.missing) == 10
-        assert not plan.extra & cm1_result.transitions
-        assert plan.missing <= cm1_result.transitions
-        for t in plan.extra:
+        extra, missing = plan_transitions(cm1_result, generate_plan(cm1_result, 10, 10, seed=3))
+        assert len(extra) == 10 and len(missing) == 10
+        assert not extra & cm1_result.transitions
+        assert missing <= cm1_result.transitions
+        for t in extra:
             assert t.pre in cm1_result.states
             assert t.label in cm1_machine.operation_names
             for name, value in zip(ORDER, t.post.values):
@@ -165,7 +202,8 @@ class TestGeneratePlan:
 
     def test_label_scope(self, cm1_result):
         plan = generate_plan(cm1_result, 3, 3, seed=4, label_scope="inc_hour")
-        assert all(t.label == "inc_hour" for t in plan.extra | plan.missing)
+        extra, missing = plan_transitions(cm1_result, plan)
+        assert all(t.label == "inc_hour" for t in extra | missing)
 
     def test_unsatisfiable_missing_count(self, cm1_result):
         with pytest.raises(MutationError, match="cannot remove"):
@@ -201,7 +239,7 @@ class TestGeneratePlan:
         )
         result = explore(machine, meter_memory=False)
         monkeypatch.setattr(mutation, "_MAX_DRAW_ATTEMPTS", 1056)
-        assert len(generate_plan(result, 2, 0, seed=0).extra) == 2
+        assert len(generate_plan(result, 2, 0, seed=0).pre) == 2
         monkeypatch.setattr(mutation, "_MAX_DRAW_ATTEMPTS", 1055)
         with pytest.raises(MutationError, match="too many rejected draws"):
             generate_plan(result, 2, 0, seed=0)
@@ -256,7 +294,7 @@ plans = [
     generate_plan(result, 5, 5, seed=11),
     generate_plan(result, 3, 3, seed=11, label_scope="paint"),
 ]
-print(json.dumps([plan_to_json(plan) for plan in plans]))
+print(json.dumps([plan_to_json(result, plan) for plan in plans]))
 """
 
 
@@ -287,32 +325,41 @@ def test_plans_do_not_depend_on_hash_seed():
     assert outputs[0] == outputs[1]
 
 
-# Prints the message validate_plan gives for each of three plans on CM1 with
-# six offending transitions apiece: derived extras, underived removals, and
-# removals under two operations outside the plan's scope.
+# Prints the message plan_from_json gives for each of three plans on CM1
+# with six offending transitions apiece, listed against the canonical order:
+# derived extras, underived removals, and removals under two operations
+# outside the plan's scope.
 _VALIDATE_SCRIPT = """
 import sys
 from pathlib import Path
 from bqual.explorer import explore
-from bqual.lts import Transition
-from bqual.mutation import MutationError, MutationPlan, validate_plan
+from bqual.mutation import MutationError, plan_from_json
 from bqual.parser import parse_machine
 
 result = explore(parse_machine(Path(sys.argv[1]).read_text()), meter_memory=False)
-derived = result.ordered_transitions[::239][:6]
-underived = [Transition(t.post, t.label, t.pre) for t in derived]
-by_label = {label: [] for label in result.labels}
-for t in result.ordered_transitions:
-    by_label[t.label].append(t)
+
+
+def state(i):
+    return {name: value.to_json() for name, value in zip(result.variable_order, result.rows[i])}
+
+
+order = result.canonical[2]
+columns = (column[order].tolist() for column in (result.pre, result.label, result.post))
+ordered = [
+    {"pre": state(p), "op": result.labels[c], "post": state(q)} for p, c, q in zip(*columns)
+]
+derived = ordered[::239][:6]
+underived = [dict(t, pre=t["post"], post=t["pre"]) for t in derived]
+by_label = {label: [t for t in ordered if t["op"] == label] for label in result.labels}
 off_scope = by_label["inc_hour"][:3] + by_label["inc_minute"][-3:]
 plans = [
-    MutationPlan(frozenset(derived), frozenset(), 0),
-    MutationPlan(frozenset(), frozenset(underived), 0),
-    MutationPlan(frozenset(), frozenset(off_scope), 0, "next_day"),
+    {"extra": derived[::-1], "missing": []},
+    {"extra": [], "missing": underived[::-1]},
+    {"extra": [], "missing": off_scope[::-1], "label_scope": "next_day"},
 ]
 for plan in plans:
     try:
-        validate_plan(plan, result)
+        plan_from_json(plan, result)
     except MutationError as exc:
         print(exc)
 """
@@ -340,18 +387,19 @@ class TestApplyPlan:
 
     def test_extra_masked_out(self, cm1_result, cm1_changed, cm5_plan):
         changed = changed_sets(cm1_result, cm1_changed)
-        assert not changed.u_changed & cm5_plan.extra
-        assert cm5_plan.missing <= changed.u_changed
+        extra, missing = plan_transitions(cm1_result, cm5_plan)
+        assert not changed.u_changed & extra
+        assert missing <= changed.u_changed
 
     def test_empty_plan_is_identity(self, cm1_result, cm1_machine):
-        empty = MutationPlan(extra=frozenset(), missing=frozenset(), seed=0)
+        empty = object_plan(cm1_result)
         changed = changed_sets(cm1_result, apply_plan(cm1_result, empty))
         assert changed.t_changed == cm1_result.transitions
         assert changed.u_changed == cm1_result.transitions
         assert changed.u_violating == cm1_result.violating
 
     def test_empty_plan_on_violating_machine(self, cm4_result, cm4_machine):
-        empty = MutationPlan(extra=frozenset(), missing=frozenset(), seed=0)
+        empty = object_plan(cm4_result)
         changed = changed_sets(cm4_result, apply_plan(cm4_result, empty))
         assert changed.u_violating == cm4_result.violating
 
@@ -360,7 +408,7 @@ class TestApplyPlan:
     ):
         from bqual.metrics import fault_tolerance, invariant_satisfiability
 
-        empty = MutationPlan(extra=frozenset(), missing=frozenset(), seed=0)
+        empty = object_plan(cm4_result)
         changed = changed_sets(cm4_result, apply_plan(cm4_result, empty))
         assert fault_tolerance(
             len(changed.u_changed), len(changed.u_violating)
@@ -377,16 +425,17 @@ class TestApplyPlan:
 
     def test_masking_identity(self, cm1_changed, cm5_plan, cm1_result):
         changed = changed_sets(cm1_result, cm1_changed)
-        reconstructed = (changed.t_changed | cm5_plan.missing) - cm5_plan.extra
+        extra, missing = plan_transitions(cm1_result, cm5_plan)
+        reconstructed = (changed.t_changed | missing) - extra
         assert changed.u_changed == reconstructed
 
     def test_cm5_machine_equals_plan_application(self, cm1_result, cm5_result, cm1_machine):
         # The jump-to-6:00 edit expressed as a transition-level plan derives
         # exactly what the edited machine derives.
-        plan = MutationPlan(
-            extra=frozenset({clock_transition((3, 0), "inc_minute", (6, 0))}),
-            missing=frozenset({clock_transition((5, 29), "inc_minute", (5, 30))}),
-            seed=0,
+        plan = object_plan(
+            cm1_result,
+            extra=[clock_transition((3, 0), "inc_minute", (6, 0))],
+            missing=[clock_transition((5, 29), "inc_minute", (5, 30))],
             label_scope="inc_minute",
         )
         changed = changed_sets(cm1_result, apply_plan(cm1_result, plan))
@@ -405,12 +454,11 @@ class TestSharedVerdicts:
     )
 
     @staticmethod
-    def plan(*extra):
+    def plan(result, *extra):
         def gate(n):
             return State(("x",), (intval(n),))
 
-        edges = frozenset(Transition(gate(a), "up", gate(b)) for a, b in extra)
-        return MutationPlan(extra=edges, missing=frozenset(), seed=0)
+        return object_plan(result, extra=[Transition(gate(a), "up", gate(b)) for a, b in extra])
 
     @pytest.mark.parametrize("first_violating", [True, False])
     def test_each_order_agrees_with_independent_apply(self, first_violating):
@@ -421,9 +469,9 @@ class TestSharedVerdicts:
         result = explore(machine, meter_memory=False)
         assert len(result.states) == 3
         # 4 is new and breaks x /= 4, so the walk must not follow 4 -> 5.
-        into_violation = self.plan((2, 4), (4, 5))
+        into_violation = self.plan(result, (2, 4), (4, 5))
         # 3 is new and the pre-state of an extra, so the walk follows 3 -> 5.
-        from_new_state = self.plan((2, 3), (3, 5))
+        from_new_state = self.plan(result, (2, 3), (3, 5))
         plans = [into_violation, from_new_state]
         if not first_violating:
             plans.reverse()
@@ -441,7 +489,7 @@ class TestNoObjectsOnTheSeededPath:
     """Seeded trials, the modularity sweep and a plan file's application
     work on the exploration's ids; no object view of it is built."""
 
-    VIEWS = ("transitions", "edge_objects", "ordered_transitions", "state_id")
+    VIEWS = ("transitions", "edge_objects", "state_objects")
 
     @staticmethod
     def explored(source):
@@ -465,10 +513,20 @@ class TestNoObjectsOnTheSeededPath:
         assert built == []
         assert not set(self.VIEWS) & set(vars(result))
 
-    def test_plan_file(self, cm1_machine, cm5_plan):
+    def test_plan_file(self, cm1_machine, monkeypatch):
+        from bqual.evaluation import EvaluationConfig, evaluate
+        from bqual.mutation import plan_modularity
+
+        machine, plan_path = str(corpus_path("CM1.mch")), str(corpus_path("cm5-plan.json"))
         result = self.explored(corpus_path("CM1.mch").read_text())
-        changed = apply_plan(result, cm5_plan)
+        built = []
+        monkeypatch.setattr(Transition, "__init__", lambda self, *args: built.append(args))
+        plan = load_plan(plan_path, result, cm1_machine.element_sets)
+        changed = apply_plan(result, plan)
         trial_metrics(result, changed)
+        plan_modularity(result, plan, changed)
+        evaluate(EvaluationConfig(machine_path=machine, plan_path=plan_path))
+        assert built == []
         assert not set(self.VIEWS) & set(vars(result))
 
 
@@ -536,12 +594,9 @@ class TestModularitySweep:
         )
         result = explore(machine, meter_memory=False)
         assert len(result.transitions) == 4
-        plan = MutationPlan(
-            extra=frozenset(),
-            missing=frozenset(
-                {Transition(State(("x",), (intval(1),)), "fwd", State(("x",), (intval(2),)))}
-            ),
-            seed=0,
+        plan = object_plan(
+            result,
+            missing=[Transition(State(("x",), (intval(1),)), "fwd", State(("x",), (intval(2),)))],
             label_scope="fwd",
         )
         changed = changed_sets(result, apply_plan(result, plan))

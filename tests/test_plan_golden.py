@@ -80,7 +80,7 @@ FILLED = ("Lamp", "Up", "Gate")
 def _case(result, name: str, seed: int, n_extra: int, n_missing: int, scope=None):
     case = f"{name} seed={seed} scope={scope} n_extra={n_extra} n_missing={n_missing}"
     try:
-        plan = plan_to_json(generate_plan(result, n_extra, n_missing, seed, scope))
+        plan = plan_to_json(result, generate_plan(result, n_extra, n_missing, seed, scope))
     except MutationError as exc:
         return json.dumps({"case": case, "error": str(exc)})
     text = json.dumps(plan, separators=(",", ":"))

@@ -23,8 +23,6 @@ from bqual.lts import (
     pairs_of,
     read_transitions_jsonl,
     set_size,
-    sorted_transitions,
-    transition_to_json,
 )
 from bqual.metrics import (
     NotComputable,
@@ -40,7 +38,7 @@ from bqual.metrics import (
     tfcomp,
     tfcorr,
 )
-from bqual.mutation import MutationPlan, _modularity, apply_plan, trial_metrics
+from bqual.mutation import _modularity, apply_plan, trial_metrics
 from bqual.parser import parse_machine
 
 from conftest import (
@@ -54,7 +52,10 @@ from conftest import (
     jaccard_sizes,
     label_counts,
     machine_to_source,
+    object_plan,
     pred_to_source,
+    sorted_transitions,
+    transition_to_json,
 )
 
 values = st.integers(min_value=0, max_value=2).map(intval)
@@ -350,9 +351,11 @@ def test_explore_matches_object_walk(source, max_states, max_transitions):
     if result is None:
         return
     # One id space: the canonical order is a permutation of the walk's edges.
-    ordered = list(result.ordered_transitions)
+    order = result.canonical[2]
+    ordered = [result.edge_objects[i] for i in order.tolist()]
     assert ordered == sorted_transitions(result.transitions)
-    assert [result.edge_objects[i] for i in result.edges(ordered)] == ordered
+    columns = (column[order] for column in (result.pre, result.label, result.post))
+    assert result.edge_ids(*columns).tolist() == order.tolist()
     counts = label_counts(oracle.transitions)
     assert list(result.label_counts.items()) == sorted(counts.items())
 
@@ -383,13 +386,13 @@ def gate_plans(draw):
     scope = draw(st.sampled_from([None, "up", "down"]))
     labels = [scope] if scope else ["up", "down"]
     derived = _GATE_RESULT.transitions
-    removable = [t for t in _GATE_RESULT.ordered_transitions if t.label in labels]
+    removable = [t for t in sorted_transitions(derived) if t.label in labels]
     edges = (_gate(a, label, b) for a in range(7) for label in labels for b in range(7))
     insertable = [t for t in edges if t not in derived]
-    return MutationPlan(
-        extra=frozenset(draw(st.sets(st.sampled_from(insertable), max_size=6))),
-        missing=frozenset(draw(st.sets(st.sampled_from(removable)))),
-        seed=0,
+    return object_plan(
+        _GATE_RESULT,
+        extra=draw(st.sets(st.sampled_from(insertable), max_size=6)),
+        missing=draw(st.sets(st.sampled_from(removable))),
         label_scope=scope,
     )
 
@@ -398,9 +401,9 @@ def _plan(extra, missing=(), scope=None):
     """A plan on the gate machine from (pre, label, post) triples."""
 
     def edges(triples):
-        return frozenset(_gate(*triple) for triple in triples)
+        return [_gate(*triple) for triple in triples]
 
-    return MutationPlan(edges(extra), edges(missing), 0, scope)
+    return object_plan(_GATE_RESULT, edges(extra), edges(missing), scope)
 
 
 @given(gate_plans())
