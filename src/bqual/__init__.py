@@ -9,22 +9,9 @@ metrics.
 
 __version__ = "0.1.0"
 
-from .alignment import AlignmentOutcome, agreement, similarity
+from .alignment import AlignmentOutcome, similarity
 from .explorer import ExplorationResult, check_goal, explore, infer_domains
-from .lts import (
-    State,
-    StatePair,
-    Transition,
-    Value,
-    boolval,
-    enumval,
-    flatten_pair,
-    flatten_transition,
-    intval,
-    labels_of,
-    pairs_of,
-    set_size,
-)
+from .lts import State, Transition, Value, boolval, enumval, intval
 from .metrics import GoalSpec, NotComputable, QualityReport, RequirementSpec
 from .mutation import ChangedSystem, MutationPlan, apply_plan, generate_plan
 from .parser import parse_machine, parse_predicate
@@ -39,25 +26,18 @@ __all__ = [
     "QualityReport",
     "RequirementSpec",
     "State",
-    "StatePair",
     "Transition",
     "Value",
-    "agreement",
     "apply_plan",
     "boolval",
     "check_goal",
     "enumval",
     "explore",
-    "flatten_pair",
-    "flatten_transition",
     "generate_plan",
     "infer_domains",
     "intval",
-    "labels_of",
-    "pairs_of",
     "parse_machine",
     "parse_predicate",
-    "set_size",
     "similarity",
     "__version__",
 ]

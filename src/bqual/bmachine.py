@@ -153,10 +153,6 @@ class MachineAST:
     operations: tuple[tuple[str, Substitution], ...]
 
     @property
-    def operation_names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.operations)
-
-    @property
     def element_sets(self) -> dict[str, str]:
         """Map each enumerated element name to its set name."""
         out: dict[str, str] = {}

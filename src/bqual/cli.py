@@ -161,6 +161,9 @@ def main(argv: list[str] | None = None) -> int:
     ) as exc:
         sys.stderr.write(f"bqual: {exc}\n")
         return EXIT_ERROR
+    except UnicodeDecodeError as exc:
+        sys.stderr.write(f"bqual: an input file is not UTF-8 text ({exc})\n")
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

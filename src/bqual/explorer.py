@@ -486,10 +486,6 @@ class ExplorationResult(Relation):
         return frozenset(self.state_objects)
 
     @functools.cached_property
-    def initial_states(self) -> frozenset:
-        return frozenset(self.state_objects[: self.n_initial])
-
-    @functools.cached_property
     def deadlock_states(self) -> frozenset:
         return frozenset(itertools.compress(self.state_objects, (~self.live).tolist()))
 

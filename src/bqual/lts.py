@@ -1,19 +1,19 @@
 """Core value types for labelled transition systems.
 
-States, transitions and state pairs are immutable, hashable and safe to
-share between workers.  Machines can reach millions of transitions, so the
-types cache their hashes and intern common values; an exploration builds
-them only when they are read.  The canonical order of states, and with it
-of transitions and pairs, is computed in one place, ``row_ranks``, from
-integer value codes: of an exploration's value rows directly, or of the
-states of transitions and pairs through ``element_keys``.
+States, transitions and values are immutable, hashable and safe to share
+between workers.  Machines can reach millions of transitions, so the types
+cache their hashes and intern common values; an exploration builds them
+only when they are read.  The canonical order of states, and with it of
+transitions, is computed in one place, ``row_ranks``, from integer value
+codes of value rows.
 
 A set of transitions travels as a ``Relation`` of integer arrays, the one
 transition-set type: an exploration is one (``ExplorationResult`` extends
-it), ``read_transitions_jsonl`` reads a file into one and
+it), ``read_transitions_jsonl`` reads a file into one,
 ``write_transitions_jsonl`` writes one, rendering each state's JSON text
-once.  The functional metrics compare two relations as ``Coded`` sorted
-int64 keys on one shared coding (``code_relations``), never as objects.
+once, and ``relation_of`` builds one from transition objects.  The
+functional metrics compare two relations as ``Coded`` sorted int64 keys on
+one shared coding (``code_relations``), never as objects.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ import itertools
 import json
 import re
 from dataclasses import dataclass
-from operator import attrgetter
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -157,12 +156,6 @@ class State:
             raise StructureError(f"state is missing variable {missing[0]!r}")
         return cls(order, tuple(assignment[v] for v in order))
 
-    def get(self, name: str) -> Value:
-        try:
-            return self.values[self.variables.index(name)]
-        except ValueError:
-            raise StructureError(f"state does not bind variable {name!r}") from None
-
     def __eq__(self, other):
         if self is other:
             return True
@@ -178,7 +171,7 @@ class State:
         return f"({inner})"
 
 
-def _require_same_variables(pre: State, post: State, what: str) -> None:
+def _require_same_variables(pre: State, post: State) -> None:
     if pre.variables is post.variables or pre.variables == post.variables:
         return
     missing = set(pre.variables) - set(post.variables)
@@ -188,7 +181,7 @@ def _require_same_variables(pre: State, post: State, what: str) -> None:
         detail.append(f"post-state is missing {sorted(missing)}")
     if extra:
         detail.append(f"post-state adds {sorted(extra)}")
-    raise StructureError(f"{what} binds mismatched variables: " + "; ".join(detail))
+    raise StructureError("transition binds mismatched variables: " + "; ".join(detail))
 
 
 class Transition:
@@ -198,7 +191,7 @@ class Transition:
     __slots__ = ("pre", "label", "post", "_hash")
 
     def __init__(self, pre: State, label: str, post: State):
-        _require_same_variables(pre, post, "transition")
+        _require_same_variables(pre, post)
         self.pre = pre
         self.label = label
         self.post = post
@@ -218,40 +211,8 @@ class Transition:
     def __hash__(self):
         return self._hash
 
-    def pair(self) -> "StatePair":
-        return StatePair(self.pre, self.post)
-
     def __repr__(self):
         return f"[{self.pre!r},{self.label},{self.post!r}]"
-
-
-class StatePair:
-    """A transition with its operation label erased."""
-
-    __slots__ = ("pre", "post", "_hash")
-
-    def __init__(self, pre: State, post: State):
-        _require_same_variables(pre, post, "state pair")
-        self.pre = pre
-        self.post = post
-        self._hash = hash((pre, post))
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, StatePair):
-            return NotImplemented
-        return self.pre == other.pre and self.post == other.post
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return f"[{self.pre!r},{self.post!r}]"
-
-
-FlatList = tuple
-Element = Union[Transition, StatePair]
 
 
 def check_variables(variables: tuple[str, ...], variable_order: tuple[str, ...]) -> None:
@@ -277,58 +238,6 @@ def state_values(state: State, variable_order: tuple[str, ...]) -> tuple[Value, 
     exactly ``variable_order``, in that order."""
     check_variables(state.variables, variable_order)
     return state.values
-
-
-def flatten_transition(t: Transition, variable_order: Iterable[str]) -> FlatList:
-    """Flatten to ``(pre values..., label, post values...)`` -- 2N+1 tokens
-    for N variables, values in declaration order."""
-    order = tuple(variable_order)
-    return state_values(t.pre, order) + (t.label,) + state_values(t.post, order)
-
-
-def flatten_pair(p: StatePair, variable_order: Iterable[str]) -> FlatList:
-    """Flatten to ``(pre values..., post values...)`` -- 2N tokens."""
-    order = tuple(variable_order)
-    return state_values(p.pre, order) + state_values(p.post, order)
-
-
-def flatten(element: Element, variable_order: Iterable[str]) -> FlatList:
-    if isinstance(element, Transition):
-        return flatten_transition(element, variable_order)
-    if isinstance(element, StatePair):
-        return flatten_pair(element, variable_order)
-    raise TypeError(f"cannot flatten {type(element).__name__}")
-
-
-def check_element_variables(
-    elements: Iterable[Element], variable_order: tuple[str, ...]
-) -> None:
-    """Raise StructureError unless every element's states bind exactly
-    ``variable_order``.  A post-state binds the variables of its pre-state
-    (checked on construction), so each distinct ``pre.variables`` tuple is
-    checked once."""
-    for variables in set(map(attrgetter("pre.variables"), elements)):
-        check_variables(variables, variable_order)
-
-
-def set_size(elements: Iterable[Element], variable_order: Iterable[str]) -> int:
-    """Total number of tokens over all flattened elements: 2N+1 per
-    transition and 2N per state pair, for N variables."""
-    order = tuple(variable_order)
-    elements = list(elements)
-    check_element_variables(elements, order)
-    transitions = sum(isinstance(e, Transition) for e in elements)
-    return 2 * len(order) * len(elements) + transitions
-
-
-def pairs_of(transitions: Iterable[Transition]) -> frozenset:
-    """Label-erasing projection; duplicates collapse."""
-    return frozenset(t.pair() for t in transitions)
-
-
-def labels_of(transitions: Iterable[Transition]) -> frozenset:
-    """The distinct operation labels appearing in a transition set."""
-    return frozenset(t.label for t in transitions)
 
 
 def transition_parts(obj) -> tuple[dict, str, dict]:
@@ -395,33 +304,6 @@ def row_ranks(
     rank = np.empty_like(order)
     rank[order] = np.cumsum(starts) - 1
     return rank, coded[starts]
-
-
-def element_keys(
-    elements: Sequence[Element], variable_order: tuple[str, ...]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Canonical sort keys of transitions or of state pairs: ``(keys, rows)``.
-
-    ``keys`` has one row per element: the rank of its pre-state, the code
-    of its label (transitions only; labels in code-point order) and the
-    rank of its post-state, so the lexicographic order of the keys is the
-    canonical element order.  ``rows`` are the state rows of ``row_ranks``,
-    indexed by rank.  Each state object is coded once, told apart from the
-    others by ``id``, never by ``State.__eq__``.
-    """
-    size = len(elements)
-    states = [e.pre for e in elements] + [e.post for e in elements]
-    objects = dict(zip(map(id, states), states))
-    slot = {key: i for i, key in enumerate(objects)}
-    table = [state_values(s, variable_order) for s in objects.values()]
-    rank, rows = row_ranks(table, len(variable_order))
-    rank = rank[np.fromiter(map(slot.__getitem__, map(id, states)), np.intp, 2 * size)]
-    columns = [rank[:size], rank[size:]]
-    if size and isinstance(elements[0], Transition):
-        names = [t.label for t in elements]
-        code = {name: i for i, name in enumerate(sorted(set(names)))}
-        columns.insert(1, np.fromiter(map(code.__getitem__, names), np.intp, size))
-    return np.column_stack(columns).astype(np.int32), rows
 
 
 def sorted_labels(labels: Iterable[str]) -> list[str]:
@@ -539,6 +421,26 @@ class Relation:
     @functools.cached_property
     def transitions(self) -> frozenset:
         return frozenset(self.edge_objects)
+
+
+def relation_of(transitions: Iterable[Transition], variable_order: Iterable[str]) -> Relation:
+    """A collection of transition objects as a Relation.  Each state is
+    interned by its values, which raises StructureError unless it binds
+    exactly ``variable_order``, in that order."""
+    order = tuple(variable_order)
+    transitions = list(transitions)
+    ids: dict[tuple[Value, ...], int] = {}
+
+    def column(states) -> np.ndarray:
+        found = (ids.setdefault(state_values(s, order), len(ids)) for s in states)
+        return np.fromiter(found, np.int64, len(transitions))
+
+    pre = column(t.pre for t in transitions)
+    post = column(t.post for t in transitions)
+    labels = sorted_labels(t.label for t in transitions)
+    code = {name: i for i, name in enumerate(labels)}
+    label = np.fromiter((code[t.label] for t in transitions), np.int64, len(transitions))
+    return Relation(order, list(ids), tuple(labels), pre, label, post)
 
 
 def canonical_edges(relation: Relation, chunk: int = 1 << 16):
@@ -699,7 +601,7 @@ class Coded:
 
     @property
     def size(self) -> int:
-        """Total number of tokens over all flattened elements (``set_size``)."""
+        """Total number of tokens over all flattened elements."""
         return self.width * len(self.keys)
 
     def common(self, other: "Coded") -> int:

@@ -4,11 +4,11 @@ Every ratio metric raises NotComputable instead of dividing by zero; the
 report layer turns that into a "not-computed" field with the reason.  The
 equations take counts.  The six functional ones are written once, in
 ``functional``, on the sizes of the two sides on one integer coding
-(``lts.Coded``) and what they share: ``evaluate`` codes the derived and
-required relations (``lts.code_relations``), and the set-form ``tfcomp``,
-``pfcomp``, ``tfcorr``, ``pfcorr``, ``tfappr`` and ``pfappr`` code their
-sets of transitions (``alignment.code_elements``) and look their metric
-up in it.
+(``lts.Coded``) and what they share.  There is one coding path,
+``lts.code_relations``: ``evaluate`` codes the derived and required
+relations with it, and the set-form ``tfcomp``, ``pfcomp``, ``tfcorr``,
+``pfcorr``, ``tfappr`` and ``pfappr`` turn their sets of transitions into
+relations (``lts.relation_of``) and code those.
 """
 
 from __future__ import annotations
@@ -20,10 +20,10 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .alignment import DEFAULT_SIZE_GUARD, code_elements, similarity
+from .alignment import DEFAULT_SIZE_GUARD, similarity
 from .bmachine import Predicate
 from .explorer import ExplorationResult, check_goal
-from .lts import Coded, Relation, labels_of
+from .lts import Coded, Relation, code_relations, relation_of
 
 
 class NotComputable(ValueError):
@@ -54,8 +54,8 @@ class GoalSpec:
 def completeness(common: int, required: int) -> Fraction:
     """The share of the required side that the derived side matches:
     TFComp and TFAppr from the number of shared transitions (or pairs) and
-    of required ones, PFComp and PFAppr from the alignment's total
-    agreement and the required side's token count."""
+    of required ones, PFComp and PFAppr from the alignment's
+    ``total_agreement`` and the required side's token count."""
     if not required:
         raise NotComputable("no required transitions")
     return Fraction(common, required)
@@ -90,33 +90,46 @@ def functional(
     }
 
 
+def _set_form(
+    name: str, t_derived, t_required, variable_order=None, **guard
+) -> Fraction:
+    """Metric ``name`` of two sets of transition objects, coded as
+    ``evaluate`` codes its relations; without ``variable_order``, that of
+    the first transition."""
+    if variable_order is None:
+        first = next(iter(t_derived or t_required), None)
+        variable_order = first.pre.variables if first else ()
+    sides = (relation_of(t, variable_order) for t in (t_derived, t_required))
+    return functional(*code_relations(*sides), **guard)[name]()
+
+
 def tfcomp(t_derived: frozenset, t_required: frozenset) -> Fraction:
     """Share of the required transitions that were derived."""
-    return functional(*code_elements(t_derived, t_required))["tfcomp"]()
+    return _set_form("tfcomp", t_derived, t_required)
 
 
 def pfcomp(
     t_derived: frozenset, t_required: frozenset, variable_order: Iterable[str]
 ) -> Fraction:
     """Alignment score against the required set, relative to its size."""
-    return functional(*code_elements(t_derived, t_required, variable_order))["pfcomp"]()
+    return _set_form("pfcomp", t_derived, t_required, variable_order)
 
 
 def tfcorr(t_derived: frozenset, t_required: frozenset) -> Fraction:
     """Share of the derived transitions that were required."""
-    return functional(*code_elements(t_derived, t_required))["tfcorr"]()
+    return _set_form("tfcorr", t_derived, t_required)
 
 
 def pfcorr(
     t_derived: frozenset, t_required: frozenset, variable_order: Iterable[str]
 ) -> Fraction:
     """Alignment score against the derived set, relative to its size."""
-    return functional(*code_elements(t_derived, t_required, variable_order))["pfcorr"]()
+    return _set_form("pfcorr", t_derived, t_required, variable_order)
 
 
 def tfappr(t_derived: frozenset, t_required: frozenset) -> Fraction:
     """``tfcomp`` over the label-erased pre/post pairs."""
-    return functional(*code_elements(t_derived, t_required))["tfappr"]()
+    return _set_form("tfappr", t_derived, t_required)
 
 
 def pfappr(
@@ -127,8 +140,7 @@ def pfappr(
     size_guard: int = DEFAULT_SIZE_GUARD,
 ) -> Fraction:
     """``pfcomp`` over the label-erased pre/post pairs."""
-    coded = code_elements(t_derived, t_required, variable_order)
-    return functional(*coded, size_guard=size_guard)["pfappr"]()
+    return _set_form("pfappr", t_derived, t_required, variable_order, size_guard=size_guard)
 
 
 # --- security and reliability --------------------------------------------------
@@ -225,7 +237,7 @@ def weighted_modularity(
 
 def reusability(derived: Relation | frozenset) -> Fraction:
     """One minus operations per derived transition (of a relation or a set)."""
-    ops = derived.operations if isinstance(derived, Relation) else labels_of(derived)
+    ops = derived.operations if isinstance(derived, Relation) else {t.label for t in derived}
     if not len(derived):
         raise NotComputable("no derived transitions")
     return 1 - Fraction(len(ops), len(derived))

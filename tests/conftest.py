@@ -8,7 +8,6 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, Collection, Iterable, Iterator, Mapping
 
-import numpy as np
 import pytest
 
 from bqual.bmachine import (
@@ -44,9 +43,11 @@ from bqual.explorer import (
     infer_domains,
 )
 from bqual.lexer import _SYMBOLS, KEYWORDS, LexError, Token
-from bqual.lts import FlatList, State, Transition, Value, element_keys, intval
+from bqual.lts import State, Transition, Value, code_relations, intval, relation_of
 from bqual.mutation import plan_from_json
 from bqual.parser import parse_machine
+
+from oracle import FlatList, agreement, flatten, initial_states
 
 CORPUS = Path(__file__).parent / "corpus"
 
@@ -126,9 +127,6 @@ def brute_force_similarity(left, right, variable_order) -> int:
     (next left element, used-rights bitmask)."""
     from functools import lru_cache
 
-    from bqual.alignment import agreement
-    from bqual.lts import flatten
-
     a = sorted(
         (flatten(e, variable_order) for e in left), key=flat_sort_key
     )
@@ -148,6 +146,14 @@ def brute_force_similarity(left, right, variable_order) -> int:
         return top
 
     return best(0, 0)
+
+
+def coded(left, right, variable_order=PROPERTY_ORDER, pairs=False) -> tuple:
+    """Two sets of transitions on one coding, as ``evaluate`` codes two
+    relations; with ``pairs``, their label-erased pairs."""
+    sides = (relation_of(side, variable_order) for side in (left, right))
+    derived, required = code_relations(*sides)
+    return (derived.pairs(), required.pairs()) if pairs else (derived, required)
 
 
 def jaccard_sizes(a: frozenset, b: frozenset) -> tuple[int, int]:
@@ -180,11 +186,10 @@ def transition_to_json(t: Transition) -> dict:
 
 
 def sorted_transitions(transitions: Iterable[Transition]) -> list[Transition]:
-    """The transitions in canonical order."""
+    """The transitions in canonical order: that of their flattened tokens."""
     transitions = list(transitions)
     order = transitions[0].pre.variables if transitions else ()
-    keys, _ = element_keys(transitions, order)
-    return [transitions[i] for i in np.lexsort(keys.T[::-1])]
+    return sorted(transitions, key=lambda t: flat_sort_key(flatten(t, order)))
 
 
 def object_plan(result, extra=(), missing=(), label_scope=None, element_sets=None):
@@ -226,8 +231,9 @@ def independent_apply(result, plan, invariant):
     def ok(state):
         return holds(dict(zip(order, state.values)))
 
-    reached = set(result.initial_states)
-    stack = list(result.initial_states)
+    initial = initial_states(result)
+    reached = set(initial)
+    stack = list(initial)
     t_changed = set()
     while stack:
         state = stack.pop()

@@ -9,7 +9,7 @@ from fractions import Fraction
 from bqual.alignment import similarity
 from bqual.evaluation import load_required
 from bqual.explorer import explore
-from bqual.lts import code_relations, set_size
+from bqual.lts import code_relations
 from bqual.metrics import (
     accountability,
     availability,
@@ -38,12 +38,14 @@ from conftest import (
     PROPERTY_ORDER,
     brute_force_similarity,
     changed_sets,
+    coded,
     corpus_path,
     corpus_source,
     erased_sizes,
     jaccard_sizes,
     random_transition_set,
 )
+from oracle import set_size
 
 ORDER = ("hour", "minute")
 
@@ -150,7 +152,7 @@ def test_criterion_09_similarity_oracle():
     for _ in range(500):
         t1 = random_transition_set(rng)
         t2 = random_transition_set(rng)
-        exact = similarity(t1, t2, PROPERTY_ORDER).total_agreement
+        exact = similarity(*coded(t1, t2)).total_agreement
         brute = brute_force_similarity(t1, t2, PROPERTY_ORDER)
         assert exact == brute
     ok(9, "similarity equals the brute-force matching maximum on 500 instances")
@@ -163,22 +165,25 @@ def test_criterion_10_property_suite(cm1_result):
     for case in range(cases):
         t_d = random_transition_set(rng)
         t_r = random_transition_set(rng)
-        s12 = similarity(t_d, t_r, PROPERTY_ORDER).total_agreement
-        s21 = similarity(t_r, t_d, PROPERTY_ORDER).total_agreement
+        # One coding per case, as evaluate codes its two relations.
+        derived, required = coded(t_d, t_r)
+        values = functional(derived, required)
+        s12 = similarity(derived, required).total_agreement
+        s21 = similarity(required, derived).total_agreement
         assert s12 == s21
         assert s12 <= min(
             set_size(t_d, PROPERTY_ORDER), set_size(t_r, PROPERTY_ORDER)
         )
         if t_r:
-            tf = tfcomp(t_d, t_r)
+            tf = values["tfcomp"]()
             pf = Fraction(s12, set_size(t_r, PROPERTY_ORDER))
             assert 0 <= tf <= pf <= 1
-            assert pfcomp(t_d, t_r, PROPERTY_ORDER) == pf
-            assert 0 <= tfappr(t_d, t_r) <= 1
-            assert 0 <= pfappr(t_d, t_r, PROPERTY_ORDER) <= 1
+            assert values["pfcomp"]() == pf
+            assert 0 <= values["tfappr"]() <= 1
+            assert 0 <= values["pfappr"]() <= 1
         if t_d:
-            tc = tfcorr(t_d, t_r)
-            pc = pfcorr(t_d, t_r, PROPERTY_ORDER)
+            tc = values["tfcorr"]()
+            pc = values["pfcorr"]()
             assert 0 <= tc <= pc <= 1
             assert 0 <= reusability(t_d) <= 1
         if t_d or t_r:

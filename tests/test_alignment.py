@@ -5,28 +5,18 @@ import random
 import pytest
 
 import bqual.alignment
-from bqual.alignment import (
-    AlignmentError,
-    AlignmentSizeError,
-    agreement,
-    similarity,
-)
-from bqual.lts import (
-    State,
-    StructureError,
-    Transition,
-    intval,
-    pairs_of,
-    set_size,
-)
+from bqual.alignment import AlignmentError, AlignmentSizeError, similarity
+from bqual.lts import State, StructureError, Transition, intval
 
 from conftest import (
     PROPERTY_LABELS,
     PROPERTY_ORDER,
     brute_force_similarity,
+    coded,
     random_transition_set,
     sorted_transitions,
 )
+from oracle import agreement, pair_of, pairs_of, set_size
 
 ORDER = ("hour", "minute")
 
@@ -69,16 +59,16 @@ class TestSimilarity:
         transitions = frozenset(
             clock_transition((0, m), "inc_minute", (0, m + 1)) for m in range(6)
         )
-        outcome = similarity(transitions, transitions, ORDER)
+        outcome = similarity(*coded(transitions, transitions, ORDER))
         assert outcome.total_agreement == set_size(transitions, ORDER)
 
     def test_cm2_worked_value(self, cm2_result, cm1_result):
-        outcome = similarity(cm2_result.transitions, cm1_result.transitions, ORDER)
+        outcome = similarity(*coded(cm2_result.transitions, cm1_result.transitions, ORDER))
         assert outcome.total_agreement == 7062
 
     def test_cm2_pair_worked_value(self, cm2_result, cm1_result):
         outcome = similarity(
-            pairs_of(cm2_result.transitions), pairs_of(cm1_result.transitions), ORDER
+            *coded(cm2_result.transitions, cm1_result.transitions, ORDER, pairs=True)
         )
         assert outcome.total_agreement == 5645
 
@@ -90,19 +80,9 @@ class TestSimilarity:
             }
         )
         t2 = frozenset({clock_transition((0, 0), "a", (1, 0))})
-        outcome = similarity(t1, t2, ORDER)
+        outcome = similarity(*coded(t1, t2, ORDER))
         assert outcome.total_agreement == brute_force_similarity(t1, t2, ORDER)
         assert outcome.total_agreement == 4  # pre agrees, label or post differs
-
-    def test_mixed_kinds_rejected(self):
-        t = clock_transition((0, 0), "a", (0, 1))
-        with pytest.raises(AlignmentError, match="transitions with state pairs"):
-            similarity({t}, {t.pair()}, ORDER)
-
-    def test_mixed_within_one_side_rejected(self):
-        t = clock_transition((0, 0), "a", (0, 1))
-        with pytest.raises(AlignmentError, match="mixes"):
-            similarity({t, t.pair()}, {t}, ORDER)
 
     def test_size_guard_trips_only_when_both_sides_large(self):
         t1 = frozenset(
@@ -112,29 +92,27 @@ class TestSimilarity:
             clock_transition((1, m), "b", (1, m + 1)) for m in range(1, 9, 2)
         )
         with pytest.raises(AlignmentSizeError):
-            similarity(t1, t2, ORDER, size_guard=3)
+            similarity(*coded(t1, t2, ORDER), size_guard=3)
         # one small side is fine
-        similarity(t1, frozenset(list(t2)[:2]), ORDER, size_guard=3)
+        similarity(*coded(t1, frozenset(list(t2)[:2]), ORDER), size_guard=3)
 
     def test_fully_disjoint_sets_score_zero(self):
         t1 = frozenset({clock_transition((0, 0), "a", (0, 0))})
         t2 = frozenset({clock_transition((1, 1), "b", (1, 1))})
-        assert similarity(t1, t2, ORDER).total_agreement == 0
+        assert similarity(*coded(t1, t2, ORDER)).total_agreement == 0
 
     @pytest.mark.parametrize("pairs", [False, True], ids=["transitions", "pairs"])
     def test_variable_mismatch_names_variable(self, cm1_result, pairs):
         # Every element is identical; coding them still checks their variables.
         elements = cm1_result.transitions
-        if pairs:
-            elements = pairs_of(elements)
         with pytest.raises(StructureError, match="missing variable 'second'"):
-            similarity(elements, elements, ("hour", "second"))
+            coded(elements, elements, ("hour", "second"), pairs=pairs)
 
     def test_empty_sides(self):
         t = frozenset({clock_transition((0, 0), "a", (0, 1))})
-        assert similarity(frozenset(), t, ORDER).total_agreement == 0
-        assert similarity(t, frozenset(), ORDER).total_agreement == 0
-        assert similarity(frozenset(), frozenset(), ORDER).total_agreement == 0
+        assert similarity(*coded(frozenset(), t, ORDER)).total_agreement == 0
+        assert similarity(*coded(t, frozenset(), ORDER)).total_agreement == 0
+        assert similarity(*coded(frozenset(), frozenset(), ORDER)).total_agreement == 0
 
 
 class TestOracleEquivalence:
@@ -143,25 +121,26 @@ class TestOracleEquivalence:
         for _ in range(200):
             t1 = random_transition_set(rng)
             t2 = random_transition_set(rng)
-            got = similarity(t1, t2, PROPERTY_ORDER).total_agreement
+            got = similarity(*coded(t1, t2)).total_agreement
             want = brute_force_similarity(t1, t2, PROPERTY_ORDER)
             assert got == want, (sorted_transitions(t1), sorted_transitions(t2))
 
 
 def random_elements(rng, size, pairs, avoid=frozenset()):
-    """``size`` distinct transitions (or their label-erased pairs) outside
-    ``avoid``."""
-    out = set()
+    """``size`` transitions outside ``avoid``; with ``pairs``, their
+    label-erased pairs are distinct and outside those of ``avoid``."""
+    taken = pairs_of(avoid) if pairs else avoid
+    out = {}
     while len(out) < size:
         pre, post = (
             State(PROPERTY_ORDER, (intval(rng.randint(0, 2)), intval(rng.randint(0, 2))))
             for _ in range(2)
         )
         t = Transition(pre, rng.choice(PROPERTY_LABELS), post)
-        element = t.pair() if pairs else t
-        if element not in avoid:
-            out.add(element)
-    return frozenset(out)
+        element = pair_of(t) if pairs else t
+        if element not in taken:
+            out.setdefault(element, t)
+    return frozenset(out.values())
 
 
 class TestPrunedSolve:
@@ -179,7 +158,9 @@ class TestPrunedSolve:
             small = random_elements(rng, n, pairs)
             large = random_elements(rng, rng.randint(n * n + 1, 14), pairs, small)
             left, right = (small, large) if rng.random() < 0.5 else (large, small)
-            outcome = similarity(left, right, PROPERTY_ORDER)
+            outcome = similarity(*coded(left, right, pairs=pairs))
+            if pairs:
+                left, right = pairs_of(left), pairs_of(right)
             assert outcome.total_agreement == brute_force_similarity(
                 left, right, PROPERTY_ORDER
             )
@@ -191,8 +172,8 @@ class TestProperties:
         for _ in range(200):
             t1 = random_transition_set(rng)
             t2 = random_transition_set(rng)
-            s12 = similarity(t1, t2, PROPERTY_ORDER).total_agreement
-            s21 = similarity(t2, t1, PROPERTY_ORDER).total_agreement
+            s12 = similarity(*coded(t1, t2)).total_agreement
+            s21 = similarity(*coded(t2, t1)).total_agreement
             assert s12 == s21
             assert s12 <= min(
                 set_size(t1, PROPERTY_ORDER), set_size(t2, PROPERTY_ORDER)
@@ -206,6 +187,6 @@ class TestProperties:
             t1 = random_transition_set(rng)
             t2 = random_transition_set(rng, max_elements=5)
             extra = random_transition_set(rng, max_elements=2)
-            base = similarity(t1, t2, PROPERTY_ORDER).total_agreement
-            grown = similarity(t1, t2 | extra, PROPERTY_ORDER).total_agreement
+            base = similarity(*coded(t1, t2)).total_agreement
+            grown = similarity(*coded(t1, t2 | extra)).total_agreement
             assert grown >= base

@@ -76,18 +76,17 @@ def test_evaluation_without_trials_builds_no_transition(tmp_path, monkeypatch):
 
 
 def _count_objects(monkeypatch) -> list:
-    """Record every Transition and StatePair built from now on."""
-    from bqual.lts import StatePair, Transition
+    """Record every Transition built from now on."""
+    from bqual.lts import Transition
 
     built = []
-    for kind in (Transition, StatePair):
-        construct = kind.__init__
+    construct = Transition.__init__
 
-        def counting(self, *args, _construct=construct):
-            built.append(args)
-            _construct(self, *args)
+    def counting(self, *args):
+        built.append(args)
+        construct(self, *args)
 
-        monkeypatch.setattr(kind, "__init__", counting)
+    monkeypatch.setattr(Transition, "__init__", counting)
     return built
 
 
@@ -512,6 +511,28 @@ class TestCli:
         result = run_cli("evaluate", "--machine", CM1, "--plan", str(path))
         assert result.returncode == 1
         assert result.stderr == f"bqual: {message}\n"
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("explore", "--machine"),
+            ("evaluate", "--plan"),
+            ("evaluate", "--goals"),
+            ("evaluate", "--required"),
+        ],
+        ids=["machine", "plan", "goals", "required"],
+    )
+    def test_non_utf8_input_exit_one(self, tmp_path, command, flag):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfeMACHINE M\n")
+        paths = {"--machine": CM1, flag: str(bad)}
+        result = run_cli(command, *(item for pair in paths.items() for item in pair))
+        assert result.returncode == 1
+        assert result.stderr == (
+            "bqual: an input file is not UTF-8 text ('utf-8' codec can't decode "
+            "byte 0xff in position 0: invalid start byte)\n"
+        )
         assert result.stdout == ""
 
     def test_parse_error_exit_code(self, tmp_path):

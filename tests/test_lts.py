@@ -12,23 +12,26 @@ import bqual.lts
 from bqual.lts import (
     Relation,
     State,
-    StatePair,
     StructureError,
     Transition,
     boolval,
     enumval,
-    flatten_pair,
-    flatten_transition,
     intval,
-    labels_of,
-    pairs_of,
     read_transitions_jsonl,
-    set_size,
     transition_values,
     write_transitions_jsonl,
 )
 
 from conftest import sorted_transitions, transition_to_json
+from oracle import (
+    StatePair,
+    flatten_pair,
+    flatten_transition,
+    labels_of,
+    pair_of,
+    pairs_of,
+    set_size,
+)
 
 ORDER = ("hour", "minute")
 
@@ -315,7 +318,7 @@ def transitions_st(draw, max_size=6):
 def test_flatten_lengths(transitions):
     for t in transitions:
         assert len(flatten_transition(t, ORDER)) == 2 * len(ORDER) + 1
-        assert len(flatten_pair(t.pair(), ORDER)) == 2 * len(ORDER)
+        assert len(flatten_pair(pair_of(t), ORDER)) == 2 * len(ORDER)
 
 
 @given(transitions_st())

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from bqual.explorer import explore
-from bqual.lts import State, Transition, intval, labels_of
+from bqual.lts import State, Transition, intval
 from bqual.metrics import (
     GoalSpec,
     NotComputable,
@@ -32,6 +32,7 @@ from bqual.metrics import (
 from bqual.parser import parse_machine, parse_predicate
 
 from conftest import brute_force_similarity, erased_sizes, jaccard_sizes, label_counts
+from oracle import labels_of
 
 ORDER = ("hour", "minute")
 

@@ -34,6 +34,7 @@ from conftest import (
     plan_transitions,
     transition_to_json,
 )
+from oracle import operation_names
 
 ORDER = ("hour", "minute")
 
@@ -196,7 +197,7 @@ class TestGeneratePlan:
         assert missing <= cm1_result.transitions
         for t in extra:
             assert t.pre in cm1_result.states
-            assert t.label in cm1_machine.operation_names
+            assert t.label in operation_names(cm1_machine)
             for name, value in zip(ORDER, t.post.values):
                 assert value in domains[name].values()
 
@@ -571,7 +572,7 @@ class TestRunTrials:
 
 class TestModularitySweep:
     def test_empty_plans_give_all_ones(self, cm1_result, cm1_machine):
-        counts = {op: (0, 0) for op in cm1_machine.operation_names}
+        counts = {op: (0, 0) for op in operation_names(cm1_machine)}
         per_op, weighted = modularity_sweep(cm1_result, counts, 0)
         assert all(value == 1 for value in per_op.values())
         assert weighted == 1
@@ -605,7 +606,7 @@ class TestModularitySweep:
         assert modularity_of("fwd", *sizes) == 0
 
     def test_seeded_sweep_is_deterministic(self, cm1_result, cm1_machine):
-        counts = {op: (1, 1) for op in cm1_machine.operation_names}
+        counts = {op: (1, 1) for op in operation_names(cm1_machine)}
         first = modularity_sweep(cm1_result, counts, 5)
         second = modularity_sweep(cm1_result, counts, 5)
         assert first == second

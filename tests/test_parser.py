@@ -20,6 +20,7 @@ from bqual.lexer import LexError
 from bqual.parser import ParseError, parse_machine, parse_predicate
 
 from conftest import CORPUS, corpus_source, machine_to_source
+from oracle import operation_names
 
 ALL_MACHINES = ["CM1.mch", "CM2.mch", "CM3.mch", "CM4.mch", "CM5.mch", "CM6.mch"]
 
@@ -38,7 +39,7 @@ def test_pretty_print_round_trip(name):
 
 def test_cm1_shape(cm1_machine):
     assert cm1_machine.name == "CM1"
-    assert cm1_machine.operation_names == ("inc_minute", "inc_hour", "next_day")
+    assert operation_names(cm1_machine) == ("inc_minute", "inc_hour", "next_day")
     invariant = cm1_machine.invariant
     assert isinstance(invariant, And)
     assert isinstance(invariant.left, RangeMembership)
@@ -215,7 +216,7 @@ def test_substitution_sequence_vs_next_operation():
         "OPERATIONS first = x := 1; y := 2; second = PRE x = 1 THEN x := 2 END END"
     )
     machine = parse_machine(source)
-    assert machine.operation_names == ("first", "second")
+    assert operation_names(machine) == ("first", "second")
     first_body = machine.operations[0][1]
     assert isinstance(first_body, Sequence) and len(first_body.steps) == 2
     assert isinstance(machine.operations[1][1], Precondition)

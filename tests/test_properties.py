@@ -3,8 +3,8 @@ from __future__ import annotations
 import io
 import json
 from fractions import Fraction
+from operator import attrgetter
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -12,17 +12,15 @@ from bqual.alignment import similarity
 from bqual.explorer import ExplorerError, explore
 from bqual.lts import (
     State,
-    StatePair,
     Transition,
+    Value,
     boolval,
     code_relations,
-    element_keys,
     enumval,
-    flatten,
     intval,
-    pairs_of,
     read_transitions_jsonl,
-    set_size,
+    relation_of,
+    write_transitions_jsonl,
 )
 from bqual.metrics import (
     NotComputable,
@@ -45,6 +43,7 @@ from conftest import (
     PROPERTY_ORDER,
     brute_force_similarity,
     changed_sets,
+    coded,
     erased_sizes,
     flat_sort_key,
     independent_apply,
@@ -57,6 +56,7 @@ from conftest import (
     sorted_transitions,
     transition_to_json,
 )
+from oracle import flatten, initial_states, pairs_of, set_size
 
 values = st.integers(min_value=0, max_value=2).map(intval)
 labels = st.sampled_from(["a", "b", "c"])
@@ -116,7 +116,7 @@ def test_coded_counts_match_set_formulas(t_d, t_r, sort_keys):
         set_size(t_d, PROPERTY_ORDER), set_size(t_r, PROPERTY_ORDER)
     )
     assert similarity(derived, required).total_agreement == similarity(
-        t_d, t_r, PROPERTY_ORDER
+        *coded(t_d, t_r)
     ).total_agreement
     # The set-form entry points against the set formulas.
     if t_r:
@@ -156,8 +156,8 @@ def test_partial_dominates_total(t_d, t_r):
 @given(transition_sets(), transition_sets())
 @settings(max_examples=200)
 def test_similarity_symmetry_and_bounds(t1, t2):
-    s12 = similarity(t1, t2, PROPERTY_ORDER).total_agreement
-    s21 = similarity(t2, t1, PROPERTY_ORDER).total_agreement
+    s12 = similarity(*coded(t1, t2)).total_agreement
+    s21 = similarity(*coded(t2, t1)).total_agreement
     assert s12 == s21
     assert s12 <= min(set_size(t1, PROPERTY_ORDER), set_size(t2, PROPERTY_ORDER))
     assert s12 >= (2 * len(PROPERTY_ORDER) + 1) * len(t1 & t2)
@@ -167,7 +167,7 @@ def test_similarity_symmetry_and_bounds(t1, t2):
 @settings(max_examples=150)
 def test_similarity_matches_exhaustive_oracle(t1, t2):
     assert (
-        similarity(t1, t2, PROPERTY_ORDER).total_agreement
+        similarity(*coded(t1, t2)).total_agreement
         == brute_force_similarity(t1, t2, PROPERTY_ORDER)
     )
 
@@ -194,13 +194,10 @@ def shared_states(draw):
 
 
 @st.composite
-def mixed_elements(draw):
+def mixed_transition_sets(draw, max_size=10):
     state = shared_states(draw)
-    if draw(st.booleans()):
-        element = st.builds(Transition, state, labels, state)
-    else:
-        element = st.builds(StatePair, state, state)
-    return draw(st.lists(element, max_size=8))
+    transitions = st.builds(Transition, state, labels, state)
+    return frozenset(draw(st.lists(transitions, max_size=max_size)))
 
 
 def flat_token_order(elements):
@@ -209,18 +206,21 @@ def flat_token_order(elements):
     return sorted(flats, key=flat_sort_key)
 
 
-@given(mixed_elements())
+@given(mixed_transition_sets(max_size=8), st.booleans())
 @settings(max_examples=300)
-def test_canonical_keys_order_like_flat_tokens(elements):
-    keys, _ = element_keys(elements, PROPERTY_ORDER)
-    ordered = [elements[i] for i in np.lexsort(keys.T[::-1])]
-    assert [flatten(e, PROPERTY_ORDER) for e in ordered] == flat_token_order(elements)
-
-
-@st.composite
-def mixed_transition_sets(draw):
-    state = shared_states(draw)
-    return frozenset(draw(st.lists(st.builds(Transition, state, labels, state), max_size=10)))
+def test_canonical_keys_order_like_flat_tokens(transitions, pairs):
+    relation = relation_of(transitions, PROPERTY_ORDER)
+    if not pairs:
+        ordered = [relation.edge_objects[i] for i in relation.canonical[2].tolist()]
+        got = [flatten(t, PROPERTY_ORDER) for t in ordered]
+        assert got == flat_token_order(transitions)
+        return
+    # The sorted pair keys, read back: value codes index the values in their
+    # canonical order.
+    erased = code_relations(relation, relation)[0].pairs()
+    values = sorted({v for row in relation.rows for v in row}, key=Value.sort_key)
+    got = [tuple(map(values.__getitem__, row)) for row in erased.rows(erased.keys).tolist()]
+    assert got == flat_token_order(pairs_of(transitions))
 
 
 @given(mixed_transition_sets())
@@ -228,6 +228,11 @@ def mixed_transition_sets(draw):
 def test_sorted_transitions_order_like_flat_tokens(transitions):
     ordered = sorted_transitions(transitions)
     assert [flatten(t, PROPERTY_ORDER) for t in ordered] == flat_token_order(transitions)
+    # The writer's lines come in the same order.
+    stream = io.StringIO()
+    write_transitions_jsonl(relation_of(transitions, PROPERTY_ORDER), stream)
+    lines = [json.dumps(transition_to_json(t)) for t in ordered]
+    assert stream.getvalue().splitlines() == lines
 
 
 @given(nonempty_sets)
@@ -298,13 +303,13 @@ def small_machines(draw):
     )
 
 
-def _explored(run):
+def _explored(run, initial):
     try:
         result = run()
     except ExplorerError as exc:
         return type(exc), None
     sets = (
-        result.initial_states,
+        initial(result),
         result.states,
         result.transitions,
         result.violating,
@@ -345,8 +350,12 @@ def test_explore_matches_object_walk(source, max_states, max_transitions):
     machine = parse_machine(source)
     limits = {"max_states": max_states, "max_transitions": max_transitions}
     limits = {name: value for name, value in limits.items() if value is not None}
-    got, result = _explored(lambda: explore(machine, meter_memory=False, **limits))
-    want, oracle = _explored(lambda: independent_explore(machine, **limits))
+    got, result = _explored(
+        lambda: explore(machine, meter_memory=False, **limits), initial_states
+    )
+    want, oracle = _explored(
+        lambda: independent_explore(machine, **limits), attrgetter("initial_states")
+    )
     assert got == want
     if result is None:
         return
