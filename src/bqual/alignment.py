@@ -24,7 +24,8 @@ of each row's n best (at most min(m, n*n) of the m columns).  Working
 memory is thus about n x (max(n, CHUNK_CELLS / n) + min(m, n*n)) cells
 (``CHUNK_CELLS`` plus the kept columns while n <= 1024), and a lopsided
 pair costs vector work linear in its n x m cells and a solve of at most
-n x n*n cells.
+n x n*n cells.  The size guard bounds that kept block: a pair is refused
+when n x min(m, n*n) would pass the guard's square.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ class AlignmentError(ValueError):
 
 
 class AlignmentSizeError(AlignmentError):
-    """Both remainder sides exceed the exact-assignment size guard."""
+    """The remainders' kept block would pass the square of the size guard."""
 
 
 @dataclass(frozen=True)
@@ -84,18 +85,29 @@ def similarity(
     """The maximum ``total_agreement`` over all one-to-one partial
     matchings of two sides on one coding (``lts.code_relations``;
     ``Coded.pairs`` for the label-erased pairs).  Raises AlignmentSizeError
-    when both remainder sides are larger than ``size_guard`` (the exact
-    solve would be quadratic).
+    when the kept block of the remainders, n x min(m, n*n) cells for n rows
+    on the smaller side and m on the larger, would pass ``size_guard``
+    squared; this holds whenever both remainders pass ``size_guard``.
     """
     identical = left.common(right)
     total = left.width * identical
     n_left, n_right = len(left) - identical, len(right) - identical
     if n_left and n_right:
-        if n_left > size_guard and n_right > size_guard:
+        n, m = sorted((n_left, n_right))
+        kept = n * min(m, n * n)
+        if kept > size_guard * size_guard:
+            if n > size_guard:
+                reason = (
+                    f"both remainders exceed the size guard "
+                    f"({n_left} x {n_right} > {size_guard} each)"
+                )
+            else:
+                reason = (
+                    f"the remainders ({n_left} x {n_right}) would keep {kept} "
+                    f"cells, more than the size guard squared ({size_guard}^2)"
+                )
             raise AlignmentSizeError(
-                f"both remainders exceed the size guard "
-                f"({n_left} x {n_right} > {size_guard} each); "
-                "raise --similarity-threshold to force an exact solve"
+                f"{reason}; raise --similarity-threshold to force an exact solve"
             )
         rest_left, rest_right = left.remainder(right), right.remainder(left)
         total += _max_matching(left.rows(rest_left), right.rows(rest_right))

@@ -202,3 +202,20 @@ def bound_references(node) -> frozenset:
 def assigned_variables(sub: Substitution) -> frozenset:
     """Every machine variable written somewhere inside a substitution."""
     return frozenset(n.variable for n in nodes(sub) if isinstance(n, Assign))
+
+
+def assigned_on_every_path(sub: Substitution) -> frozenset:
+    """The machine variables a substitution writes on every path that yields
+    a result: a sequence writes what any of its steps does, a ``SELECT``
+    only what all of its branches do, and ``skip`` nothing."""
+    if isinstance(sub, Assign):
+        return frozenset((sub.variable,))
+    if isinstance(sub, Sequence):
+        return frozenset().union(*map(assigned_on_every_path, sub.steps))
+    if isinstance(sub, (Precondition, AnyChoice)):
+        return assigned_on_every_path(sub.body)
+    if isinstance(sub, Select) and sub.branches:
+        return frozenset.intersection(
+            *(assigned_on_every_path(body) for _, body in sub.branches)
+        )
+    return frozenset()

@@ -15,6 +15,16 @@ functional metrics, the transition writers and fault injection read it
 directly.  The walk's ids are the only state and edge ids; the canonical
 order is one permutation of them, and the ``State`` and ``Transition``
 sets are built only when a caller reads them.
+
+The walk memoises each operation's successor ids on its key: the values of
+the variables the operation reads (guards, ``WHERE`` clauses, right-hand
+sides) and of those it may leave as they are (all but
+``bmachine.assigned_on_every_path``).  A state that agrees with an earlier
+one on the key takes the same ids, in the same order, without running the
+operation, so the ids, the order and every limit's cut are those of
+running each operation at each state; where a limit could cut only some
+of them, the operation runs.  An operation whose key is the whole state is
+never looked up; CM6's ``set_time`` has the empty key and runs once.
 """
 
 from __future__ import annotations
@@ -53,6 +63,7 @@ from .bmachine import (
     Skip,
     TruePredicate,
     VarRef,
+    assigned_on_every_path,
     bound_references,
     conjuncts,
     free_variables,
@@ -545,6 +556,18 @@ class ExplorationResult(Relation):
         return DrawSpace(radices, size, index, by_index, derived)
 
 
+def _key_positions(body, order: tuple[str, ...]) -> tuple[int, ...] | None:
+    """The positions in ``order`` of the variables an operation's successors
+    can depend on: those it reads (guards, ``WHERE`` clauses, right-hand
+    sides) and those it may leave as they are.  None when that is every
+    variable, so that nothing can be reused."""
+    reads, written = free_variables(body), assigned_on_every_path(body)
+    positions = tuple(
+        i for i, name in enumerate(order) if name in reads or name not in written
+    )
+    return None if len(positions) == len(order) else positions
+
+
 def explore(
     machine: MachineAST,
     *,
@@ -567,8 +590,15 @@ def explore(
     holds = compile_predicate(machine.invariant)
     init = compile_substitution(machine.initialisation, machine)
     labels = tuple(sorted_labels(name for name, _ in machine.operations))
+    # Per operation: its label code, its closure, the positions of its key
+    # and its memo, key -> (raw result count, deduplicated successor ids).
     ops = [
-        (labels.index(name), compile_substitution(body, machine))
+        (
+            labels.index(name),
+            compile_substitution(body, machine),
+            _key_positions(body, order),
+            {},
+        )
         for name, body in machine.operations
     ]
 
@@ -597,9 +627,28 @@ def explore(
         ok.append(holds(env))
         if not ok[-1]:
             continue  # violating states are terminal
-        for code, run in ops:
+        for code, run, key_at, memo in ops:
+            if key_at is not None:
+                key = tuple(map(row.__getitem__, key_at))
+                hit = memo.get(key)
+                # Reused only where even the raw results stay within the
+                # transition limit, so that none can be cut, or where the
+                # limit is already reached, so that each is; near the limit
+                # the loop below decides.
+                if hit is not None:
+                    n_raw, targets = hit
+                    if len(pre) + n_raw <= max_transitions:
+                        pre.extend(array("q", (state,)) * len(targets))
+                        label.extend(array("q", (code,)) * len(targets))
+                        post.extend(targets)
+                        continue
+                    if len(pre) >= max_transitions:
+                        cut.add(state)  # n_raw > 0 here
+                        continue
+            start = len(pre)
+            results = run(env)
             seen: set[int] = set()
-            for result in run(env):
+            for result in results:
                 values = tuple(map(result.__getitem__, order))
                 target = ids.get(values)
                 new = target is None
@@ -615,6 +664,8 @@ def explore(
                 pre.append(state)
                 label.append(code)
                 post.append(target)
+            if key_at is not None and state not in cut:  # none was dropped
+                memo[key] = (len(results), post[start:])
     cpu_seconds = time.process_time() - started
     peak = 0
     if meter_memory:

@@ -84,7 +84,7 @@ class TestSimilarity:
         assert outcome.total_agreement == brute_force_similarity(t1, t2, ORDER)
         assert outcome.total_agreement == 4  # pre agrees, label or post differs
 
-    def test_size_guard_trips_only_when_both_sides_large(self):
+    def test_size_guard_trips_when_both_sides_large(self):
         t1 = frozenset(
             clock_transition((0, m), "a", (0, m + 1)) for m in range(0, 8, 2)
         )
@@ -95,6 +95,24 @@ class TestSimilarity:
             similarity(*coded(t1, t2, ORDER), size_guard=3)
         # one small side is fine
         similarity(*coded(t1, frozenset(list(t2)[:2]), ORDER), size_guard=3)
+
+    def test_size_guard_bounds_the_kept_block(self):
+        # Each of 5 rows keeps up to 25 of 1,000 columns: 125 cells > 10 * 10,
+        # although only one side passes the guard.
+        small = frozenset(clock_transition((0, m), "a", (0, m)) for m in range(5))
+        large = frozenset(
+            clock_transition((h, m), "b", (h, m + 1)) for h in range(20) for m in range(50)
+        )
+        for left, right in ((small, large), (large, small)):
+            with pytest.raises(
+                AlignmentSizeError, match=r"keep 125 cells.*--similarity-threshold"
+            ):
+                similarity(*coded(left, right, ORDER), size_guard=10)
+        # 4 rows keep at most 4 * 16 = 64 cells.
+        four = frozenset(sorted_transitions(small)[:4])
+        assert similarity(*coded(four, large, ORDER), size_guard=10).total_agreement == (
+            similarity(*coded(four, large, ORDER)).total_agreement
+        )
 
     def test_fully_disjoint_sets_score_zero(self):
         t1 = frozenset({clock_transition((0, 0), "a", (0, 0))})

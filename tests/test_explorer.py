@@ -3,9 +3,11 @@ from __future__ import annotations
 import io
 import itertools
 import json
+from collections import Counter
 
 import pytest
 
+from bqual import explorer
 from bqual.bmachine import BoundRef, Comparison, IntLit, Not, Or, TruePredicate, VarRef
 from bqual.explorer import (
     BoolDomain,
@@ -419,6 +421,44 @@ class TestTruncation:
             "violating_transitions": violating,
             "deadlock_states": deadlock,
             "truncated": True,
+        }
+
+
+class TestOperationReuse:
+    """An operation runs once per distinct value of what it reads and may
+    leave as it is; an operation whose successors depend on the whole state
+    runs once per state."""
+
+    @staticmethod
+    def calls(monkeypatch, machine) -> Counter:
+        bodies = {id(body): name for name, body in machine.operations}
+        counts: Counter = Counter()
+        compile_substitution = explorer.compile_substitution
+
+        def counting(sub, machine):
+            run = compile_substitution(sub, machine)
+            name = bodies.get(id(sub))
+            if name is None:
+                return run
+
+            def counted(env):
+                counts[name] += 1
+                return run(env)
+
+            return counted
+
+        monkeypatch.setattr(explorer, "compile_substitution", counting)
+        explore(machine, meter_memory=False)
+        return counts
+
+    def test_cm6_set_time_runs_once(self, monkeypatch, cm6_machine):
+        assert self.calls(monkeypatch, cm6_machine) == {
+            "set_time": 1, "inc_minute": 1440, "inc_hour": 1440, "next_day": 1440,
+        }
+
+    def test_cm1_runs_every_operation_per_state(self, monkeypatch, cm1_machine):
+        assert self.calls(monkeypatch, cm1_machine) == {
+            "inc_minute": 1440, "inc_hour": 1440, "next_day": 1440,
         }
 
 

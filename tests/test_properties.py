@@ -263,7 +263,10 @@ def test_appropriateness_of_superset_pairs(t):
 # that leave the domain or hit a banned value (invariant violations),
 # uncovered guards (deadlocks), arithmetic on a boolean (an error only
 # once the state that runs it is reached) and an operation that never
-# fires, under names declared in any order.
+# fires, under names declared in any order.  The walk reuses an operation's
+# successors across states that agree on what it reads and may leave as it
+# is, so some operations assign a variable on one path only, read one after
+# assigning it, read none at all or fail where they read none.
 
 
 @st.composite
@@ -276,6 +279,10 @@ def small_machines(draw):
     def x():
         return draw(x_values)
 
+    def one_path():
+        k = x()
+        return f"SELECT x = {k} THEN y := 0 WHEN x /= {k} THEN skip END"
+
     templates = [
         lambda: f"PRE x < {x()} THEN x := x + {draw(st.sampled_from([1, 2]))} END",
         lambda: f"ANY a, b WHERE a : 0..{x()} & b : 0..1 THEN x := a END",
@@ -287,6 +294,10 @@ def small_machines(draw):
         lambda: f"PRE x = {x()} THEN y := 1 - y END",
         lambda: f"PRE x = {x()} & y = 1 THEN x := x + TRUE END",
         lambda: "PRE x < 0 THEN x := 0 END",
+        one_path,
+        lambda: "PRE x >= 0 THEN y := 1; x := y END",
+        lambda: "ANY a WHERE a : 0..1 THEN x := a; y := a END",
+        lambda: "ANY a WHERE a : 0..1 THEN y := a + TRUE END",
     ]
     picks = draw(st.lists(st.sampled_from(templates), min_size=1, max_size=4))
     names = draw(st.permutations([f"op{i}" for i in range(len(picks))]))
@@ -335,6 +346,27 @@ _UNORDERED = (
     "alpha = PRE x >= 2 THEN y := 1 - y END END"
 )
 
+# keep leaves y as it is where x /= 2, so its successors depend on y
+# although it reads only x; from (0, 0) flip reaches (0, 1), where keep
+# must loop on (0, 1).
+_ONE_PATH = (
+    "MACHINE OnePath VARIABLES x, y INVARIANT x : 0..2 & y : 0..1 "
+    "INITIALISATION x := 0; y := 0 OPERATIONS "
+    "flip = PRE x = 0 THEN y := 1 - y END; up = PRE x < 2 THEN x := x + 1 END; "
+    "keep = SELECT x = 2 THEN y := 0 WHEN x /= 2 THEN skip END END"
+)
+# jump reads nothing and yields (0, 0) and (1, 1) twice each from every
+# state, so every state after the first reuses its 2 successors, after its
+# up edge where x < 3.  A limit of 5 transitions falls inside the second
+# state's jump, one of 6 stops on its last new successor with a duplicate
+# still to come, and with 3 states up's successors are cut while jump's are
+# all reached.
+_JUMP = (
+    "MACHINE Jump VARIABLES x, y INVARIANT x : 0..3 & y : 0..1 "
+    "INITIALISATION x := 0; y := 0 OPERATIONS up = PRE x < 3 THEN x := x + 1 END; "
+    "jump = ANY a, b WHERE a : 0..1 & b : 0..1 THEN x := a; y := a END END"
+)
+
 
 @given(
     small_machines(),
@@ -345,6 +377,11 @@ _UNORDERED = (
 @example(_DUPLICATES, None, 2)
 @example(_DUPLICATES, 1, None)
 @example(_UNORDERED, None, None)
+@example(_ONE_PATH, None, None)
+@example(_JUMP, None, 5)
+@example(_JUMP, None, 6)
+@example(_JUMP, 3, None)
+@example(_JUMP, 2, 9)
 @settings(max_examples=300, deadline=None)
 def test_explore_matches_object_walk(source, max_states, max_transitions):
     machine = parse_machine(source)

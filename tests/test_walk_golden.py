@@ -59,7 +59,7 @@ CM6_LIMITS = [
     {"max_transitions": 100 * BLOCK + 1440},
     {"max_transitions": 150 * BLOCK + 1},
     {"max_states": 2},
-    {"max_states": 700, "max_transitions": 5 * BLOCK + 3},
+    {"max_states": 40, "max_transitions": 1000},
 ]
 # Twice adds 3 edges per state (one clock step and 2 set_time targets) from
 # 3 at the first state: state s's set_time block is edges 3·s + 1 .. 3·s + 2.
