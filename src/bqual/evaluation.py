@@ -173,8 +173,10 @@ def default_mutation_count(transition_count: int) -> int:
 
 
 def evaluate(config: EvaluationConfig) -> QualityReport:
-    if config.trials < 0:
-        raise EvaluationError(f"trials must not be negative, got {config.trials}")
+    flags = (("trials", config.trials), ("similarity_threshold", config.size_guard))
+    for name, value in flags:
+        if value < 0:
+            raise EvaluationError(f"{name} must not be negative, got {value}")
     source = Path(config.machine_path).read_text(encoding="utf-8")
     machine = parse_machine(source)
     result = explore(

@@ -81,7 +81,6 @@ from .lts import (
     edge_keys,
     enumval,
     intval,
-    lookup,
     sorted_labels,
     state_texts,
 )
@@ -335,16 +334,6 @@ def compile_substitution(sub, machine: MachineAST):
 
         return assign
     if isinstance(sub, Sequence):
-        if all(isinstance(step, Assign) for step in sub.steps):
-            compiled = [(s.variable, compile_expression(s.expr)) for s in sub.steps]
-
-            def fused(env):
-                out = env.copy()
-                for var, value_of in compiled:
-                    out[var] = value_of(out)
-                return (out,)
-
-            return fused
         steps = [compile_substitution(s, machine) for s in sub.steps]
 
         def chained(env):
@@ -378,17 +367,6 @@ def compile_substitution(sub, machine: MachineAST):
         valuations = list(itertools.product(*(d.values() for d in domains)))
         where = compile_predicate(sub.where)
         body = compile_substitution(sub.body, machine)
-        # When the guard only constrains the bound identifiers it can be
-        # decided once here instead of once per (state, valuation).
-        if not free_variables(sub.where) and bound_references(sub.where) <= set(
-            identifiers
-        ):
-            valuations = [
-                vals
-                for vals in valuations
-                if where(dict(zip(identifiers, vals)))
-            ]
-            where = None
 
         def any_choice(env):
             out = []
@@ -396,7 +374,7 @@ def compile_substitution(sub, machine: MachineAST):
                 inner = env.copy()
                 for name, v in zip(identifiers, vals):
                     inner[name] = v
-                if where is None or where(inner):
+                if where(inner):
                     out.extend(body(inner))
             return out
 
@@ -422,14 +400,16 @@ class DrawSpace:
     ``i``'s index, or -1 when it lies outside the domains; ``by_index``
     holds the states inside in index order.  ``derived`` holds the sorted
     keys ``(pre·L + label)·size + index[post]`` of the derived edges whose
-    post-state is inside, for L labels.  Indices and keys are int64, or
-    Python ints in object arrays when S·L·size passes int64."""
+    post-state is inside, for L labels, and ``occupied[c]`` how many of
+    them label code ``c`` has.  Indices and keys are int64, or Python ints
+    in object arrays when S·L·size passes int64."""
 
     radices: tuple[int, ...]
     size: int
     index: np.ndarray
     by_index: np.ndarray
     derived: np.ndarray
+    occupied: np.ndarray
 
 
 def violations(pre, post, ok, cut: Iterable[int] = ()) -> tuple[np.ndarray, np.ndarray]:
@@ -453,10 +433,9 @@ class ExplorationResult(Relation):
     ``state_ok[i]`` its verdict.  Edge ``j`` violates when ``violates[j]``;
     states not ``live`` are deadlocks.  These are the only state and edge
     ids; the canonical order (``Relation.canonical``) is one permutation of
-    them, used only where the order shows: ``edge_ids``, the written
-    transitions and the seeded draws.  The object
-    sets are built on first read (one ``State`` per id, shared by every
-    transition).  ``domains`` holds the variable domains inferred from the
+    them, used only where the order shows: the written transitions and the
+    seeded draws.  The object sets are built on first read (one ``State``
+    per id, shared by every transition).  ``domains`` holds the variable domains inferred from the
     invariant, from which fault injection draws post-states on the ids and
     domain indices of ``draw_space``."""
 
@@ -504,27 +483,6 @@ class ExplorationResult(Relation):
     def violating(self) -> frozenset:
         return frozenset(itertools.compress(self.edge_objects, self.violates.tolist()))
 
-    def edge_ids(self, pre, label, post) -> np.ndarray:
-        """The id of the derived edge from state ``pre[i]`` to ``post[i]``
-        by label code ``label[i]``, or -1 where none is derived; an id
-        outside the states or a code outside the labels names none.  Its
-        sorted keys are built per call, not kept."""
-        rank, _, order = self.canonical
-        n_states, n_labels = len(rank), len(self.labels)
-        keys = edge_keys(rank[self.pre], self.label, rank[self.post], n_states, n_labels)
-        pre, label, post = (np.asarray(column, np.int64) for column in (pre, label, post))
-        known = np.flatnonzero(
-            (pre >= 0) & (pre < n_states) & (post >= 0) & (post < n_states)
-            & (label >= 0) & (label < n_labels)
-        )
-        wanted = edge_keys(
-            rank[pre[known]], label[known], rank[post[known]], n_states, n_labels
-        )
-        hit, at = lookup(keys[order], wanted)
-        ids = np.full(len(pre), -1, dtype=np.int64)
-        ids[known[hit]] = order[at[hit]]
-        return ids
-
     @functools.cached_property
     def draw_space(self) -> DrawSpace:
         """The domains' product with this exploration's states and derived
@@ -553,7 +511,8 @@ class ExplorationResult(Relation):
             pre, label, post = pre[inside], label[inside], post[inside]
         derived = edge_keys(pre, label, post, size, n_labels, dtype)
         derived.sort()
-        return DrawSpace(radices, size, index, by_index, derived)
+        occupied = np.bincount(label, minlength=n_labels)
+        return DrawSpace(radices, size, index, by_index, derived, occupied)
 
 
 def _key_positions(body, order: tuple[str, ...]) -> tuple[int, ...] | None:

@@ -396,15 +396,15 @@ class Relation:
         return frozenset(self.label_counts)
 
     @functools.cached_property
-    def canonical(self) -> tuple[np.ndarray, list[int], np.ndarray]:
-        """``(rank, by_rank, order)``: each state's canonical rank, the state
-        ids in canonical order and the transition ids in canonical order,
-        that of their ``edge_keys`` over (pre rank, label, post rank)."""
+    def canonical(self) -> tuple[list[int], np.ndarray]:
+        """``(by_rank, order)``: the state ids in canonical order and the
+        transition ids in canonical order, that of their ``edge_keys`` over
+        (pre rank, label, post rank)."""
         rank, _ = row_ranks(self.rows, len(self.variable_order))
         keys = edge_keys(
             rank[self.pre], self.label, rank[self.post], len(rank), len(self.labels)
         )
-        return rank, np.argsort(rank).tolist(), np.argsort(keys)
+        return np.argsort(rank).tolist(), np.argsort(keys)
 
     @functools.cached_property
     def state_objects(self) -> tuple[State, ...]:  # by id
@@ -443,12 +443,15 @@ def relation_of(transitions: Iterable[Transition], variable_order: Iterable[str]
     return Relation(order, list(ids), tuple(labels), pre, label, post)
 
 
-def canonical_edges(relation: Relation, chunk: int = 1 << 16):
-    """The relation's transitions in canonical order, ``chunk`` at a time:
+_CHUNK = 1 << 16  # transitions written at a time
+
+
+def canonical_edges(relation: Relation):
+    """The relation's transitions in canonical order, ``_CHUNK`` at a time:
     lists of transition ids, pre-state ids, label codes and post-state ids."""
-    order = relation.canonical[2]
-    for start in range(0, len(order), chunk):
-        ids = order[start : start + chunk]
+    order = relation.canonical[1]
+    for start in range(0, len(order), _CHUNK):
+        ids = order[start : start + _CHUNK]
         columns = (relation.pre, relation.label, relation.post)
         yield ids.tolist(), *(column[ids].tolist() for column in columns)
 

@@ -90,9 +90,7 @@ def functional(
     }
 
 
-def _set_form(
-    name: str, t_derived, t_required, variable_order=None, **guard
-) -> Fraction:
+def _set_form(name: str, t_derived, t_required, variable_order=None) -> Fraction:
     """Metric ``name`` of two sets of transition objects, coded as
     ``evaluate`` codes its relations; without ``variable_order``, that of
     the first transition."""
@@ -100,7 +98,7 @@ def _set_form(
         first = next(iter(t_derived or t_required), None)
         variable_order = first.pre.variables if first else ()
     sides = (relation_of(t, variable_order) for t in (t_derived, t_required))
-    return functional(*code_relations(*sides), **guard)[name]()
+    return functional(*code_relations(*sides))[name]()
 
 
 def tfcomp(t_derived: frozenset, t_required: frozenset) -> Fraction:
@@ -133,14 +131,10 @@ def tfappr(t_derived: frozenset, t_required: frozenset) -> Fraction:
 
 
 def pfappr(
-    t_derived: frozenset,
-    t_required: frozenset,
-    variable_order: Iterable[str],
-    *,
-    size_guard: int = DEFAULT_SIZE_GUARD,
+    t_derived: frozenset, t_required: frozenset, variable_order: Iterable[str]
 ) -> Fraction:
     """``pfcomp`` over the label-erased pre/post pairs."""
-    return _set_form("pfappr", t_derived, t_required, variable_order, size_guard=size_guard)
+    return _set_form("pfappr", t_derived, t_required, variable_order)
 
 
 # --- security and reliability --------------------------------------------------

@@ -33,7 +33,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .explorer import ExplorationResult, ExplorerError, violations
-from .lts import StructureError, Value, lookup, row_ranks, transition_values
+from .lts import StructureError, Value, edge_keys, lookup, row_ranks, transition_values
 from .metrics import (
     NotComputable,
     fault_analysability,
@@ -93,21 +93,13 @@ class ChangedSystem:
     violating: np.ndarray
 
 
-def _extra_space(
-    result: ExplorationResult, labels: list[str], n_extra: int, derived: int
-) -> tuple[int, int]:
-    """``(space, occupied)`` for extra transitions over ``labels``: the size
-    of the pre-state x label x post-valuation space they are drawn from, and
-    how many derived transitions lie in it.  ``derived`` bounds that count;
-    when ``n_extra`` fits beside the bound, the bound is returned uncounted."""
+def _extra_space(result: ExplorationResult, codes: list[int]) -> tuple[int, int]:
+    """``(space, occupied)`` for extra transitions over the label codes
+    ``codes``: the size of the pre-state x label x post-valuation space they
+    are drawn from, and how many derived transitions lie in it."""
     draw_space = result.draw_space
-    space = len(result.rows) * len(labels) * draw_space.size
-    occupied = min(derived, space)
-    if n_extra > space - occupied:
-        inside = draw_space.index >= 0
-        codes = [code for code, name in enumerate(result.labels) if name in labels]
-        occupied = _count(inside[result.post] & np.isin(result.label, codes))
-    return space, occupied
+    space = len(result.rows) * len(codes) * draw_space.size
+    return space, int(draw_space.occupied[codes].sum())
 
 
 def generate_plan(
@@ -139,9 +131,9 @@ def generate_plan(
     if label_scope is not None and label_scope not in labels:
         raise MutationError(f"plan is scoped to an unknown operation {label_scope!r}")
     rng = random.Random(seed)
-    _, by_rank, pool = result.canonical
+    by_rank, pool = result.canonical
 
-    codes = range(len(labels)) if label_scope is None else [labels.index(label_scope)]
+    codes = list(range(len(labels))) if label_scope is None else [labels.index(label_scope)]
     if label_scope is not None:
         pool = pool[result.label[pool] == codes[0]]
     if n_missing > len(pool):
@@ -150,16 +142,12 @@ def generate_plan(
         )
     missing = pool[rng.sample(range(len(pool)), n_missing)]
 
-    scope = [labels[code] for code in codes]
-    space, occupied = _extra_space(result, scope, n_extra, len(result.pre))
+    space, occupied = _extra_space(result, codes)
     if n_extra > space - occupied:
         raise MutationError(
             f"cannot draw {n_extra} distinct extra transitions from a space "
             f"of {space} with {occupied} already derived"
         )
-    if not n_extra:
-        empty = np.zeros(0, dtype=np.int64)
-        return MutationPlan(missing, empty, empty, empty, (), seed, label_scope)
     draw_space = result.draw_space
     radices = [(radix, range(radix)) for radix in draw_space.radices]
     n_labels, choice = len(labels), rng.choice
@@ -362,7 +350,7 @@ def per_operation_counts(
     its transitions."""
     per_op = {}
     for op, count in result.label_counts.items():
-        space, occupied = _extra_space(result, [op], n_extra, count)
+        space, occupied = _extra_space(result, [result.labels.index(op)])
         per_op[op] = (min(n_extra, space - occupied), min(n_missing, count))
     return per_op
 
@@ -513,7 +501,14 @@ def plan_from_json(
     removed = [t for t in touched if t in missing]
     extras = columns(inserted)
     fresh = tuple(ids)[len(result.rows) :]
-    found = result.edge_ids(*np.hstack((extras, columns(removed))))
+    # Listed transitions and derived edges keyed alike, over every id.
+    listed = np.hstack((extras, columns(removed)))
+    n_states, n_labels = len(ids), len(labels)
+    keys = edge_keys(result.pre, result.label, result.post, n_states, n_labels)
+    order = np.argsort(keys)
+    hit, at = lookup(keys[order], edge_keys(*listed, n_states, n_labels))
+    found = np.full(len(hit), -1, dtype=np.int64)
+    found[hit] = order[at[hit]]
     derived, stray = found[: len(inserted)] >= 0, found[len(inserted) :] < 0
     if derived.any():
         text = _transition_text(inserted[derived.argmax()])

@@ -647,6 +647,16 @@ class TestCli:
         assert result.stderr == f"bqual: {name} must not be negative, got -1\n"
         assert result.stdout == ""
 
+    def test_negative_similarity_threshold_exit_one(self):
+        # The guard is squared, so a negative one would pass for its square.
+        result = run_cli(
+            "evaluate", "--machine", CM2, "--reference", CM1, "--trials", "1",
+            "--similarity-threshold", "-5000",
+        )
+        assert result.returncode == 1
+        assert result.stderr == "bqual: similarity_threshold must not be negative, got -5000\n"
+        assert result.stdout == ""
+
     @pytest.mark.parametrize(
         "line, message",
         [

@@ -160,7 +160,7 @@ class TestExploreClocks:
 
 class TestEdges:
     """A plan file's transitions map to the exploration's edge ids
-    (``edge_ids``); the first that is not derived is named."""
+    (``plan_from_json``); the first that is not derived is named."""
 
     def test_derived_transitions_map_to_their_ids(self, cm1_result):
         ids = [0, 7, 1439]
@@ -194,7 +194,6 @@ class TestEdges:
         undeclared = Transition(clock(0, 0), "tick", clock(0, 1))
         with pytest.raises(MutationError, match="names an undeclared operation 'tick'"):
             object_plan(cm4_result, missing=[undeclared])
-        assert cm4_result.edge_ids([0, 1440, -1], [0, 0, 0], [1, 0, 0]).tolist() == [-1, -1, -1]
 
 
 class TestSmallDomainAny:
@@ -266,8 +265,10 @@ class TestEnumBoolMachine:
 
 
 class TestCompiledPathEquivalence:
-    """The fused assignment-sequence and prefiltered ANY fast paths must be
-    indistinguishable from the general compilation."""
+    """Each step of an assignment sequence reads the writes before it,
+    whatever else the sequence holds, and an ANY whose WHERE reads only its
+    bound identifiers yields what one whose WHERE also reads the state
+    does."""
 
     def test_fused_sequence_matches_skip_interleaved(self, cm1_machine):
         import random
@@ -308,6 +309,28 @@ class TestCompiledPathEquivalence:
         assert enumerate_substitution(
             prefiltered_body, state, machine=cm6_machine
         ) == enumerate_substitution(general_body, state, machine=general)
+
+
+class TestLazyWhere:
+    """An ANY's WHERE is evaluated when a reached state runs the operation,
+    like every guard and body, so a WHERE that cannot be evaluated raises
+    only if some reached state runs it."""
+
+    SOURCE = (
+        "MACHINE M VARIABLES x INVARIANT x : 0..1 INITIALISATION x := 0 "
+        "OPERATIONS o = PRE x = {} THEN ANY a WHERE a : 0..1 & a + TRUE = 1 "
+        "THEN x := a END END END"
+    )
+
+    def test_where_no_reached_state_runs_is_never_evaluated(self):
+        result = explore(parse_machine(self.SOURCE.format(1)), meter_memory=False)
+        summary = result.summary
+        assert (summary["states"], summary["transitions"]) == (1, 0)
+        assert summary["deadlock_states"] == 1
+
+    def test_where_a_reached_state_runs_raises(self):
+        with pytest.raises(EvalTypeError, match="needs integers"):
+            explore(parse_machine(self.SOURCE.format(0)), meter_memory=False)
 
 
 class TestInitialisation:

@@ -269,8 +269,8 @@ class TestGeneratePlan:
         )
         assert scanned == occupied
         space = len(result.states) * len(labels) * 4
-        derived = len(result.transitions)
-        assert _extra_space(result, labels, space, derived) == (space, occupied)
+        codes = [result.labels.index(name) for name in labels]
+        assert _extra_space(result, codes) == (space, occupied)
 
 
 # Draws two plans on a machine with enumerated, boolean and integer
@@ -344,7 +344,7 @@ def state(i):
     return {name: value.to_json() for name, value in zip(result.variable_order, result.rows[i])}
 
 
-order = result.canonical[2]
+order = result.canonical[1]
 columns = (column[order].tolist() for column in (result.pre, result.label, result.post))
 ordered = [
     {"pre": state(p), "op": result.labels[c], "post": state(q)} for p, c, q in zip(*columns)

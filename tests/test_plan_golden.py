@@ -99,9 +99,7 @@ def golden_lines() -> list[str]:
         derived = len(result.pre)
         n = default_mutation_count(derived)
         scoped = per_operation_counts(result, n, n)
-        labels = list(result.labels)
-        space, _ = _extra_space(result, labels, 0, derived)
-        space, occupied = _extra_space(result, labels, space, derived)
+        space, occupied = _extra_space(result, list(range(len(result.labels))))
         for seed in SEEDS:
             lines.append(_case(result, name, seed, n, n))
             for op, (n_extra, n_missing) in scoped.items():

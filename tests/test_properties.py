@@ -211,7 +211,7 @@ def flat_token_order(elements):
 def test_canonical_keys_order_like_flat_tokens(transitions, pairs):
     relation = relation_of(transitions, PROPERTY_ORDER)
     if not pairs:
-        ordered = [relation.edge_objects[i] for i in relation.canonical[2].tolist()]
+        ordered = [relation.edge_objects[i] for i in relation.canonical[1].tolist()]
         got = [flatten(t, PROPERTY_ORDER) for t in ordered]
         assert got == flat_token_order(transitions)
         return
@@ -397,11 +397,10 @@ def test_explore_matches_object_walk(source, max_states, max_transitions):
     if result is None:
         return
     # One id space: the canonical order is a permutation of the walk's edges.
-    order = result.canonical[2]
+    order = result.canonical[1]
     ordered = [result.edge_objects[i] for i in order.tolist()]
     assert ordered == sorted_transitions(result.transitions)
-    columns = (column[order] for column in (result.pre, result.label, result.post))
-    assert result.edge_ids(*columns).tolist() == order.tolist()
+    assert object_plan(result, missing=result.edge_objects).missing.tolist() == order.tolist()
     counts = label_counts(oracle.transitions)
     assert list(result.label_counts.items()) == sorted(counts.items())
 
