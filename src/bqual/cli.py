@@ -12,19 +12,13 @@ Exit codes: 0 success, 1 other errors, 2 parse/lex errors,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
 from . import __version__
-from .evaluation import (
-    DEFAULT_TRIALS,
-    DEFAULT_WORD_LIMIT,
-    EvaluationConfig,
-    EvaluationError,
-    evaluate,
-    render_report,
-)
+from .evaluation import EvaluationConfig, EvaluationError, evaluate, render_report
 from .explorer import (
     DEFAULT_MAX_STATES,
     DEFAULT_MAX_TRANSITIONS,
@@ -33,7 +27,6 @@ from .explorer import (
     result_header,
     write_result,
 )
-from .alignment import DEFAULT_SIZE_GUARD
 from .lexer import LexError
 from .lts import StructureError, write_transitions_jsonl
 from .mutation import MutationError
@@ -59,24 +52,29 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     ev = commands.add_parser("evaluate", help="compute the quality report")
-    ev.add_argument("--machine", required=True, help="machine source (.mch)")
+    # Each option's dest is its EvaluationConfig field; an option not given
+    # takes the field's default.
+    ev.add_argument("--machine", dest="machine_path", metavar="MACHINE", required=True,
+                    help="machine source (.mch)")
     source = ev.add_mutually_exclusive_group()
-    source.add_argument("--required", help="required transitions (.jsonl)")
-    source.add_argument("--reference", help="reference machine whose transitions are required")
-    ev.add_argument("--goals", help="goal predicates file (NAME: <predicate> per line)")
-    ev.add_argument("--word-limit", type=int, default=DEFAULT_WORD_LIMIT)
+    source.add_argument("--required", dest="required_path", metavar="REQUIRED",
+                        help="required transitions (.jsonl)")
+    source.add_argument("--reference", dest="reference_path", metavar="REFERENCE",
+                        help="reference machine whose transitions are required")
+    ev.add_argument("--goals", dest="goals_path", metavar="GOALS",
+                    help="goal predicates file (NAME: <predicate> per line)")
+    ev.add_argument("--word-limit", type=int)
     _add_limit_flags(ev)
-    ev.add_argument("--trials", type=int, default=DEFAULT_TRIALS,
-                    help="seeded fault-injection trials (0 disables)")
-    ev.add_argument("--n-extra", type=int, default=None,
+    ev.add_argument("--trials", type=int, help="seeded fault-injection trials (0 disables)")
+    ev.add_argument("--n-extra", type=int,
                     help="inserted transitions per trial (default: 1%% of derived)")
-    ev.add_argument("--n-missing", type=int, default=None,
+    ev.add_argument("--n-missing", type=int,
                     help="removed transitions per trial (default: 1%% of derived)")
-    ev.add_argument("--seed", type=int, default=None,
-                    help="trial seed (falls back to BQUAL_SEED, then 0)")
-    ev.add_argument("--plan", help="explicit mutation plan (.json); overrides --trials")
-    ev.add_argument("--similarity-threshold", type=int, default=DEFAULT_SIZE_GUARD,
-                    help="exact-alignment size guard")
+    ev.add_argument("--seed", type=int, help="trial seed (falls back to BQUAL_SEED, then 0)")
+    ev.add_argument("--plan", dest="plan_path", metavar="PLAN",
+                    help="explicit mutation plan (.json); overrides --trials")
+    ev.add_argument("--similarity-threshold", dest="size_guard", metavar="SIMILARITY_THRESHOLD",
+                    type=int, help="exact-alignment size guard")
     ev.add_argument("--out", help="write the JSON report here")
     ev.add_argument("--format", choices=("json", "table"), default="table",
                     help="stdout rendering")
@@ -91,21 +89,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    config = EvaluationConfig(
-        machine_path=args.machine,
-        required_path=args.required,
-        reference_path=args.reference,
-        goals_path=args.goals,
-        word_limit=args.word_limit,
-        max_states=args.max_states,
-        max_transitions=args.max_transitions,
-        trials=args.trials,
-        n_extra=args.n_extra,
-        n_missing=args.n_missing,
-        seed=args.seed,
-        plan_path=args.plan,
-        size_guard=args.similarity_threshold,
-    )
+    options = vars(args)
+    config = EvaluationConfig(**{
+        field.name: options[field.name]
+        for field in dataclasses.fields(EvaluationConfig)
+        if options[field.name] is not None
+    })
     report = evaluate(config)
     if args.out:
         Path(args.out).write_text(render_report(report, "json"), encoding="utf-8")

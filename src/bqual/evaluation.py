@@ -173,10 +173,17 @@ def default_mutation_count(transition_count: int) -> int:
 
 
 def evaluate(config: EvaluationConfig) -> QualityReport:
-    flags = (("trials", config.trials), ("similarity_threshold", config.size_guard))
+    # Only trials may be 0: the report's schema bounds the others below by 1.
+    flags = (
+        ("trials", config.trials), ("word_limit", config.word_limit),
+        ("max_states", config.max_states), ("max_transitions", config.max_transitions),
+        ("similarity_threshold", config.size_guard),
+    )
     for name, value in flags:
         if value < 0:
             raise EvaluationError(f"{name} must not be negative, got {value}")
+        if value == 0 and name != "trials":
+            raise EvaluationError(f"{name} must be at least 1, got 0")
     source = Path(config.machine_path).read_text(encoding="utf-8")
     machine = parse_machine(source)
     result = explore(
@@ -251,6 +258,7 @@ def evaluate(config: EvaluationConfig) -> QualityReport:
         changed = apply_plan(result, plan)
         values, reasons = trial_metrics(result, changed)
         sweep = partial(plan_modularity, result, plan, changed)
+        _record_fault_metrics(report, values, reasons, sweep)
         mutation_prov = {
             "mode": "plan",
             "plan_path": config.plan_path,
@@ -269,6 +277,7 @@ def evaluate(config: EvaluationConfig) -> QualityReport:
         report.trial_exclusions = outcome.exclusions
         per_op_counts = per_operation_counts(result, n_extra, n_missing)
         sweep = partial(modularity_sweep, result, per_op_counts, seed)
+        _record_fault_metrics(report, values, reasons, sweep)
         mutation_prov = {
             "mode": "seeded",
             "trials": config.trials,
@@ -278,12 +287,8 @@ def evaluate(config: EvaluationConfig) -> QualityReport:
             "per_operation_counts": _counts_json(per_op_counts),
         }
     else:
-        values = dict.fromkeys(FAULT_METRICS)
-        reason = cut or "mutation trials disabled"
-        reasons = dict.fromkeys([*FAULT_METRICS, "modularity"], reason)
-        sweep = None
+        _mark_all(report, [*FAULT_METRICS, "modularity"], cut or "mutation trials disabled")
         mutation_prov = {"mode": "disabled"}
-    _record_fault_metrics(report, values, reasons, sweep)
 
     report.provenance = {
         "machine_path": config.machine_path,
@@ -325,31 +330,24 @@ def _mark_all(report: QualityReport, names, reason: str) -> None:
 def _set_or_mark(report: QualityReport, name: str, compute) -> None:
     try:
         report.set_metric(name, compute())
-    except (NotComputable, AlignmentError) as exc:
-        reason = exc.reason if isinstance(exc, NotComputable) else str(exc)
-        report.mark_not_computed(name, reason)
+    except (NotComputable, AlignmentError, MutationError) as exc:
+        report.mark_not_computed(name, str(exc))
 
 
-def _record_fault_metrics(
-    report: QualityReport, values: dict, reasons: dict, sweep
-) -> None:
-    """Write the fault metrics and the modularity that ``sweep`` computes.
-    A None value, or modularity without a sweep, is marked with its reason."""
+def _record_fault_metrics(report: QualityReport, values: dict, reasons: dict, sweep) -> None:
+    """Write the fault metrics, a None value marked with its reason, and the
+    modularity that ``sweep`` computes."""
     for name, value in values.items():
         if value is None:
             report.mark_not_computed(name, reasons[name])
         else:
             report.set_metric(name, value)
-    if sweep is None:
-        report.mark_not_computed("modularity", reasons["modularity"])
-        return
-    try:
-        per_op, weighted = sweep()
-    except (MutationError, NotComputable) as exc:
-        report.mark_not_computed("modularity", str(exc))
-        return
-    report.per_operation_modularity = per_op
-    report.set_metric("modularity", weighted)
+
+    def modularity() -> Fraction:
+        report.per_operation_modularity, weighted = sweep()
+        return weighted
+
+    _set_or_mark(report, "modularity", modularity)
 
 
 def _counts_json(per_op_counts: dict) -> dict:

@@ -392,24 +392,33 @@ class DrawSpace:
     """The product of the variable domains, as fault injection draws
     post-states from it.
 
-    A valuation inside the domains has an index there: the mixed-radix
-    number of its values' positions in ``Domain.values()`` (FALSE before
-    TRUE, enumerated elements as declared, integers ascending), the first
-    variable most significant, with one radix per variable (its domain's
-    size), out of ``size``, their product.  ``index[i]`` is state
-    ``i``'s index, or -1 when it lies outside the domains; ``by_index``
-    holds the states inside in index order.  ``derived`` holds the sorted
-    keys ``(pre·L + label)·size + index[post]`` of the derived edges whose
-    post-state is inside, for L labels, and ``occupied[c]`` how many of
-    them label code ``c`` has.  Indices and keys are int64, or Python ints
-    in object arrays when S·L·size passes int64."""
+    ``values`` holds each variable's domain values, in declaration order,
+    as ``Domain.values()`` lists them (FALSE before TRUE, enumerated
+    elements as declared, integers ascending).  A valuation inside the
+    domains has an index there, which ``valuation`` decodes: the mixed-radix
+    number of its values' positions in ``values``, the first variable most
+    significant, out of ``size``, the product of the domains' sizes.
+    ``index[i]`` is state ``i``'s index, or -1 when it lies outside the
+    domains; ``by_index`` holds the states inside in index order.
+    ``derived`` holds the sorted keys ``(pre·L + label)·size + index[post]``
+    of the derived edges whose post-state is inside, for L labels, and
+    ``occupied[c]`` how many of them label code ``c`` has.  Indices and keys
+    are int64, or Python ints in object arrays when S·L·size passes int64."""
 
-    radices: tuple[int, ...]
+    values: tuple[tuple[Value, ...], ...]
     size: int
     index: np.ndarray
     by_index: np.ndarray
     derived: np.ndarray
     occupied: np.ndarray
+
+    def valuation(self, index: int) -> tuple[Value, ...]:
+        """The valuation whose index is ``index``."""
+        picked = []
+        for values in reversed(self.values):
+            index, at = divmod(index, len(values))
+            picked.append(values[at])
+        return tuple(reversed(picked))
 
 
 def violations(pre, post, ok, cut: Iterable[int] = ()) -> tuple[np.ndarray, np.ndarray]:
@@ -488,19 +497,16 @@ class ExplorationResult(Relation):
         """The domains' product with this exploration's states and derived
         edges placed in it, built on first read (by fault injection)."""
         order, n_labels = self.variable_order, len(self.labels)
-        positions = [
-            {value: i for i, value in enumerate(self.domains[name].values())}
-            for name in order
-        ]
-        radices = tuple(map(len, positions))
-        size = math.prod(radices)
+        values = tuple(self.domains[name].values() for name in order)
+        positions = [{value: i for i, value in enumerate(vs)} for vs in values]
+        size = math.prod(map(len, values))
         dtype = np.int64 if len(self.rows) * n_labels * size < 2**63 else object
         digits = np.array(
             [[at.get(value, -1) for at, value in zip(positions, row)] for row in self.rows],
             dtype=np.int64,
         ).reshape(len(self.rows), len(order))
         index = np.zeros(len(self.rows), dtype=dtype)
-        for column, radix in zip(digits.T, radices):
+        for column, radix in zip(digits.T, map(len, values)):
             index = index * radix + column
         index[(digits < 0).any(axis=1)] = -1
         placed = np.flatnonzero(index >= 0)
@@ -512,7 +518,7 @@ class ExplorationResult(Relation):
         derived = edge_keys(pre, label, post, size, n_labels, dtype)
         derived.sort()
         occupied = np.bincount(label, minlength=n_labels)
-        return DrawSpace(radices, size, index, by_index, derived, occupied)
+        return DrawSpace(values, size, index, by_index, derived, occupied)
 
 
 def _key_positions(body, order: tuple[str, ...]) -> tuple[int, ...] | None:

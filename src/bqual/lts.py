@@ -167,8 +167,12 @@ class State:
         return self._hash
 
     def __repr__(self):
-        inner = ",".join(repr(v) for v in self.values)
-        return f"({inner})"
+        return state_text(self.values)
+
+
+def state_text(values: Iterable[Value]) -> str:
+    """A state's values as they print: ``(v1,v2,...)``."""
+    return f"({','.join(map(repr, values))})"
 
 
 def _require_same_variables(pre: State, post: State) -> None:

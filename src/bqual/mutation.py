@@ -33,7 +33,9 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .explorer import ExplorationResult, ExplorerError, violations
-from .lts import StructureError, Value, edge_keys, lookup, row_ranks, transition_values
+from .lts import (
+    StructureError, Value, edge_keys, lookup, row_ranks, state_text, transition_values
+)
 from .metrics import (
     NotComputable,
     fault_analysability,
@@ -128,12 +130,9 @@ def generate_plan(
         if count < 0:
             raise MutationError(f"{name} must not be negative, got {count}")
     labels = result.labels
-    if label_scope is not None and label_scope not in labels:
-        raise MutationError(f"plan is scoped to an unknown operation {label_scope!r}")
+    codes = _scope_codes(labels, label_scope)
     rng = random.Random(seed)
     by_rank, pool = result.canonical
-
-    codes = list(range(len(labels))) if label_scope is None else [labels.index(label_scope)]
     if label_scope is not None:
         pool = pool[result.label[pool] == codes[0]]
     if n_missing > len(pool):
@@ -149,7 +148,7 @@ def generate_plan(
             f"of {space} with {occupied} already derived"
         )
     draw_space = result.draw_space
-    radices = [(radix, range(radix)) for radix in draw_space.radices]
+    radices = [(len(values), range(len(values))) for values in draw_space.values]
     n_labels, choice = len(labels), rng.choice
     extra: dict = {}  # the accepted keys, in draw order
     attempts = 0
@@ -189,19 +188,16 @@ def _drawn(result: ExplorationResult, keys: np.ndarray) -> tuple:
     post[reached] = by_index[at[reached]]
     fresh, slot = np.unique(index[~reached], return_inverse=True)
     post[~reached] = len(result.rows) + slot.reshape(-1)
-    order, domains = result.variable_order, result.domains
-    pools = [domains[name].values() for name in order] if len(fresh) else []
-    return tuple(_valuation(int(i), pools) for i in fresh), pre, label, post
+    return tuple(map(draw_space.valuation, fresh.tolist())), pre, label, post
 
 
-def _valuation(index: int, pools: list[tuple]) -> tuple:
-    """The valuation whose domain index is ``index``, one value from each
-    of the domains' value lists ``pools``."""
-    values = []
-    for pool in reversed(pools):
-        index, at = divmod(index, len(pool))
-        values.append(pool[at])
-    return tuple(reversed(values))
+def _scope_codes(labels: list[str], label_scope: str | None) -> list[int]:
+    """The label codes a plan scoped to ``label_scope`` (None: all) may touch."""
+    if label_scope is None:
+        return list(range(len(labels)))
+    if label_scope not in labels:
+        raise MutationError(f"plan is scoped to an unknown operation {label_scope!r}")
+    return [labels.index(label_scope)]
 
 
 def apply_plan(result: ExplorationResult, plan: MutationPlan) -> ChangedSystem:
@@ -221,7 +217,7 @@ def apply_plan(result: ExplorationResult, plan: MutationPlan) -> ChangedSystem:
         try:
             verdicts.append(result.holds(dict(zip(result.variable_order, values))))
         except ExplorerError as exc:
-            raise MutationError(f"plan-only state {_state_text(values)}: {exc}") from None
+            raise MutationError(f"plan-only state {state_text(values)}: {exc}") from None
     ok = np.concatenate((result.state_ok, np.array(verdicts, dtype=bool)))
 
     # The walk follows the edges out of states that satisfy the invariant,
@@ -478,8 +474,7 @@ def plan_from_json(
         raise MutationError("label_scope must be an operation name")
 
     labels = result.labels
-    if label_scope is not None and label_scope not in labels:
-        raise MutationError(f"plan is scoped to an unknown operation {label_scope!r}")
+    _scope_codes(labels, label_scope)
     touched = _canonical(list(dict.fromkeys([*extra, *missing])), len(order))
     for t in touched:
         if t[1] not in labels:
@@ -522,12 +517,8 @@ def plan_from_json(
     return MutationPlan(found[len(inserted) :], *extras, fresh, seed, label_scope)
 
 
-def _state_text(values: tuple) -> str:  # as ``State`` and ``Transition`` print
-    return f"({','.join(map(repr, values))})"
-
-
-def _transition_text(t: tuple) -> str:
-    return f"[{_state_text(t[0])},{t[1]},{_state_text(t[2])}]"
+def _transition_text(t: tuple) -> str:  # as ``Transition`` prints
+    return f"[{state_text(t[0])},{t[1]},{state_text(t[2])}]"
 
 
 def load_plan(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -318,6 +319,34 @@ class TestEvaluatePipeline:
             "inc": {"n_extra": 1, "n_missing": 1},
             "jump": {"n_extra": 0, "n_missing": 1},
         }
+
+    def test_modularity_marked_with_sweep_error(self, tmp_path):
+        # An unscoped plan (MutationError) and a machine with one operation
+        # (NotComputable) leave modularity not computed, with the message.
+        from bqual.explorer import explore
+        from bqual.mutation import generate_plan, plan_to_json
+        from bqual.parser import parse_machine
+
+        cm1 = explore(parse_machine(corpus_source("CM1.mch")), meter_memory=False)
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(plan_to_json(cm1, generate_plan(cm1, 2, 2, 1))))
+        one = tmp_path / "one.mch"
+        one.write_text(
+            "MACHINE One VARIABLES x INVARIANT x : 0..3 INITIALISATION x := 0 "
+            "OPERATIONS up = PRE x < 3 THEN x := x + 1 END END",
+            encoding="utf-8",
+        )
+        cases = [
+            (EvaluationConfig(machine_path=CM1, plan_path=str(plan)),
+             "explicit plan has no operation scope"),
+            (EvaluationConfig(machine_path=str(one), trials=2),
+             "no transitions outside operation 'up'"),
+        ]
+        for config, reason in cases:
+            report = evaluate(config)
+            assert report.value("modularity") is None
+            assert report.reasons["modularity"] == reason
+            assert report.per_operation_modularity == {}
 
     def test_one_alignment_per_element_kind(self, monkeypatch):
         import bqual.alignment
@@ -656,6 +685,93 @@ class TestCli:
         assert result.returncode == 1
         assert result.stderr == "bqual: similarity_threshold must not be negative, got -5000\n"
         assert result.stdout == ""
+
+    # The report's schema bounds these four options below by 1.
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--similarity-threshold", "0", "must be at least 1, got 0"),
+            ("--word-limit", "0", "must be at least 1, got 0"),
+            ("--word-limit", "-3", "must not be negative, got -3"),
+            ("--max-states", "0", "must be at least 1, got 0"),
+            ("--max-transitions", "0", "must be at least 1, got 0"),
+        ],
+        ids=["similarity-threshold-0", "word-limit-0", "word-limit-negative",
+             "max-states-0", "max-transitions-0"],
+    )
+    def test_value_below_schema_minimum_exit_one(self, tmp_path, flag, value, message):
+        out = tmp_path / "r.json"
+        result = run_cli(
+            "evaluate", "--machine", CM2, "--reference", CM1, "--trials", "1",
+            flag, value, "--out", str(out),
+        )
+        assert result.returncode == 1
+        name = flag[2:].replace("-", "_")
+        assert result.stderr == f"bqual: {name} {message}\n"
+        assert result.stdout == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag", ["--similarity-threshold", "--word-limit", "--max-states", "--max-transitions"]
+    )
+    def test_schema_minimum_is_accepted(self, tmp_path, flag):
+        out = tmp_path / "r.json"
+        result = run_cli(
+            "evaluate", "--machine", CM2, "--reference", CM1, "--trials", "1",
+            flag, "1", "--out", str(out), "--format", "json",
+        )
+        assert result.returncode == 0, result.stderr
+        jsonschema.validate(json.loads(out.read_text(encoding="utf-8")), load_schema())
+
+    def test_evaluate_namespace_has_every_config_field(self):
+        from bqual.cli import build_parser
+
+        args = build_parser().parse_args(["evaluate", "--machine", "M"])
+        assert {field.name for field in dataclasses.fields(EvaluationConfig)} <= set(vars(args))
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["--machine", "M"], EvaluationConfig(machine_path="M")),
+            (
+                ["--machine", "M", "--required", "R", "--goals", "G", "--word-limit", "7",
+                 "--max-states", "11", "--max-transitions", "13", "--trials", "3",
+                 "--n-extra", "2", "--n-missing", "5", "--seed", "17", "--plan", "P",
+                 "--similarity-threshold", "19", "--out", "O", "--format", "json",
+                 "--strict"],
+                EvaluationConfig(
+                    machine_path="M", required_path="R", goals_path="G", word_limit=7,
+                    max_states=11, max_transitions=13, trials=3, n_extra=2, n_missing=5,
+                    seed=17, plan_path="P", size_guard=19,
+                ),
+            ),
+            (
+                ["--machine", "M", "--reference", "F", "--trials", "0"],
+                EvaluationConfig(machine_path="M", reference_path="F", trials=0),
+            ),
+        ],
+        ids=["defaults", "every-flag", "reference"],
+    )
+    def test_evaluate_flags_build_config(self, monkeypatch, argv, expected):
+        from bqual import cli
+
+        built = []
+
+        def stop(config):
+            built.append(config)
+            raise EvaluationError("stopped")
+
+        monkeypatch.setattr(cli, "evaluate", stop)
+        assert cli.main(["evaluate", *argv]) == 1
+        assert built == [expected]
+
+    def test_evaluate_help_keeps_metavars(self):
+        result = run_cli("evaluate", "--help")
+        assert result.returncode == 0
+        for flag in ("machine", "required", "reference", "goals", "plan",
+                     "similarity-threshold"):
+            metavar = flag.upper().replace("-", "_")
+            assert f"--{flag} {metavar}" in result.stdout
 
     @pytest.mark.parametrize(
         "line, message",

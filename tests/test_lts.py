@@ -18,6 +18,7 @@ from bqual.lts import (
     enumval,
     intval,
     read_transitions_jsonl,
+    state_text,
     transition_values,
     write_transitions_jsonl,
 )
@@ -166,6 +167,12 @@ class TestStateInvariants:
     def test_state_equality_is_per_binding(self):
         assert clock_state(1, 2) == clock_state(1, 2)
         assert clock_state(1, 2) != clock_state(2, 1)
+
+    def test_state_and_transition_text(self):
+        values = (enumval("COLOR", "red"), boolval(True), intval(-3))
+        state = State(("c", "b", "n"), values)
+        assert repr(state) == state_text(values) == "(red,TRUE,-3)"
+        assert repr(Transition(state, "op", state)) == "[(red,TRUE,-3),op,(red,TRUE,-3)]"
 
 
 class TestJson:

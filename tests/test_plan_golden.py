@@ -23,6 +23,8 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
+
 from bqual.evaluation import default_mutation_count
 from bqual.explorer import explore
 from bqual.mutation import (
@@ -120,6 +122,19 @@ def golden_lines() -> list[str]:
 def test_seeded_plans_match_golden():
     golden = GOLDEN.read_text(encoding="utf-8").splitlines()
     assert golden_lines() == golden
+
+
+@pytest.mark.parametrize("name", SMALL)
+def test_draw_space_decodes_every_indexed_state(name):
+    # The golden decodes only the states a plan alone reaches; this decodes
+    # every reached state inside the domains, on Wide from Python ints.
+    result = explore(parse_machine(SMALL[name]), meter_memory=False)
+    draw_space = result.draw_space
+    assert (draw_space.index.dtype == object) == (name == "Wide")
+    inside = [i for i, at in enumerate(draw_space.index.tolist()) if at != -1]
+    assert len(inside) == len(result.rows) - (name == "Up")
+    for i in inside:
+        assert draw_space.valuation(int(draw_space.index[i])) == result.rows[i]
 
 
 def freeze() -> None:
