@@ -20,12 +20,18 @@ other rows, so it can move to a free one without losing weight.  This
 holds however ties are broken, so the rows may come in any order.  The
 columns are scored in blocks of max(n, ``CHUNK_CELLS`` / n) columns; each
 block is appended to the kept columns, which are then pruned to the union
-of each row's n best (at most min(m, n*n) of the m columns).  Working
-memory is thus about n x (max(n, CHUNK_CELLS / n) + min(m, n*n)) cells
-(``CHUNK_CELLS`` plus the kept columns while n <= 1024), and a lopsided
-pair costs vector work linear in its n x m cells and a solve of at most
-n x n*n cells.  The size guard bounds that kept block: a pair is refused
-when n x min(m, n*n) would pass the guard's square.
+of each row's n best (at most min(m, n*n) of the m columns).  A weight is
+an integer from 0 to the flattened width W, so a row's n best are found by
+counting, not sorting: its threshold t is the largest v with at least n
+columns of weight >= v, and it keeps the columns above t and the first
+columns equal to t that make up n.  Working memory is thus about
+n x (max(n, CHUNK_CELLS / n) + min(m, n*n)) cells (``CHUNK_CELLS`` plus
+the kept columns while n <= 1024), and a lopsided pair costs vector work
+linear in its n x m cells (about W passes of each block) and a solve of
+at most n x n*n cells.  The size guard bounds that kept block: a pair is
+refused when n x min(m, n*n) would pass the guard's square.  The solver
+(``scipy.optimize``) is imported at the first solve, so a process that
+aligns nothing never loads it.
 """
 
 from __future__ import annotations
@@ -33,7 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .lts import Coded
 
@@ -57,13 +62,40 @@ class AlignmentOutcome:
 def _weights(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """Agreement of every left row with every right row."""
     out = np.zeros((len(left), len(right)), dtype=np.int32)
-    for c in range(left.shape[1]):
-        out += left[:, c, None] == right[None, :, c]
+    # One contiguous run of codes per position, not a strided column.
+    for codes, column in zip(left.T, np.ascontiguousarray(right.T)):
+        out += codes[:, None] == column
     return out
+
+
+def _best_columns(weights: np.ndarray, n: int, width: int) -> np.ndarray:
+    """The union of each row's n best columns, for weights in 0..width and
+    more than n columns: a row keeps the columns above its threshold t and
+    the first columns equal to t that make up n (see the module docstring)."""
+    threshold = np.full(len(weights), -1)
+    at = np.zeros_like(threshold)  # columns of weight >= threshold
+    above = np.zeros_like(threshold)  # columns of weight > threshold
+    count = np.zeros_like(threshold)
+    # From the top weight down, until every row has n columns at or above v.
+    for v in range(width, -1, -1):
+        higher, count = count, np.count_nonzero(weights >= v, axis=1)
+        settled = (threshold < 0) & (count >= n)
+        threshold[settled], at[settled], above[settled] = v, count[settled], higher[settled]
+        if (threshold >= 0).all():
+            break
+    # A row with no surplus at its threshold keeps every column >= t.
+    tied = at > n
+    keep = (weights >= (threshold + tied)[:, None]).any(axis=0)
+    for row in np.flatnonzero(tied):
+        keep[np.flatnonzero(weights[row] == threshold[row])[: n - above[row]]] = True
+    return np.flatnonzero(keep)
 
 
 def _max_matching(left: np.ndarray, right: np.ndarray) -> int:
     """The total weight of a maximum-weight matching."""
+    # Imported at first use: scipy.optimize adds to every start-up of the CLI.
+    from scipy.optimize import linear_sum_assignment
+
     if len(left) > len(right):
         return _max_matching(right, left)
     n = len(left)
@@ -72,9 +104,7 @@ def _max_matching(left: np.ndarray, right: np.ndarray) -> int:
     for start in range(0, len(right), chunk):
         weights = np.hstack((weights, _weights(left, right[start : start + chunk])))
         if weights.shape[1] > n:
-            # The union of each row's n best columns (see the module docstring).
-            best = np.unique(np.argpartition(weights, -n, axis=1)[:, -n:])
-            weights = weights[:, best]
+            weights = weights[:, _best_columns(weights, n, left.shape[1])]
     rows, picked = linear_sum_assignment(weights, maximize=True)
     return int(weights[rows, picked].sum())
 

@@ -173,16 +173,19 @@ def default_mutation_count(transition_count: int) -> int:
 
 
 def evaluate(config: EvaluationConfig) -> QualityReport:
-    # Only trials may be 0: the report's schema bounds the others below by 1.
+    # The three counts may be 0 (n_extra and n_missing unset take their
+    # default); the report's schema bounds the others below by 1.
+    counts = ("trials", "n_extra", "n_missing")
     flags = (
-        ("trials", config.trials), ("word_limit", config.word_limit),
+        ("trials", config.trials), ("n_extra", config.n_extra),
+        ("n_missing", config.n_missing), ("word_limit", config.word_limit),
         ("max_states", config.max_states), ("max_transitions", config.max_transitions),
         ("similarity_threshold", config.size_guard),
     )
     for name, value in flags:
-        if value < 0:
+        if value is not None and value < 0:
             raise EvaluationError(f"{name} must not be negative, got {value}")
-        if value == 0 and name != "trials":
+        if value == 0 and name not in counts:
             raise EvaluationError(f"{name} must be at least 1, got 0")
     source = Path(config.machine_path).read_text(encoding="utf-8")
     machine = parse_machine(source)

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 import bqual.alignment
 from bqual.alignment import AlignmentError, AlignmentSizeError, similarity
@@ -182,6 +184,28 @@ class TestPrunedSolve:
             assert outcome.total_agreement == brute_force_similarity(
                 left, right, PROPERTY_ORDER
             )
+
+
+class TestBestColumns:
+    """The counting selection on blocks of small weights, where ties at a
+    row's threshold are the rule."""
+
+    def test_ties_keep_n_columns_and_the_total(self):
+        rng = np.random.default_rng(21)
+        for _ in range(300):
+            width = int(rng.integers(0, 4))
+            n = int(rng.integers(1, 7))
+            columns = int(rng.integers(n + 1, 40))
+            weights = rng.integers(0, width + 1, size=(n, columns), dtype=np.int32)
+            kept = bqual.alignment._best_columns(weights, n, width)
+            assert np.array_equal(kept, np.unique(kept))
+            for row in weights:
+                nth = np.sort(row)[-n]
+                assert np.count_nonzero(row[kept] >= nth) >= n
+                assert set(np.flatnonzero(row > nth)) <= set(kept.tolist())
+            rows, picked = linear_sum_assignment(weights, maximize=True)
+            sub_rows, sub_picked = linear_sum_assignment(weights[:, kept], maximize=True)
+            assert weights[:, kept][sub_rows, sub_picked].sum() == weights[rows, picked].sum()
 
 
 class TestProperties:

@@ -442,6 +442,23 @@ class TestCli:
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "False"
 
+    def test_import_leaves_optimize_unloaded(self, tmp_path):
+        # Only an alignment needs scipy.optimize, and it imports it at first
+        # use, so neither a start-up of the CLI nor an explore pays for it.
+        probe = (
+            "import sys, bqual.cli\n"
+            "print('scipy.optimize' in sys.modules)\n"
+            "code = bqual.cli.main(['explore', '--machine', sys.argv[1], '--out', sys.argv[2]])\n"
+            "print(code, 'scipy.optimize' in sys.modules)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe, CM1, str(tmp_path / "cm1.jsonl")],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[0] == "False"
+        assert result.stdout.splitlines()[-1] == "0 False"
+
     def test_evaluate_exit_zero_and_schema(self, tmp_path):
         out = tmp_path / "report.json"
         result = run_cli(
@@ -666,6 +683,38 @@ class TestCli:
         assert result.returncode == 1
         name = flag[2:].replace("-", "_")
         assert result.stderr == f"bqual: {name} must not be negative, got -3\n"
+
+    # The counts are checked whatever the mutation mode, also where they are
+    # not used; the test above covers seeded mode.
+    @pytest.mark.parametrize(
+        "mode", [("--trials", "0"), ("--plan", PLAN)], ids=["disabled", "plan"]
+    )
+    @pytest.mark.parametrize("flag", ["--n-extra", "--n-missing"])
+    def test_negative_unused_mutation_count_exit_one(self, mode, flag):
+        result = run_cli("evaluate", "--machine", CM1, *mode, flag, "-3")
+        assert result.returncode == 1
+        name = flag[2:].replace("-", "_")
+        assert result.stderr == f"bqual: {name} must not be negative, got -3\n"
+        assert result.stdout == ""
+
+    def test_limit_below_initial_states_keeps_them(self, tmp_path):
+        # A limit never drops an initial state: CM1's one initial state is
+        # kept under --max-states 0, and the run reads as truncated.
+        out = tmp_path / "cm1.jsonl"
+        result = run_cli("explore", "--machine", CM1, "--max-states", "0", "--out", str(out))
+        assert result.returncode == 0, result.stderr
+        header = json.loads(result.stdout)
+        del header["metering"]
+        assert header == {
+            "machine": "CM1",
+            "variables": ["hour", "minute"],
+            "summary": {
+                "initial_states": 1, "states": 1, "transitions": 0,
+                "ok_transitions": 0, "violating_transitions": 0,
+                "deadlock_states": 0, "truncated": True,
+            },
+        }
+        assert out.read_text(encoding="utf-8") == ""
 
     @pytest.mark.parametrize("command", ["explore", "evaluate"])
     @pytest.mark.parametrize("flag", ["--max-states", "--max-transitions"])
