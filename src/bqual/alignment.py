@@ -18,9 +18,10 @@ n best columns need to be kept: if an optimal matching gives a row a
 dropped column, at most n - 1 of that row's n kept columns are taken by
 other rows, so it can move to a free one without losing weight.  This
 holds however ties are broken, so the rows may come in any order.  The
-columns are scored in blocks of max(n, ``CHUNK_CELLS`` / n) columns; each
-block is appended to the kept columns, which are then pruned to the union
-of each row's n best (at most min(m, n*n) of the m columns).  A weight is
+columns are scored in blocks of max(n, ``CHUNK_CELLS`` / n) columns: each
+block's rows are built from its keys and scored into one preallocated
+buffer after the kept columns, which are then pruned to the union of each
+row's n best (at most min(m, n*n) of the m columns).  A weight is
 an integer from 0 to the flattened width W, so a row's n best are found by
 counting, not sorting: its threshold t is the largest v with at least n
 columns of weight >= v, and it keeps the columns above t and the first
@@ -59,13 +60,12 @@ class AlignmentOutcome:
     total_agreement: int
 
 
-def _weights(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Agreement of every left row with every right row."""
-    out = np.zeros((len(left), len(right)), dtype=np.int32)
+def _weights(left: np.ndarray, right: np.ndarray, out: np.ndarray) -> None:
+    """Write the agreement of every left row with every right row to ``out``."""
+    out[...] = 0
     # One contiguous run of codes per position, not a strided column.
     for codes, column in zip(left.T, np.ascontiguousarray(right.T)):
         out += codes[:, None] == column
-    return out
 
 
 def _best_columns(weights: np.ndarray, n: int, width: int) -> np.ndarray:
@@ -91,22 +91,33 @@ def _best_columns(weights: np.ndarray, n: int, width: int) -> np.ndarray:
     return np.flatnonzero(keep)
 
 
-def _max_matching(left: np.ndarray, right: np.ndarray) -> int:
-    """The total weight of a maximum-weight matching."""
+def _max_matching(left: Coded, left_keys: np.ndarray, right: Coded, right_keys: np.ndarray) -> int:
+    """The total weight of a maximum-weight matching of the elements
+    ``left_keys`` of ``left`` and ``right_keys`` of ``right``.  The larger
+    side's rows are built a block at a time, and each block is scored into
+    one buffer after the kept columns."""
     # Imported at first use: scipy.optimize adds to every start-up of the CLI.
     from scipy.optimize import linear_sum_assignment
 
-    if len(left) > len(right):
-        return _max_matching(right, left)
-    n = len(left)
+    if len(left_keys) > len(right_keys):
+        return _max_matching(right, right_keys, left, left_keys)
+    rows = left.rows(left_keys)
+    n, m = len(rows), len(right_keys)
     chunk = max(n, CHUNK_CELLS // n)
-    weights = np.empty((n, 0), dtype=np.int32)
-    for start in range(0, len(right), chunk):
-        weights = np.hstack((weights, _weights(left, right[start : start + chunk])))
-        if weights.shape[1] > n:
-            weights = weights[:, _best_columns(weights, n, left.shape[1])]
-    rows, picked = linear_sum_assignment(weights, maximize=True)
-    return int(weights[rows, picked].sum())
+    buffer = np.empty((n, min(m, n * n) + min(m, chunk)), dtype=np.int32)
+    kept = 0
+    for start in range(0, m, chunk):
+        block = right.rows(right_keys[start : start + chunk])
+        end = kept + len(block)
+        _weights(rows, block, buffer[:, kept:end])
+        kept = end
+        if kept > n:
+            columns = _best_columns(buffer[:, :kept], n, rows.shape[1])
+            buffer[:, : len(columns)] = buffer[:, columns]
+            kept = len(columns)
+    weights = buffer[:, :kept]
+    picked_rows, picked = linear_sum_assignment(weights, maximize=True)
+    return int(weights[picked_rows, picked].sum())
 
 
 def similarity(
@@ -139,6 +150,5 @@ def similarity(
             raise AlignmentSizeError(
                 f"{reason}; raise --similarity-threshold to force an exact solve"
             )
-        rest_left, rest_right = left.remainder(right), right.remainder(left)
-        total += _max_matching(left.rows(rest_left), right.rows(rest_right))
+        total += _max_matching(left, left.remainder(right), right, right.remainder(left))
     return AlignmentOutcome(total_agreement=total)

@@ -165,26 +165,37 @@ class MachineAST:
 # --- structural helpers ----------------------------------------------------
 
 
+def chain(pred: Predicate, kind) -> list[Predicate]:
+    """The operands of the ``kind`` (``And`` or ``Or``) tree at ``pred``,
+    left to right.  The parser builds a chain as deep as it is long, so
+    this and ``nodes`` walk without recursion."""
+    out, stack = [], [pred]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, kind):
+            stack += (node.right, node.left)
+        else:
+            out.append(node)
+    return out
+
+
 def conjuncts(pred: Predicate) -> list[Predicate]:
     """Flatten the top-level conjunction tree."""
-    if isinstance(pred, And):
-        return conjuncts(pred.left) + conjuncts(pred.right)
-    return [pred]
+    return chain(pred, And)
 
 
 def nodes(node):
     """Yield ``node`` and every AST node nested in its fields, depth first,
     descending through tuples (``Sequence.steps``, the ``(guard, body)``
     pairs of ``Select.branches``); names and literal values are skipped."""
-    if is_dataclass(node):
-        yield node
-        children = [getattr(node, f.name) for f in fields(node)]
-    elif isinstance(node, tuple):
-        children = node
-    else:
-        return
-    for child in children:
-        yield from nodes(child)
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if is_dataclass(node):
+            yield node
+            stack += reversed([getattr(node, f.name) for f in fields(node)])
+        elif isinstance(node, tuple):
+            stack += reversed(node)
 
 
 def free_variables(node) -> frozenset:

@@ -1,10 +1,14 @@
 """Bounded explicit-state exploration.
 
-Variable domains are read off the invariant's membership conjuncts, the
-initialisation and operations are compiled to closures, and the state
-space is derived breadth-first on dense integer state ids: the walk keeps
-each state's values and invariant verdict by id and the transitions as
-``pre``/``label``/``post`` arrays.  One violation rule, ``violations``,
+Variable domains are read off the invariant's membership conjuncts.  The
+invariant, the initialisation and each operation become one generated
+Python function over a value row, the tuple of a state's values in
+declaration order (``codegen``, imported at first use; every call compiles
+its own); the closure interpreter of the tests (``tests/oracle.py``) is
+their reference.  The state space is derived breadth-first on dense integer
+state ids: the walk keeps each state's row and invariant verdict by id and
+the transitions as ``pre``/``label``/``post`` arrays, gathered as one run of
+edges per operation run at a state.  One violation rule, ``violations``,
 judges those arrays (and every system ``mutation.apply_plan`` re-derives):
 a transition violates when its post-state breaks the invariant or has no
 outgoing transition (deadlock-freeness is checked always, as an inherent
@@ -42,26 +46,13 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .bmachine import (
-    And,
     AnyChoice,
-    Assign,
-    BinaryExpr,
-    BoolLit,
     BoundRef,
-    Comparison,
-    EnumLit,
     IntLit,
     MachineAST,
-    Not,
-    Or,
-    Precondition,
     Predicate,
     RangeMembership,
-    Select,
-    Sequence,
     SetMembership,
-    Skip,
-    TruePredicate,
     VarRef,
     assigned_on_every_path,
     bound_references,
@@ -70,13 +61,9 @@ from .bmachine import (
 )
 from .lts import (
     FALSE,
-    KIND_BOOL,
-    KIND_ENUM,
-    KIND_INT,
     TRUE,
     Relation,
     Value,
-    boolval,
     canonical_edges,
     edge_keys,
     enumval,
@@ -189,199 +176,11 @@ def infer_domains(machine: MachineAST) -> DomainMap:
     return dict(zip(order, domains))
 
 
-def _bound_domains(any_node: AnyChoice, machine: MachineAST) -> list:
+def bound_domains(any_node: AnyChoice, machine: MachineAST) -> list:
+    """One finite domain per bound identifier of an ``ANY``, from its
+    ``WHERE``."""
     missing = "bound identifier {} has no membership conjunct in WHERE"
     return _first_domains(any_node.identifiers, any_node.where, BoundRef, machine, missing)
-
-
-# --- compilation to closures -------------------------------------------------
-
-
-def compile_expression(expr):
-    if isinstance(expr, IntLit):
-        v = intval(expr.value)
-        return lambda env: v
-    if isinstance(expr, BoolLit):
-        v = boolval(expr.value)
-        return lambda env: v
-    if isinstance(expr, EnumLit):
-        v = enumval(expr.set_name, expr.element)
-        return lambda env: v
-    if isinstance(expr, (VarRef, BoundRef)):
-        name = expr.name
-
-        def read(env):
-            try:
-                return env[name]
-            except KeyError:
-                raise UnboundVariableError(
-                    f"variable {name!r} read before assignment"
-                ) from None
-
-        return read
-    if isinstance(expr, BinaryExpr):
-        left = compile_expression(expr.left)
-        right = compile_expression(expr.right)
-        op = expr.op
-
-        def arith(env):
-            a = left(env)
-            b = right(env)
-            if a.kind != KIND_INT or b.kind != KIND_INT:
-                raise EvalTypeError(
-                    f"arithmetic {op!r} needs integers, got {a.kind} and {b.kind}"
-                )
-            if op == "+":
-                return intval(a.payload + b.payload)
-            if op == "-":
-                return intval(a.payload - b.payload)
-            return intval(a.payload * b.payload)
-
-        return arith
-    raise TypeError(f"not an expression: {type(expr).__name__}")
-
-
-_ORDER_OPS = {
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
-
-
-def compile_predicate(pred):
-    if isinstance(pred, TruePredicate):
-        return lambda env: True
-    if isinstance(pred, Comparison):
-        left = compile_expression(pred.left)
-        right = compile_expression(pred.right)
-        op = pred.op
-        if op in ("=", "/="):
-            want = op == "="
-
-            def equality(env):
-                a = left(env)
-                b = right(env)
-                if a.kind != b.kind:
-                    raise EvalTypeError(
-                        f"cannot compare {a.kind} with {b.kind}"
-                    )
-                return (a == b) is want
-
-            return equality
-        cmp = _ORDER_OPS[op]
-
-        def ordering(env):
-            a = left(env)
-            b = right(env)
-            if a.kind != KIND_INT or b.kind != KIND_INT:
-                raise EvalTypeError(
-                    f"ordering {op!r} needs integers, got {a.kind} and {b.kind}"
-                )
-            return cmp(a.payload, b.payload)
-
-        return ordering
-    if isinstance(pred, RangeMembership):
-        subject = compile_expression(pred.expr)
-        low = compile_expression(pred.low)
-        high = compile_expression(pred.high)
-
-        def in_range(env):
-            v = subject(env)
-            lo = low(env)
-            hi = high(env)
-            if v.kind != KIND_INT or lo.kind != KIND_INT or hi.kind != KIND_INT:
-                raise EvalTypeError("range membership needs integers")
-            return lo.payload <= v.payload <= hi.payload
-
-        return in_range
-    if isinstance(pred, SetMembership):
-        subject = compile_expression(pred.expr)
-        set_name = pred.set_name
-        if set_name == BOOL_SET:
-            return lambda env: subject(env).kind == KIND_BOOL
-
-        def in_set(env):
-            v = subject(env)
-            return v.kind == KIND_ENUM and v.payload[0] == set_name
-
-        return in_set
-    if isinstance(pred, And):
-        left = compile_predicate(pred.left)
-        right = compile_predicate(pred.right)
-        return lambda env: left(env) and right(env)
-    if isinstance(pred, Or):
-        left = compile_predicate(pred.left)
-        right = compile_predicate(pred.right)
-        return lambda env: left(env) or right(env)
-    if isinstance(pred, Not):
-        inner = compile_predicate(pred.inner)
-        return lambda env: not inner(env)
-    raise TypeError(f"not a predicate: {type(pred).__name__}")
-
-
-def compile_substitution(sub, machine: MachineAST):
-    """Compile to ``fn(env) -> list-of-envs``; every returned env is a fresh
-    dict extending ``env`` with the substitution's effects."""
-    if isinstance(sub, Assign):
-        var = sub.variable
-        value_of = compile_expression(sub.expr)
-
-        def assign(env):
-            out = env.copy()
-            out[var] = value_of(env)
-            return (out,)
-
-        return assign
-    if isinstance(sub, Sequence):
-        steps = [compile_substitution(s, machine) for s in sub.steps]
-
-        def chained(env):
-            envs = (env,)
-            for step in steps:
-                envs = [after for current in envs for after in step(current)]
-            return envs
-
-        return chained
-    if isinstance(sub, Precondition):
-        guard = compile_predicate(sub.guard)
-        body = compile_substitution(sub.body, machine)
-        return lambda env: body(env) if guard(env) else ()
-    if isinstance(sub, Select):
-        branches = [
-            (compile_predicate(guard), compile_substitution(body, machine))
-            for guard, body in sub.branches
-        ]
-
-        def select(env):
-            out = []
-            for guard, body in branches:
-                if guard(env):
-                    out.extend(body(env))
-            return out
-
-        return select
-    if isinstance(sub, AnyChoice):
-        identifiers = sub.identifiers
-        domains = _bound_domains(sub, machine)
-        valuations = list(itertools.product(*(d.values() for d in domains)))
-        where = compile_predicate(sub.where)
-        body = compile_substitution(sub.body, machine)
-
-        def any_choice(env):
-            out = []
-            for vals in valuations:
-                inner = env.copy()
-                for name, v in zip(identifiers, vals):
-                    inner[name] = v
-                if where(inner):
-                    out.extend(body(inner))
-            return out
-
-        return any_choice
-    if isinstance(sub, Skip):
-        return lambda env: (env,)
-    raise TypeError(f"not a substitution: {type(sub).__name__}")
 
 
 # --- exploration --------------------------------------------------------------
@@ -457,7 +256,7 @@ class ExplorationResult(Relation):
     cpu_seconds: float
     peak_memory_bytes: int
     domains: DomainMap = field(repr=False)
-    holds: Callable[[dict], bool] = field(repr=False)  # the compiled invariant
+    holds: Callable[[tuple], bool] = field(repr=False)  # the invariant, of a row
 
     @property
     def summary(self) -> dict:
@@ -552,15 +351,17 @@ def explore(
             raise ExplorerError(f"{name} must not be negative, got {limit}")
     domains = infer_domains(machine)
     order = machine.variables
-    holds = compile_predicate(machine.invariant)
-    init = compile_substitution(machine.initialisation, machine)
+    from . import codegen  # at first use, as a process may explore nothing
+
+    holds = codegen.compile_predicate(machine.invariant, order)
+    init = codegen.compile_operation(machine.initialisation, machine, initialisation=True)
     labels = tuple(sorted_labels(name for name, _ in machine.operations))
-    # Per operation: its label code, its closure, the positions of its key
+    # Per operation: its label code, its function, the positions of its key
     # and its memo, key -> (raw result count, deduplicated successor ids).
     ops = [
         (
             labels.index(name),
-            compile_substitution(body, machine),
+            codegen.compile_operation(body, machine),
             _key_positions(body, order),
             {},
         )
@@ -570,13 +371,12 @@ def explore(
     started = time.process_time()
     ids: dict[tuple, int] = {}  # the id of each reached valuation
     rows: list[tuple] = []  # the valuation of each id
-    for env in init({}):
-        missing = [v for v in order if v not in env]
+    for values in init((codegen.UNSET,) * len(order)):
+        missing = [name for name, value in zip(order, values) if value is codegen.UNSET]
         if missing:
             raise InitialisationError(
                 f"initialisation does not assign {missing[0]!r}"
             )
-        values = tuple(env[v] for v in order)
         if values not in ids:
             ids[values] = len(rows)
             rows.append(values)
@@ -585,11 +385,13 @@ def explore(
     n_initial = len(rows)
 
     ok: list[bool] = []
-    pre, label, post = array("q"), array("q"), array("q")
+    post = array("q")
+    # The edges in runs: (state, label code, count) per operation run at a
+    # state, whose posts are the next count entries of ``post``.
+    runs = array("q")
     cut: set[int] = set()
     for state, row in enumerate(rows):  # rows grows while it is walked
-        env = dict(zip(order, row))
-        ok.append(holds(env))
+        ok.append(holds(row))
         if not ok[-1]:
             continue  # violating states are terminal
         for code, run, key_at, memo in ops:
@@ -602,22 +404,20 @@ def explore(
                 # the loop below decides.
                 if hit is not None:
                     n_raw, targets = hit
-                    if len(pre) + n_raw <= max_transitions:
-                        pre.extend(array("q", (state,)) * len(targets))
-                        label.extend(array("q", (code,)) * len(targets))
+                    if len(post) + n_raw <= max_transitions:
                         post.extend(targets)
+                        runs.extend((state, code, len(targets)))
                         continue
-                    if len(pre) >= max_transitions:
+                    if len(post) >= max_transitions:
                         cut.add(state)  # n_raw > 0 here
                         continue
-            start = len(pre)
-            results = run(env)
+            start = len(post)
+            results = run(row)
             seen: set[int] = set()
-            for result in results:
-                values = tuple(map(result.__getitem__, order))
+            for values in results:
                 target = ids.get(values)
                 new = target is None
-                if (new and len(rows) >= max_states) or len(pre) >= max_transitions:
+                if (new and len(rows) >= max_states) or len(post) >= max_transitions:
                     cut.add(state)
                     continue
                 if new:
@@ -626,9 +426,9 @@ def explore(
                 elif target in seen:
                     continue
                 seen.add(target)
-                pre.append(state)
-                label.append(code)
                 post.append(target)
+            if len(post) > start:
+                runs.extend((state, code, len(post) - start))
             if key_at is not None and state not in cut:  # none was dropped
                 memo[key] = (len(results), post[start:])
     cpu_seconds = time.process_time() - started
@@ -637,7 +437,9 @@ def explore(
         # Lifetime peak RSS of the process (kilobytes on Linux).
         peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
 
-    pre, label, post = (np.frombuffer(a, dtype=np.int64) for a in (pre, label, post))
+    state_of, code_of, count = np.frombuffer(runs, dtype=np.int64).reshape(-1, 3).T
+    pre, label = np.repeat(state_of, count), np.repeat(code_of, count)
+    post = np.frombuffer(post, dtype=np.int64)
     state_ok = np.array(ok, dtype=bool)
     violates, live = violations(pre, post, state_ok, cut)
     return ExplorationResult(
@@ -670,9 +472,9 @@ def check_goal(result: ExplorationResult, goal: Predicate) -> bool:
         )
     if bound_references(goal):
         raise EvalTypeError("goal predicates cannot use bound identifiers")
-    holds = compile_predicate(goal)
-    order = result.variable_order
-    return any(holds(dict(zip(order, values))) for values in result.rows)
+    from . import codegen
+
+    return any(map(codegen.compile_predicate(goal, result.variable_order), result.rows))
 
 
 def result_header(result: ExplorationResult) -> dict:

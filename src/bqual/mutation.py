@@ -215,7 +215,7 @@ def apply_plan(result: ExplorationResult, plan: MutationPlan) -> ChangedSystem:
     verdicts = []
     for values in plan.fresh:
         try:
-            verdicts.append(result.holds(dict(zip(result.variable_order, values))))
+            verdicts.append(result.holds(values))
         except ExplorerError as exc:
             raise MutationError(f"plan-only state {state_text(values)}: {exc}") from None
     ok = np.concatenate((result.state_ok, np.array(verdicts, dtype=bool)))

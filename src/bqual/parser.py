@@ -3,6 +3,9 @@
 Clause order is fixed: MACHINE, optional SETS, VARIABLES, INVARIANT,
 INITIALISATION, OPERATIONS.  Identifiers are resolved while parsing, so
 undeclared references and duplicate names are reported with positions.
+Substitutions, predicates, expressions and unary minus nest at most
+``MAX_NESTING`` deep, so that parsing and every walk over the tree stay
+within Python's recursion limit; deeper nesting is a ParseError.
 """
 
 from __future__ import annotations
@@ -36,6 +39,8 @@ from .bmachine import (
 )
 from .lexer import Token, tokenize
 
+MAX_NESTING = 256
+
 
 class ParseError(ValueError):
     def __init__(self, message: str, token: Token, expected=()):
@@ -55,6 +60,13 @@ class _TokenStream:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.index = 0
+        self.depth = 0  # the nested substitutions, predicates and expressions
+
+    def enter(self) -> None:
+        """Open one more nesting level; callers close it with ``depth -= 1``."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nested more than {MAX_NESTING} levels deep", self.peek())
 
     def peek(self, offset: int = 0) -> Token:
         i = min(self.index + offset, len(self.tokens) - 1)
@@ -222,6 +234,7 @@ def parse_predicate(source: str, machine: MachineAST) -> Predicate:
 
 
 def _parse_substitution(stream: _TokenStream, scope: _Scope) -> Substitution:
+    stream.enter()
     steps = [_parse_simple_substitution(stream, scope)]
     parallel_group = [steps[0]]
     while stream.peek().kind in (";", "||"):
@@ -242,6 +255,7 @@ def _parse_substitution(stream: _TokenStream, scope: _Scope) -> Substitution:
         else:
             parallel_group = [step]
         steps.append(step)
+    stream.depth -= 1
     if len(steps) == 1:
         return steps[0]
     return Sequence(tuple(steps))
@@ -321,9 +335,11 @@ def _parse_simple_substitution(stream: _TokenStream, scope: _Scope) -> Substitut
 
 
 def _parse_predicate(stream: _TokenStream, scope: _Scope) -> Predicate:
+    stream.enter()
     pred = _parse_conjunction(stream, scope)
     while stream.accept("keyword", "or"):
         pred = Or(pred, _parse_conjunction(stream, scope))
+    stream.depth -= 1
     return pred
 
 
@@ -394,10 +410,12 @@ def _parse_predicate_atom(stream: _TokenStream, scope: _Scope) -> Predicate:
 
 
 def _parse_expression(stream: _TokenStream, scope: _Scope):
+    stream.enter()
     expr = _parse_term(stream, scope)
     while stream.peek().kind in ("+", "-"):
         op = stream.advance().kind
         expr = BinaryExpr(op, expr, _parse_term(stream, scope))
+    stream.depth -= 1
     return expr
 
 
@@ -416,7 +434,9 @@ def _parse_factor(stream: _TokenStream, scope: _Scope):
         return IntLit(int(tok.text))
     if tok.kind == "-":
         stream.advance()
+        stream.enter()
         inner = _parse_factor(stream, scope)
+        stream.depth -= 1
         if isinstance(inner, IntLit):
             return IntLit(-inner.value)
         return BinaryExpr("-", IntLit(0), inner)

@@ -35,19 +35,21 @@ from bqual.bmachine import (
     TruePredicate,
     VarRef,
 )
-from bqual.explorer import (
-    InitialisationError,
-    compile_predicate,
-    compile_substitution,
-    explore,
-    infer_domains,
-)
+from bqual.codegen import compile_operation
+from bqual.explorer import InitialisationError, explore, infer_domains
 from bqual.lexer import _SYMBOLS, KEYWORDS, LexError, Token
 from bqual.lts import State, Transition, Value, code_relations, intval, relation_of
 from bqual.mutation import plan_from_json
 from bqual.parser import parse_machine
 
-from oracle import FlatList, agreement, flatten, initial_states
+from oracle import (
+    FlatList,
+    agreement,
+    compile_predicate,
+    compile_substitution,
+    flatten,
+    initial_states,
+)
 
 CORPUS = Path(__file__).parent / "corpus"
 
@@ -84,13 +86,9 @@ for _name in ("CM1", "CM2", "CM3", "CM4", "CM5", "CM6"):
 
 def enumerate_substitution(sub, state: State, machine) -> set:
     """All post-states a substitution of ``machine`` can reach from
-    ``state``."""
-    run = compile_substitution(sub, machine)
-    order = state.variables
-    return {
-        State(order, tuple(env[v] for v in order))
-        for env in run(dict(zip(order, state.values)))
-    }
+    ``state``, by the function ``explore`` compiles for it."""
+    run = compile_operation(sub, machine)
+    return {State(state.variables, values) for values in run(state.values)}
 
 
 # Small random transition systems for oracle and property testing.
@@ -340,7 +338,8 @@ def independent_explore(
     machine, max_states: float = math.inf, max_transitions: float = math.inf
 ) -> SimpleNamespace:
     """The exploration as a walk over ``State`` and ``Transition`` objects
-    and set arithmetic, sharing only the closure compiler with ``explore``."""
+    and set arithmetic, run by the reference interpreter of ``oracle``; it
+    shares only the domain inference with ``explore``."""
     infer_domains(machine)
     order = machine.variables
     verdicts = Verdicts(compile_predicate(machine.invariant), order)

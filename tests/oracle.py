@@ -1,4 +1,4 @@
-"""Object forms that only the tests read.
+"""Object forms and the reference interpreter that only the tests read.
 
 bqual codes transition sets as integer arrays (``lts.code_relations``).
 The brute-force alignment oracle and the set formulas of the tests work on
@@ -6,14 +6,57 @@ the objects instead: label-erased state pairs, flattened token lists, their
 total size and the positional agreement of two of them, plus small readers
 of explored objects.  They share only the value types and ``state_values``
 with bqual.
+
+``explore`` runs each operation as a generated function over a value row.
+The reference interpreter below runs the same machine as closures over a
+dict environment, one closure per AST node: ``compile_expression``,
+``compile_predicate`` and ``compile_substitution``.  It shares only the
+domain inference and the error classes with bqual, so the object walk of
+the tests (``conftest.independent_explore``) can catch a generator bug.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, NamedTuple, Union
 
 from bqual.alignment import AlignmentError
-from bqual.lts import State, Transition, Value, state_values
+from bqual.bmachine import (
+    BOOL_SET,
+    And,
+    AnyChoice,
+    Assign,
+    BinaryExpr,
+    BoolLit,
+    BoundRef,
+    Comparison,
+    EnumLit,
+    IntLit,
+    MachineAST,
+    Not,
+    Or,
+    Precondition,
+    RangeMembership,
+    Select,
+    Sequence,
+    SetMembership,
+    Skip,
+    TruePredicate,
+    VarRef,
+)
+from bqual.explorer import EvalTypeError, UnboundVariableError, bound_domains
+from bqual.lts import (
+    KIND_BOOL,
+    KIND_ENUM,
+    KIND_INT,
+    State,
+    Transition,
+    Value,
+    boolval,
+    enumval,
+    intval,
+    state_values,
+)
 
 FlatList = tuple
 
@@ -87,3 +130,193 @@ def initial_states(result) -> frozenset:
 def operation_names(machine) -> tuple[str, ...]:
     """A machine's operation names, in declaration order."""
     return tuple(name for name, _ in machine.operations)
+
+
+# --- the reference interpreter: closures over a dict environment ---------------
+
+
+def compile_expression(expr):
+    if isinstance(expr, IntLit):
+        v = intval(expr.value)
+        return lambda env: v
+    if isinstance(expr, BoolLit):
+        v = boolval(expr.value)
+        return lambda env: v
+    if isinstance(expr, EnumLit):
+        v = enumval(expr.set_name, expr.element)
+        return lambda env: v
+    if isinstance(expr, (VarRef, BoundRef)):
+        name = expr.name
+
+        def read(env):
+            try:
+                return env[name]
+            except KeyError:
+                raise UnboundVariableError(
+                    f"variable {name!r} read before assignment"
+                ) from None
+
+        return read
+    if isinstance(expr, BinaryExpr):
+        left = compile_expression(expr.left)
+        right = compile_expression(expr.right)
+        op = expr.op
+
+        def arith(env):
+            a = left(env)
+            b = right(env)
+            if a.kind != KIND_INT or b.kind != KIND_INT:
+                raise EvalTypeError(
+                    f"arithmetic {op!r} needs integers, got {a.kind} and {b.kind}"
+                )
+            if op == "+":
+                return intval(a.payload + b.payload)
+            if op == "-":
+                return intval(a.payload - b.payload)
+            return intval(a.payload * b.payload)
+
+        return arith
+    raise TypeError(f"not an expression: {type(expr).__name__}")
+
+
+_ORDER_OPS = {
+    "<": lambda a, b: a < b,
+    "<=": lambda a, b: a <= b,
+    ">": lambda a, b: a > b,
+    ">=": lambda a, b: a >= b,
+}
+
+
+def compile_predicate(pred):
+    if isinstance(pred, TruePredicate):
+        return lambda env: True
+    if isinstance(pred, Comparison):
+        left = compile_expression(pred.left)
+        right = compile_expression(pred.right)
+        op = pred.op
+        if op in ("=", "/="):
+            want = op == "="
+
+            def equality(env):
+                a = left(env)
+                b = right(env)
+                if a.kind != b.kind:
+                    raise EvalTypeError(
+                        f"cannot compare {a.kind} with {b.kind}"
+                    )
+                return (a == b) is want
+
+            return equality
+        cmp = _ORDER_OPS[op]
+
+        def ordering(env):
+            a = left(env)
+            b = right(env)
+            if a.kind != KIND_INT or b.kind != KIND_INT:
+                raise EvalTypeError(
+                    f"ordering {op!r} needs integers, got {a.kind} and {b.kind}"
+                )
+            return cmp(a.payload, b.payload)
+
+        return ordering
+    if isinstance(pred, RangeMembership):
+        subject = compile_expression(pred.expr)
+        low = compile_expression(pred.low)
+        high = compile_expression(pred.high)
+
+        def in_range(env):
+            v = subject(env)
+            lo = low(env)
+            hi = high(env)
+            if v.kind != KIND_INT or lo.kind != KIND_INT or hi.kind != KIND_INT:
+                raise EvalTypeError("range membership needs integers")
+            return lo.payload <= v.payload <= hi.payload
+
+        return in_range
+    if isinstance(pred, SetMembership):
+        subject = compile_expression(pred.expr)
+        set_name = pred.set_name
+        if set_name == BOOL_SET:
+            return lambda env: subject(env).kind == KIND_BOOL
+
+        def in_set(env):
+            v = subject(env)
+            return v.kind == KIND_ENUM and v.payload[0] == set_name
+
+        return in_set
+    if isinstance(pred, And):
+        left = compile_predicate(pred.left)
+        right = compile_predicate(pred.right)
+        return lambda env: left(env) and right(env)
+    if isinstance(pred, Or):
+        left = compile_predicate(pred.left)
+        right = compile_predicate(pred.right)
+        return lambda env: left(env) or right(env)
+    if isinstance(pred, Not):
+        inner = compile_predicate(pred.inner)
+        return lambda env: not inner(env)
+    raise TypeError(f"not a predicate: {type(pred).__name__}")
+
+
+def compile_substitution(sub, machine: MachineAST):
+    """Compile to ``fn(env) -> list-of-envs``; every returned env is a fresh
+    dict extending ``env`` with the substitution's effects."""
+    if isinstance(sub, Assign):
+        var = sub.variable
+        value_of = compile_expression(sub.expr)
+
+        def assign(env):
+            out = env.copy()
+            out[var] = value_of(env)
+            return (out,)
+
+        return assign
+    if isinstance(sub, Sequence):
+        steps = [compile_substitution(s, machine) for s in sub.steps]
+
+        def chained(env):
+            envs = (env,)
+            for step in steps:
+                envs = [after for current in envs for after in step(current)]
+            return envs
+
+        return chained
+    if isinstance(sub, Precondition):
+        guard = compile_predicate(sub.guard)
+        body = compile_substitution(sub.body, machine)
+        return lambda env: body(env) if guard(env) else ()
+    if isinstance(sub, Select):
+        branches = [
+            (compile_predicate(guard), compile_substitution(body, machine))
+            for guard, body in sub.branches
+        ]
+
+        def select(env):
+            out = []
+            for guard, body in branches:
+                if guard(env):
+                    out.extend(body(env))
+            return out
+
+        return select
+    if isinstance(sub, AnyChoice):
+        identifiers = sub.identifiers
+        domains = bound_domains(sub, machine)
+        valuations = list(itertools.product(*(d.values() for d in domains)))
+        where = compile_predicate(sub.where)
+        body = compile_substitution(sub.body, machine)
+
+        def any_choice(env):
+            out = []
+            for vals in valuations:
+                inner = env.copy()
+                for name, v in zip(identifiers, vals):
+                    inner[name] = v
+                if where(inner):
+                    out.extend(body(inner))
+            return out
+
+        return any_choice
+    if isinstance(sub, Skip):
+        return lambda env: (env,)
+    raise TypeError(f"not a substitution: {type(sub).__name__}")

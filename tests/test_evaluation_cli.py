@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -587,6 +588,35 @@ class TestCli:
         result = run_cli("evaluate", "--machine", str(bad))
         assert result.returncode == 2
         assert "parse error" in result.stderr
+
+    @pytest.mark.parametrize("command", ["explore", "evaluate"])
+    def test_deep_nesting_is_a_parse_error(self, tmp_path, command):
+        # 200 levels of (x = 1 or (... & x >= 0)) open 400 parentheses.
+        def deep(name):
+            pred = f"{name} = 1"
+            for _ in range(200):
+                pred = f"({name} = 1 or ({pred} & {name} >= 0))"
+            return pred
+
+        machine = tmp_path / "deep.mch"
+        machine.write_text(
+            "MACHINE Deep\nVARIABLES hour\nINVARIANT hour : 0..1\n"
+            f"INITIALISATION hour := 0\nOPERATIONS o = PRE {deep('hour')} THEN hour := 1 END\n"
+            "END\n",
+            encoding="utf-8",
+        )
+        goals = tmp_path / "goals.txt"
+        goals.write_text(f"deep: {deep('minute')}\n", encoding="utf-8")
+        if command == "explore":
+            result, line = run_cli("explore", "--machine", str(machine)), 5
+        else:  # a goal is parsed on its own, so its error names line 1
+            result, line = run_cli("evaluate", "--machine", CM1, "--goals", str(goals)), 1
+        assert result.returncode == 2
+        assert re.fullmatch(
+            rf"bqual: parse error: {line}:\d+: nested more than 256 levels deep \(found '\w+'\)\n",
+            result.stderr,
+        )
+        assert result.stdout == ""
 
     def test_strict_truncation_exit_code(self):
         result = run_cli(

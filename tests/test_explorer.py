@@ -4,18 +4,21 @@ import io
 import itertools
 import json
 from collections import Counter
+from operator import attrgetter
 
 import pytest
 
-from bqual import explorer
+from bqual import codegen
 from bqual.bmachine import BoundRef, Comparison, IntLit, Not, Or, TruePredicate, VarRef
 from bqual.explorer import (
     BoolDomain,
     DomainError,
     EnumDomain,
     EvalTypeError,
+    ExplorerError,
     InitialisationError,
     IntRangeDomain,
+    UnboundVariableError,
     check_goal,
     explore,
     infer_domains,
@@ -25,7 +28,12 @@ from bqual.lts import State, Transition, boolval, enumval, intval
 from bqual.mutation import MutationError
 from bqual.parser import parse_machine, parse_predicate
 
-from conftest import enumerate_substitution, object_plan, sorted_transitions
+from conftest import (
+    enumerate_substitution,
+    independent_explore,
+    object_plan,
+    sorted_transitions,
+)
 from oracle import initial_states, value_of
 
 
@@ -333,6 +341,141 @@ class TestLazyWhere:
             explore(parse_machine(self.SOURCE.format(0)), meter_memory=False)
 
 
+def outcome(run, initial):
+    """What a walk gives: its sets, or the class and message of its error."""
+    try:
+        result = run()
+    except ExplorerError as exc:
+        return type(exc), str(exc)
+    return (
+        initial(result),
+        result.states,
+        result.transitions,
+        result.violating,
+        result.deadlock_states,
+        result.truncated,
+    )
+
+
+def assert_explores_as_oracle(machine):
+    """``explore`` and the reference interpreter's walk agree; returns what
+    they give."""
+    got = outcome(lambda: explore(machine, meter_memory=False), initial_states)
+    want = outcome(lambda: independent_explore(machine), attrgetter("initial_states"))
+    assert got == want
+    return got
+
+
+class TestErrorsMatchOracle:
+    """An ill-typed machine raises the reference interpreter's error, class
+    and message, at the same first reached state."""
+
+    HEAD = "MACHINE M SETS C = {red} VARIABLES x, c INVARIANT x : 0..3 & c : C "
+    INIT = "INITIALISATION x := 0; c := red "
+    CASES = {
+        "arithmetic on a boolean": (
+            INIT + "OPERATIONS up = PRE x < 3 THEN x := x + 1 END; "
+            "bad = PRE x = 2 THEN x := x * TRUE END END",
+            EvalTypeError, "arithmetic '*' needs integers, got int and bool",
+        ),
+        "= between kinds": (
+            INIT + "OPERATIONS up = PRE x < 3 THEN x := x + 1 END; "
+            "bad = PRE x = 1 & c = 1 THEN skip END END",
+            EvalTypeError, "cannot compare enum with int",
+        ),
+        "< between kinds": (
+            INIT + "OPERATIONS up = PRE x < 3 THEN x := x + 1 END; "
+            "bad = PRE x > 1 & TRUE < x THEN skip END END",
+            EvalTypeError, "ordering '<' needs integers, got bool and int",
+        ),
+        "a range bound that is not an integer": (
+            INIT + "OPERATIONS up = PRE x < 3 THEN x := x + 1 END; "
+            "bad = PRE x : 2..red THEN skip END END",
+            EvalTypeError, "range membership needs integers",
+        ),
+        "a bad WHERE that is reached": (
+            INIT + "OPERATIONS up = PRE x < 3 THEN x := x + 1 END; "
+            "bad = ANY a WHERE a : 0..1 & (x = 0 or a + c = 1) THEN x := a END END",
+            EvalTypeError, "arithmetic '+' needs integers, got int and enum",
+        ),
+        "a step on every result before the next step on any": (
+            INIT + "OPERATIONS bad = SELECT x = 0 THEN x := 1 WHEN x = 0 THEN x := TRUE END; "
+            "x := x + 1; c := x * red END",
+            EvalTypeError, "arithmetic '+' needs integers, got bool and int",
+        ),
+        "a read before assignment in INITIALISATION": (
+            "INITIALISATION x := 0; SELECT x = 0 THEN c := red WHEN c = red THEN skip END "
+            "OPERATIONS o = skip END",
+            UnboundVariableError, "variable 'c' read before assignment",
+        ),
+        "a missing assignment in INITIALISATION": (
+            "INITIALISATION ANY v WHERE v : 0..1 THEN SELECT v = 0 THEN x := v; c := red "
+            "WHEN v = 1 THEN skip END END OPERATIONS o = skip END",
+            InitialisationError, "initialisation does not assign 'x'",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_same_class_and_message(self, case):
+        rest, error, message = self.CASES[case]
+        machine = parse_machine(self.HEAD + rest)
+        assert assert_explores_as_oracle(machine) == (error, message)
+
+
+class TestOddMachines:
+    """Machines at the edges of the generated code explore as the reference
+    interpreter does."""
+
+    HEAD = "MACHINE M VARIABLES x INVARIANT x : 0..3 INITIALISATION x := 0 OPERATIONS "
+
+    def test_900_way_or_guard(self):
+        guard = " or ".join(f"x = {k}" for k in range(900))
+        machine = parse_machine(self.HEAD + f"up = PRE {guard} THEN x := x + 1 END END")
+        sets = assert_explores_as_oracle(machine)
+        assert (len(sets[1]), len(sets[2])) == (5, 4)
+
+    def test_250_deep_arithmetic_assignment(self):
+        value = "x"
+        for _ in range(250):
+            value = f"(1 + {value})"
+        machine = parse_machine(
+            self.HEAD + f"up = PRE x < 3 THEN x := {value} - 249 END END"
+        )
+        sets = assert_explores_as_oracle(machine)
+        assert (len(sets[1]), len(sets[2])) == (4, 3)
+
+    def test_nesting_past_what_one_python_function_takes(self):
+        # Python refuses 20 nested loops, 100 indentation levels and 200
+        # parentheses in one function: the guard nests 221 parentheses and
+        # the body 60 substitutions, 20 of them loops.
+        guard = "x = 1"
+        for _ in range(110):
+            guard = f"(x = 3 or ({guard} & x >= 0))"
+        body = "x := x + 1"
+        for k in range(60):
+            body = [
+                f"PRE x < 3 THEN skip; {body} END",
+                f"SELECT x = 9 THEN skip WHEN x >= 0 THEN {body} END",
+                f"ANY a{k} WHERE a{k} : 0..0 THEN x := x + a{k}; {body} END",
+            ][k % 3]
+        machine = parse_machine(
+            self.HEAD + f"deep = {body}; test = PRE {guard} THEN x := 0 END END"
+        )
+        sets = assert_explores_as_oracle(machine)
+        assert (len(sets[1]), len(sets[2])) == (4, 5)
+
+    def test_names_python_would_fold_stay_two_variables(self):
+        # NFKC folds the ligature U+FB01 into "fi"; the B variables differ.
+        machine = parse_machine(
+            "MACHINE N VARIABLES \ufb01, fi INVARIANT \ufb01 : 0..1 & fi : 0..1 "
+            "INITIALISATION \ufb01 := 0; fi := 1 "
+            "OPERATIONS o = PRE \ufb01 = 0 THEN \ufb01 := 1 END END"
+        )
+        assert machine.variables == ("\ufb01", "fi")
+        sets = assert_explores_as_oracle(machine)
+        assert (len(sets[1]), len(sets[2])) == (2, 1)
+
+
 class TestInitialisation:
     def test_unsatisfiable(self):
         source = (
@@ -456,21 +599,21 @@ class TestOperationReuse:
     def calls(monkeypatch, machine) -> Counter:
         bodies = {id(body): name for name, body in machine.operations}
         counts: Counter = Counter()
-        compile_substitution = explorer.compile_substitution
+        compile_operation = codegen.compile_operation
 
-        def counting(sub, machine):
-            run = compile_substitution(sub, machine)
+        def counting(sub, machine, **options):
+            run = compile_operation(sub, machine, **options)
             name = bodies.get(id(sub))
             if name is None:
                 return run
 
-            def counted(env):
+            def counted(row):
                 counts[name] += 1
-                return run(env)
+                return run(row)
 
             return counted
 
-        monkeypatch.setattr(explorer, "compile_substitution", counting)
+        monkeypatch.setattr(codegen, "compile_operation", counting)
         explore(machine, meter_memory=False)
         return counts
 

@@ -318,7 +318,7 @@ def _explored(run, initial):
     try:
         result = run()
     except ExplorerError as exc:
-        return type(exc), None
+        return (type(exc), str(exc)), None
     sets = (
         initial(result),
         result.states,
