@@ -36,7 +36,7 @@ from bqual.bmachine import (
     VarRef,
 )
 from bqual.codegen import compile_operation
-from bqual.explorer import InitialisationError, explore, infer_domains
+from bqual.explorer import ExplorerError, InitialisationError, explore, infer_domains
 from bqual.lexer import _SYMBOLS, KEYWORDS, LexError, Token
 from bqual.lts import State, Transition, Value, code_relations, intval, relation_of
 from bqual.mutation import plan_from_json
@@ -82,6 +82,25 @@ def _result_fixture(name):
 for _name in ("CM1", "CM2", "CM3", "CM4", "CM5", "CM6"):
     globals()[f"_{_name.lower()}_machine"] = _machine_fixture(_name)
     globals()[f"_{_name.lower()}_result"] = _result_fixture(_name)
+
+
+def explored(run, initial):
+    """What a walk gives, and the walk: its initial, reached, taken,
+    violating and deadlock sets and its truncation, or the class and
+    message of its error and None."""
+    try:
+        result = run()
+    except ExplorerError as exc:
+        return (type(exc), str(exc)), None
+    sets = (
+        initial(result),
+        result.states,
+        result.transitions,
+        result.violating,
+        result.deadlock_states,
+        result.truncated,
+    )
+    return sets, result
 
 
 def enumerate_substitution(sub, state: State, machine) -> set:

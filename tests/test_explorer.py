@@ -15,7 +15,6 @@ from bqual.explorer import (
     DomainError,
     EnumDomain,
     EvalTypeError,
-    ExplorerError,
     InitialisationError,
     IntRangeDomain,
     UnboundVariableError,
@@ -30,6 +29,7 @@ from bqual.parser import parse_machine, parse_predicate
 
 from conftest import (
     enumerate_substitution,
+    explored,
     independent_explore,
     object_plan,
     sorted_transitions,
@@ -341,27 +341,11 @@ class TestLazyWhere:
             explore(parse_machine(self.SOURCE.format(0)), meter_memory=False)
 
 
-def outcome(run, initial):
-    """What a walk gives: its sets, or the class and message of its error."""
-    try:
-        result = run()
-    except ExplorerError as exc:
-        return type(exc), str(exc)
-    return (
-        initial(result),
-        result.states,
-        result.transitions,
-        result.violating,
-        result.deadlock_states,
-        result.truncated,
-    )
-
-
 def assert_explores_as_oracle(machine):
     """``explore`` and the reference interpreter's walk agree; returns what
     they give."""
-    got = outcome(lambda: explore(machine, meter_memory=False), initial_states)
-    want = outcome(lambda: independent_explore(machine), attrgetter("initial_states"))
+    got, _ = explored(lambda: explore(machine, meter_memory=False), initial_states)
+    want, _ = explored(lambda: independent_explore(machine), attrgetter("initial_states"))
     assert got == want
     return got
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bqual.alignment import similarity
-from bqual.explorer import ExplorerError, explore
+from bqual.explorer import explore
 from bqual.lts import (
     State,
     Transition,
@@ -45,6 +45,7 @@ from conftest import (
     changed_sets,
     coded,
     erased_sizes,
+    explored,
     flat_sort_key,
     independent_apply,
     independent_explore,
@@ -314,22 +315,6 @@ def small_machines(draw):
     )
 
 
-def _explored(run, initial):
-    try:
-        result = run()
-    except ExplorerError as exc:
-        return (type(exc), str(exc)), None
-    sets = (
-        initial(result),
-        result.states,
-        result.transitions,
-        result.violating,
-        result.deadlock_states,
-        result.truncated,
-    )
-    return sets, result
-
-
 # From x = 0 the ANY yields x := 0 and x := 1 twice each, so with a bound
 # of 1 or 2 a duplicate arrives once the transition bound is reached.
 _DUPLICATES = (
@@ -387,10 +372,10 @@ def test_explore_matches_object_walk(source, max_states, max_transitions):
     machine = parse_machine(source)
     limits = {"max_states": max_states, "max_transitions": max_transitions}
     limits = {name: value for name, value in limits.items() if value is not None}
-    got, result = _explored(
+    got, result = explored(
         lambda: explore(machine, meter_memory=False, **limits), initial_states
     )
-    want, oracle = _explored(
+    want, oracle = explored(
         lambda: independent_explore(machine, **limits), attrgetter("initial_states")
     )
     assert got == want
