@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from .alignment import AlignmentOutcome, similarity
 from .explorer import ExplorationResult, check_goal, explore, infer_domains
-from .lts import State, Transition, Value, boolval, enumval, intval
+from .lts import Transition, Value, boolval, enumval, intval
 from .metrics import GoalSpec, NotComputable, QualityReport, RequirementSpec
 from .mutation import ChangedSystem, MutationPlan, apply_plan, generate_plan
 from .parser import parse_machine, parse_predicate
@@ -25,7 +25,6 @@ __all__ = [
     "NotComputable",
     "QualityReport",
     "RequirementSpec",
-    "State",
     "Transition",
     "Value",
     "apply_plan",

@@ -17,8 +17,9 @@ the cut, not the machine, left it without outgoing transitions.  The
 exploration is itself an ``lts.Relation`` over the walk's arrays, so the
 functional metrics, the transition writers and fault injection read it
 directly.  The walk's ids are the only state and edge ids; the canonical
-order is one permutation of them, and the ``State`` and ``Transition``
-sets are built only when a caller reads them.
+order is one permutation of them.  A state is its row and a transition
+the triple ``(pre row, operation, post row)``; the sets of them are built
+only when a caller reads them.
 
 The walk memoises each operation's successor ids on its key: the values of
 the variables the operation reads (guards, ``WHERE`` clauses, right-hand
@@ -242,8 +243,8 @@ class ExplorationResult(Relation):
     states not ``live`` are deadlocks.  These are the only state and edge
     ids; the canonical order (``Relation.canonical``) is one permutation of
     them, used only where the order shows: the written transitions and the
-    seeded draws.  The object sets are built on first read (one ``State``
-    per id, shared by every transition).  ``domains`` holds the variable domains inferred from the
+    seeded draws.  The sets of rows and of ``Transition`` triples are built
+    on first read.  ``domains`` holds the variable domains inferred from the
     invariant, from which fault injection draws post-states on the ids and
     domain indices of ``draw_space``."""
 
@@ -281,11 +282,11 @@ class ExplorationResult(Relation):
 
     @functools.cached_property
     def states(self) -> frozenset:
-        return frozenset(self.state_objects)
+        return frozenset(self.rows)
 
     @functools.cached_property
     def deadlock_states(self) -> frozenset:
-        return frozenset(itertools.compress(self.state_objects, (~self.live).tolist()))
+        return frozenset(itertools.compress(self.rows, (~self.live).tolist()))
 
     @functools.cached_property
     def violating(self) -> frozenset:

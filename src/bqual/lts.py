@@ -1,19 +1,20 @@
 """Core value types for labelled transition systems.
 
-States, transitions and values are immutable, hashable and safe to share
-between workers.  Machines can reach millions of transitions, so the types
-cache their hashes and intern common values; an exploration builds them
-only when they are read.  The canonical order of states, and with it of
-transitions, is computed in one place, ``row_ranks``, from integer value
-codes of value rows.
+A value is an immutable, hashable ``Value`` with a cached hash; common
+values are interned.  A state is its value row, the tuple of its values in
+the declaration order of the variables, and a transition the triple
+``(pre row, operation, post row)`` (``Transition`` names its fields and
+prints it).  The canonical order of states, and with it of transitions, is
+computed in one place, ``row_ranks``, from integer value codes of value
+rows.
 
 A set of transitions travels as a ``Relation`` of integer arrays, the one
 transition-set type: an exploration is one (``ExplorationResult`` extends
 it), ``read_transitions_jsonl`` reads a file into one,
 ``write_transitions_jsonl`` writes one, rendering each state's JSON text
-once, and ``relation_of`` builds one from transition objects.  The
+once, and ``relation_of`` builds one from a set of triples.  The
 functional metrics compare two relations as ``Coded`` sorted int64 keys on
-one shared coding (``code_relations``), never as objects.
+one shared coding (``code_relations``), never as triples.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import itertools
 import json
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,7 +34,7 @@ KIND_INT = "int"
 
 
 class StructureError(ValueError):
-    """A state or transition does not bind the expected variable set."""
+    """A state or transition does not fit the expected variables."""
 
 
 class Value:
@@ -128,120 +129,22 @@ def value_from_json(item, element_sets: Mapping[str, str] | None = None) -> Valu
     raise StructureError(f"cannot decode value of type {type(item).__name__}")
 
 
-class State:
-    """A total assignment of the machine's variables, ordered by the
-    declaration order of the variables."""
-
-    __slots__ = ("variables", "values", "_hash")
-
-    def __init__(self, variables: tuple[str, ...], values: tuple[Value, ...]):
-        if len(variables) != len(values):
-            raise StructureError(
-                f"{len(variables)} variables but {len(values)} values"
-            )
-        self.variables = variables
-        self.values = values
-        self._hash = hash((variables, values))
-
-    @classmethod
-    def from_mapping(
-        cls, assignment: Mapping[str, Value], variable_order: Iterable[str]
-    ) -> "State":
-        order = tuple(variable_order)
-        extra = [v for v in assignment if v not in order]
-        if extra:
-            raise StructureError(f"state binds undeclared variable {extra[0]!r}")
-        missing = [v for v in order if v not in assignment]
-        if missing:
-            raise StructureError(f"state is missing variable {missing[0]!r}")
-        return cls(order, tuple(assignment[v] for v in order))
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, State):
-            return NotImplemented
-        return self.variables == other.variables and self.values == other.values
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return state_text(self.values)
-
-
 def state_text(values: Iterable[Value]) -> str:
     """A state's values as they print: ``(v1,v2,...)``."""
     return f"({','.join(map(repr, values))})"
 
 
-def _require_same_variables(pre: State, post: State) -> None:
-    if pre.variables is post.variables or pre.variables == post.variables:
-        return
-    missing = set(pre.variables) - set(post.variables)
-    extra = set(post.variables) - set(pre.variables)
-    detail = []
-    if missing:
-        detail.append(f"post-state is missing {sorted(missing)}")
-    if extra:
-        detail.append(f"post-state adds {sorted(extra)}")
-    raise StructureError("transition binds mismatched variables: " + "; ".join(detail))
+class Transition(NamedTuple):
+    """A labelled step: the pre-state's values, the operation name and the
+    post-state's values, each state a value row in declaration order.  It
+    equals, and hashes as, the plain triple."""
 
-
-class Transition:
-    """A labelled step ``[pre, operation, post]``; both states bind the
-    identical variable set."""
-
-    __slots__ = ("pre", "label", "post", "_hash")
-
-    def __init__(self, pre: State, label: str, post: State):
-        _require_same_variables(pre, post)
-        self.pre = pre
-        self.label = label
-        self.post = post
-        self._hash = hash((pre, label, post))
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, Transition):
-            return NotImplemented
-        return (
-            self.label == other.label
-            and self.pre == other.pre
-            and self.post == other.post
-        )
-
-    def __hash__(self):
-        return self._hash
+    pre: tuple[Value, ...]
+    label: str
+    post: tuple[Value, ...]
 
     def __repr__(self):
-        return f"[{self.pre!r},{self.label},{self.post!r}]"
-
-
-def check_variables(variables: tuple[str, ...], variable_order: tuple[str, ...]) -> None:
-    """Raise StructureError unless a state binding ``variables`` binds
-    exactly ``variable_order``, in that order."""
-    if variables is variable_order or variables == variable_order:
-        return
-    declared = set(variable_order)
-    bound = set(variables)
-    for name in variable_order:
-        if name not in bound:
-            raise StructureError(f"state is missing variable {name!r}")
-    for name in variables:
-        if name not in declared:
-            raise StructureError(f"state binds undeclared variable {name!r}")
-    raise StructureError(
-        f"state binds {list(variables)}, not in the order {list(variable_order)}"
-    )
-
-
-def state_values(state: State, variable_order: tuple[str, ...]) -> tuple[Value, ...]:
-    """The state's values; raises StructureError unless the state binds
-    exactly ``variable_order``, in that order."""
-    check_variables(state.variables, variable_order)
-    return state.values
+        return f"[{state_text(self.pre)},{self.label},{state_text(self.post)}]"
 
 
 def transition_parts(obj) -> tuple[dict, str, dict]:
@@ -264,9 +167,17 @@ def transition_parts(obj) -> tuple[dict, str, dict]:
 def state_row(
     mapping: Mapping, variable_order: tuple[str, ...], element_sets=None
 ) -> tuple[Value, ...]:
-    """Decode a state's JSON object into its values in ``variable_order``."""
+    """Decode a state's JSON object into its values in ``variable_order``;
+    raises StructureError for the first value it cannot decode, else for
+    an undeclared variable, else for a missing one."""
     decoded = {name: value_from_json(item, element_sets) for name, item in mapping.items()}
-    return State.from_mapping(decoded, variable_order).values
+    extra = [name for name in decoded if name not in variable_order]
+    if extra:
+        raise StructureError(f"state binds undeclared variable {extra[0]!r}")
+    missing = [name for name in variable_order if name not in decoded]
+    if missing:
+        raise StructureError(f"state is missing variable {missing[0]!r}")
+    return tuple(map(decoded.__getitem__, variable_order))
 
 
 def transition_values(
@@ -375,7 +286,7 @@ class Relation:
     in ``variable_order``.  Rows, labels and transitions are each distinct,
     and labels are in code-point order.  An exploration is one
     (``ExplorationResult`` extends it) and a transitions file is read into
-    one; the objects are built only when read.
+    one; the ``Transition`` triples are built only when read.
     """
 
     variable_order: tuple[str, ...]
@@ -411,39 +322,36 @@ class Relation:
         return np.argsort(rank).tolist(), np.argsort(keys)
 
     @functools.cached_property
-    def state_objects(self) -> tuple[State, ...]:  # by id
-        order = self.variable_order
-        return tuple(State(order, values) for values in self.rows)
-
-    @functools.cached_property
     def edge_objects(self) -> tuple[Transition, ...]:  # by id
-        states, labels = self.state_objects, self.labels
+        rows, labels = self.rows, self.labels
         # Memoryviews yield the ids one int at a time, with no list of them.
         edges = zip(*map(memoryview, (self.pre, self.label, self.post)))
-        return tuple(Transition(states[p], labels[c], states[q]) for p, c, q in edges)
+        return tuple(Transition(rows[p], labels[c], rows[q]) for p, c, q in edges)
 
     @functools.cached_property
     def transitions(self) -> frozenset:
         return frozenset(self.edge_objects)
 
 
-def relation_of(transitions: Iterable[Transition], variable_order: Iterable[str]) -> Relation:
-    """A collection of transition objects as a Relation.  Each state is
-    interned by its values, which raises StructureError unless it binds
-    exactly ``variable_order``, in that order."""
+def relation_of(transitions: Iterable[tuple], variable_order: Iterable[str]) -> Relation:
+    """A collection of ``(pre row, label, post row)`` triples as a Relation;
+    raises StructureError unless each row holds one value per variable of
+    ``variable_order``."""
     order = tuple(variable_order)
-    transitions = list(transitions)
-    ids: dict[tuple[Value, ...], int] = {}
-
-    def column(states) -> np.ndarray:
-        found = (ids.setdefault(state_values(s, order), len(ids)) for s in states)
-        return np.fromiter(found, np.int64, len(transitions))
-
-    pre = column(t.pre for t in transitions)
-    post = column(t.post for t in transitions)
-    labels = sorted_labels(t.label for t in transitions)
+    pres, names, posts = tuple(zip(*transitions)) or ((), (), ())
+    ids = dict.fromkeys(pres + posts)
+    for i, row in enumerate(ids):
+        if len(row) != len(order):
+            raise StructureError(
+                f"state {state_text(row)} has {len(row)} values for {len(order)} variables"
+            )
+        ids[row] = i
+    labels = sorted_labels(names)
     code = {name: i for i, name in enumerate(labels)}
-    label = np.fromiter((code[t.label] for t in transitions), np.int64, len(transitions))
+    pre, label, post = (
+        np.fromiter(map(table.__getitem__, column), np.int64, len(column))
+        for table, column in ((ids, pres), (code, names), (ids, posts))
+    )
     return Relation(order, list(ids), tuple(labels), pre, label, post)
 
 

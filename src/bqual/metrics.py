@@ -7,8 +7,9 @@ equations take counts.  The six functional ones are written once, in
 (``lts.Coded``) and what they share.  There is one coding path,
 ``lts.code_relations``: ``evaluate`` codes the derived and required
 relations with it, and the set-form ``tfcomp``, ``pfcomp``, ``tfcorr``,
-``pfcorr``, ``tfappr`` and ``pfappr`` turn their sets of transitions into
-relations (``lts.relation_of``) and code those.
+``pfcorr``, ``tfappr`` and ``pfappr`` turn their sets of ``(pre row,
+operation, post row)`` triples into relations (``lts.relation_of``) and
+code those.
 """
 
 from __future__ import annotations
@@ -91,12 +92,14 @@ def functional(
 
 
 def _set_form(name: str, t_derived, t_required, variable_order=None) -> Fraction:
-    """Metric ``name`` of two sets of transition objects, coded as
-    ``evaluate`` codes its relations; without ``variable_order``, that of
-    the first transition."""
+    """Metric ``name`` of two sets of transition triples, coded as
+    ``evaluate`` codes its relations.  Without ``variable_order`` each row
+    must be as wide as the first transition's pre row, and the variables
+    are left unnamed: the coding reads only their number, and neither the
+    metric nor an error shows a name."""
     if variable_order is None:
         first = next(iter(t_derived or t_required), None)
-        variable_order = first.pre.variables if first else ()
+        variable_order = ("",) * (len(first[0]) if first else 0)
     sides = (relation_of(t, variable_order) for t in (t_derived, t_required))
     return functional(*code_relations(*sides))[name]()
 
@@ -231,7 +234,7 @@ def weighted_modularity(
 
 def reusability(derived: Relation | frozenset) -> Fraction:
     """One minus operations per derived transition (of a relation or a set)."""
-    ops = derived.operations if isinstance(derived, Relation) else {t.label for t in derived}
+    ops = derived.operations if isinstance(derived, Relation) else {t[1] for t in derived}
     if not len(derived):
         raise NotComputable("no derived transitions")
     return 1 - Fraction(len(ops), len(derived))

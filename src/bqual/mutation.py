@@ -17,8 +17,8 @@ inferred (``ExplorationResult.domains``), on the ids and domain indices of
 ``ExplorationResult.draw_space``; its only other inputs are the two
 counts, the seed and an optional operation scope.  A plan file is decoded
 straight to ids (``plan_from_json``), and ``plan_to_json`` writes a plan
-from its ids in canonical order; no ``Transition`` object is built on any
-path.
+from its ids in canonical order; no set of transition triples is built on
+any path, and a ``Transition`` only to word an error.
 """
 
 from __future__ import annotations
@@ -34,7 +34,8 @@ import numpy as np
 
 from .explorer import ExplorationResult, ExplorerError, violations
 from .lts import (
-    StructureError, Value, edge_keys, lookup, row_ranks, state_text, transition_values
+    StructureError, Transition, Value, edge_keys, lookup, row_ranks, state_text,
+    transition_values,
 )
 from .metrics import (
     NotComputable,
@@ -479,7 +480,7 @@ def plan_from_json(
     for t in touched:
         if t[1] not in labels:
             raise MutationError(
-                f"transition {_transition_text(t)} names an undeclared operation {t[1]!r}"
+                f"transition {Transition(*t)!r} names an undeclared operation {t[1]!r}"
             )
 
     # A state not reached takes the next id where it first appears (in the extras).
@@ -506,19 +507,15 @@ def plan_from_json(
     found[hit] = order[at[hit]]
     derived, stray = found[: len(inserted)] >= 0, found[len(inserted) :] < 0
     if derived.any():
-        text = _transition_text(inserted[derived.argmax()])
+        text = repr(Transition(*inserted[derived.argmax()]))
         raise MutationError(f"extra transition {text} is already derived")
     if stray.any():
-        text = _transition_text(removed[stray.argmax()])
+        text = repr(Transition(*removed[stray.argmax()]))
         raise MutationError(f"missing transition {text} is not derived")
     off_scope = [op for _, op, _ in touched if label_scope not in (None, op)]
     if off_scope:
         raise MutationError(f"plan is scoped to {label_scope!r} but touches {off_scope[0]!r}")
     return MutationPlan(found[len(inserted) :], *extras, fresh, seed, label_scope)
-
-
-def _transition_text(t: tuple) -> str:  # as ``Transition`` prints
-    return f"[{state_text(t[0])},{t[1]},{state_text(t[2])}]"
 
 
 def load_plan(

@@ -38,12 +38,13 @@ from bqual.bmachine import (
 from bqual.codegen import compile_operation
 from bqual.explorer import ExplorerError, InitialisationError, explore, infer_domains
 from bqual.lexer import _SYMBOLS, KEYWORDS, LexError, Token
-from bqual.lts import State, Transition, Value, code_relations, intval, relation_of
+from bqual.lts import Transition, Value, code_relations, intval, relation_of
 from bqual.mutation import plan_from_json
 from bqual.parser import parse_machine
 
 from oracle import (
     FlatList,
+    Row,
     agreement,
     compile_predicate,
     compile_substitution,
@@ -103,11 +104,25 @@ def explored(run, initial):
     return sets, result
 
 
-def enumerate_substitution(sub, state: State, machine) -> set:
+def count_transitions(monkeypatch) -> list:
+    """Record the fields of every ``Transition`` built from now on.  A
+    NamedTuple is built by its ``__new__``; ``Relation.edge_objects``, which
+    every view of transitions reads, calls it once per edge."""
+    built = []
+    construct = Transition.__new__
+
+    def counting(cls, *fields):
+        built.append(fields)
+        return construct(cls, *fields)
+
+    monkeypatch.setattr(Transition, "__new__", counting)
+    return built
+
+
+def enumerate_substitution(sub, state: Row, machine) -> set:
     """All post-states a substitution of ``machine`` can reach from
     ``state``, by the function ``explore`` compiles for it."""
-    run = compile_operation(sub, machine)
-    return {State(state.variables, values) for values in run(state.values)}
+    return set(compile_operation(sub, machine)(state))
 
 
 # Small random transition systems for oracle and property testing.
@@ -118,12 +133,8 @@ PROPERTY_LABELS = "abc"
 def random_transition_set(rng: random.Random, max_elements: int = 7) -> frozenset:
     out = set()
     for _ in range(rng.randint(0, max_elements)):
-        pre = State(
-            PROPERTY_ORDER, (intval(rng.randint(0, 2)), intval(rng.randint(0, 2)))
-        )
-        post = State(
-            PROPERTY_ORDER, (intval(rng.randint(0, 2)), intval(rng.randint(0, 2)))
-        )
+        pre = (intval(rng.randint(0, 2)), intval(rng.randint(0, 2)))
+        post = (intval(rng.randint(0, 2)), intval(rng.randint(0, 2)))
         out.add(Transition(pre, rng.choice(PROPERTY_LABELS), post))
     return frozenset(out)
 
@@ -193,47 +204,41 @@ def label_counts(transitions) -> Counter:
     return Counter(t.label for t in transitions)
 
 
-def transition_to_json(t: Transition) -> dict:
+def transition_to_json(t: Transition, variable_order: Iterable[str]) -> dict:
     """Canonical JSON object: {"pre": {...}, "op": name, "post": {...}}."""
+    pre, label, post = t
 
-    def state(s: State) -> dict:
-        return {name: value.to_json() for name, value in zip(s.variables, s.values)}
+    def state(row: Row) -> dict:
+        return {name: value.to_json() for name, value in zip(variable_order, row)}
 
-    return {"pre": state(t.pre), "op": t.label, "post": state(t.post)}
+    return {"pre": state(pre), "op": label, "post": state(post)}
 
 
 def sorted_transitions(transitions: Iterable[Transition]) -> list[Transition]:
     """The transitions in canonical order: that of their flattened tokens."""
-    transitions = list(transitions)
-    order = transitions[0].pre.variables if transitions else ()
-    return sorted(transitions, key=lambda t: flat_sort_key(flatten(t, order)))
+    return sorted(transitions, key=lambda t: flat_sort_key((*t[0], t[1], *t[2])))
 
 
 def object_plan(result, extra=(), missing=(), label_scope=None, element_sets=None):
-    """The plan on ``result`` that inserts the ``Transition`` objects
-    ``extra`` and removes ``missing``, read from its plan-file object."""
+    """The plan on ``result`` that inserts the transitions ``extra`` and
+    removes ``missing``, read from its plan-file object."""
     obj = {
-        "extra": [transition_to_json(t) for t in extra],
-        "missing": [transition_to_json(t) for t in missing],
-        "label_scope": label_scope,
+        key: [transition_to_json(t, result.variable_order) for t in transitions]
+        for key, transitions in (("extra", extra), ("missing", missing))
     }
+    obj["label_scope"] = label_scope
     return plan_from_json(obj, result, element_sets)
 
 
 def inserted_transitions(result, plan) -> list:
-    """The transitions a plan on ``result`` inserts, as objects, in the
-    plan's order."""
+    """The transitions a plan on ``result`` inserts, in the plan's order."""
     rows = [*result.rows, *plan.fresh]
-
-    def state(i):
-        return State(result.variable_order, rows[i])
-
     columns = (column.tolist() for column in (plan.pre, plan.label, plan.post))
-    return [Transition(state(p), result.labels[c], state(q)) for p, c, q in zip(*columns)]
+    return [Transition(rows[p], result.labels[c], rows[q]) for p, c, q in zip(*columns)]
 
 
 def plan_transitions(result, plan) -> tuple[frozenset, frozenset]:
-    """The transitions a plan on ``result`` inserts and removes, as objects."""
+    """The transitions a plan on ``result`` inserts and removes."""
     missing = frozenset(result.edge_objects[i] for i in plan.missing.tolist())
     return frozenset(inserted_transitions(result, plan)), missing
 
@@ -246,7 +251,7 @@ def independent_apply(result, plan, invariant):
     order = result.variable_order
 
     def ok(state):
-        return holds(dict(zip(order, state.values)))
+        return holds(dict(zip(order, state)))
 
     initial = initial_states(result)
     reached = set(initial)
@@ -299,15 +304,15 @@ class Verdicts(dict):
         self._holds = holds
         self._order = variable_order
 
-    def __missing__(self, state: State) -> bool:
-        ok = self[state] = self._holds(dict(zip(self._order, state.values)))
+    def __missing__(self, state: Row) -> bool:
+        ok = self[state] = self._holds(dict(zip(self._order, state)))
         return ok
 
 
 def reach(
-    initial: Collection[State],
-    successors: Callable[[State], Iterable[Transition]],
-    verdicts: Mapping[State, bool],
+    initial: Collection[Row],
+    successors: Callable[[Row], Iterable[Transition]],
+    verdicts: Mapping[Row, bool],
     max_states: float = math.inf,
     max_transitions: float = math.inf,
 ) -> tuple[frozenset, frozenset, frozenset]:
@@ -320,7 +325,7 @@ def reach(
     reached = set(initial)
     taken: set[Transition] = set()
     frontier = list(initial)
-    cut: set[State] = set()
+    cut: set[Row] = set()
     for state in frontier:  # grows while it is walked
         if not verdicts[state]:
             continue  # violating states are terminal
@@ -339,7 +344,7 @@ def reach(
 
 
 def violations(
-    transitions: frozenset, verdicts: Mapping[State, bool], cut: Collection[State]
+    transitions: frozenset, verdicts: Mapping[Row, bool], cut: Collection[Row]
 ) -> tuple[frozenset, set]:
     """The violating transitions and the live states: those with an outgoing
     transition in ``transitions``, or ``cut``, whose successors a limit
@@ -356,8 +361,8 @@ def violations(
 def independent_explore(
     machine, max_states: float = math.inf, max_transitions: float = math.inf
 ) -> SimpleNamespace:
-    """The exploration as a walk over ``State`` and ``Transition`` objects
-    and set arithmetic, run by the reference interpreter of ``oracle``; it
+    """The exploration as a walk over rows and ``Transition`` triples and
+    set arithmetic, run by the reference interpreter of ``oracle``; it
     shares only the domain inference with ``explore``."""
     infer_domains(machine)
     order = machine.variables
@@ -367,31 +372,25 @@ def independent_explore(
         (name, compile_substitution(body, machine))
         for name, body in machine.operations
     ]
-    pool: dict[tuple, State] = {}  # one State object per valuation
+    rows: dict[Row, None] = {}  # the distinct initial rows, in order
     for env in init({}):
         missing = [v for v in order if v not in env]
         if missing:
             raise InitialisationError(
                 f"initialisation does not assign {missing[0]!r}"
             )
-        values = tuple(env[v] for v in order)
-        if values not in pool:
-            pool[values] = State(order, values)
-    if not pool:
+        rows[tuple(env[v] for v in order)] = None
+    if not rows:
         raise InitialisationError("initialisation is unsatisfiable")
-    initial = list(pool.values())
+    initial = list(rows)
 
-    def successors(state: State) -> list[Transition]:
-        env = dict(zip(order, state.values))
-        out = []
-        for label, run in ops:
-            for result in run(env):
-                values = tuple(map(result.__getitem__, order))
-                post = pool.get(values)
-                if post is None:
-                    post = pool[values] = State(order, values)
-                out.append(Transition(state, label, post))
-        return out
+    def successors(state: Row) -> list[Transition]:
+        env = dict(zip(order, state))
+        return [
+            Transition(state, label, tuple(map(result.__getitem__, order)))
+            for label, run in ops
+            for result in run(env)
+        ]
 
     states, transitions, expanded = reach(
         initial, successors, verdicts, max_states, max_transitions

@@ -1,24 +1,25 @@
-"""Object forms and the reference interpreter that only the tests read.
+"""Set forms and the reference interpreter that only the tests read.
 
 bqual codes transition sets as integer arrays (``lts.code_relations``).
 The brute-force alignment oracle and the set formulas of the tests work on
-the objects instead: label-erased state pairs, flattened token lists, their
-total size and the positional agreement of two of them, plus small readers
-of explored objects.  They share only the value types and ``state_values``
-with bqual.
+sets instead: a state is its value row, a transition the triple
+``(pre row, operation, post row)`` (``lts.Transition``), and its pair the
+label-erased ``(pre row, post row)``.  Here are their flattened token
+lists, total size and the positional agreement of two of them, plus small
+readers of an exploration.  They share only the value types with bqual.
 
 ``explore`` runs each operation as a generated function over a value row.
 The reference interpreter below runs the same machine as closures over a
 dict environment, one closure per AST node: ``compile_expression``,
 ``compile_predicate`` and ``compile_substitution``.  It shares only the
-domain inference and the error classes with bqual, so the object walk of
-the tests (``conftest.independent_explore``) can catch a generator bug.
+domain inference and the error classes with bqual, so the set walk of the
+tests (``conftest.independent_explore``) can catch a generator bug.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, NamedTuple, Union
+from typing import Iterable, NamedTuple
 
 from bqual.alignment import AlignmentError
 from bqual.bmachine import (
@@ -49,62 +50,69 @@ from bqual.lts import (
     KIND_BOOL,
     KIND_ENUM,
     KIND_INT,
-    State,
-    Transition,
+    StructureError,
     Value,
     boolval,
     enumval,
     intval,
-    state_values,
 )
 
 FlatList = tuple
+Row = tuple  # a state's values in declaration order
 
 
 class StatePair(NamedTuple):
     """A transition with its operation label erased."""
 
-    pre: State
-    post: State
+    pre: Row
+    post: Row
 
 
-Element = Union[Transition, StatePair]
+def pair_of(t) -> StatePair:
+    return StatePair(t[0], t[2])
 
 
-def pair_of(t: Transition) -> StatePair:
-    return StatePair(t.pre, t.post)
-
-
-def pairs_of(transitions: Iterable[Transition]) -> frozenset:
+def pairs_of(transitions: Iterable) -> frozenset:
     """Label-erasing projection; duplicates collapse."""
     return frozenset(map(pair_of, transitions))
 
 
-def labels_of(transitions: Iterable[Transition]) -> frozenset:
+def labels_of(transitions: Iterable) -> frozenset:
     """The distinct operation labels appearing in a transition set."""
-    return frozenset(t.label for t in transitions)
+    return frozenset(t[1] for t in transitions)
 
 
-def flatten_transition(t: Transition, variable_order: Iterable[str]) -> FlatList:
+def _row(row: Row, order: tuple[str, ...]) -> Row:
+    """``row``, unless it is not one value per variable of ``order``."""
+    if len(row) < len(order):
+        raise StructureError(f"state is missing variable {order[len(row)]!r}")
+    if len(row) > len(order):
+        raise StructureError(f"state has {len(row)} values for {len(order)} variables")
+    return row
+
+
+def flatten_transition(t, variable_order: Iterable[str]) -> FlatList:
     """Flatten to ``(pre values..., label, post values...)`` -- 2N+1 tokens
     for N variables, values in declaration order."""
     order = tuple(variable_order)
-    return state_values(t.pre, order) + (t.label,) + state_values(t.post, order)
+    pre, label, post = t
+    return _row(pre, order) + (label,) + _row(post, order)
 
 
 def flatten_pair(p: StatePair, variable_order: Iterable[str]) -> FlatList:
     """Flatten to ``(pre values..., post values...)`` -- 2N tokens."""
     order = tuple(variable_order)
-    return state_values(p.pre, order) + state_values(p.post, order)
+    return _row(p[0], order) + _row(p[1], order)
 
 
-def flatten(element: Element, variable_order: Iterable[str]) -> FlatList:
-    if isinstance(element, Transition):
-        return flatten_transition(element, variable_order)
-    return flatten_pair(element, variable_order)
+def flatten(element, variable_order: Iterable[str]) -> FlatList:
+    """A transition triple or a ``StatePair``, flattened."""
+    if isinstance(element, StatePair):
+        return flatten_pair(element, variable_order)
+    return flatten_transition(element, variable_order)
 
 
-def set_size(elements: Iterable[Element], variable_order: Iterable[str]) -> int:
+def set_size(elements: Iterable, variable_order: Iterable[str]) -> int:
     """Total number of tokens over all flattened elements: 2N+1 per
     transition and 2N per state pair, for N variables."""
     return sum(len(flatten(e, variable_order)) for e in elements)
@@ -117,14 +125,14 @@ def agreement(a: FlatList, b: FlatList) -> int:
     return sum(1 for x, y in zip(a, b) if x == y)
 
 
-def value_of(state: State, name: str) -> Value:
-    """The value ``state`` binds to variable ``name``."""
-    return state.values[state.variables.index(name)]
+def value_of(result, state: Row, name: str) -> Value:
+    """The value that ``state``, a row of ``result``, holds for ``name``."""
+    return state[result.variable_order.index(name)]
 
 
 def initial_states(result) -> frozenset:
-    """The initial states of an exploration."""
-    return frozenset(result.state_objects[: result.n_initial])
+    """The initial states of an exploration, as rows."""
+    return frozenset(result.rows[: result.n_initial])
 
 
 def operation_names(machine) -> tuple[str, ...]:

@@ -8,7 +8,7 @@ from scipy.optimize import linear_sum_assignment
 
 import bqual.alignment
 from bqual.alignment import AlignmentError, AlignmentSizeError, similarity
-from bqual.lts import State, StructureError, Transition, intval
+from bqual.lts import StructureError, Transition, intval
 
 from conftest import (
     PROPERTY_LABELS,
@@ -24,11 +24,7 @@ ORDER = ("hour", "minute")
 
 
 def clock_transition(pre, label, post):
-    return Transition(
-        State(ORDER, (intval(pre[0]), intval(pre[1]))),
-        label,
-        State(ORDER, (intval(post[0]), intval(post[1]))),
-    )
+    return Transition((intval(pre[0]), intval(pre[1])), label, (intval(post[0]), intval(post[1])))
 
 
 def flat(*tokens):
@@ -122,11 +118,12 @@ class TestSimilarity:
         assert similarity(*coded(t1, t2, ORDER)).total_agreement == 0
 
     @pytest.mark.parametrize("pairs", [False, True], ids=["transitions", "pairs"])
-    def test_variable_mismatch_names_variable(self, cm1_result, pairs):
-        # Every element is identical; coding them still checks their variables.
+    def test_width_mismatch_raises(self, cm1_result, pairs):
+        # Every element is identical; coding them still checks each row's
+        # width (a row carries no names, so only the count can differ).
         elements = cm1_result.transitions
-        with pytest.raises(StructureError, match="missing variable 'second'"):
-            coded(elements, elements, ("hour", "second"), pairs=pairs)
+        with pytest.raises(StructureError, match="has 2 values for 3 variables"):
+            coded(elements, elements, ("hour", "minute", "second"), pairs=pairs)
 
     def test_empty_sides(self):
         t = frozenset({clock_transition((0, 0), "a", (0, 1))})
@@ -152,10 +149,7 @@ def random_elements(rng, size, pairs, avoid=frozenset()):
     taken = pairs_of(avoid) if pairs else avoid
     out = {}
     while len(out) < size:
-        pre, post = (
-            State(PROPERTY_ORDER, (intval(rng.randint(0, 2)), intval(rng.randint(0, 2))))
-            for _ in range(2)
-        )
+        pre, post = ((intval(rng.randint(0, 2)), intval(rng.randint(0, 2))) for _ in range(2))
         t = Transition(pre, rng.choice(PROPERTY_LABELS), post)
         element = pair_of(t) if pairs else t
         if element not in taken:

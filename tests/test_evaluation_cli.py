@@ -22,7 +22,7 @@ from bqual.evaluation import (
 )
 from bqual.metrics import GoalSpec
 
-from conftest import corpus_path, corpus_source
+from conftest import corpus_path, corpus_source, count_transitions
 
 CM1 = str(corpus_path("CM1.mch"))
 CM2 = str(corpus_path("CM2.mch"))
@@ -47,7 +47,6 @@ def load_schema():
 
 def test_evaluation_without_trials_builds_no_transition(tmp_path, monkeypatch):
     from bqual.explorer import explore
-    from bqual.lts import Transition
     from bqual.parser import parse_machine
 
     # A jump clock: CM1 plus set_time onto 03:00 and 03:01.  Without
@@ -57,14 +56,7 @@ def test_evaluation_without_trials_builds_no_transition(tmp_path, monkeypatch):
     )
     machine = tmp_path / "jump.mch"
     machine.write_text(source, encoding="utf-8")
-    built = []
-    construct = Transition.__init__
-
-    def counting(self, *args):
-        built.append(args)
-        construct(self, *args)
-
-    monkeypatch.setattr(Transition, "__init__", counting)
+    built = count_transitions(monkeypatch)
     config = EvaluationConfig(machine_path=str(machine), goals_path=GOALS, trials=0)
     report = evaluate(config)
     render_report(report, "json")
@@ -77,28 +69,13 @@ def test_evaluation_without_trials_builds_no_transition(tmp_path, monkeypatch):
     assert len(result.transitions) == len(built)
 
 
-def _count_objects(monkeypatch) -> list:
-    """Record every Transition built from now on."""
-    from bqual.lts import Transition
-
-    built = []
-    construct = Transition.__init__
-
-    def counting(self, *args):
-        built.append(args)
-        construct(self, *args)
-
-    monkeypatch.setattr(Transition, "__init__", counting)
-    return built
-
-
 @pytest.mark.parametrize("source", ["reference", "required"])
 def test_functional_metrics_build_no_transition(tmp_path, monkeypatch, source):
     # The required relation goes from the file (or the reference's walk) to
     # the metric counts as arrays.
     dump = tmp_path / "cm1.jsonl"
     assert run_cli("explore", "--machine", CM1, "--out", str(dump)).returncode == 0
-    built = _count_objects(monkeypatch)
+    built = count_transitions(monkeypatch)
     paths = {"reference_path": CM1} if source == "reference" else {"required_path": str(dump)}
     report = evaluate(EvaluationConfig(machine_path=CM2, trials=0, **paths))
     render_report(report, "json")
@@ -112,7 +89,7 @@ def test_functional_metrics_build_no_transition(tmp_path, monkeypatch, source):
 def test_explore_out_builds_no_transition(tmp_path, monkeypatch, capsys):
     from bqual import cli
 
-    built = _count_objects(monkeypatch)
+    built = count_transitions(monkeypatch)
     dump = tmp_path / "cm4.jsonl"
     assert cli.main(["explore", "--machine", CM4, "--out", str(dump)]) == 0
     assert json.loads(capsys.readouterr().out)["summary"]["transitions"] == 1465

@@ -23,7 +23,7 @@ from bqual.explorer import (
     infer_domains,
     write_result,
 )
-from bqual.lts import State, Transition, boolval, enumval, intval
+from bqual.lts import Transition, boolval, enumval, intval
 from bqual.mutation import MutationError
 from bqual.parser import parse_machine, parse_predicate
 
@@ -38,8 +38,7 @@ from oracle import initial_states, value_of
 
 
 def state_of(machine, **values):
-    order = machine.variables
-    return State(order, tuple(intval(values[v]) for v in order))
+    return tuple(intval(values[v]) for v in machine.variables)
 
 
 class TestInferDomains:
@@ -138,10 +137,10 @@ class TestExploreClocks:
         assert len(cm4_result.transitions) == 1465
         assert len(cm4_result.violating) == 25
         overflowing_minutes = {
-            t for t in cm4_result.violating if value_of(t.post, "minute") == intval(60)
+            t for t in cm4_result.violating if value_of(cm4_result, t.post, "minute") == intval(60)
         }
         overflowing_hours = {
-            t for t in cm4_result.violating if value_of(t.post, "hour") == intval(24)
+            t for t in cm4_result.violating if value_of(cm4_result, t.post, "hour") == intval(24)
         }
         assert len(overflowing_minutes) == 24
         assert len(overflowing_hours) == 1
@@ -178,7 +177,7 @@ class TestEdges:
         assert [cm1_result.edge_objects[i] for i in plan.missing] == sorted_transitions(wanted)
 
     def test_a_transition_between_derived_states_is_not_derived(self, cm1_result):
-        s, labels = cm1_result.state_objects, cm1_result.labels
+        s, labels = cm1_result.rows, cm1_result.labels
         stray = Transition(s[0], labels[0], s[5])
         assert stray not in cm1_result.transitions
         message = r"^missing transition \[\(0,0\),inc_hour,\(0,5\)\] is not derived$"
@@ -186,14 +185,14 @@ class TestEdges:
             object_plan(cm1_result, missing=[cm1_result.edge_objects[3], stray])
 
     def test_a_transition_past_the_last_key_is_not_derived(self, cm1_result):
-        last = State(("hour", "minute"), (intval(23), intval(59)))
+        last = (intval(23), intval(59))
         message = r"\[\(23,59\),next_day,\(23,59\)\] is not derived"
         with pytest.raises(MutationError, match=message):
             object_plan(cm1_result, missing=[Transition(last, "next_day", last)])
 
     def test_unreached_states_and_undeclared_operations_are_not_derived(self, cm4_result):
         def clock(h, m):
-            return State(("hour", "minute"), (intval(h), intval(m)))
+            return (intval(h), intval(m))
 
         unreached = Transition(clock(0, 60), "inc_minute", clock(0, 61))
         with pytest.raises(MutationError, match="is not derived"):
@@ -226,11 +225,10 @@ class TestSmallDomainAny:
     def test_brute_force_completeness(self):
         machine = parse_machine(self.SOURCE)
         result = explore(machine, meter_memory=False)
-        order = machine.variables
         invariant = parse_predicate("h : 0..1 & m : 0..2", machine)
         for h in range(2):
             for m in range(3):
-                state = State(order, (intval(h), intval(m)))
+                state = (intval(h), intval(m))
                 if state not in result.states:
                     continue
                 for name, body in machine.operations:
@@ -266,9 +264,7 @@ class TestEnumBoolMachine:
 
     def test_states_carry_enum_and_bool_values(self):
         result = explore(parse_machine(self.SOURCE), meter_memory=False)
-        expected = State(
-            ("light", "open"), (enumval("COLOR", "green"), boolval(True))
-        )
+        expected = (enumval("COLOR", "green"), boolval(True))
         assert expected in result.states
 
 
@@ -295,10 +291,7 @@ class TestCompiledPathEquivalence:
             )
             fused = Sequence((first, second))
             generic = Sequence((first, Skip(), second))
-            state = State(
-                ("hour", "minute"),
-                (intval(rng.randint(0, 9)), intval(rng.randint(0, 9))),
-            )
+            state = (intval(rng.randint(0, 9)), intval(rng.randint(0, 9)))
             assert enumerate_substitution(
                 fused, state, machine=cm1_machine
             ) == enumerate_substitution(generic, state, machine=cm1_machine)
@@ -313,7 +306,7 @@ class TestCompiledPathEquivalence:
             "THEN hour := hh; minute := mm END END"
         )
         general_body = dict(general.operations)["set_time"]
-        state = State(("hour", "minute"), (intval(4), intval(11)))
+        state = (intval(4), intval(11))
         assert enumerate_substitution(
             prefiltered_body, state, machine=cm6_machine
         ) == enumerate_substitution(general_body, state, machine=general)
@@ -497,7 +490,7 @@ class TestDeadlockClassification:
         result = explore(parse_machine(self.SOURCE), meter_memory=False)
         assert len(result.transitions) == 2
         (dead,) = result.deadlock_states
-        assert value_of(dead, "x") == intval(2)
+        assert value_of(result, dead, "x") == intval(2)
         assert {t.post for t in result.violating} == {dead}
         assert len(result.violating) == 1
 
@@ -529,8 +522,8 @@ class TestTruncation:
         )
         result = explore(machine, max_states=4, meter_memory=False)
         assert result.truncated
-        assert {value_of(s, "x") for s in result.deadlock_states} == {intval(2)}
-        assert {value_of(t.post, "x") for t in result.violating} == {intval(2)}
+        assert {value_of(result, s, "x") for s in result.deadlock_states} == {intval(2)}
+        assert {value_of(result, t.post, "x") for t in result.violating} == {intval(2)}
 
     # Summaries of cut-off runs, frozen from the breadth-first walk: which
     # states and transitions a limit keeps depends on the walk's order.

@@ -10,14 +10,17 @@ from hypothesis import given, strategies as st
 import bqual.lts
 
 from bqual.lts import (
+    KIND_INT,
     Relation,
-    State,
     StructureError,
     Transition,
+    Value,
     boolval,
     enumval,
     intval,
     read_transitions_jsonl,
+    relation_of,
+    state_row,
     state_text,
     transition_values,
     write_transitions_jsonl,
@@ -38,7 +41,7 @@ ORDER = ("hour", "minute")
 
 
 def clock_state(hour, minute):
-    return State(ORDER, (intval(hour), intval(minute)))
+    return (intval(hour), intval(minute))
 
 
 def clock_transition(pre, label, post):
@@ -95,7 +98,7 @@ class TestFlatten:
         assert flat == (intval(0), intval(0), "next_day", intval(0), intval(0))
 
     def test_single_variable(self):
-        t = Transition(State(("x",), (intval(5),)), "op", State(("x",), (intval(6),)))
+        t = Transition((intval(5),), "op", (intval(6),))
         assert flatten_transition(t, ("x",)) == (intval(5), "op", intval(6))
 
     def test_pair_layout(self):
@@ -107,13 +110,14 @@ class TestFlatten:
         assert flatten_pair(p, ORDER) == (intval(0),) * 4
 
     def test_single_variable_pair(self):
-        p = StatePair(State(("x",), (intval(7),)), State(("x",), (intval(8),)))
+        p = StatePair((intval(7),), (intval(8),))
         assert flatten_pair(p, ("x",)) == (intval(7), intval(8))
 
     def test_variable_mismatch_names_variable(self):
+        # A row carries no names: only a variable without a value is found.
         t = clock_transition((0, 0), "op", (0, 1))
-        with pytest.raises(StructureError, match="second"):
-            flatten_transition(t, ("hour", "second"))
+        with pytest.raises(StructureError, match="missing variable 'second'"):
+            flatten_transition(t, ("hour", "minute", "second"))
 
 
 class TestSetSize:
@@ -128,9 +132,9 @@ class TestSetSize:
     def test_variable_mismatch_raises(self):
         transitions = {clock_transition((0, 0), "inc_minute", (0, 1))}
         with pytest.raises(StructureError, match="second"):
-            set_size(transitions, ("hour", "second"))
-        with pytest.raises(StructureError, match="second"):
-            set_size(pairs_of(transitions), ("hour", "second"))
+            set_size(transitions, ("hour", "minute", "second"))
+        with pytest.raises(StructureError, match="2 values for 1 variables"):
+            set_size(pairs_of(transitions), ("hour",))
 
 
 class TestProjections:
@@ -155,24 +159,30 @@ class TestProjections:
 
 class TestStateInvariants:
     def test_missing_variable_rejected(self):
-        with pytest.raises(StructureError):
-            State.from_mapping({"hour": intval(0)}, ORDER)
+        with pytest.raises(StructureError, match="missing variable 'minute'"):
+            state_row({"hour": 0}, ORDER)
 
     def test_mismatched_transition_rejected(self):
-        pre = State(("a",), (intval(0),))
-        post = State(("b",), (intval(0),))
-        with pytest.raises(StructureError):
-            Transition(pre, "op", post)
+        t = Transition((intval(0),), "op", (intval(0), intval(1)))
+        with pytest.raises(StructureError, match=r"state \(0,1\) has 2 values for 1 variables"):
+            relation_of({t}, ("a",))
 
     def test_state_equality_is_per_binding(self):
-        assert clock_state(1, 2) == clock_state(1, 2)
+        # Values compare by kind and payload, not by identity.
+        assert clock_state(1, 2) == (Value(KIND_INT, 1), Value(KIND_INT, 2))
         assert clock_state(1, 2) != clock_state(2, 1)
 
     def test_state_and_transition_text(self):
-        values = (enumval("COLOR", "red"), boolval(True), intval(-3))
-        state = State(("c", "b", "n"), values)
-        assert repr(state) == state_text(values) == "(red,TRUE,-3)"
+        state = (enumval("COLOR", "red"), boolval(True), intval(-3))
+        assert state_text(state) == "(red,TRUE,-3)"
         assert repr(Transition(state, "op", state)) == "[(red,TRUE,-3),op,(red,TRUE,-3)]"
+
+    def test_transition_is_its_triple(self):
+        pre, post = clock_state(5, 29), clock_state(5, 30)
+        t = Transition(pre, "inc_minute", post)
+        assert t == (pre, "inc_minute", post)
+        assert hash(t) == hash((pre, "inc_minute", post))
+        assert {t} == {(pre, "inc_minute", post)}
 
 
 class TestJson:
@@ -189,13 +199,13 @@ class TestJson:
 
     def test_round_trip_with_enum_and_bool(self):
         order = ("light", "open")
-        pre = State(order, (enumval("COLOR", "red"), boolval(False)))
-        post = State(order, (enumval("COLOR", "green"), boolval(True)))
+        pre = (enumval("COLOR", "red"), boolval(False))
+        post = (enumval("COLOR", "green"), boolval(True))
         t = Transition(pre, "switch", post)
-        encoded = transition_to_json(t)
+        encoded = transition_to_json(t, order)
         assert encoded["pre"] == {"light": "red", "open": False}
         decoded = transition_values(encoded, order, {"red": "COLOR", "green": "COLOR"})
-        assert decoded == (pre.values, "switch", post.values)
+        assert decoded == (pre, "switch", post)
 
     def test_unknown_element_rejected(self):
         obj = {"pre": {"x": "blue"}, "op": "op", "post": {"x": "blue"}}
@@ -217,7 +227,7 @@ class TestJson:
         lines = buffer.getvalue().splitlines()
         assert json.loads(lines[0])["pre"] == {"hour": 0, "minute": 0}
         assert lines == [
-            json.dumps(transition_to_json(t), separators=(", ", ": "))
+            json.dumps(transition_to_json(t, ORDER), separators=(", ", ": "))
             for t in sorted_transitions(transitions)
         ]
         buffer.seek(0)
@@ -243,8 +253,8 @@ class TestReadTransitions:
         assert len(relation) == 2
         post = clock_state(1, 1)
         assert relation.transitions == {
-            Transition(State(ORDER, (intval(1), intval(0))), "a", post),
-            Transition(State(ORDER, (boolval(True), intval(0))), "a", post),
+            ((intval(1), intval(0)), "a", post),
+            ((boolval(True), intval(0)), "a", post),
         }
 
     def test_duplicate_line_collapses(self):
@@ -273,6 +283,21 @@ class TestReadTransitions:
         assert relation.labels == ("a", "b")
         with pytest.raises(StructureError, match="^line 5: invalid JSON"):
             read_lines(GOOD, other, "", GOOD, "{nope}")
+
+    def test_transitions_are_the_decoded_triples(self):
+        # Permuted keys, a duplicate line and a true-versus-1 pair: the
+        # relation's transitions are the set of each line's decoded triple.
+        lines = [
+            GOOD,
+            '{"post": {"minute": 1, "hour": 0}, "op": "a", "pre": {"minute": 0, "hour": 0}}',
+            GOOD,
+            GOOD.replace('"hour": 0, "minute": 1', '"hour": true, "minute": 1'),
+            GOOD.replace('"hour": 0, "minute": 1', '"hour": 1, "minute": 1'),
+        ]
+        relation = read_lines(*lines)
+        decoded = {transition_values(json.loads(line), ORDER) for line in lines}
+        assert len(decoded) == len(relation) == 3
+        assert relation.transitions == decoded
 
     def test_labels_in_code_point_order(self):
         relation = read_lines(GOOD.replace('"a"', '"b"'), GOOD.replace('"a"', '"B"'), GOOD)
@@ -315,8 +340,8 @@ labels = st.sampled_from(["a", "b", "c"])
 def transitions_st(draw, max_size=6):
     out = set()
     for _ in range(draw(st.integers(min_value=0, max_value=max_size))):
-        pre = State(ORDER, (draw(values), draw(values)))
-        post = State(ORDER, (draw(values), draw(values)))
+        pre = (draw(values), draw(values))
+        post = (draw(values), draw(values))
         out.add(Transition(pre, draw(labels), post))
     return frozenset(out)
 

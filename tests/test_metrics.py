@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from bqual.explorer import explore
-from bqual.lts import State, Transition, intval
+from bqual.lts import Transition, intval
 from bqual.metrics import (
     GoalSpec,
     NotComputable,
@@ -50,11 +50,7 @@ def diamond_result():
 
 
 def toy(pre, label, post):
-    return Transition(
-        State(ORDER, (intval(pre[0]), intval(pre[1]))),
-        label,
-        State(ORDER, (intval(post[0]), intval(post[1]))),
-    )
+    return Transition((intval(pre[0]), intval(pre[1])), label, (intval(post[0]), intval(post[1])))
 
 
 class TestFunctionalSuitability:

@@ -12,7 +12,7 @@ import pytest
 import bqual
 
 from bqual.explorer import infer_domains
-from bqual.lts import State, StructureError, Transition, boolval, intval
+from bqual.lts import StructureError, Transition, boolval, intval
 from bqual.mutation import (
     MutationError,
     apply_plan,
@@ -28,6 +28,7 @@ from bqual.mutation import (
 from conftest import (
     changed_sets,
     corpus_path,
+    count_transitions,
     erased_sizes,
     independent_apply,
     object_plan,
@@ -40,7 +41,7 @@ ORDER = ("hour", "minute")
 
 
 def clock_state(h, m):
-    return State(ORDER, (intval(h), intval(m)))
+    return (intval(h), intval(m))
 
 
 def clock_transition(pre, label, post):
@@ -58,7 +59,7 @@ def cm1_changed(cm1_result, cm5_plan, cm1_machine):
 
 
 def clock_json(pre, label, post) -> dict:
-    return transition_to_json(clock_transition(pre, label, post))
+    return transition_to_json(clock_transition(pre, label, post), ORDER)
 
 
 class TestPlanFile:
@@ -171,9 +172,9 @@ class TestValidatePlan:
         assert cm1_result.edge_objects[cm5_plan.missing[0]] == removed
         inserted = clock_transition((3, 0), "inc_minute", (12, 0))
         pre, label, post = cm5_plan.pre[0], cm5_plan.label[0], cm5_plan.post[0]
-        assert cm1_result.state_objects[pre] == inserted.pre
+        assert cm1_result.rows[pre] == inserted.pre
         assert cm1_result.labels[label] == inserted.label
-        assert cm1_result.state_objects[post] == inserted.post
+        assert cm1_result.rows[post] == inserted.post
         assert cm5_plan.fresh == ()
 
 
@@ -198,7 +199,7 @@ class TestGeneratePlan:
         for t in extra:
             assert t.pre in cm1_result.states
             assert t.label in operation_names(cm1_machine)
-            for name, value in zip(ORDER, t.post.values):
+            for name, value in zip(ORDER, t.post):
                 assert value in domains[name].values()
 
     def test_label_scope(self, cm1_result):
@@ -265,7 +266,7 @@ class TestGeneratePlan:
             1
             for t in result.transitions
             if t.label in labels
-            and all(v in domains["x"].values() for v in t.post.values)
+            and all(v in domains["x"].values() for v in t.post)
         )
         assert scanned == occupied
         space = len(result.states) * len(labels) * 4
@@ -457,7 +458,7 @@ class TestSharedVerdicts:
     @staticmethod
     def plan(result, *extra):
         def gate(n):
-            return State(("x",), (intval(n),))
+            return (intval(n),)
 
         return object_plan(result, extra=[Transition(gate(a), "up", gate(b)) for a, b in extra])
 
@@ -488,9 +489,10 @@ class TestSharedVerdicts:
 
 class TestNoObjectsOnTheSeededPath:
     """Seeded trials, the modularity sweep and a plan file's application
-    work on the exploration's ids; no object view of it is built."""
+    work on the exploration's ids: no ``Transition`` is built, and no view
+    of the exploration as sets of rows or triples."""
 
-    VIEWS = ("transitions", "edge_objects", "state_objects")
+    VIEWS = ("transitions", "edge_objects", "violating", "states", "deadlock_states")
 
     @staticmethod
     def explored(source):
@@ -507,8 +509,7 @@ class TestNoObjectsOnTheSeededPath:
         # A jump clock: CM1 plus set_time onto 03:00-03:04.
         source = source.replace("hh : 0..23 & mm : 0..59", "hh : 3..3 & mm : 0..4")
         result = self.explored(source)
-        built = []
-        monkeypatch.setattr(Transition, "__init__", lambda self, *args: built.append(args))
+        built = count_transitions(monkeypatch)
         run_trials(result, 3, 15, 15, 7)
         modularity_sweep(result, per_operation_counts(result, 15, 15), 7)
         assert built == []
@@ -520,8 +521,7 @@ class TestNoObjectsOnTheSeededPath:
 
         machine, plan_path = str(corpus_path("CM1.mch")), str(corpus_path("cm5-plan.json"))
         result = self.explored(corpus_path("CM1.mch").read_text())
-        built = []
-        monkeypatch.setattr(Transition, "__init__", lambda self, *args: built.append(args))
+        built = count_transitions(monkeypatch)
         plan = load_plan(plan_path, result, cm1_machine.element_sets)
         changed = apply_plan(result, plan)
         trial_metrics(result, changed)
@@ -597,7 +597,7 @@ class TestModularitySweep:
         assert len(result.transitions) == 4
         plan = object_plan(
             result,
-            missing=[Transition(State(("x",), (intval(1),)), "fwd", State(("x",), (intval(2),)))],
+            missing=[Transition((intval(1),), "fwd", (intval(2),))],
             label_scope="fwd",
         )
         changed = changed_sets(result, apply_plan(result, plan))

@@ -1,13 +1,18 @@
-"""The benchmark's own tests, as part of this suite.
+"""The benchmark's own tests and one traced pass, as part of this suite.
 
 ``perfbench/tests`` checks what the benchmark reads of bqual: the set-form
-metrics and the exploration's object views among them.  Its ``conftest``
-clashes with ``tests/conftest.py`` in one pytest session, so it runs in a
-child process from the root of the checkout.
+metrics on transition triples and the sizes of the exploration's views of
+rows and triples among them.  Its ``conftest`` clashes with
+``tests/conftest.py`` in one pytest session, so it runs in a child process
+from the root of the checkout.  So does one traced pass over every
+workload with no timed repeats: only a traced pass runs the benchmark's
+hooks, such as the one that counts an exploration's states and
+transitions by the sizes of ``result.states`` and ``result.transitions``.
 """
 
 from __future__ import annotations
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -23,3 +28,19 @@ def test_perfbench_tests_pass():
         text=True,
     )
     assert run.returncode == 0, run.stdout[-4000:] + run.stderr[-4000:]
+
+
+def test_traced_pass_is_correct():
+    run = subprocess.run(
+        [
+            sys.executable, "perfbench/run.py",
+            "--workload", "all", "--seed", "1", "--seconds", "0", "--trace", "1",
+        ],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+    )
+    assert run.returncode == 0, run.stdout[-4000:] + run.stderr[-4000:]
+    outcome = json.loads(run.stdout.splitlines()[-1])
+    assert outcome["correct"] is True
+    assert outcome["failed"] == 0 < outcome["attempted"]

@@ -6,12 +6,13 @@ from fractions import Fraction
 from operator import attrgetter
 
 import pytest
+# The solver's first import (about 0.35 s) happens here, not in a timed example.
+import scipy.optimize  # noqa: F401
 from hypothesis import example, given, settings, strategies as st
 
 from bqual.alignment import similarity
 from bqual.explorer import explore
 from bqual.lts import (
-    State,
     Transition,
     Value,
     boolval,
@@ -67,8 +68,8 @@ labels = st.sampled_from(["a", "b", "c"])
 def transition_sets(draw, max_size=7):
     out = set()
     for _ in range(draw(st.integers(min_value=0, max_value=max_size))):
-        pre = State(PROPERTY_ORDER, (draw(values), draw(values)))
-        post = State(PROPERTY_ORDER, (draw(values), draw(values)))
+        pre = (draw(values), draw(values))
+        post = (draw(values), draw(values))
         out.add(Transition(pre, draw(labels), post))
     return frozenset(out)
 
@@ -97,7 +98,10 @@ def test_ratio_metrics_stay_in_unit_interval(t_d, t_r):
 
 def _read_relation(transitions, sort_keys: bool):
     # Sorted keys ("op", "post", "pre") take the reader's json.loads path.
-    lines = (json.dumps(transition_to_json(t), sort_keys=sort_keys) for t in transitions)
+    lines = (
+        json.dumps(transition_to_json(t, PROPERTY_ORDER), sort_keys=sort_keys)
+        for t in transitions
+    )
     return read_transitions_jsonl(io.StringIO("\n".join(lines)), PROPERTY_ORDER)
 
 
@@ -186,12 +190,12 @@ mixed_values = st.one_of(
 
 def shared_states(draw):
     # A few shared valuations, so that elements often tie on a pre-state and
-    # the later components decide the order.  Every use builds a new State,
-    # so equal states are held as distinct objects.
+    # the later components decide the order.  Every use builds a new row,
+    # so equal states are held as distinct tuples.
     valuations = draw(
         st.lists(st.tuples(mixed_values, mixed_values), min_size=1, max_size=4)
     )
-    return st.sampled_from(valuations).map(lambda vals: State(PROPERTY_ORDER, vals))
+    return st.sampled_from(valuations).map(lambda vals: (*vals,))
 
 
 @st.composite
@@ -232,7 +236,7 @@ def test_sorted_transitions_order_like_flat_tokens(transitions):
     # The writer's lines come in the same order.
     stream = io.StringIO()
     write_transitions_jsonl(relation_of(transitions, PROPERTY_ORDER), stream)
-    lines = [json.dumps(transition_to_json(t)) for t in ordered]
+    lines = [json.dumps(transition_to_json(t, PROPERTY_ORDER)) for t in ordered]
     assert stream.getvalue().splitlines() == lines
 
 
@@ -257,7 +261,7 @@ def test_appropriateness_of_superset_pairs(t):
     assert tfappr(bigger, t) == 1
 
 
-# --- exploration against the object walk -----------------------------------------
+# --- exploration against the set walk --------------------------------------------
 # Small machines over x : 0..top and y : 0..1 whose operations produce the
 # cases the walk must get right: an ANY whose body ignores a bound
 # identifier and overlapping SELECT branches (duplicate successors), posts
@@ -407,8 +411,7 @@ _GATE_RESULT = explore(_GATE_MACHINE, meter_memory=False)
 
 
 def _gate(pre, label, post):
-    pre_state, post_state = (State(("x",), (intval(x),)) for x in (pre, post))
-    return Transition(pre_state, label, post_state)
+    return Transition((intval(pre),), label, (intval(post),))
 
 
 @st.composite

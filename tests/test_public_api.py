@@ -11,7 +11,6 @@ EXPORTED = [
     "NotComputable",
     "QualityReport",
     "RequirementSpec",
-    "State",
     "Transition",
     "Value",
     "apply_plan",
