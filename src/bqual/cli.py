@@ -66,10 +66,10 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--word-limit", type=int)
     _add_limit_flags(ev)
     ev.add_argument("--trials", type=int, help="seeded fault-injection trials (0 disables)")
-    ev.add_argument("--n-extra", type=int,
-                    help="inserted transitions per trial (default: 1%% of derived)")
+    ev.add_argument("--n-extra", type=int, help="inserted transitions per trial "
+                    "(default: 1%% of derived, at least 1, capped at the free draw space)")
     ev.add_argument("--n-missing", type=int,
-                    help="removed transitions per trial (default: 1%% of derived)")
+                    help="removed transitions per trial (default: 1%% of derived, rounded up)")
     ev.add_argument("--seed", type=int, help="trial seed (falls back to BQUAL_SEED, then 0)")
     ev.add_argument("--plan", dest="plan_path", metavar="PLAN",
                     help="explicit mutation plan (.json); overrides --trials")

@@ -49,6 +49,7 @@ from .mutation import (
     FAULT_METRICS,
     MutationError,
     apply_plan,
+    capped_counts,
     load_plan,
     modularity_sweep,
     per_operation_counts,
@@ -271,9 +272,11 @@ def evaluate(config: EvaluationConfig) -> QualityReport:
             "seed": plan.seed,
         }
     elif cut is None and config.trials > 0:
+        # Defaulted counts are cut to what the exploration offers.
         n_default = default_mutation_count(len(result.pre))
-        n_extra = config.n_extra if config.n_extra is not None else n_default
-        n_missing = config.n_missing if config.n_missing is not None else n_default
+        default_extra, default_missing = capped_counts(result, n_default, n_default)
+        n_extra = config.n_extra if config.n_extra is not None else default_extra
+        n_missing = config.n_missing if config.n_missing is not None else default_missing
         outcome = run_trials(result, config.trials, n_extra, n_missing, seed)
         values = outcome.means
         reasons = dict.fromkeys(FAULT_METRICS, "not computable in any trial")

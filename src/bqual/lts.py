@@ -1,12 +1,12 @@
 """Core value types for labelled transition systems.
 
-A value is an immutable, hashable ``Value`` with a cached hash; common
-values are interned.  A state is its value row, the tuple of its values in
-the declaration order of the variables, and a transition the triple
-``(pre row, operation, post row)`` (``Transition`` names its fields and
-prints it).  The canonical order of states, and with it of transitions, is
-computed in one place, ``row_ranks``, from integer value codes of value
-rows.
+A value is its ``(kind, payload)`` pair, a ``Value``, and sorts as that
+pair; common values are interned.  A state is its value row, the tuple of
+its values in the declaration order of the variables, and a transition the
+triple ``(pre row, operation, post row)`` (``Transition`` names its fields
+and prints it).  The canonical order of states, and with it of
+transitions, is computed in one place, ``row_ranks``, from integer value
+codes of value rows.
 
 A set of transitions travels as a ``Relation`` of integer arrays, the one
 transition-set type: an exploration is one (``ExplorationResult`` extends
@@ -37,39 +37,20 @@ class StructureError(ValueError):
     """A state or transition does not fit the expected variables."""
 
 
-class Value:
+class Value(NamedTuple):
     """A machine-domain value: an integer, a boolean, or an element of an
-    enumerated set.
+    enumerated set, as its ``(kind, payload)`` pair.
 
-    Equality is exact: two values are equal only when they have the same
-    kind and the same payload, so an integer never equals a boolean or an
-    enumerated element.  ``sort_key`` gives the canonical total order
-    (kind first, then payload; spelled out in docs/formats.md).
+    It equals, hashes and sorts as that pair, so equality is exact (an
+    integer never equals a boolean or an enumerated element) and the
+    canonical value order is the pair's: kind first (``bool < enum <
+    int``), then payload (``False < True``, integers by value, an
+    enumerated element by ``(set name, element)``; docs/formats.md).  It
+    is written through ``to_json``, never as the pair.
     """
 
-    __slots__ = ("kind", "payload", "_hash")
-
-    def __init__(self, kind: str, payload):
-        self.kind = kind
-        self.payload = payload
-        self._hash = hash((kind, payload))
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, Value):
-            return NotImplemented
-        return self.kind == other.kind and self.payload == other.payload
-
-    def __hash__(self):
-        return self._hash
-
-    def sort_key(self):
-        if self.kind == KIND_BOOL:
-            return (self.kind, (int(self.payload),))
-        if self.kind == KIND_INT:
-            return (self.kind, (self.payload,))
-        return (self.kind, self.payload)
+    kind: str
+    payload: object
 
     def to_json(self):
         """JSON form: integers and booleans as themselves, enumerated
@@ -197,13 +178,13 @@ def row_ranks(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The canonical integer coding of value rows: ``(rank, rows)``.
 
-    Each distinct value is coded by its rank in the canonical value order
-    (``Value.sort_key``) and each row of ``width`` values becomes one row of
-    codes, so the lexicographic order of the rows is the canonical state
-    order.  ``rows`` holds the distinct rows in that order and ``rank[i]``
+    Each distinct value is coded by its rank in the canonical value order,
+    that of its ``(kind, payload)`` pair, and each row of ``width`` values
+    becomes one row of codes, so the lexicographic order of the rows is the
+    canonical state order.  ``rows`` holds the distinct rows in that order and ``rank[i]``
     is the index of ``table[i]``'s row: equal rows share a rank.
     """
-    values = sorted(set(itertools.chain.from_iterable(table)), key=Value.sort_key)
+    values = sorted(set(itertools.chain.from_iterable(table)))
     code = {v: i for i, v in enumerate(values)}
     shape = (len(table), width)
     coded = np.fromiter(

@@ -16,9 +16,9 @@ alone: its states, its operations and the variable domains ``explore``
 inferred (``ExplorationResult.domains``), on the ids and domain indices of
 ``ExplorationResult.draw_space``; its only other inputs are the two
 counts, the seed and an optional operation scope.  A plan file is decoded
-straight to ids (``plan_from_json``), and ``plan_to_json`` writes a plan
-from its ids in canonical order; no set of transition triples is built on
-any path, and a ``Transition`` only to word an error.
+straight to ids (``plan_from_json``), its listed transitions ordered by
+``Relation.canonical``; no set of transition triples is built on any path,
+and a ``Transition`` only to word an error.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 
 from .explorer import ExplorationResult, ExplorerError, violations
 from .lts import (
-    StructureError, Transition, Value, edge_keys, lookup, row_ranks, state_text,
+    StructureError, Transition, edge_keys, lookup, relation_of, state_text,
     transition_values,
 )
 from .metrics import (
@@ -62,7 +62,7 @@ class MutationPlan:
     exploration's states names a state only the plan reaches; ``fresh``
     holds their values, in id order.  ``seed`` is the seed it was drawn
     under (provenance only for a plan file) and ``label_scope``, when set,
-    the one operation it touches.  Plans compare by content."""
+    the one operation it touches."""
 
     missing: np.ndarray
     pre: np.ndarray
@@ -71,14 +71,6 @@ class MutationPlan:
     fresh: tuple = ()
     seed: int = 0
     label_scope: str | None = None
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MutationPlan):
-            return NotImplemented
-        return all(
-            np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
-            for a, b in zip(vars(self).values(), vars(other).values())
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -339,17 +331,23 @@ def _op_seed(seed: int, op: str) -> int:
     return (seed ^ zlib.crc32(op.encode("utf-8"))) & 0xFFFFFFFFFFFFFFFF
 
 
+def capped_counts(
+    result: ExplorationResult, n_extra: int, n_missing: int, label_scope: str | None = None
+) -> tuple[int, int]:
+    """``(n_extra, n_missing)`` cut to what a plan scoped to ``label_scope``
+    (None: all operations) can hold: insertions to the free draw space,
+    removals to the derived transitions in scope."""
+    codes = _scope_codes(result.labels, label_scope)
+    space, occupied = _extra_space(result, codes)
+    eligible = sum(result.label_counts.get(result.labels[c], 0) for c in codes)
+    return min(n_extra, space - occupied), min(n_missing, eligible)
+
+
 def per_operation_counts(
     result: ExplorationResult, n_extra: int, n_missing: int
 ) -> dict[str, tuple[int, int]]:
-    """``(n_extra, n_missing)`` of each operation's label-scoped plan.
-    Insertions cannot exceed the operation's free label space, nor removals
-    its transitions."""
-    per_op = {}
-    for op, count in result.label_counts.items():
-        space, occupied = _extra_space(result, [result.labels.index(op)])
-        per_op[op] = (min(n_extra, space - occupied), min(n_missing, count))
-    return per_op
+    """``capped_counts`` of each operation's label-scoped plan."""
+    return {op: capped_counts(result, n_extra, n_missing, op) for op in result.label_counts}
 
 
 def modularity_sweep(
@@ -408,38 +406,6 @@ def _modularity(
 # --- plan files ----------------------------------------------------------------
 
 
-def plan_to_json(result: ExplorationResult, plan: MutationPlan) -> dict:
-    """The plan's JSON object, each list in canonical order."""
-    rows, order, labels = [*result.rows, *plan.fresh], result.variable_order, result.labels
-
-    def transitions(*columns) -> list:
-        triples = [(rows[p], labels[c], rows[q]) for p, c, q in zip(*map(list, columns))]
-        return [
-            {"pre": dict(zip(order, map(Value.to_json, pre))), "op": op,
-             "post": dict(zip(order, map(Value.to_json, post)))}
-            for pre, op, post in _canonical(triples, len(order))
-        ]
-
-    m = plan.missing
-    obj = {
-        "extra": transitions(plan.pre, plan.label, plan.post),
-        "missing": transitions(result.pre[m], result.label[m], result.post[m]),
-        "seed": plan.seed,
-    }
-    if plan.label_scope is not None:
-        obj["label_scope"] = plan.label_scope
-    return obj
-
-
-def _canonical(transitions: list, width: int) -> list:
-    """The ``(pre values, operation, post values)`` triples in canonical
-    order: the states, coded by ``row_ranks``, in canonical order and the
-    operations in code-point order, as strings compare."""
-    rows = list(dict.fromkeys(row for pre, _, post in transitions for row in (pre, post)))
-    rank = dict(zip(rows, row_ranks(rows, width)[0].tolist()))
-    return sorted(transitions, key=lambda t: (rank[t[0]], t[1], rank[t[2]]))
-
-
 def plan_from_json(
     obj: Mapping,
     result: ExplorationResult,
@@ -476,7 +442,8 @@ def plan_from_json(
 
     labels = result.labels
     _scope_codes(labels, label_scope)
-    touched = _canonical(list(dict.fromkeys([*extra, *missing])), len(order))
+    touched = list(dict.fromkeys([*extra, *missing]))
+    touched = [touched[i] for i in relation_of(touched, order).canonical[1].tolist()]
     for t in touched:
         if t[1] not in labels:
             raise MutationError(

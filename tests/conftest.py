@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import random
 from collections import Counter
 from pathlib import Path
@@ -53,6 +54,13 @@ from oracle import (
 )
 
 CORPUS = Path(__file__).parent / "corpus"
+
+
+def pytest_configure(config):
+    # Child processes (CLI runs, the perfbench suite) import bqual from this
+    # checkout, as ``pythonpath`` in pyproject.toml makes this process do.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
 
 
 def corpus_path(name: str) -> Path:
@@ -142,7 +150,7 @@ def random_transition_set(rng: random.Random, max_elements: int = 7) -> frozense
 def token_sort_key(token):
     """Deterministic ordering key for a flattened token (Value or label)."""
     if isinstance(token, Value):
-        return ("v",) + token.sort_key()
+        return ("v", *token)
     return ("label", token)
 
 
@@ -235,6 +243,12 @@ def inserted_transitions(result, plan) -> list:
     rows = [*result.rows, *plan.fresh]
     columns = (column.tolist() for column in (plan.pre, plan.label, plan.post))
     return [Transition(rows[p], result.labels[c], rows[q]) for p, c, q in zip(*columns)]
+
+
+def plan_fields(plan) -> tuple:
+    """A plan's fields in order, its id arrays as lists: two plans are the
+    same plan when these are equal."""
+    return tuple(v.tolist() if hasattr(v, "tolist") else v for v in vars(plan).values())
 
 
 def plan_transitions(result, plan) -> tuple[frozenset, frozenset]:

@@ -7,6 +7,8 @@ sets instead: a state is its value row, a transition the triple
 label-erased ``(pre row, post row)``.  Here are their flattened token
 lists, total size and the positional agreement of two of them, plus small
 readers of an exploration.  They share only the value types with bqual.
+``plan_to_json`` writes a plan file from a plan's ids, each list ordered
+by ``Relation.canonical`` as ``mutation.plan_from_json`` orders it.
 
 ``explore`` runs each operation as a generated function over a value row.
 The reference interpreter below runs the same machine as closures over a
@@ -55,6 +57,7 @@ from bqual.lts import (
     boolval,
     enumval,
     intval,
+    relation_of,
 )
 
 FlatList = tuple
@@ -138,6 +141,31 @@ def initial_states(result) -> frozenset:
 def operation_names(machine) -> tuple[str, ...]:
     """A machine's operation names, in declaration order."""
     return tuple(name for name, _ in machine.operations)
+
+
+def plan_to_json(result, plan) -> dict:
+    """The JSON object of a plan on ``result``'s ids, each list in canonical
+    order."""
+    rows, order, labels = [*result.rows, *plan.fresh], result.variable_order, result.labels
+
+    def transitions(*columns) -> list:
+        triples = [(rows[p], labels[c], rows[q]) for p, c, q in zip(*map(list, columns))]
+        canonical = relation_of(triples, order).canonical[1].tolist()
+        return [
+            {"pre": dict(zip(order, map(Value.to_json, pre))), "op": op,
+             "post": dict(zip(order, map(Value.to_json, post)))}
+            for pre, op, post in map(triples.__getitem__, canonical)
+        ]
+
+    m = plan.missing
+    obj = {
+        "extra": transitions(plan.pre, plan.label, plan.post),
+        "missing": transitions(result.pre[m], result.label[m], result.post[m]),
+        "seed": plan.seed,
+    }
+    if plan.label_scope is not None:
+        obj["label_scope"] = plan.label_scope
+    return obj
 
 
 # --- the reference interpreter: closures over a dict environment ---------------

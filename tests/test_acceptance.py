@@ -43,6 +43,7 @@ from conftest import (
     corpus_source,
     erased_sizes,
     jaccard_sizes,
+    plan_fields,
     random_transition_set,
 )
 from oracle import set_size
@@ -194,7 +195,7 @@ def test_criterion_10_property_suite(cm1_result):
             seed = rng.randrange(2**32)
             first = generate_plan(cm1_result, 3, 3, seed)
             second = generate_plan(cm1_result, 3, 3, seed)
-            assert first == second
+            assert plan_fields(first) == plan_fields(second)
     ok(10, f"{cases} random cases: ranges, partial>=total, symmetry, bound, determinism")
 
 

@@ -298,12 +298,55 @@ class TestEvaluatePipeline:
             "jump": {"n_extra": 0, "n_missing": 1},
         }
 
+    @pytest.mark.parametrize(
+        "source, flag, counts, excluded, error",
+        [
+            (
+                # up never fires: nothing derived to remove.
+                "MACHINE Dead VARIABLES x INVARIANT x : 0..1 INITIALISATION x := 0 "
+                "OPERATIONS up = PRE x = 1 THEN x := 0 END END",
+                "--n-missing",
+                {"n_extra": 1, "n_missing": 0},
+                ["fault_tolerance", "functional_analysability", "recoverability"],
+                "bqual: cannot remove 1 of 0 eligible transitions",
+            ),
+            (
+                # jump derives all 9 cells of its draw space: none is free.
+                "MACHINE Full VARIABLES x INVARIANT x : 0..2 INITIALISATION x := 0 "
+                "OPERATIONS jump = ANY v WHERE v : 0..2 THEN x := v END END",
+                "--n-extra",
+                {"n_extra": 0, "n_missing": 1},
+                [],
+                "bqual: cannot draw 1 distinct extra transitions from a space "
+                "of 9 with 9 already derived",
+            ),
+        ],
+        ids=["dead", "full"],
+    )
+    def test_default_counts_capped_to_the_exploration(
+        self, tmp_path, capsys, source, flag, counts, excluded, error
+    ):
+        from bqual import cli
+
+        machine = tmp_path / "m.mch"
+        machine.write_text(source, encoding="utf-8")
+        assert cli.main(["evaluate", "--machine", str(machine), "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        mutation = report["provenance"]["mutation"]
+        assert {key: mutation[key] for key in counts} == counts
+        reasons = report["not_computed_reasons"].items()
+        assert sorted(n for n, why in reasons if why == "not computable in any trial") == excluded
+        # A count given explicitly is drawn as given, or fails.
+        assert cli.main(["evaluate", "--machine", str(machine), flag, "1"]) == 1
+        assert capsys.readouterr().err.strip() == error
+
     def test_modularity_marked_with_sweep_error(self, tmp_path):
         # An unscoped plan (MutationError) and a machine with one operation
         # (NotComputable) leave modularity not computed, with the message.
         from bqual.explorer import explore
-        from bqual.mutation import generate_plan, plan_to_json
+        from bqual.mutation import generate_plan
         from bqual.parser import parse_machine
+        from oracle import plan_to_json
 
         cm1 = explore(parse_machine(corpus_source("CM1.mch")), meter_memory=False)
         plan = tmp_path / "plan.json"

@@ -34,7 +34,7 @@ from conftest import (
     object_plan,
     sorted_transitions,
 )
-from oracle import initial_states, value_of
+from oracle import compile_predicate, initial_states, value_of
 
 
 def state_of(machine, **values):
@@ -225,18 +225,14 @@ class TestSmallDomainAny:
     def test_brute_force_completeness(self):
         machine = parse_machine(self.SOURCE)
         result = explore(machine, meter_memory=False)
-        invariant = parse_predicate("h : 0..1 & m : 0..2", machine)
-        for h in range(2):
-            for m in range(3):
-                state = (intval(h), intval(m))
-                if state not in result.states:
-                    continue
-                for name, body in machine.operations:
-                    for post in enumerate_substitution(body, state, machine=machine):
-                        assert any(
-                            t.pre == state and t.label == name and t.post == post
-                            for t in result.transitions
-                        )
+        invariant = compile_predicate(parse_predicate("h : 0..1 & m : 0..2", machine))
+        grid = [(intval(h), intval(m)) for h in range(2) for m in range(3)]
+        assert result.states == frozenset(grid)
+        for state in grid:
+            assert result.holds(state) == invariant(dict(zip(("h", "m"), state)))
+            for name, body in machine.operations:
+                for post in enumerate_substitution(body, state, machine=machine):
+                    assert Transition(state, name, post) in result.transitions
 
     def test_soundness_by_re_enumeration(self):
         machine = parse_machine(self.SOURCE)

@@ -62,8 +62,9 @@ class TestValue:
 
     def test_sort_keys_totally_ordered(self):
         values = [intval(3), intval(-1), boolval(True), boolval(False), enumval("S", "a")]
-        ordered = sorted(values, key=lambda v: v.sort_key())
-        assert sorted(ordered, key=lambda v: v.sort_key()) == ordered
+        ordered = sorted(values)
+        assert sorted(ordered) == ordered
+        assert sorted(reversed(ordered)) == ordered
 
     def test_documented_value_order(self):
         # docs/formats.md: bool < enum < int; FALSE < TRUE; integers
@@ -78,7 +79,20 @@ class TestValue:
             intval(3),
         ]
         shuffled = [expected[i] for i in (5, 3, 0, 6, 2, 4, 1)]
-        assert sorted(shuffled, key=lambda v: v.sort_key()) == expected
+        assert sorted(shuffled) == expected
+
+    def test_kinds_stay_apart_in_sets(self):
+        # 1 == True in Python; as values, and as rows, they stay two.
+        assert len({intval(1), boolval(True)}) == 2
+        assert len({(intval(1),), (boolval(True),)}) == 2
+        assert len({intval(0), boolval(False)}) == 2
+
+    def test_uninterned_value_equals_interned(self):
+        fresh = Value(KIND_INT, 5)
+        assert fresh is not intval(5)
+        assert fresh == intval(5)
+        assert hash(fresh) == hash(intval(5))
+        assert {fresh: "x"}[intval(5)] == "x"
 
 
 class TestFlatten:

@@ -32,10 +32,10 @@ from bqual.mutation import (
     _extra_space,
     generate_plan,
     per_operation_counts,
-    plan_to_json,
 )
 from bqual.parser import parse_machine
 from conftest import corpus_source
+from oracle import plan_to_json
 
 GOLDEN = Path(__file__).parent / "golden" / "plans.jsonl"
 

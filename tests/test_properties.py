@@ -14,7 +14,6 @@ from bqual.alignment import similarity
 from bqual.explorer import explore
 from bqual.lts import (
     Transition,
-    Value,
     boolval,
     code_relations,
     enumval,
@@ -223,7 +222,7 @@ def test_canonical_keys_order_like_flat_tokens(transitions, pairs):
     # The sorted pair keys, read back: value codes index the values in their
     # canonical order.
     erased = code_relations(relation, relation)[0].pairs()
-    values = sorted({v for row in relation.rows for v in row}, key=Value.sort_key)
+    values = sorted({v for row in relation.rows for v in row})
     got = [tuple(map(values.__getitem__, row)) for row in erased.rows(erased.keys).tolist()]
     assert got == flat_token_order(pairs_of(transitions))
 
