@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 from .alignment import AlignmentOutcome, similarity
 from .explorer import ExplorationResult, check_goal, explore, infer_domains
 from .lts import Transition, Value, boolval, enumval, intval
-from .metrics import GoalSpec, NotComputable, QualityReport, RequirementSpec
+from .metrics import NotComputable, QualityReport
 from .mutation import ChangedSystem, MutationPlan, apply_plan, generate_plan
 from .parser import parse_machine, parse_predicate
 
@@ -20,11 +20,9 @@ __all__ = [
     "AlignmentOutcome",
     "ChangedSystem",
     "ExplorationResult",
-    "GoalSpec",
     "MutationPlan",
     "NotComputable",
     "QualityReport",
-    "RequirementSpec",
     "Transition",
     "Value",
     "apply_plan",

@@ -117,7 +117,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_explore(args: argparse.Namespace) -> int:
-    machine = parse_machine(Path(args.machine).read_text(encoding="utf-8"))
+    machine = parse_machine(Path(args.machine).read_text(encoding="utf-8-sig"))
     result = explore(
         machine,
         max_states=args.max_states,

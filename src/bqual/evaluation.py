@@ -1,10 +1,14 @@
 """End-to-end evaluation pipeline and report rendering.
 
-``evaluate`` runs parse, exploration, functional metrics, invariant
-metrics, fault injection and the usability metrics, and assembles a
-QualityReport.  Metrics whose inputs are missing, whose denominators are
-empty, or whose LTS a limit cut short come back as "not-computed" with a
-reason instead of failing the whole run.
+``evaluate`` hands plain values from stage to stage: the machine's text
+and AST, the goals as ``(name, predicate)`` pairs, the target's
+``ExplorationResult``, an explicit plan on its ids, and the required
+``Relation`` (for ``--reference``, the reference's ``ExplorationResult``).
+Each input is read before the stage that costs.  One loop records the
+metrics that read the LTS, from one dict of callables, and one branch
+the fault metrics.  Metrics whose inputs are missing, whose denominators
+are empty, or whose LTS a limit cut short come back as "not-computed"
+with a reason instead of failing the whole run.
 """
 
 from __future__ import annotations
@@ -15,27 +19,19 @@ import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from pathlib import Path
 
 from . import __version__
 from .alignment import DEFAULT_SIZE_GUARD, AlignmentError
-from .bmachine import MachineAST
-from .explorer import (
-    DEFAULT_MAX_STATES,
-    DEFAULT_MAX_TRANSITIONS,
-    ExplorationResult,
-    explore,
-)
+from .bmachine import MachineAST, Predicate
+from .explorer import DEFAULT_MAX_STATES, DEFAULT_MAX_TRANSITIONS, explore
 from .lexer import word_count
-from .lts import code_relations, read_transitions_jsonl
+from .lts import Relation, code_relations, read_transitions_jsonl
 from .metrics import (
     DERIVED_CHARACTERISTICS,
     REPORT_GROUPS,
-    GoalSpec,
     NotComputable,
     QualityReport,
-    RequirementSpec,
     accountability,
     availability,
     capacity,
@@ -69,6 +65,8 @@ _FUNCTIONAL_METRICS = (
     "tfcomp", "pfcomp", "tfcorr", "pfcorr", "tfappr", "pfappr", "availability"
 )
 _TRUNCATED = "{} truncated by a limit; raise --max-states/--max-transitions"
+# What a metric raises when it cannot be computed for these inputs.
+_NOT_COMPUTABLE = (NotComputable, AlignmentError, MutationError)
 
 
 class EvaluationError(ValueError):
@@ -112,44 +110,45 @@ def load_required(
     reference_path: str | None = None,
     max_states: int = DEFAULT_MAX_STATES,
     max_transitions: int = DEFAULT_MAX_TRANSITIONS,
-) -> RequirementSpec:
-    """Required transitions from a transitions file or from exploring a
-    reference machine whose variables match the target's; either way they
-    come as a relation of arrays, and no transition object is built."""
+) -> Relation:
+    """The required transitions as a relation of arrays, built with no
+    transition object: read from a transitions file, or the exploration of
+    a reference machine whose variables match the target's, whose
+    ``truncated`` says whether a limit cut it short."""
     if (required_path is None) == (reference_path is None):
         raise EvaluationError(
             "exactly one of a transitions file or a reference machine is required"
         )
     if required_path is not None:
-        with open(required_path, "r", encoding="utf-8") as handle:
+        with open(required_path, "r", encoding="utf-8-sig") as handle:
             transitions = read_transitions_jsonl(
                 handle, machine.variables, machine.element_sets
             )
         if not transitions:
             raise EvaluationError(f"{required_path}: no required transitions")
-        return RequirementSpec(required_transitions=transitions, truncated=False)
+        return transitions
 
-    reference = parse_machine(Path(reference_path).read_text(encoding="utf-8"))
+    reference = parse_machine(Path(reference_path).read_text(encoding="utf-8-sig"))
     if reference.variables != machine.variables:
         raise EvaluationError(
             f"reference machine {reference.name!r} declares variables "
             f"{list(reference.variables)} but {machine.name!r} declares "
             f"{list(machine.variables)}"
         )
-    result = explore(
+    return explore(
         reference,
         max_states=max_states,
         max_transitions=max_transitions,
         meter_memory=False,
     )
-    return RequirementSpec(required_transitions=result, truncated=result.truncated)
 
 
 _GOAL_LINE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*:\s*(.+?)\s*$")
 
 
-def parse_goals(text: str, machine: MachineAST) -> GoalSpec:
-    """One named goal per line, ``NAME: <predicate>``; blank lines skipped."""
+def parse_goals(text: str, machine: MachineAST) -> tuple[tuple[str, Predicate], ...]:
+    """The ``(name, predicate)`` pairs of the goals text: one named goal
+    per line, ``NAME: <predicate>``; blank lines skipped."""
     goals = []
     seen = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -165,7 +164,7 @@ def parse_goals(text: str, machine: MachineAST) -> GoalSpec:
             raise EvaluationError(f"goals line {lineno}: duplicate goal {name!r}")
         seen.add(name)
         goals.append((name, parse_predicate(source, machine)))
-    return GoalSpec(goals=tuple(goals))
+    return tuple(goals)
 
 
 def default_mutation_count(transition_count: int) -> int:
@@ -188,34 +187,30 @@ def evaluate(config: EvaluationConfig) -> QualityReport:
             raise EvaluationError(f"{name} must not be negative, got {value}")
         if value == 0 and name not in counts:
             raise EvaluationError(f"{name} must be at least 1, got 0")
-    source = Path(config.machine_path).read_text(encoding="utf-8")
-    machine = parse_machine(source)
-    result = explore(
-        machine,
-        max_states=config.max_states,
-        max_transitions=config.max_transitions,
-    )
-    report = QualityReport(machine_name=machine.name)
-    report.capacity = capacity(result)
-    report.cpu_seconds = result.cpu_seconds
-    report.peak_memory_bytes = result.peak_memory_bytes
-    report.summary = result.summary
-
-    n_words = word_count(source)
     seed = config.resolved_seed()
+
+    # inputs, each read before the stage that costs -----------------------------
+    source = Path(config.machine_path).read_text(encoding="utf-8-sig")
+    machine = parse_machine(source)
+    goals = None
+    if config.goals_path is not None:
+        text = Path(config.goals_path).read_text(encoding="utf-8-sig")
+        goals = parse_goals(text, machine)
+    limits = {"max_states": config.max_states, "max_transitions": config.max_transitions}
+    result = explore(machine, **limits)
     # A cut LTS makes every metric computed from it a number of the cut.
     cut = _TRUNCATED.format("exploration") if result.truncated else None
-
-    # functional suitability -------------------------------------------------
-    requirement = None
+    plan = None
+    if cut is None and config.plan_path is not None:
+        plan = load_plan(config.plan_path, result, machine.element_sets)
+    required = None
     required_source: dict = {"mode": None}
     if config.required_path or config.reference_path:
-        requirement = load_required(
+        required = load_required(
             machine,
             required_path=config.required_path,
             reference_path=config.reference_path,
-            max_states=config.max_states,
-            max_transitions=config.max_transitions,
+            **limits,
         )
         if config.required_path:
             required_source = {"mode": "transitions", "path": config.required_path}
@@ -223,78 +218,92 @@ def evaluate(config: EvaluationConfig) -> QualityReport:
             required_source = {
                 "mode": "reference",
                 "path": config.reference_path,
-                "truncated": requirement.truncated,
+                "truncated": required.truncated,
             }
 
-    if requirement is None:
-        _mark_all(report, _FUNCTIONAL_METRICS, "no required transitions provided")
-    elif cut is not None or requirement.truncated:
-        reason = cut or _TRUNCATED.format("reference exploration")
-        _mark_all(report, _FUNCTIONAL_METRICS, reason)
-    else:
-        _functional_metrics(report, result, requirement, config.size_guard)
+    n_words = word_count(source)
+    metrics = {"capacity": capacity(result), **result.metering}
+    metrics["learnability"] = learnability(n_words, config.word_limit)
+    report = QualityReport(machine.name, metrics=metrics, summary=result.summary)
 
-    # security / reliability / maintainability / usability ---------------------
-    computations = {
+    # the metrics that read the LTS ----------------------------------------------
+    # Each is a callable or the reason it is not computed (a missing input
+    # or a cut LTS); a cut target is the reason for every callable too.
+    computations: dict = {
         "invariant_satisfiability": lambda: invariant_satisfiability(result),
         "accountability": lambda: accountability(result),
         "reusability": lambda: reusability(result),
+        "goal_appropriateness": (lambda: goal_appropriateness(result, goals))
+        if goals is not None
+        else "no goals provided",
     }
-    if config.goals_path is not None:
-        goals = parse_goals(
-            Path(config.goals_path).read_text(encoding="utf-8"), machine
-        )
-        computations["goal_appropriateness"] = lambda: goal_appropriateness(
-            result, goals
-        )
+    if required is None:
+        reason = "no required transitions provided"
+        computations.update(dict.fromkeys(_FUNCTIONAL_METRICS, reason))
+    elif cut or required_source.get("truncated"):
+        reason = cut or _TRUNCATED.format("reference exploration")
+        computations.update(dict.fromkeys(_FUNCTIONAL_METRICS, reason))
     else:
-        report.mark_not_computed("goal_appropriateness", "no goals provided")
-    if cut is not None:
-        _mark_all(report, computations, cut)
-    else:
-        for name, compute in computations.items():
-            _set_or_mark(report, name, compute)
-    _set_or_mark(report, "learnability", lambda: learnability(n_words, config.word_limit))
+        coded = code_relations(result, required)
+        computations.update(functional(*coded, size_guard=config.size_guard))
+        computations["availability"] = lambda: availability(result, required.operations)
+    for name, compute in computations.items():
+        reason = compute if isinstance(compute, str) else cut
+        if reason is None:
+            try:
+                report.set_metric(name, compute())
+                continue
+            except _NOT_COMPUTABLE as exc:
+                reason = str(exc)
+        report.mark_not_computed(name, reason)
 
     # fault injection ------------------------------------------------------------
-    if cut is None and config.plan_path is not None:
-        plan = load_plan(config.plan_path, result, machine.element_sets)
-        changed = apply_plan(result, plan)
-        values, reasons = trial_metrics(result, changed)
-        sweep = partial(plan_modularity, result, plan, changed)
-        _record_fault_metrics(report, values, reasons, sweep)
-        mutation_prov = {
-            "mode": "plan",
-            "plan_path": config.plan_path,
-            "n_extra": len(plan.pre),
-            "n_missing": len(plan.missing),
-            "label_scope": plan.label_scope,
-            "seed": plan.seed,
-        }
-    elif cut is None and config.trials > 0:
-        # Defaulted counts are cut to what the exploration offers.
-        n_default = default_mutation_count(len(result.pre))
-        default_extra, default_missing = capped_counts(result, n_default, n_default)
-        n_extra = config.n_extra if config.n_extra is not None else default_extra
-        n_missing = config.n_missing if config.n_missing is not None else default_missing
-        outcome = run_trials(result, config.trials, n_extra, n_missing, seed)
-        values = outcome.means
-        reasons = dict.fromkeys(FAULT_METRICS, "not computable in any trial")
-        report.trial_exclusions = outcome.exclusions
-        per_op_counts = per_operation_counts(result, n_extra, n_missing)
-        sweep = partial(modularity_sweep, result, per_op_counts, seed)
-        _record_fault_metrics(report, values, reasons, sweep)
-        mutation_prov = {
-            "mode": "seeded",
-            "trials": config.trials,
-            "n_extra": n_extra,
-            "n_missing": n_missing,
-            "seed": seed,
-            "per_operation_counts": _counts_json(per_op_counts),
-        }
-    else:
-        _mark_all(report, [*FAULT_METRICS, "modularity"], cut or "mutation trials disabled")
+    if plan is None and (cut or not config.trials):
+        for name in (*FAULT_METRICS, "modularity"):
+            report.mark_not_computed(name, cut or "mutation trials disabled")
         mutation_prov = {"mode": "disabled"}
+    else:
+        if plan is not None:
+            changed = apply_plan(result, plan)
+            values, reasons = trial_metrics(result, changed)
+            mutation_prov = {
+                "mode": "plan",
+                "plan_path": config.plan_path,
+                "n_extra": len(plan.pre),
+                "n_missing": len(plan.missing),
+                "label_scope": plan.label_scope,
+                "seed": plan.seed,
+            }
+        else:
+            # Defaulted counts are cut to what the exploration offers.
+            n_default = default_mutation_count(len(result.pre))
+            default_extra, default_missing = capped_counts(result, n_default, n_default)
+            n_extra = config.n_extra if config.n_extra is not None else default_extra
+            n_missing = config.n_missing if config.n_missing is not None else default_missing
+            outcome = run_trials(result, config.trials, n_extra, n_missing, seed)
+            values = outcome.means
+            reasons = dict.fromkeys(FAULT_METRICS, "not computable in any trial")
+            report.trial_exclusions = outcome.exclusions
+            per_op_counts = per_operation_counts(result, n_extra, n_missing)
+            mutation_prov = {
+                "mode": "seeded",
+                "trials": config.trials,
+                "n_extra": n_extra,
+                "n_missing": n_missing,
+                "seed": seed,
+                "per_operation_counts": _counts_json(per_op_counts),
+            }
+        report.metrics.update(values)
+        report.reasons.update((n, reasons[n]) for n, v in values.items() if v is None)
+        try:
+            report.per_operation_modularity, weighted = (
+                modularity_sweep(result, per_op_counts, seed)
+                if plan is None
+                else plan_modularity(result, plan, changed)
+            )
+            report.set_metric("modularity", weighted)
+        except _NOT_COMPUTABLE as exc:
+            report.mark_not_computed("modularity", str(exc))
 
     report.provenance = {
         "machine_path": config.machine_path,
@@ -302,58 +311,12 @@ def evaluate(config: EvaluationConfig) -> QualityReport:
         "goals_path": config.goals_path,
         "word_count": n_words,
         "word_limit": config.word_limit,
-        "limits": {
-            "max_states": config.max_states,
-            "max_transitions": config.max_transitions,
-        },
+        "limits": limits,
         "mutation": mutation_prov,
         "similarity_size_guard": config.size_guard,
         "tool_version": __version__,
     }
     return report
-
-
-def _functional_metrics(
-    report: QualityReport,
-    result: ExplorationResult,
-    requirement: RequirementSpec,
-    size_guard: int,
-) -> None:
-    """The six functional metrics, on one coding of the derived and required
-    relations, and availability."""
-    required = requirement.required_transitions
-    computations = functional(*code_relations(result, required), size_guard=size_guard)
-    computations["availability"] = lambda: availability(result, required.operations)
-    for name, compute in computations.items():
-        _set_or_mark(report, name, compute)
-
-
-def _mark_all(report: QualityReport, names, reason: str) -> None:
-    for name in names:
-        report.mark_not_computed(name, reason)
-
-
-def _set_or_mark(report: QualityReport, name: str, compute) -> None:
-    try:
-        report.set_metric(name, compute())
-    except (NotComputable, AlignmentError, MutationError) as exc:
-        report.mark_not_computed(name, str(exc))
-
-
-def _record_fault_metrics(report: QualityReport, values: dict, reasons: dict, sweep) -> None:
-    """Write the fault metrics, a None value marked with its reason, and the
-    modularity that ``sweep`` computes."""
-    for name, value in values.items():
-        if value is None:
-            report.mark_not_computed(name, reasons[name])
-        else:
-            report.set_metric(name, value)
-
-    def modularity() -> Fraction:
-        report.per_operation_modularity, weighted = sweep()
-        return weighted
-
-    _set_or_mark(report, "modularity", modularity)
 
 
 def _counts_json(per_op_counts: dict) -> dict:
@@ -401,23 +364,14 @@ def report_to_json(report: QualityReport) -> dict:
     metrics: dict = {}
     exact: dict = {}
     for name in _METRIC_ORDER:
-        if name == "cpu_seconds":
-            metrics[name] = (
-                round(report.cpu_seconds, 3) if report.cpu_seconds is not None else None
-            )
-            continue
-        if name == "peak_memory_bytes":
-            metrics[name] = report.peak_memory_bytes
-            continue
-        if name == "capacity":
-            metrics[name] = report.capacity
-            continue
         value = report.value(name)
-        if value is None:
-            metrics[name] = NOT_COMPUTED
-        else:
+        if isinstance(value, Fraction):
             metrics[name] = _decimal(value)
             exact[name] = str(value)
+        elif value is None:
+            metrics[name] = NOT_COMPUTED
+        else:
+            metrics[name] = round(value, 3) if isinstance(value, float) else value
         if name == "invariant_satisfiability":
             # The historically common misspelling stays available as an alias.
             metrics["invariant_satisfability"] = metrics[name]

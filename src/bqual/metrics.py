@@ -10,6 +10,12 @@ relations with it, and the set-form ``tfcomp``, ``pfcomp``, ``tfcorr``,
 ``pfcorr``, ``tfappr`` and ``pfappr`` turn their sets of ``(pre row,
 operation, post row)`` triples into relations (``lts.relation_of``) and
 code those.
+
+The inputs are plain values, with no wrapper around them: the
+exploration, the required relation's operation names (``availability``),
+the goals as ``(name, predicate)`` pairs (``goal_appropriateness``) and
+counts.  ``QualityReport.metrics`` holds every value of the vector, the
+capacity and the two metering values included.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -33,20 +39,6 @@ class NotComputable(ValueError):
     def __init__(self, reason: str):
         super().__init__(reason)
         self.reason = reason
-
-
-@dataclass(frozen=True)
-class RequirementSpec:
-    """The required transitions, as a relation.  ``truncated`` says whether
-    a limit cut the reference exploration short that derived them."""
-
-    required_transitions: Relation
-    truncated: bool
-
-
-@dataclass(frozen=True)
-class GoalSpec:
-    goals: tuple[tuple[str, Predicate], ...]
 
 
 # --- functional suitability ---------------------------------------------------
@@ -247,12 +239,14 @@ def capacity(result: ExplorationResult) -> int:
     return len(result.rows) + len(result.pre)
 
 
-def goal_appropriateness(result: ExplorationResult, goals: GoalSpec) -> Fraction:
-    """Share of goal predicates satisfied by some derived state."""
-    if not goals.goals:
+def goal_appropriateness(
+    result: ExplorationResult, goals: Sequence[tuple[str, Predicate]]
+) -> Fraction:
+    """Share of the ``(name, predicate)`` goals satisfied by some derived state."""
+    if not goals:
         raise NotComputable("no goal predicates")
-    achieved = sum(1 for _, pred in goals.goals if check_goal(result, pred))
-    return Fraction(achieved, len(goals.goals))
+    achieved = sum(1 for _, pred in goals if check_goal(result, pred))
+    return Fraction(achieved, len(goals))
 
 
 def learnability(n_words: int, n_limit: int) -> Fraction:
@@ -300,17 +294,16 @@ REPORT_GROUPS = (
 class QualityReport:
     """The full metric vector plus provenance.
 
-    Ratio fields hold exact Fractions when computed and None otherwise;
-    ``reasons`` records why a field was skipped.
+    ``metrics`` maps each name to its value: an exact Fraction for a
+    computed ratio, None for one not computed (``reasons`` says why), and
+    a plain number for ``capacity``, ``cpu_seconds`` and
+    ``peak_memory_bytes``.
     """
 
     machine_name: str
     metrics: dict = field(default_factory=dict)
     reasons: dict = field(default_factory=dict)
     per_operation_modularity: dict = field(default_factory=dict)
-    capacity: int | None = None
-    cpu_seconds: float | None = None
-    peak_memory_bytes: int | None = None
     summary: dict = field(default_factory=dict)
     provenance: dict = field(default_factory=dict)
     trial_exclusions: dict = field(default_factory=dict)

@@ -28,7 +28,7 @@ import random
 import zlib
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -354,16 +354,18 @@ def modularity_sweep(
     result: ExplorationResult, per_op_counts: Mapping[str, tuple[int, int]], seed: int
 ) -> tuple[dict, Fraction]:
     """Per-operation modularity from label-scoped plans, plus the
-    transition-share-weighted total."""
+    transition-share-weighted total.  Each operation's plan is drawn and
+    applied only when the one before it has been scored."""
 
-    def changed_by(op: str) -> ChangedSystem:
-        if op not in per_op_counts:
-            raise MutationError(f"no mutation counts for operation {op!r}")
-        n_extra, n_missing = per_op_counts[op]
-        plan = generate_plan(result, n_extra, n_missing, _op_seed(seed, op), op)
-        return apply_plan(result, plan)
+    def changed_systems():
+        for op in result.label_counts:
+            if op not in per_op_counts:
+                raise MutationError(f"no mutation counts for operation {op!r}")
+            n_extra, n_missing = per_op_counts[op]
+            plan = generate_plan(result, n_extra, n_missing, _op_seed(seed, op), op)
+            yield op, apply_plan(result, plan)
 
-    return _modularity(result, changed_by)
+    return _modularity(result, changed_systems())
 
 
 def plan_modularity(
@@ -373,32 +375,28 @@ def plan_modularity(
     must be scoped to an operation."""
     if plan.label_scope is None:
         raise MutationError("explicit plan has no operation scope")
-    return _modularity(
-        result, lambda op: changed if op == plan.label_scope else None
-    )
+    return _modularity(result, [(plan.label_scope, changed)])
 
 
 def _modularity(
-    result: ExplorationResult, changed_by: Callable[[str], ChangedSystem | None]
+    result: ExplorationResult, changed: Iterable[tuple[str, ChangedSystem]]
 ) -> tuple[dict, Fraction]:
-    """Modularity of every derived operation, from the changed system that
-    ``changed_by`` gives for it.  An operation without one is untouched: its
+    """Modularity of every derived operation, from the ``(operation,
+    changed system)`` pairs.  An operation without one is untouched: its
     changed system is the derived system itself, so its modularity is 1.
 
     With ``op`` erased, the changed system's derived part lies inside the
     derived system, so the two share exactly that part, and their union is
     the derived system plus the inserted transitions taken."""
     counts = result.label_counts
-    per_op: dict[str, Fraction] = {}
-    for op, count in counts.items():
-        changed = changed_by(op)
-        if changed is None:
-            per_op[op] = Fraction(1)
+    per_op = dict.fromkeys(counts, Fraction(1))
+    for op, system in changed:
+        if op not in counts:
             continue
         code = result.labels.index(op)
-        common = _count(changed.taken & (result.label != code))
-        inserted = _count(changed.extra_taken & (changed.plan.label != code))
-        union = len(result.pre) - count + inserted
+        common = _count(system.taken & (result.label != code))
+        inserted = _count(system.extra_taken & (system.plan.label != code))
+        union = len(result.pre) - counts[op] + inserted
         per_op[op] = modularity_of(op, common, union)
     return per_op, weighted_modularity(per_op, counts)
 
@@ -491,7 +489,7 @@ def load_plan(
     element_sets: Mapping[str, str] | None = None,
 ) -> MutationPlan:
     """The plan in the JSON file at ``path`` (``plan_from_json``)."""
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         try:
             obj = json.load(handle)
         except json.JSONDecodeError as exc:

@@ -93,7 +93,7 @@ def test_criterion_04_cm4_violations(cm4_result, cm2_machine):
     assert len(cm4_result.violating) == 25
     assert invariant_satisfiability(cm4_result) == Fraction(1440, 1465)
     required = load_required(cm2_machine, reference_path=str(corpus_path("CM1.mch")))
-    assert availability(cm4_result, required.required_transitions.operations) == Fraction(1, 3)
+    assert availability(cm4_result, required.operations) == Fraction(1, 3)
     ok(4, "CM4: 1465 transitions, 25 violating, inv. sat. 1440/1465, availability 1/3")
 
 

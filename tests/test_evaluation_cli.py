@@ -7,6 +7,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -20,7 +21,6 @@ from bqual.evaluation import (
     render_report,
     report_to_json,
 )
-from bqual.metrics import GoalSpec
 
 from conftest import corpus_path, corpus_source, count_transitions
 
@@ -97,6 +97,13 @@ def test_explore_out_builds_no_transition(tmp_path, monkeypatch, capsys):
     assert built == []
 
 
+def _refuse(why):
+    def refuse(*args, **kwargs):
+        raise AssertionError(why)
+
+    return refuse
+
+
 class TestTruncatedEvaluation:
     """A cut LTS yields no metric that reads it; the counts stay."""
 
@@ -144,11 +151,98 @@ class TestTruncatedEvaluation:
         assert reasons["tfcomp"].startswith("reference exploration truncated")
         assert report.value("invariant_satisfiability") is not None
 
+    def test_no_relation_coded_when_cut(self, monkeypatch):
+        why = "a relation was coded although a limit cut the LTS"
+        monkeypatch.setattr("bqual.evaluation.code_relations", _refuse(why))
+        self.test_truncated_target()
+        self.test_truncated_reference()
+
+
+class TestInputsReadFirst:
+    """A bad input fails the run before the stages that cost."""
+
+    def test_bad_goals_line_before_explore(self, tmp_path, monkeypatch):
+        goals = tmp_path / "goals.txt"
+        goals.write_text("G1: hour = 0\nno colon here\n", encoding="utf-8")
+        monkeypatch.setattr("bqual.evaluation.explore", _refuse("explored before the goals"))
+        config = EvaluationConfig(machine_path=CM1, goals_path=str(goals), trials=0)
+        with pytest.raises(EvaluationError, match="goals line 2"):
+            evaluate(config)
+
+    def test_missing_plan_before_load_required(self, tmp_path, monkeypatch):
+        why = "loaded the requirement before the plan"
+        monkeypatch.setattr("bqual.evaluation.load_required", _refuse(why))
+        config = EvaluationConfig(
+            machine_path=CM2, reference_path=CM1, plan_path=str(tmp_path / "none.json")
+        )
+        with pytest.raises(FileNotFoundError):
+            evaluate(config)
+
+    def test_missing_goals_exit_one(self):
+        result = run_cli(
+            "evaluate", "--machine", CM2, "--reference", CM1, "--goals", "/nonexistent",
+            "--trials", "0",
+        )
+        assert result.returncode == 1
+        assert "/nonexistent" in result.stderr
+
+
+class TestByteOrderMark:
+    """Every text input may begin with a UTF-8 byte-order mark."""
+
+    @staticmethod
+    def with_bom(tmp_path, path):
+        copy = tmp_path / f"bom-{Path(path).name}"
+        copy.write_bytes(b"\xef\xbb\xbf" + Path(path).read_bytes())
+        return str(copy)
+
+    @staticmethod
+    def comparable(config):
+        obj = _strip_metering(report_to_json(evaluate(config)))
+        provenance = obj["provenance"]
+        for key in ("machine_path", "goals_path"):
+            provenance[key] = None
+        provenance["required_source"].pop("path", None)
+        provenance["mutation"].pop("plan_path", None)
+        return obj
+
+    def test_machine_reference_goals_and_plan(self, tmp_path):
+        plain = {
+            "machine_path": CM1, "reference_path": CM1, "goals_path": GOALS,
+            "plan_path": PLAN,
+        }
+        marked = {key: self.with_bom(tmp_path, path) for key, path in plain.items()}
+        expected = self.comparable(EvaluationConfig(**plain))
+        assert self.comparable(EvaluationConfig(**marked)) == expected
+        assert expected["metrics"]["goal_appropriateness"] == 0.5
+        assert expected["provenance"]["mutation"]["mode"] == "plan"
+
+    def test_required_dump(self, tmp_path):
+        dump = tmp_path / "cm4.jsonl"
+        assert run_cli("explore", "--machine", CM4, "--out", str(dump)).returncode == 0
+        marked = self.with_bom(tmp_path, dump)
+        configs = [
+            EvaluationConfig(machine_path=CM1, required_path=path, trials=2, seed=7)
+            for path in (str(dump), marked)
+        ]
+        expected = self.comparable(configs[0])
+        assert self.comparable(configs[1]) == expected
+        # CM1 derives 1,440 of CM4's 1,465 transitions.
+        assert expected["exact"]["tfcomp"] == "288/293"
+
+    def test_explore_machine(self, tmp_path):
+        plain = run_cli("explore", "--machine", CM1)
+        marked = run_cli("explore", "--machine", self.with_bom(tmp_path, CM1))
+        assert (marked.returncode, marked.stderr) == (0, "")
+        outputs = [json.loads(run.stdout) for run in (plain, marked)]
+        for obj in outputs:
+            del obj["metering"]
+        assert outputs[1] == outputs[0]
+
 
 class TestLoadRequired:
     def test_reference_mode(self, cm2_machine):
-        spec = load_required(cm2_machine, reference_path=CM1)
-        required = spec.required_transitions
+        required = load_required(cm2_machine, reference_path=CM1)
         assert len(required) == 1440
         assert required.operations == {"inc_minute", "inc_hour", "next_day"}
         assert len(set(zip(required.pre.tolist(), required.post.tolist()))) == 1440
@@ -170,8 +264,8 @@ class TestLoadRequired:
             '"post": {"hour": 0, "minute": 1}}\n',
             encoding="utf-8",
         )
-        spec = load_required(cm1_machine, required_path=str(path))
-        assert len(spec.required_transitions) == 1
+        required = load_required(cm1_machine, required_path=str(path))
+        assert len(required) == 1
 
     def test_empty_file_rejected(self, cm1_machine, tmp_path):
         path = tmp_path / "empty.jsonl"
@@ -199,11 +293,11 @@ class TestLoadRequired:
 class TestParseGoals:
     def test_corpus_goals(self, cm1_machine):
         goals = parse_goals(corpus_source("goals-cm1.txt"), cm1_machine)
-        assert [name for name, _ in goals.goals] == ["G1", "G2"]
+        assert [name for name, _ in goals] == ["G1", "G2"]
 
     def test_blank_lines_skipped(self, cm1_machine):
         goals = parse_goals("\nG1: hour = 0\n\n", cm1_machine)
-        assert len(goals.goals) == 1
+        assert len(goals) == 1
 
     def test_bad_line(self, cm1_machine):
         with pytest.raises(EvaluationError, match="line 1"):
@@ -211,14 +305,14 @@ class TestParseGoals:
 
     def test_membership_goal_splits_on_first_colon(self, cm1_machine):
         goals = parse_goals("G3: hour : 0..5", cm1_machine)
-        assert len(goals.goals) == 1 and goals.goals[0][0] == "G3"
+        assert len(goals) == 1 and goals[0][0] == "G3"
 
     def test_duplicate_name(self, cm1_machine):
         with pytest.raises(EvaluationError, match="duplicate"):
             parse_goals("G: hour = 0\nG: hour = 1", cm1_machine)
 
     def test_empty_text(self, cm1_machine):
-        assert parse_goals("", cm1_machine) == GoalSpec(goals=())
+        assert parse_goals("", cm1_machine) == ()
 
 
 class TestEvaluatePipeline:
@@ -235,7 +329,7 @@ class TestEvaluatePipeline:
         assert report.value("pfappr") == Fraction(5645, 5760)
         assert report.value("availability") == 1
         assert report.value("goal_appropriateness") == Fraction(1, 2)
-        assert report.capacity == 1417 + 1417
+        assert report.value("capacity") == 1417 + 1417
 
     def test_cm1_against_itself(self):
         config = EvaluationConfig(machine_path=CM1, reference_path=CM1, trials=0)
@@ -244,7 +338,7 @@ class TestEvaluatePipeline:
             assert report.value(name) == 1
         assert report.value("invariant_satisfiability") == 1
         assert report.value("reusability") == Fraction(1437, 1440)
-        assert report.capacity == 2880
+        assert report.value("capacity") == 2880
 
     def test_plan_mode(self):
         config = EvaluationConfig(machine_path=CM1, plan_path=PLAN, trials=0)

@@ -7,7 +7,6 @@ import pytest
 from bqual.explorer import explore
 from bqual.lts import Transition, intval
 from bqual.metrics import (
-    GoalSpec,
     NotComputable,
     accountability,
     availability,
@@ -297,25 +296,23 @@ class TestCapacityAndGoals:
         assert capacity(cm4_result) == 1465 + 1465
 
     def test_goal_appropriateness_half(self, cm1_result, cm1_machine):
-        goals = GoalSpec(
-            goals=(
-                ("G1", parse_predicate("hour + minute < 10", cm1_machine)),
-                ("G2", parse_predicate("hour > 26 & minute < 10", cm1_machine)),
-            )
+        goals = (
+            ("G1", parse_predicate("hour + minute < 10", cm1_machine)),
+            ("G2", parse_predicate("hour > 26 & minute < 10", cm1_machine)),
         )
         assert goal_appropriateness(cm1_result, goals) == Fraction(1, 2)
 
     def test_all_goals_hold(self, cm1_result, cm1_machine):
-        goals = GoalSpec(goals=(("G", parse_predicate("1 = 1", cm1_machine)),))
+        goals = (("G", parse_predicate("1 = 1", cm1_machine)),)
         assert goal_appropriateness(cm1_result, goals) == 1
 
     def test_no_goal_holds(self, cm1_result, cm1_machine):
-        goals = GoalSpec(goals=(("G", parse_predicate("hour > 99", cm1_machine)),))
+        goals = (("G", parse_predicate("hour > 99", cm1_machine)),)
         assert goal_appropriateness(cm1_result, goals) == 0
 
     def test_empty_goals_error(self, cm1_result):
         with pytest.raises(NotComputable):
-            goal_appropriateness(cm1_result, GoalSpec(goals=()))
+            goal_appropriateness(cm1_result, ())
 
 
 class TestLearnability:

@@ -586,6 +586,29 @@ class TestModularitySweep:
                 cm1_result, {"inc_minute": (0, 0), "inc_hour": (0, 0)}, 0
             )
 
+    def test_no_counts_names_the_first_operation(self, cm1_result):
+        with pytest.raises(MutationError, match="no mutation counts for operation 'inc_hour'"):
+            modularity_sweep(cm1_result, {}, 7)
+
+    def test_plan_scoped_to_an_operation_never_derived(self):
+        from bqual.explorer import explore
+        from bqual.mutation import plan_modularity
+        from bqual.parser import parse_machine
+
+        machine = parse_machine(
+            "MACHINE Idle VARIABLES x INVARIANT x : 0..2 INITIALISATION x := 0 "
+            "OPERATIONS up = PRE x < 2 THEN x := x + 1 END; "
+            "never = PRE x > 5 THEN x := 0 END END"
+        )
+        result = explore(machine, meter_memory=False)
+        plan = plan_from_json(
+            {"extra": [{"pre": {"x": 0}, "op": "never", "post": {"x": 2}}],
+             "missing": [], "label_scope": "never"},
+            result,
+        )
+        # Only derived operations are scored; the scoped one has no transition.
+        assert plan_modularity(result, plan, apply_plan(result, plan)) == ({"up": 1}, 1)
+
     def test_two_op_toy_hand_values(self):
         from bqual.explorer import explore
         from bqual.parser import parse_machine

@@ -474,7 +474,7 @@ def test_coded_apply_plan_matches_set_semantics(plan):
             else 0
         ),
     }
-    per_op, weighted = _modularity(result, lambda op: changed)
+    per_op, weighted = _modularity(result, [(op, changed) for op in result.label_counts])
     expected = {
         op: Fraction(*erased_sizes(op, derived, t_changed)) for op in ("down", "up")
     }

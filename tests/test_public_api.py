@@ -6,11 +6,9 @@ EXPORTED = [
     "AlignmentOutcome",
     "ChangedSystem",
     "ExplorationResult",
-    "GoalSpec",
     "MutationPlan",
     "NotComputable",
     "QualityReport",
-    "RequirementSpec",
     "Transition",
     "Value",
     "apply_plan",
