@@ -5,10 +5,12 @@ and AST, the goals as ``(name, predicate)`` pairs, the target's
 ``ExplorationResult``, an explicit plan on its ids, and the required
 ``Relation`` (for ``--reference``, the reference's ``ExplorationResult``).
 Each input is read before the stage that costs.  One loop records the
-metrics that read the LTS, from one dict of callables, and one branch
-the fault metrics.  Metrics whose inputs are missing, whose denominators
-are empty, or whose LTS a limit cut short come back as "not-computed"
-with a reason instead of failing the whole run.
+metrics that read the LTS, from one dict of callables.  One block records
+the fault metrics, after a branch per mode has built the changed systems:
+an explicit plan's one, or the seeded ones, drawn lazily.  Metrics whose
+inputs are missing, whose denominators are empty, or whose LTS a limit
+cut short come back as "not-computed" with a reason instead of failing
+the whole run.
 """
 
 from __future__ import annotations
@@ -48,10 +50,8 @@ from .mutation import (
     capped_counts,
     load_plan,
     modularity_sweep,
-    per_operation_counts,
-    plan_modularity,
     run_trials,
-    trial_metrics,
+    seeded,
 )
 from .parser import parse_machine, parse_predicate
 
@@ -244,8 +244,9 @@ def evaluate(config: EvaluationConfig) -> QualityReport:
         reason = cut or _TRUNCATED.format("reference exploration")
         computations.update(dict.fromkeys(_FUNCTIONAL_METRICS, reason))
     else:
-        coded = code_relations(result, required)
-        computations.update(functional(*coded, size_guard=config.size_guard))
+        computations.update(
+            functional(*code_relations(result, required), size_guard=config.size_guard)
+        )
         computations["availability"] = lambda: availability(result, required.operations)
     for name, compute in computations.items():
         reason = compute if isinstance(compute, str) else cut
@@ -256,51 +257,54 @@ def evaluate(config: EvaluationConfig) -> QualityReport:
             except _NOT_COMPUTABLE as exc:
                 reason = str(exc)
         report.mark_not_computed(name, reason)
+    # Free the coded relations before fault injection sets the peak memory.
+    del computations, compute, required
 
     # fault injection ------------------------------------------------------------
-    if plan is None and (cut or not config.trials):
+    # An explicit plan is applied once and scored as a one-trial run.
+    if plan is not None:
+        trials = sweep = [apply_plan(result, plan)]
+        mutation_prov = {
+            "mode": "plan",
+            "plan_path": config.plan_path,
+            "n_extra": len(plan.pre),
+            "n_missing": len(plan.missing),
+            "label_scope": plan.label_scope,
+            "seed": plan.seed,
+        }
+    elif cut or not config.trials:
         for name in (*FAULT_METRICS, "modularity"):
             report.mark_not_computed(name, cut or "mutation trials disabled")
         mutation_prov = {"mode": "disabled"}
     else:
-        if plan is not None:
-            changed = apply_plan(result, plan)
-            values, reasons = trial_metrics(result, changed)
-            mutation_prov = {
-                "mode": "plan",
-                "plan_path": config.plan_path,
-                "n_extra": len(plan.pre),
-                "n_missing": len(plan.missing),
-                "label_scope": plan.label_scope,
-                "seed": plan.seed,
-            }
-        else:
-            # Defaulted counts are cut to what the exploration offers.
-            n_default = default_mutation_count(len(result.pre))
-            default_extra, default_missing = capped_counts(result, n_default, n_default)
-            n_extra = config.n_extra if config.n_extra is not None else default_extra
-            n_missing = config.n_missing if config.n_missing is not None else default_missing
-            outcome = run_trials(result, config.trials, n_extra, n_missing, seed)
-            values = outcome.means
-            reasons = dict.fromkeys(FAULT_METRICS, "not computable in any trial")
-            report.trial_exclusions = outcome.exclusions
-            per_op_counts = per_operation_counts(result, n_extra, n_missing)
-            mutation_prov = {
-                "mode": "seeded",
-                "trials": config.trials,
-                "n_extra": n_extra,
-                "n_missing": n_missing,
-                "seed": seed,
-                "per_operation_counts": _counts_json(per_op_counts),
-            }
-        report.metrics.update(values)
-        report.reasons.update((n, reasons[n]) for n, v in values.items() if v is None)
+        # Defaulted counts are cut to what the exploration offers.
+        n_default = default_mutation_count(len(result.pre))
+        default_extra, default_missing = capped_counts(result, n_default, n_default)
+        n_extra = config.n_extra if config.n_extra is not None else default_extra
+        n_missing = config.n_missing if config.n_missing is not None else default_missing
+        trials = seeded(result, n_extra, n_missing, seed, config.trials)
+        sweep = seeded(result, n_extra, n_missing, seed)
+        mutation_prov = {
+            "mode": "seeded",
+            "trials": config.trials,
+            "n_extra": n_extra,
+            "n_missing": n_missing,
+            "seed": seed,
+            "per_operation_counts": {
+                op: {"n_extra": e, "n_missing": m}
+                for op in sorted(result.label_counts)
+                for e, m in [capped_counts(result, n_extra, n_missing, op)]
+            },
+        }
+    if mutation_prov["mode"] != "disabled":
+        means, exclusions, reasons = run_trials(result, trials)
+        report.metrics.update(means)
+        if plan is None:
+            reasons = dict.fromkeys(reasons, "not computable in any trial")
+            report.trial_exclusions = exclusions
+        report.reasons.update(reasons)
         try:
-            report.per_operation_modularity, weighted = (
-                modularity_sweep(result, per_op_counts, seed)
-                if plan is None
-                else plan_modularity(result, plan, changed)
-            )
+            report.per_operation_modularity, weighted = modularity_sweep(result, sweep)
             report.set_metric("modularity", weighted)
         except _NOT_COMPUTABLE as exc:
             report.mark_not_computed("modularity", str(exc))
@@ -317,13 +321,6 @@ def evaluate(config: EvaluationConfig) -> QualityReport:
         "tool_version": __version__,
     }
     return report
-
-
-def _counts_json(per_op_counts: dict) -> dict:
-    return {
-        op: {"n_extra": ne, "n_missing": nm}
-        for op, (ne, nm) in sorted(per_op_counts.items())
-    }
 
 
 # --- rendering ------------------------------------------------------------------

@@ -19,6 +19,10 @@ counts, the seed and an optional operation scope.  A plan file is decoded
 straight to ids (``plan_from_json``), its listed transitions ordered by
 ``Relation.canonical``; no set of transition triples is built on any path,
 and a ``Transition`` only to word an error.
+
+Both kinds of plan are scored on one path, ``run_trials`` and
+``modularity_sweep`` over changed systems: ``seeded`` yields the seeded
+ones one plan at a time, and an explicit plan is applied once.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import random
 import zlib
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -278,53 +282,27 @@ FAULT_METRICS = {
 }
 
 
-@dataclass
-class TrialOutcome:
-    means: dict
-    exclusions: dict
-
-
-def trial_metrics(
-    result: ExplorationResult, changed: ChangedSystem
-) -> tuple[dict, dict]:
-    """The four fault-injection metrics for one applied plan; returns
-    ``(values, reasons)`` where a non-computable metric appears as None."""
-    values: dict = {}
-    reasons: dict = {}
-    for name, compute in FAULT_METRICS.items():
-        try:
-            values[name] = compute(result, changed)
-        except NotComputable as exc:
-            values[name] = None
-            reasons[name] = exc.reason
-    return values, reasons
-
-
 def run_trials(
-    result: ExplorationResult, trial_count: int, n_extra: int, n_missing: int, seed: int
-) -> TrialOutcome:
-    """Average the fault-injection metrics over seeded trials.
-
-    Trial ``i`` uses seed ``seed ^ i``.  A trial whose denominator is empty
-    for some metric is excluded from that metric's mean, and the exclusion
-    is counted; a metric excluded in every trial comes back as None.
-    """
-    if trial_count < 1:
-        raise MutationError("trial count must be at least 1")
+    result: ExplorationResult, changed: Iterable[ChangedSystem]
+) -> tuple[dict, dict, dict]:
+    """``(means, exclusions, reasons)`` of the fault-injection metrics over
+    the changed systems, one trial each.  A trial whose denominator is empty
+    for some metric is excluded from that metric's mean and counted; a
+    metric excluded in every trial has mean None and the last reason."""
     samples: dict[str, list] = {name: [] for name in FAULT_METRICS}
-    for i in range(trial_count):
-        changed = apply_plan(result, generate_plan(result, n_extra, n_missing, seed ^ i))
-        values, _ = trial_metrics(result, changed)
-        for name, value in values.items():
-            if value is not None:
-                samples[name].append(value)
-    return TrialOutcome(
-        means={
-            name: sum(kept, Fraction(0)) / len(kept) if kept else None
-            for name, kept in samples.items()
-        },
-        exclusions={name: trial_count - len(kept) for name, kept in samples.items()},
-    )
+    reasons: dict = {}
+    trials = 0
+    for trials, system in enumerate(changed, start=1):
+        for name, compute in FAULT_METRICS.items():
+            try:
+                samples[name].append(compute(result, system))
+            except NotComputable as exc:
+                reasons[name] = exc.reason
+    if not trials:
+        raise MutationError("trial count must be at least 1")
+    means = {name: sum(kept) / len(kept) if kept else None for name, kept in samples.items()}
+    exclusions = {name: trials - len(kept) for name, kept in samples.items()}
+    return means, exclusions, {name: reasons[name] for name in means if means[name] is None}
 
 
 def _op_seed(seed: int, op: str) -> int:
@@ -343,54 +321,39 @@ def capped_counts(
     return min(n_extra, space - occupied), min(n_missing, eligible)
 
 
-def per_operation_counts(
-    result: ExplorationResult, n_extra: int, n_missing: int
-) -> dict[str, tuple[int, int]]:
-    """``capped_counts`` of each operation's label-scoped plan."""
-    return {op: capped_counts(result, n_extra, n_missing, op) for op in result.label_counts}
+def seeded(
+    result: ExplorationResult, n_extra: int, n_missing: int, seed: int, trials: int | None = None
+) -> Iterator[ChangedSystem]:
+    """Seeded changed systems, each drawn and applied when the one before it
+    has been used: trial ``i`` of ``trials`` under seed ``seed ^ i`` or,
+    without ``trials``, the sweep's plan for each derived operation ``op``,
+    scoped to it with ``capped_counts``, under ``_op_seed(seed, op)``."""
+    if trials is None:
+        for op in result.label_counts:
+            counts = capped_counts(result, n_extra, n_missing, op)
+            yield apply_plan(result, generate_plan(result, *counts, _op_seed(seed, op), op))
+    else:
+        for i in range(trials):
+            yield apply_plan(result, generate_plan(result, n_extra, n_missing, seed ^ i))
 
 
 def modularity_sweep(
-    result: ExplorationResult, per_op_counts: Mapping[str, tuple[int, int]], seed: int
+    result: ExplorationResult, changed: Iterable[ChangedSystem]
 ) -> tuple[dict, Fraction]:
-    """Per-operation modularity from label-scoped plans, plus the
-    transition-share-weighted total.  Each operation's plan is drawn and
-    applied only when the one before it has been scored."""
-
-    def changed_systems():
-        for op in result.label_counts:
-            if op not in per_op_counts:
-                raise MutationError(f"no mutation counts for operation {op!r}")
-            n_extra, n_missing = per_op_counts[op]
-            plan = generate_plan(result, n_extra, n_missing, _op_seed(seed, op), op)
-            yield op, apply_plan(result, plan)
-
-    return _modularity(result, changed_systems())
-
-
-def plan_modularity(
-    result: ExplorationResult, plan: MutationPlan, changed: ChangedSystem
-) -> tuple[dict, Fraction]:
-    """Per-operation and weighted modularity under one applied plan, which
-    must be scoped to an operation."""
-    if plan.label_scope is None:
-        raise MutationError("explicit plan has no operation scope")
-    return _modularity(result, [(plan.label_scope, changed)])
-
-
-def _modularity(
-    result: ExplorationResult, changed: Iterable[tuple[str, ChangedSystem]]
-) -> tuple[dict, Fraction]:
-    """Modularity of every derived operation, from the ``(operation,
-    changed system)`` pairs.  An operation without one is untouched: its
-    changed system is the derived system itself, so its modularity is 1.
+    """Per-operation modularity from changed systems whose plans are each
+    scoped to an operation, plus the transition-share-weighted total.  A
+    derived operation without one is untouched: its changed system is the
+    derived system itself, so its modularity is 1.
 
     With ``op`` erased, the changed system's derived part lies inside the
     derived system, so the two share exactly that part, and their union is
     the derived system plus the inserted transitions taken."""
     counts = result.label_counts
     per_op = dict.fromkeys(counts, Fraction(1))
-    for op, system in changed:
+    for system in changed:
+        op = system.plan.label_scope
+        if op is None:
+            raise MutationError("explicit plan has no operation scope")
         if op not in counts:
             continue
         code = result.labels.index(op)

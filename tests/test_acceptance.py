@@ -30,7 +30,7 @@ from bqual.metrics import (
     tfcomp,
     tfcorr,
 )
-from bqual.mutation import apply_plan, generate_plan, load_plan, trial_metrics
+from bqual.mutation import apply_plan, generate_plan, load_plan, run_trials
 from bqual.parser import parse_machine
 from bqual.evaluation import parse_goals
 
@@ -103,7 +103,7 @@ def test_criterion_05_cm1_with_explicit_plan(cm1_result, cm1_machine, cm5_result
     )
     changed = apply_plan(cm1_result, plan)
     assert len(changed_sets(cm1_result, changed).u_changed) == 1050
-    values, _ = trial_metrics(cm1_result, changed)
+    values, _, _ = run_trials(cm1_result, [changed])
     assert values["fault_tolerance"] == 1 - Fraction(1, 1050)
     assert values["recoverability"] == Fraction(1049, 1440)
     assert values["functional_analysability"] == 1 - Fraction(1050, 1440)

@@ -492,6 +492,93 @@ class TestEvaluatePipeline:
         with pytest.raises(EvaluationError, match="BQUAL_SEED"):
             evaluate(config)
 
+    def test_coded_relations_freed_before_fault_injection(self, monkeypatch):
+        # Fault injection sets the run's peak memory; the coded relations,
+        # and the alignment the functional metrics cache on them, must not
+        # live on through it.
+        import weakref
+
+        import bqual.evaluation as evaluation
+
+        code_relations, run_trials = evaluation.code_relations, evaluation.run_trials
+        coded, entered = [], []
+
+        def coding(*args, **kwargs):
+            sides = code_relations(*args, **kwargs)
+            coded.extend(weakref.ref(side) for side in sides)
+            return sides
+
+        def trials(*args, **kwargs):
+            entered.append([ref() is None for ref in coded])
+            return run_trials(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "code_relations", coding)
+        monkeypatch.setattr(evaluation, "run_trials", trials)
+        evaluate(EvaluationConfig(machine_path=CM2, reference_path=CM1, trials=1))
+        assert entered == [[True, True]]
+
+
+class TestOneFaultPath:
+    """An explicit plan is scored as a one-plan run of the seeded loop."""
+
+    SEEDED = dict(machine_path=CM1, trials=1, seed=3, n_extra=2, n_missing=2)
+
+    @staticmethod
+    def explicit(tmp_path, draw):
+        """The report of ``--plan`` on the plan that ``draw`` draws on CM1."""
+        from bqual.explorer import explore
+        from bqual.parser import parse_machine
+        from oracle import plan_to_json
+
+        cm1 = explore(parse_machine(corpus_source("CM1.mch")), meter_memory=False)
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(plan_to_json(cm1, draw(cm1))), encoding="utf-8")
+        return evaluate(EvaluationConfig(machine_path=CM1, plan_path=str(path)))
+
+    def test_plan_scores_as_one_seeded_trial(self, tmp_path):
+        from bqual.mutation import generate_plan
+
+        explicit = self.explicit(tmp_path, lambda r: generate_plan(r, 2, 2, 3))
+        seeded = evaluate(EvaluationConfig(**self.SEEDED))
+        expected = {
+            "fault_tolerance": Fraction(487, 489),
+            "recoverability": Fraction(487, 1440),
+            "functional_analysability": Fraction(317, 480),
+            "fault_analysability": 1,
+        }
+        for report in (explicit, seeded):
+            assert {name: report.value(name) for name in expected} == expected
+        assert explicit.trial_exclusions == {}
+
+    def test_scoped_plan_scores_as_the_sweep(self, tmp_path):
+        from bqual.mutation import _op_seed, capped_counts, generate_plan
+
+        def draw(r):
+            counts = capped_counts(r, 2, 2, "inc_minute")
+            return generate_plan(r, *counts, _op_seed(3, "inc_minute"), "inc_minute")
+
+        explicit = self.explicit(tmp_path, draw)
+        seeded = evaluate(EvaluationConfig(**self.SEEDED))
+        value = seeded.per_operation_modularity["inc_minute"]
+        assert value < 1
+        assert explicit.per_operation_modularity["inc_minute"] == value
+
+    def test_plan_applied_once(self, monkeypatch):
+        import bqual.evaluation
+        import bqual.mutation
+
+        original = bqual.mutation.apply_plan
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for module in (bqual.mutation, bqual.evaluation):
+            monkeypatch.setattr(module, "apply_plan", counted)
+        evaluate(EvaluationConfig(machine_path=CM1, plan_path=PLAN))
+        assert len(calls) == 1
+
 
 @pytest.fixture(scope="module")
 def report():

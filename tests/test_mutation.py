@@ -21,7 +21,7 @@ from bqual.mutation import (
     modularity_sweep,
     plan_from_json,
     run_trials,
-    trial_metrics,
+    seeded,
 )
 
 from conftest import (
@@ -506,29 +506,26 @@ class TestNoObjectsOnTheSeededPath:
 
     @pytest.mark.parametrize("jump", [False, True], ids=["CM1", "jump-clock"])
     def test_trials_and_sweep(self, jump, monkeypatch):
-        from bqual.mutation import per_operation_counts
-
         source = (corpus_path("CM6.mch") if jump else corpus_path("CM1.mch")).read_text()
         # A jump clock: CM1 plus set_time onto 03:00-03:04.
         source = source.replace("hh : 0..23 & mm : 0..59", "hh : 3..3 & mm : 0..4")
         result = self.explored(source)
         built = count_transitions(monkeypatch)
-        run_trials(result, 3, 15, 15, 7)
-        modularity_sweep(result, per_operation_counts(result, 15, 15), 7)
+        run_trials(result, seeded(result, 15, 15, 7, 3))
+        modularity_sweep(result, seeded(result, 15, 15, 7))
         assert built == []
         assert not set(self.VIEWS) & set(vars(result))
 
     def test_plan_file(self, cm1_machine, monkeypatch):
         from bqual.evaluation import EvaluationConfig, evaluate
-        from bqual.mutation import plan_modularity
 
         machine, plan_path = str(corpus_path("CM1.mch")), str(corpus_path("cm5-plan.json"))
         result = self.explored(corpus_path("CM1.mch").read_text())
         built = count_transitions(monkeypatch)
         plan = load_plan(plan_path, result, cm1_machine.element_sets)
         changed = apply_plan(result, plan)
-        trial_metrics(result, changed)
-        plan_modularity(result, plan, changed)
+        run_trials(result, [changed])
+        modularity_sweep(result, [changed])
         evaluate(EvaluationConfig(machine_path=machine, plan_path=plan_path))
         assert built == []
         assert not set(self.VIEWS) & set(vars(result))
@@ -536,7 +533,7 @@ class TestNoObjectsOnTheSeededPath:
 
 class TestTrialMetrics:
     def test_cm5_values(self, cm1_result, cm1_changed):
-        values, reasons = trial_metrics(cm1_result, cm1_changed)
+        values, _, reasons = run_trials(cm1_result, [cm1_changed])
         assert values["fault_tolerance"] == 1 - Fraction(1, 1050)
         assert values["recoverability"] == Fraction(1049, 1440)
         assert values["functional_analysability"] == 1 - Fraction(1050, 1440)
@@ -546,22 +543,22 @@ class TestTrialMetrics:
 
 class TestRunTrials:
     def test_deterministic(self, cm1_result):
-        a = run_trials(cm1_result, 5, 3, 3, 9)
-        b = run_trials(cm1_result, 5, 3, 3, 9)
-        assert a.means == b.means
-        assert a.exclusions == b.exclusions
+        a_means, a_exclusions, _ = run_trials(cm1_result, seeded(cm1_result, 3, 3, 9, 5))
+        b_means, b_exclusions, _ = run_trials(cm1_result, seeded(cm1_result, 3, 3, 9, 5))
+        assert a_means == b_means
+        assert a_exclusions == b_exclusions
 
     def test_frozen_golden_means(self, cm1_result):
         # Frozen under seed 42 after cross-validating every trial against
         # independent_apply (see test_agrees_with_independent_reimplementation).
-        outcome = run_trials(cm1_result, 20, 5, 5, 42)
-        assert outcome.means["recoverability"] == Fraction(431, 2400)
-        assert outcome.means["functional_analysability"] == Fraction(2941, 3600)
-        assert outcome.means["fault_analysability"] == 1
-        assert outcome.means["fault_tolerance"] == Fraction(
+        means, exclusions, _ = run_trials(cm1_result, seeded(cm1_result, 5, 5, 42, 20))
+        assert means["recoverability"] == Fraction(431, 2400)
+        assert means["functional_analysability"] == Fraction(2941, 3600)
+        assert means["fault_analysability"] == 1
+        assert means["fault_tolerance"] == Fraction(
             4093266741609061431323420621, 4308983375812524963404632320
         )
-        assert outcome.exclusions == {
+        assert exclusions == {
             "fault_tolerance": 0,
             "recoverability": 0,
             "functional_analysability": 0,
@@ -570,29 +567,17 @@ class TestRunTrials:
 
     def test_zero_trials_rejected(self, cm1_result):
         with pytest.raises(MutationError):
-            run_trials(cm1_result, 0, 1, 1, 0)
+            run_trials(cm1_result, seeded(cm1_result, 1, 1, 0, 0))
 
 
 class TestModularitySweep:
-    def test_empty_plans_give_all_ones(self, cm1_result, cm1_machine):
-        counts = {op: (0, 0) for op in operation_names(cm1_machine)}
-        per_op, weighted = modularity_sweep(cm1_result, counts, 0)
+    def test_empty_plans_give_all_ones(self, cm1_result):
+        per_op, weighted = modularity_sweep(cm1_result, seeded(cm1_result, 0, 0, 0))
         assert all(value == 1 for value in per_op.values())
         assert weighted == 1
 
-    def test_missing_operation_rejected(self, cm1_result):
-        with pytest.raises(MutationError, match="next_day"):
-            modularity_sweep(
-                cm1_result, {"inc_minute": (0, 0), "inc_hour": (0, 0)}, 0
-            )
-
-    def test_no_counts_names_the_first_operation(self, cm1_result):
-        with pytest.raises(MutationError, match="no mutation counts for operation 'inc_hour'"):
-            modularity_sweep(cm1_result, {}, 7)
-
     def test_plan_scoped_to_an_operation_never_derived(self):
         from bqual.explorer import explore
-        from bqual.mutation import plan_modularity
         from bqual.parser import parse_machine
 
         machine = parse_machine(
@@ -607,7 +592,7 @@ class TestModularitySweep:
             result,
         )
         # Only derived operations are scored; the scoped one has no transition.
-        assert plan_modularity(result, plan, apply_plan(result, plan)) == ({"up": 1}, 1)
+        assert modularity_sweep(result, [apply_plan(result, plan)]) == ({"up": 1}, 1)
 
     def test_two_op_toy_hand_values(self):
         from bqual.explorer import explore
@@ -631,8 +616,7 @@ class TestModularitySweep:
         sizes = erased_sizes("fwd", result.transitions, changed.t_changed)
         assert modularity_of("fwd", *sizes) == 0
 
-    def test_seeded_sweep_is_deterministic(self, cm1_result, cm1_machine):
-        counts = {op: (1, 1) for op in operation_names(cm1_machine)}
-        first = modularity_sweep(cm1_result, counts, 5)
-        second = modularity_sweep(cm1_result, counts, 5)
+    def test_seeded_sweep_is_deterministic(self, cm1_result):
+        first = modularity_sweep(cm1_result, seeded(cm1_result, 1, 1, 5))
+        second = modularity_sweep(cm1_result, seeded(cm1_result, 1, 1, 5))
         assert first == second

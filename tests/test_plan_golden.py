@@ -7,7 +7,7 @@ corpus clocks CM1-CM5 and on four small machines: enumerated, boolean and
 integer variables (Lamp), states outside the domains (Up), domain states
 the machine never reaches (Gate) and a product of the domains past int64
 (Wide).  Each machine is drawn under seeds 0-4, unscoped with the default
-counts and scoped to each operation with ``per_operation_counts``; the
+counts and scoped to each operation with ``capped_counts``; the
 machines with a small extra space also draw every free slot of it, and
 every machine is asked for plans it cannot have.  A change to how plans are
 drawn that keeps them leaves the file byte-identical.
@@ -30,8 +30,8 @@ from bqual.explorer import explore
 from bqual.mutation import (
     MutationError,
     _extra_space,
+    capped_counts,
     generate_plan,
-    per_operation_counts,
 )
 from bqual.parser import parse_machine
 from conftest import corpus_source
@@ -100,7 +100,7 @@ def golden_lines() -> list[str]:
         result = explore(parse_machine(source()), meter_memory=False)
         derived = len(result.pre)
         n = default_mutation_count(derived)
-        scoped = per_operation_counts(result, n, n)
+        scoped = {op: capped_counts(result, n, n, op) for op in result.label_counts}
         space, occupied = _extra_space(result, list(range(len(result.labels))))
         for seed in SEEDS:
             lines.append(_case(result, name, seed, n, n))

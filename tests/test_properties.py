@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 from fractions import Fraction
@@ -36,7 +37,7 @@ from bqual.metrics import (
     tfcomp,
     tfcorr,
 )
-from bqual.mutation import _modularity, apply_plan, trial_metrics
+from bqual.mutation import apply_plan, modularity_sweep, run_trials
 from bqual.parser import parse_machine
 
 from conftest import (
@@ -459,7 +460,7 @@ def test_coded_apply_plan_matches_set_semantics(plan):
     assert got.u_violating == u_violating
     assert got.u_ok == u_changed - u_violating
 
-    values, _ = trial_metrics(result, changed)
+    values, _, _ = run_trials(result, [changed])
     assert values == {
         "fault_tolerance": (
             1 - Fraction(len(u_violating), len(u_changed)) if u_changed else None
@@ -474,7 +475,10 @@ def test_coded_apply_plan_matches_set_semantics(plan):
             else 0
         ),
     }
-    per_op, weighted = _modularity(result, [(op, changed) for op in result.label_counts])
+    per_op, weighted = modularity_sweep(result, [
+        dataclasses.replace(changed, plan=dataclasses.replace(changed.plan, label_scope=op))
+        for op in result.label_counts
+    ])
     expected = {
         op: Fraction(*erased_sizes(op, derived, t_changed)) for op in ("down", "up")
     }
