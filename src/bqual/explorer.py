@@ -212,6 +212,11 @@ class DrawSpace:
     derived: np.ndarray
     occupied: np.ndarray
 
+    @functools.cached_property
+    def sorted_index(self) -> np.ndarray:
+        """The indices of the states inside, sorted: ``index[by_index]``."""
+        return self.index[self.by_index]
+
     def valuation(self, index: int) -> tuple[Value, ...]:
         """The valuation whose index is ``index``."""
         picked = []
@@ -246,7 +251,9 @@ class ExplorationResult(Relation):
     seeded draws.  The sets of rows and of ``Transition`` triples are built
     on first read.  ``domains`` holds the variable domains inferred from the
     invariant, from which fault injection draws post-states on the ids and
-    domain indices of ``draw_space``."""
+    domain indices of ``draw_space``, and applies each plan as an edit of
+    ``graph``, the derived relation's successor graph; both are built at
+    their first read, never by ``explore``."""
 
     machine_name: str
     state_ok: np.ndarray
@@ -298,13 +305,22 @@ class ExplorationResult(Relation):
         edges placed in it, built on first read (by fault injection)."""
         order, n_labels = self.variable_order, len(self.labels)
         values = tuple(self.domains[name].values() for name in order)
-        positions = [{value: i for i, value in enumerate(vs)} for vs in values]
         size = math.prod(map(len, values))
         dtype = np.int64 if len(self.rows) * n_labels * size < 2**63 else object
-        digits = np.array(
-            [[at.get(value, -1) for at, value in zip(positions, row)] for row in self.rows],
-            dtype=np.int64,
+        # Each distinct value is placed once in each variable's domain (-1:
+        # outside it), and a state's digits gathered by its values' codes.
+        cells = itertools.chain.from_iterable(self.rows)
+        code = {value: i for i, value in enumerate(dict.fromkeys(cells))}
+        positions = [{value: i for i, value in enumerate(vs)} for vs in values]
+        place = np.array(
+            [[at.get(value, -1) for value in code] for at in positions], dtype=np.int64
+        ).reshape(len(order), len(code))
+        coded = np.fromiter(
+            map(code.__getitem__, itertools.chain.from_iterable(self.rows)),
+            np.int64,
+            len(self.rows) * len(order),
         ).reshape(len(self.rows), len(order))
+        digits = place[np.arange(len(order)), coded]
         index = np.zeros(len(self.rows), dtype=dtype)
         for column, radix in zip(digits.T, map(len, values)):
             index = index * radix + column
@@ -319,6 +335,18 @@ class ExplorationResult(Relation):
         derived.sort()
         occupied = np.bincount(label, minlength=n_labels)
         return DrawSpace(values, size, index, by_index, derived, occupied)
+
+    @functools.cached_property
+    def graph(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(indptr, indices)``: the derived relation as the compressed
+        sparse rows of its successor graph, built on first read (by fault
+        injection).  State ``i``'s successors are
+        ``indices[indptr[i]:indptr[i + 1]]``; as ``pre`` is nondecreasing,
+        ``indices`` is ``post`` itself, in int32 as ``scipy.sparse.csgraph``
+        walks it."""
+        indptr = np.zeros(len(self.rows) + 1, dtype=np.int32)
+        np.cumsum(np.bincount(self.pre, minlength=len(self.rows)), out=indptr[1:])
+        return indptr, self.post.astype(np.int32)
 
 
 def _key_positions(body, order: tuple[str, ...]) -> tuple[int, ...] | None:

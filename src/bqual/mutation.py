@@ -3,12 +3,15 @@
 Faults live at the transition-system level: a plan inserts transitions
 that the machine never derived and removes transitions it did derive.
 The edited relation is then re-derived from the initial states by a sparse
-breadth-first order over the exploration's own ``pre``/``label``/``post``
-arrays, under its invariant verdicts (states only a plan reaches are
-judged by its compiled invariant, per plan), and the edits themselves are
-masked out before the changed system is judged by the exploration's own
-violation rule, ``explorer.violations``.  Changed systems are masks over
-the exploration's edge ids.
+breadth-first order, under the exploration's invariant verdicts (states
+only a plan reaches are judged by its compiled invariant, per plan), and
+the edits themselves are masked out before the changed system is judged by
+the exploration's own violation rule, ``explorer.violations``.  The graph
+walked is a small edit of one graph per exploration,
+``ExplorationResult.graph``, built at the first plan applied: a removed
+edge becomes a self-loop and an inserted one is spliced into its
+pre-state's row.  Changed systems are masks over the exploration's edge
+ids.
 
 A ``MutationPlan`` is the one plan type: arrays of the exploration's edge,
 state and label ids.  ``generate_plan`` draws one from the exploration
@@ -179,10 +182,11 @@ def _drawn(result: ExplorationResult, keys: np.ndarray) -> tuple:
     draw_space, n_labels = result.draw_space, len(result.labels)
     rest, index = keys // draw_space.size, keys % draw_space.size
     pre, label = (column.astype(np.int64) for column in (rest // n_labels, rest % n_labels))
-    by_index = draw_space.by_index
-    reached, at = lookup(draw_space.index[by_index], index)
+    reached, at = lookup(draw_space.sorted_index, index)
+    if reached.all():
+        return (), pre, label, draw_space.by_index[at]
     post = np.empty(len(keys), dtype=np.int64)
-    post[reached] = by_index[at[reached]]
+    post[reached] = draw_space.by_index[at[reached]]
     fresh, slot = np.unique(index[~reached], return_inverse=True)
     post[~reached] = len(result.rows) + slot.reshape(-1)
     return tuple(map(draw_space.valuation, fresh.tolist())), pre, label, post
@@ -200,13 +204,19 @@ def _scope_codes(labels: list[str], label_scope: str | None) -> list[int]:
 def apply_plan(result: ExplorationResult, plan: MutationPlan) -> ChangedSystem:
     """Edit the transition relation, re-derive reachability, and mask.
 
-    The walk has no limits, so no state is cut, and it never leaves a state
+    The edit is made on the exploration's cached successor graph
+    (``ExplorationResult.graph``): each removed edge becomes a self-loop
+    at its pre-state, which reaches nothing new, and each inserted edge
+    the walk follows is spliced in at the end of its pre-state's row.  The
+    walk has no limits, so no state is cut, and it never leaves a state
     that breaks the invariant.  The masked set is judged by the violation
-    rule, with deadlock relative to the masked set itself.
+    rule, with deadlock relative to the masked set itself; when it is the
+    whole derived relation of an exploration no limit cut, that is the
+    exploration's own verdict.
     """
-    pre, post = result.pre, result.post
-    missing = np.zeros(len(pre), dtype=bool)
-    missing[plan.missing] = True
+    # Imported at first use: csgraph adds to every start-up of the CLI.
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import breadth_first_order
 
     # States only the plan reaches are judged by the exploration's invariant.
     verdicts = []
@@ -218,44 +228,50 @@ def apply_plan(result: ExplorationResult, plan: MutationPlan) -> ChangedSystem:
     ok = np.concatenate((result.state_ok, np.array(verdicts, dtype=bool)))
 
     # The walk follows the edges out of states that satisfy the invariant,
-    # from a virtual source that feeds the initial states.  Derived edges
-    # leave only such states, as exploration never expands the others.
-    follow = ~missing
+    # from a virtual source, the last node, that feeds the initial states.
+    # Derived edges leave only such states, as exploration never expands
+    # the others.  The followed extras, by pre-state, and the source's edges
+    # each go in at the end of their row: a derived state's inside
+    # ``targets``, the rows of the other nodes after it.
+    indptr, targets = result.graph
+    degree = np.diff(indptr)
+    n_states, nodes = len(result.rows), len(ok) + 1
     extra_follow = ok[plan.pre]
-    source = len(ok)
-    feeds = np.full(result.n_initial, source)
-    rows = np.concatenate((pre[follow], plan.pre[extra_follow], feeds))
-    initial = np.arange(result.n_initial)
-    columns = np.concatenate((post[follow], plan.post[extra_follow], initial))
-    reached = _reachable(rows, columns, source)
-
-    taken = follow & reached[pre]
-    extra_taken = extra_follow & reached[plan.pre]
-    masked = taken | missing
-    violating = masked.copy()
-    violating[masked], _ = violations(pre[masked], post[masked], result.state_ok)
-    return ChangedSystem(plan, taken, extra_taken, masked, violating)
-
-
-def _reachable(rows: np.ndarray, columns: np.ndarray, source: int) -> np.ndarray:
-    """Mask of the nodes ``0..source`` that a breadth-first order from
-    ``source`` reaches over the edges ``rows[i] -> columns[i]``."""
-    # Imported at first use: csgraph adds to every start-up of the CLI.
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import breadth_first_order
-
-    nodes = source + 1
-    # The derived edges come sorted by pre-state, which a stable sort
-    # exploits; csgraph converts any weights but float64 on every call.
-    order = np.argsort(rows, kind="stable")
-    starts = np.zeros(nodes + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=nodes), out=starts[1:])
-    graph = csr_matrix(
-        (np.ones(len(rows)), columns[order], starts), shape=(nodes, nodes)
-    )
+    heads, tails = plan.pre[extra_follow], plan.post[extra_follow]
+    order = np.argsort(heads, kind="stable")
+    heads = np.concatenate((heads[order], np.full(result.n_initial, nodes - 1)))
+    tails = np.concatenate((tails[order], np.arange(result.n_initial)))
+    at = indptr[np.minimum(heads + 1, n_states)]
+    indices = np.insert(targets, at, tails)
+    # Each removed edge, moved past the edges spliced in before it, becomes
+    # a self-loop at its pre-state, which reaches nothing new.
+    missing = plan.missing
+    indices[missing + np.searchsorted(at, missing, side="right")] = result.pre[missing]
+    counts = np.bincount(heads, minlength=nodes)
+    counts[:n_states] += degree
+    rows = np.zeros(nodes + 1, dtype=np.int32)
+    np.cumsum(counts, out=rows[1:])
+    # csgraph converts any weights but float64, and never reads them.
+    weights = np.broadcast_to(np.float64(1), indices.shape)
+    graph = csr_matrix((weights, indices, rows), shape=(nodes, nodes))
     reached = np.zeros(nodes, dtype=bool)
-    reached[breadth_first_order(graph, source, return_predecessors=False)] = True
-    return reached
+    reached[breadth_first_order(graph, nodes - 1, return_predecessors=False)] = True
+
+    # The derived edges out of reached states, with the removed ones
+    # cleared (taken) or set (masked).
+    taken = np.repeat(reached[:n_states], degree)
+    masked = taken.copy()
+    taken[missing] = False
+    masked[missing] = True
+    extra_taken = extra_follow & reached[plan.pre]
+    if masked.all() and not result.truncated:
+        violating = result.violates.copy()
+    else:
+        violating = masked.copy()
+        violating[masked], _ = violations(
+            result.pre[masked], result.post[masked], result.state_ok
+        )
+    return ChangedSystem(plan, taken, extra_taken, masked, violating)
 
 
 def _count(mask: np.ndarray) -> int:

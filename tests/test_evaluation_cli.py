@@ -644,6 +644,35 @@ class TestCli:
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "False"
 
+    def test_explore_only_paths_build_no_graph(self, tmp_path):
+        # Neither `evaluate --trials 0` without requirements nor an explore
+        # applies a plan, so neither imports csgraph or builds the cached
+        # successor graph.
+        probe = (
+            "import sys, bqual.cli, bqual.evaluation\n"
+            "explore, results = bqual.cli.explore, []\n"
+            "def recording(*args, **kwargs):\n"
+            "    results.append(explore(*args, **kwargs))\n"
+            "    return results[-1]\n"
+            "bqual.cli.explore = bqual.evaluation.explore = recording\n"
+            "codes = [\n"
+            "    bqual.cli.main(['evaluate', '--machine', sys.argv[1], '--trials', '0',"
+            " '--out', sys.argv[3]]),\n"
+            "    bqual.cli.main(['explore', '--machine', sys.argv[2], '--out', sys.argv[4]]),\n"
+            "]\n"
+            "print(codes, len(results), 'scipy.sparse.csgraph' in sys.modules,"
+            " any('graph' in vars(result) for result in results))\n"
+        )
+        result = subprocess.run(
+            [
+                sys.executable, "-c", probe, str(corpus_path("CM6.mch")), CM1,
+                str(tmp_path / "report.json"), str(tmp_path / "cm1.jsonl"),
+            ],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "[0, 0] 2 False False"
+
     def test_import_leaves_optimize_unloaded(self, tmp_path):
         # Only an alignment needs scipy.optimize, and it imports it at first
         # use, so neither a start-up of the CLI nor an explore pays for it.

@@ -428,6 +428,25 @@ class TestApplyPlan:
             assert changed.u_changed == frozenset(u2)
             assert changed.u_violating == frozenset(v2)
 
+    def test_agrees_on_a_cut_exploration(self, cm1_machine):
+        # The limit cut 01:40, so the exploration counts it live.  The
+        # changed system is walked without limits and does not, even when
+        # the plan leaves every derived edge in place.
+        from bqual.explorer import explore
+
+        result = explore(cm1_machine, max_transitions=100, meter_memory=False)
+        assert result.truncated and not result.violates.any()
+        empty = object_plan(result)
+        changed = changed_sets(result, apply_plan(result, empty))
+        assert changed.u_changed == result.transitions
+        assert changed.u_violating == {clock_transition((1, 39), "inc_minute", (1, 40))}
+        for plan in [empty, *(generate_plan(result, 5, 5, seed) for seed in range(4))]:
+            changed = changed_sets(result, apply_plan(result, plan))
+            t2, u2, v2 = independent_apply(result, plan, cm1_machine.invariant)
+            assert changed.t_changed == frozenset(t2)
+            assert changed.u_changed == frozenset(u2)
+            assert changed.u_violating == frozenset(v2)
+
     def test_masking_identity(self, cm1_changed, cm5_plan, cm1_result):
         changed = changed_sets(cm1_result, cm1_changed)
         extra, missing = plan_transitions(cm1_result, cm5_plan)
