@@ -9,7 +9,7 @@ metrics.
 
 __version__ = "0.1.0"
 
-from .alignment import AlignmentOutcome, similarity
+from .alignment import similarity
 from .explorer import ExplorationResult, check_goal, explore, infer_domains
 from .lts import Transition, Value, boolval, enumval, intval
 from .metrics import NotComputable, QualityReport
@@ -17,7 +17,6 @@ from .mutation import ChangedSystem, MutationPlan, apply_plan, generate_plan
 from .parser import parse_machine, parse_predicate
 
 __all__ = [
-    "AlignmentOutcome",
     "ChangedSystem",
     "ExplorationResult",
     "MutationPlan",

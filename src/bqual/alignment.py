@@ -2,11 +2,11 @@
 
 Two elements score the number of positions at which their flattened token
 lists agree (pre-state values, label, post-state values; a pair has no
-label).
-Identical elements are always part of some maximum matching, since a
-full-score pair can never be beaten by splitting it, so each counts its
-full width and is not scored; the remainders go through an exact
-rectangular assignment solve, of which only the total is kept.
+label).  Identical elements are always part of some maximum matching,
+since a full-score pair can never be beaten by splitting it, so each
+counts its full width and is not scored; the remainders go through an
+exact rectangular assignment solve.  ``similarity`` returns the total,
+an int, which PFComp and PFCorr read.
 
 Both sides come on one integer coding (``lts.Coded``, which
 ``lts.code_relations`` builds from two relations), so the two sides share
@@ -37,8 +37,6 @@ aligns nothing never loads it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .lts import Coded
@@ -53,11 +51,6 @@ class AlignmentError(ValueError):
 
 class AlignmentSizeError(AlignmentError):
     """The remainders' kept block would pass the square of the size guard."""
-
-
-@dataclass(frozen=True)
-class AlignmentOutcome:
-    total_agreement: int
 
 
 def _weights(left: np.ndarray, right: np.ndarray, out: np.ndarray) -> None:
@@ -122,13 +115,13 @@ def _max_matching(left: Coded, left_keys: np.ndarray, right: Coded, right_keys: 
 
 def similarity(
     left: Coded, right: Coded, *, size_guard: int = DEFAULT_SIZE_GUARD
-) -> AlignmentOutcome:
-    """The maximum ``total_agreement`` over all one-to-one partial
-    matchings of two sides on one coding (``lts.code_relations``;
-    ``Coded.pairs`` for the label-erased pairs).  Raises AlignmentSizeError
-    when the kept block of the remainders, n x min(m, n*n) cells for n rows
-    on the smaller side and m on the larger, would pass ``size_guard``
-    squared; this holds whenever both remainders pass ``size_guard``.
+) -> int:
+    """The total agreement of a maximum-weight one-to-one partial matching
+    of two sides on one coding (``lts.code_relations``; ``Coded.pairs`` for
+    the label-erased pairs).  Raises AlignmentSizeError when the kept block
+    of the remainders, n x min(m, n*n) cells for n rows on the smaller side
+    and m on the larger, would pass ``size_guard`` squared; this holds
+    whenever both remainders pass ``size_guard``.
     """
     identical = left.common(right)
     total = left.width * identical
@@ -151,4 +144,4 @@ def similarity(
                 f"{reason}; raise --similarity-threshold to force an exact solve"
             )
         total += _max_matching(left, left.remainder(right), right, right.remainder(left))
-    return AlignmentOutcome(total_agreement=total)
+    return total

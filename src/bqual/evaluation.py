@@ -10,7 +10,9 @@ the fault metrics, after a branch per mode has built the changed systems:
 an explicit plan's one, or the seeded ones, drawn lazily.  Metrics whose
 inputs are missing, whose denominators are empty, or whose LTS a limit
 cut short come back as "not-computed" with a reason instead of failing
-the whole run.
+the whole run.  The report's metrics, in their JSON order and with their
+table labels, are listed once, in ``_TABLE_LABELS``: the text table sets
+them four to a row.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .lexer import word_count
 from .lts import Relation, code_relations, read_transitions_jsonl
 from .metrics import (
     DERIVED_CHARACTERISTICS,
-    REPORT_GROUPS,
     NotComputable,
     QualityReport,
     accountability,
@@ -252,7 +253,7 @@ def evaluate(config: EvaluationConfig) -> QualityReport:
         reason = compute if isinstance(compute, str) else cut
         if reason is None:
             try:
-                report.set_metric(name, compute())
+                report.metrics[name] = compute()
                 continue
             except _NOT_COMPUTABLE as exc:
                 reason = str(exc)
@@ -305,7 +306,7 @@ def evaluate(config: EvaluationConfig) -> QualityReport:
         report.reasons.update(reasons)
         try:
             report.per_operation_modularity, weighted = modularity_sweep(result, sweep)
-            report.set_metric("modularity", weighted)
+            report.metrics["modularity"] = weighted
         except _NOT_COMPUTABLE as exc:
             report.mark_not_computed("modularity", str(exc))
 
@@ -350,7 +351,7 @@ _TABLE_LABELS = {
     "learnability": "Learnability",
 }
 
-_METRIC_ORDER = tuple(name for group in REPORT_GROUPS for name in group)
+_METRIC_ORDER = tuple(_TABLE_LABELS)
 
 
 def _decimal(value: Fraction) -> float:
@@ -422,10 +423,10 @@ def render_report(report: QualityReport, report_format: str = "json") -> str:
     width_value = max(
         len(_table_cell(name, metrics)) for name in _METRIC_ORDER
     )
-    for group in REPORT_GROUPS:
+    for start in range(0, len(_METRIC_ORDER), 4):
         cells = [
             f"{_TABLE_LABELS[name]:<{width_label}} {_table_cell(name, metrics):>{width_value}}"
-            for name in group
+            for name in _METRIC_ORDER[start : start + 4]
         ]
         lines.append("  " + "   ".join(cells))
     reasons = obj["not_computed_reasons"]

@@ -71,6 +71,7 @@ from .lts import (
     intval,
     sorted_labels,
     state_texts,
+    value_codes,
 )
 from .bmachine import BOOL_SET
 
@@ -125,10 +126,6 @@ class EnumDomain:
         return tuple(enumval(self.set_name, e) for e in self.elements)
 
 
-Domain = IntRangeDomain | BoolDomain | EnumDomain
-DomainMap = dict
-
-
 def _domain_from_membership(pred, name: str, ref_type, machine: MachineAST):
     """Match ``name : low..high`` or ``name : SET`` with a literal subject."""
     if isinstance(pred, RangeMembership) and pred.expr == ref_type(name):
@@ -169,7 +166,7 @@ def _first_domains(names, pred, ref_type, machine: MachineAST, missing: str) -> 
     return out
 
 
-def infer_domains(machine: MachineAST) -> DomainMap:
+def infer_domains(machine: MachineAST) -> dict:
     """One finite domain per variable, from the invariant."""
     missing = "variable {} has no membership conjunct in the invariant"
     order = machine.variables
@@ -193,29 +190,25 @@ class DrawSpace:
     post-states from it.
 
     ``values`` holds each variable's domain values, in declaration order,
-    as ``Domain.values()`` lists them (FALSE before TRUE, enumerated
+    as the domains' ``values()`` list them (FALSE before TRUE, enumerated
     elements as declared, integers ascending).  A valuation inside the
     domains has an index there, which ``valuation`` decodes: the mixed-radix
     number of its values' positions in ``values``, the first variable most
     significant, out of ``size``, the product of the domains' sizes.
-    ``index[i]`` is state ``i``'s index, or -1 when it lies outside the
-    domains; ``by_index`` holds the states inside in index order.
-    ``derived`` holds the sorted keys ``(pre·L + label)·size + index[post]``
-    of the derived edges whose post-state is inside, for L labels, and
-    ``occupied[c]`` how many of them label code ``c`` has.  Indices and keys
-    are int64, or Python ints in object arrays when S·L·size passes int64."""
+    ``sorted_index`` holds the indices of the states inside the domains,
+    sorted, and ``by_index`` those states in the same order.  ``derived``
+    holds the sorted keys ``(pre·L + label)·size + index`` of the derived
+    edges whose post-state is inside, with that state's index, for L
+    labels, and ``occupied[c]`` how many of them label code ``c`` has.
+    Indices and keys are int64, or Python ints in object arrays when
+    S·L·size passes int64."""
 
     values: tuple[tuple[Value, ...], ...]
     size: int
-    index: np.ndarray
+    sorted_index: np.ndarray
     by_index: np.ndarray
     derived: np.ndarray
     occupied: np.ndarray
-
-    @functools.cached_property
-    def sorted_index(self) -> np.ndarray:
-        """The indices of the states inside, sorted: ``index[by_index]``."""
-        return self.index[self.by_index]
 
     def valuation(self, index: int) -> tuple[Value, ...]:
         """The valuation whose index is ``index``."""
@@ -263,7 +256,7 @@ class ExplorationResult(Relation):
     truncated: bool
     cpu_seconds: float
     peak_memory_bytes: int
-    domains: DomainMap = field(repr=False)
+    domains: dict = field(repr=False)
     holds: Callable[[tuple], bool] = field(repr=False)  # the invariant, of a row
 
     @property
@@ -309,17 +302,11 @@ class ExplorationResult(Relation):
         dtype = np.int64 if len(self.rows) * n_labels * size < 2**63 else object
         # Each distinct value is placed once in each variable's domain (-1:
         # outside it), and a state's digits gathered by its values' codes.
-        cells = itertools.chain.from_iterable(self.rows)
-        code = {value: i for i, value in enumerate(dict.fromkeys(cells))}
+        distinct, coded = value_codes(self.rows, len(order))
         positions = [{value: i for i, value in enumerate(vs)} for vs in values]
         place = np.array(
-            [[at.get(value, -1) for value in code] for at in positions], dtype=np.int64
-        ).reshape(len(order), len(code))
-        coded = np.fromiter(
-            map(code.__getitem__, itertools.chain.from_iterable(self.rows)),
-            np.int64,
-            len(self.rows) * len(order),
-        ).reshape(len(self.rows), len(order))
+            [[at.get(value, -1) for value in distinct] for at in positions], dtype=np.int64
+        ).reshape(len(order), len(distinct))
         digits = place[np.arange(len(order)), coded]
         index = np.zeros(len(self.rows), dtype=dtype)
         for column, radix in zip(digits.T, map(len, values)):
@@ -334,7 +321,7 @@ class ExplorationResult(Relation):
         derived = edge_keys(pre, label, post, size, n_labels, dtype)
         derived.sort()
         occupied = np.bincount(label, minlength=n_labels)
-        return DrawSpace(values, size, index, by_index, derived, occupied)
+        return DrawSpace(values, size, index[by_index], by_index, derived, occupied)
 
     @functools.cached_property
     def graph(self) -> tuple[np.ndarray, np.ndarray]:

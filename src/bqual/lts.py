@@ -5,8 +5,8 @@ pair; common values are interned.  A state is its value row, the tuple of
 its values in the declaration order of the variables, and a transition the
 triple ``(pre row, operation, post row)`` (``Transition`` names its fields
 and prints it).  The canonical order of states, and with it of
-transitions, is computed in one place, ``row_ranks``, from integer value
-codes of value rows.
+transitions, is computed in one place, ``row_ranks``, from the integer
+codes of value rows (``value_codes``, which fault injection reads too).
 
 A set of transitions travels as a ``Relation`` of integer arrays, the one
 transition-set type: an exploration is one (``ExplorationResult`` extends
@@ -173,26 +173,26 @@ def transition_values(
     )
 
 
-def row_ranks(
-    table: Sequence[tuple[Value, ...]], width: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The canonical integer coding of value rows: ``(rank, rows)``.
-
-    Each distinct value is coded by its rank in the canonical value order,
-    that of its ``(kind, payload)`` pair, and each row of ``width`` values
-    becomes one row of codes, so the lexicographic order of the rows is the
-    canonical state order.  ``rows`` holds the distinct rows in that order and ``rank[i]``
-    is the index of ``table[i]``'s row: equal rows share a rank.
-    """
+def value_codes(table: Sequence[tuple[Value, ...]], width: int) -> tuple[list, np.ndarray]:
+    """``(values, codes)``: the distinct values of the rows of ``table`` in
+    canonical order, that of their ``(kind, payload)`` pairs, and each row
+    as ``width`` int32 codes, a value's code its position in ``values``."""
     values = sorted(set(itertools.chain.from_iterable(table)))
     code = {v: i for i, v in enumerate(values)}
-    shape = (len(table), width)
-    coded = np.fromiter(
-        map(code.__getitem__, itertools.chain.from_iterable(table)),
-        np.int32,
-        shape[0] * shape[1],
-    ).reshape(shape)
-    order = np.lexsort(coded.T[::-1]) if width else np.arange(shape[0])
+    cells = map(code.__getitem__, itertools.chain.from_iterable(table))
+    codes = np.fromiter(cells, np.int32, len(table) * width)
+    return values, codes.reshape(len(table), width)
+
+
+def row_ranks(table: Sequence[tuple[Value, ...]], width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The canonical integer coding of value rows: ``(rank, rows)``.
+
+    As each row of ``width`` values becomes its row of ``value_codes``, the
+    lexicographic order of the rows is the canonical state order.  ``rows``
+    holds the distinct rows in that order and ``rank[i]`` is the index of
+    ``table[i]``'s row: equal rows share a rank."""
+    _, coded = value_codes(table, width)
+    order = np.lexsort(coded.T[::-1]) if width else np.arange(len(table))
     coded = coded[order]
     # A row starts a new rank where it differs from the row before it.
     starts = np.ones(len(coded), dtype=bool)

@@ -4,12 +4,13 @@ Every ratio metric raises NotComputable instead of dividing by zero; the
 report layer turns that into a "not-computed" field with the reason.  The
 equations take counts.  The six functional ones are written once, in
 ``functional``, on the sizes of the two sides on one integer coding
-(``lts.Coded``) and what they share.  There is one coding path,
-``lts.code_relations``: ``evaluate`` codes the derived and required
-relations with it, and the set-form ``tfcomp``, ``pfcomp``, ``tfcorr``,
-``pfcorr``, ``tfappr`` and ``pfappr`` turn their sets of ``(pre row,
-operation, post row)`` triples into relations (``lts.relation_of``) and
-code those.
+(``lts.Coded``) and what they share: their common elements, or for PFComp
+and PFCorr the total agreement that ``alignment.similarity`` returns.
+There is one coding path, ``lts.code_relations``: ``evaluate`` codes the
+derived and required relations with it, and the set-form ``tfcomp``,
+``pfcomp``, ``tfcorr``, ``pfcorr``, ``tfappr`` and ``pfappr`` turn their
+sets of ``(pre row, operation, post row)`` triples into relations
+(``lts.relation_of``) and code those.
 
 The inputs are plain values, with no wrapper around them: the
 exploration, the required relation's operation names (``availability``),
@@ -47,8 +48,8 @@ class NotComputable(ValueError):
 def completeness(common: int, required: int) -> Fraction:
     """The share of the required side that the derived side matches:
     TFComp and TFAppr from the number of shared transitions (or pairs) and
-    of required ones, PFComp and PFAppr from the alignment's
-    ``total_agreement`` and the required side's token count."""
+    of required ones, PFComp and PFAppr from the total agreement that
+    ``similarity`` returns and the required side's token count."""
     if not required:
         raise NotComputable("no required transitions")
     return Fraction(common, required)
@@ -68,16 +69,16 @@ def functional(
     """The six functional metrics of the derived and required transitions,
     on one coding, as callables by name.  TFAppr and PFAppr are TFComp and
     PFComp of the label-erased pairs.  What they share is computed on first
-    use and kept: the alignment of the transitions, read by pfcomp and
-    pfcorr, and the metrics of the pairs, read by tfappr and pfappr."""
+    use and kept: the alignment's total, read by pfcomp and pfcorr, and
+    the metrics of the pairs, read by tfappr and pfappr."""
     t_d, t_r = t_derived, t_required
     aligned = cache(lambda: similarity(t_d, t_r, size_guard=size_guard))
     erased = cache(lambda: functional(t_d.pairs(), t_r.pairs(), size_guard=size_guard))
     return {
         "tfcomp": lambda: completeness(t_d.common(t_r), len(t_r)),
-        "pfcomp": lambda: completeness(aligned().total_agreement, t_r.size),
+        "pfcomp": lambda: completeness(aligned(), t_r.size),
         "tfcorr": lambda: correctness(t_d.common(t_r), len(t_d)),
-        "pfcorr": lambda: correctness(aligned().total_agreement, t_d.size),
+        "pfcorr": lambda: correctness(aligned(), t_d.size),
         "tfappr": lambda: erased()["tfcomp"](),
         "pfappr": lambda: erased()["pfcomp"](),
     }
@@ -280,16 +281,6 @@ DERIVED_CHARACTERISTICS = {
     "resource_utilisation": ["peak_memory_bytes"],
 }
 
-#: Table layout: groups of four metrics per row.
-REPORT_GROUPS = (
-    ("tfcomp", "pfcomp", "tfcorr", "pfcorr"),
-    ("tfappr", "pfappr", "invariant_satisfiability", "availability"),
-    ("accountability", "fault_tolerance", "recoverability", "functional_analysability"),
-    ("fault_analysability", "modularity", "reusability", "cpu_seconds"),
-    ("peak_memory_bytes", "capacity", "goal_appropriateness", "learnability"),
-)
-
-
 @dataclass
 class QualityReport:
     """The full metric vector plus provenance.
@@ -307,9 +298,6 @@ class QualityReport:
     summary: dict = field(default_factory=dict)
     provenance: dict = field(default_factory=dict)
     trial_exclusions: dict = field(default_factory=dict)
-
-    def set_metric(self, name: str, value) -> None:
-        self.metrics[name] = value
 
     def mark_not_computed(self, name: str, reason: str) -> None:
         self.metrics[name] = None

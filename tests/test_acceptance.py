@@ -153,7 +153,7 @@ def test_criterion_09_similarity_oracle():
     for _ in range(500):
         t1 = random_transition_set(rng)
         t2 = random_transition_set(rng)
-        exact = similarity(*coded(t1, t2)).total_agreement
+        exact = similarity(*coded(t1, t2))
         brute = brute_force_similarity(t1, t2, PROPERTY_ORDER)
         assert exact == brute
     ok(9, "similarity equals the brute-force matching maximum on 500 instances")
@@ -169,8 +169,8 @@ def test_criterion_10_property_suite(cm1_result):
         # One coding per case, as evaluate codes its two relations.
         derived, required = coded(t_d, t_r)
         values = functional(derived, required)
-        s12 = similarity(derived, required).total_agreement
-        s21 = similarity(required, derived).total_agreement
+        s12 = similarity(derived, required)
+        s21 = similarity(required, derived)
         assert s12 == s21
         assert s12 <= min(
             set_size(t_d, PROPERTY_ORDER), set_size(t_r, PROPERTY_ORDER)

@@ -57,18 +57,18 @@ class TestSimilarity:
         transitions = frozenset(
             clock_transition((0, m), "inc_minute", (0, m + 1)) for m in range(6)
         )
-        outcome = similarity(*coded(transitions, transitions, ORDER))
-        assert outcome.total_agreement == set_size(transitions, ORDER)
+        total = similarity(*coded(transitions, transitions, ORDER))
+        assert total == set_size(transitions, ORDER)
 
     def test_cm2_worked_value(self, cm2_result, cm1_result):
-        outcome = similarity(*coded(cm2_result.transitions, cm1_result.transitions, ORDER))
-        assert outcome.total_agreement == 7062
+        total = similarity(*coded(cm2_result.transitions, cm1_result.transitions, ORDER))
+        assert total == 7062
 
     def test_cm2_pair_worked_value(self, cm2_result, cm1_result):
-        outcome = similarity(
+        total = similarity(
             *coded(cm2_result.transitions, cm1_result.transitions, ORDER, pairs=True)
         )
-        assert outcome.total_agreement == 5645
+        assert total == 5645
 
     def test_two_against_one_matches_brute_force(self):
         t1 = frozenset(
@@ -78,9 +78,9 @@ class TestSimilarity:
             }
         )
         t2 = frozenset({clock_transition((0, 0), "a", (1, 0))})
-        outcome = similarity(*coded(t1, t2, ORDER))
-        assert outcome.total_agreement == brute_force_similarity(t1, t2, ORDER)
-        assert outcome.total_agreement == 4  # pre agrees, label or post differs
+        total = similarity(*coded(t1, t2, ORDER))
+        assert total == brute_force_similarity(t1, t2, ORDER)
+        assert total == 4  # pre agrees, label or post differs
 
     def test_size_guard_trips_when_both_sides_large(self):
         t1 = frozenset(
@@ -108,14 +108,13 @@ class TestSimilarity:
                 similarity(*coded(left, right, ORDER), size_guard=10)
         # 4 rows keep at most 4 * 16 = 64 cells.
         four = frozenset(sorted_transitions(small)[:4])
-        assert similarity(*coded(four, large, ORDER), size_guard=10).total_agreement == (
-            similarity(*coded(four, large, ORDER)).total_agreement
-        )
+        sides = coded(four, large, ORDER)
+        assert similarity(*sides, size_guard=10) == similarity(*sides)
 
     def test_fully_disjoint_sets_score_zero(self):
         t1 = frozenset({clock_transition((0, 0), "a", (0, 0))})
         t2 = frozenset({clock_transition((1, 1), "b", (1, 1))})
-        assert similarity(*coded(t1, t2, ORDER)).total_agreement == 0
+        assert similarity(*coded(t1, t2, ORDER)) == 0
 
     @pytest.mark.parametrize("pairs", [False, True], ids=["transitions", "pairs"])
     def test_width_mismatch_raises(self, cm1_result, pairs):
@@ -127,9 +126,9 @@ class TestSimilarity:
 
     def test_empty_sides(self):
         t = frozenset({clock_transition((0, 0), "a", (0, 1))})
-        assert similarity(*coded(frozenset(), t, ORDER)).total_agreement == 0
-        assert similarity(*coded(t, frozenset(), ORDER)).total_agreement == 0
-        assert similarity(*coded(frozenset(), frozenset(), ORDER)).total_agreement == 0
+        assert similarity(*coded(frozenset(), t, ORDER)) == 0
+        assert similarity(*coded(t, frozenset(), ORDER)) == 0
+        assert similarity(*coded(frozenset(), frozenset(), ORDER)) == 0
 
 
 class TestOracleEquivalence:
@@ -138,7 +137,7 @@ class TestOracleEquivalence:
         for _ in range(200):
             t1 = random_transition_set(rng)
             t2 = random_transition_set(rng)
-            got = similarity(*coded(t1, t2)).total_agreement
+            got = similarity(*coded(t1, t2))
             want = brute_force_similarity(t1, t2, PROPERTY_ORDER)
             assert got == want, (sorted_transitions(t1), sorted_transitions(t2))
 
@@ -172,10 +171,10 @@ class TestPrunedSolve:
             small = random_elements(rng, n, pairs)
             large = random_elements(rng, rng.randint(n * n + 1, 14), pairs, small)
             left, right = (small, large) if rng.random() < 0.5 else (large, small)
-            outcome = similarity(*coded(left, right, pairs=pairs))
+            total = similarity(*coded(left, right, pairs=pairs))
             if pairs:
                 left, right = pairs_of(left), pairs_of(right)
-            assert outcome.total_agreement == brute_force_similarity(
+            assert total == brute_force_similarity(
                 left, right, PROPERTY_ORDER
             )
 
@@ -208,8 +207,8 @@ class TestProperties:
         for _ in range(200):
             t1 = random_transition_set(rng)
             t2 = random_transition_set(rng)
-            s12 = similarity(*coded(t1, t2)).total_agreement
-            s21 = similarity(*coded(t2, t1)).total_agreement
+            s12 = similarity(*coded(t1, t2))
+            s21 = similarity(*coded(t2, t1))
             assert s12 == s21
             assert s12 <= min(
                 set_size(t1, PROPERTY_ORDER), set_size(t2, PROPERTY_ORDER)
@@ -223,6 +222,6 @@ class TestProperties:
             t1 = random_transition_set(rng)
             t2 = random_transition_set(rng, max_elements=5)
             extra = random_transition_set(rng, max_elements=2)
-            base = similarity(*coded(t1, t2)).total_agreement
-            grown = similarity(*coded(t1, t2 | extra)).total_agreement
+            base = similarity(*coded(t1, t2))
+            grown = similarity(*coded(t1, t2 | extra))
             assert grown >= base

@@ -622,6 +622,37 @@ class TestRendering:
         for label in ("TFComp", "Inv. Sat.", "Fau. Tol.", "Peak Mem.", "GAppr"):
             assert label in text
 
+    def test_table_rows_follow_the_json_order(self, report):
+        # Five rows of four equally wide cells, each a label left-aligned in
+        # the widest label's width, then a space and the value; the labels
+        # read row by row in the JSON report's metric order.
+        labels = {
+            "tfcomp": "TFComp", "pfcomp": "PFComp", "tfcorr": "TFCorr",
+            "pfcorr": "PFCorr", "tfappr": "TFAppr", "pfappr": "PFAppr",
+            "invariant_satisfiability": "Inv. Sat.", "availability": "Availability",
+            "accountability": "Accountability", "fault_tolerance": "Fau. Tol.",
+            "recoverability": "Recoverability", "functional_analysability": "Fun. Ana.",
+            "fault_analysability": "Fau. Ana.", "modularity": "Modularity",
+            "reusability": "Reusability", "cpu_seconds": "CPU Time",
+            "peak_memory_bytes": "Peak Mem.", "capacity": "Capacity",
+            "goal_appropriateness": "GAppr", "learnability": "Learnability",
+        }
+        names = [n for n in report_to_json(report)["metrics"] if n != "invariant_satisfability"]
+        assert sorted(names) == sorted(labels)
+        rows = render_report(report, "table").split("\n\n")[0].splitlines()[1:]
+        assert len(rows) == 5
+        label_width = max(map(len, labels.values()))
+        cell_width = (len(rows[0]) - 2 - 3 * 3) // 4
+        read = []
+        for row in rows:
+            assert len(row) == len(rows[0]) and row.startswith("  ")
+            cells = [row[2 + k * (cell_width + 3) :][:cell_width] for k in range(4)]
+            assert "   ".join(cells) == row[2:]
+            for cell in cells:
+                assert cell[label_width] == " " and cell[label_width + 1 :].strip()
+                read.append(cell[:label_width].rstrip())
+        assert read == [labels[name] for name in names]
+
     def test_unknown_format(self, report):
         with pytest.raises(EvaluationError):
             render_report(report, "yaml")

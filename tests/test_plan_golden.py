@@ -130,11 +130,12 @@ def test_draw_space_decodes_every_indexed_state(name):
     # every reached state inside the domains, on Wide from Python ints.
     result = explore(parse_machine(SMALL[name]), meter_memory=False)
     draw_space = result.draw_space
-    assert (draw_space.index.dtype == object) == (name == "Wide")
-    inside = [i for i, at in enumerate(draw_space.index.tolist()) if at != -1]
-    assert len(inside) == len(result.rows) - (name == "Up")
-    for i in inside:
-        assert draw_space.valuation(int(draw_space.index[i])) == result.rows[i]
+    assert (draw_space.sorted_index.dtype == object) == (name == "Wide")
+    placed = list(zip(draw_space.sorted_index.tolist(), draw_space.by_index.tolist()))
+    assert len(placed) == len(result.rows) - (name == "Up")
+    assert [at for at, _ in placed] == sorted(at for at, _ in placed)
+    for at, state in placed:
+        assert draw_space.valuation(at) == result.rows[state]
 
 
 def freeze() -> None:

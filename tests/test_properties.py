@@ -120,9 +120,7 @@ def test_coded_counts_match_set_formulas(t_d, t_r, sort_keys):
     assert (derived.size, required.size) == (
         set_size(t_d, PROPERTY_ORDER), set_size(t_r, PROPERTY_ORDER)
     )
-    assert similarity(derived, required).total_agreement == similarity(
-        *coded(t_d, t_r)
-    ).total_agreement
+    assert similarity(derived, required) == similarity(*coded(t_d, t_r))
     # The set-form entry points against the set formulas.
     if t_r:
         assert tfcomp(t_d, t_r) == Fraction(len(t_d & t_r), len(t_r))
@@ -161,8 +159,8 @@ def test_partial_dominates_total(t_d, t_r):
 @given(transition_sets(), transition_sets())
 @settings(max_examples=200)
 def test_similarity_symmetry_and_bounds(t1, t2):
-    s12 = similarity(*coded(t1, t2)).total_agreement
-    s21 = similarity(*coded(t2, t1)).total_agreement
+    s12 = similarity(*coded(t1, t2))
+    s21 = similarity(*coded(t2, t1))
     assert s12 == s21
     assert s12 <= min(set_size(t1, PROPERTY_ORDER), set_size(t2, PROPERTY_ORDER))
     assert s12 >= (2 * len(PROPERTY_ORDER) + 1) * len(t1 & t2)
@@ -171,10 +169,7 @@ def test_similarity_symmetry_and_bounds(t1, t2):
 @given(transition_sets(max_size=5), transition_sets(max_size=5))
 @settings(max_examples=150)
 def test_similarity_matches_exhaustive_oracle(t1, t2):
-    assert (
-        similarity(*coded(t1, t2)).total_agreement
-        == brute_force_similarity(t1, t2, PROPERTY_ORDER)
-    )
+    assert similarity(*coded(t1, t2)) == brute_force_similarity(t1, t2, PROPERTY_ORDER)
 
 
 # Integers, booleans and elements of two enumerated sets, so that one

@@ -3,7 +3,6 @@
 import bqual
 
 EXPORTED = [
-    "AlignmentOutcome",
     "ChangedSystem",
     "ExplorationResult",
     "MutationPlan",
