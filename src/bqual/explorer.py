@@ -62,6 +62,7 @@ from .bmachine import (
 )
 from .lts import (
     FALSE,
+    KIND_INT,
     TRUE,
     Relation,
     Value,
@@ -104,21 +105,50 @@ class InitialisationError(ExplorerError):
 
 @dataclass(frozen=True)
 class IntRangeDomain:
+    """``low..high``: sized and indexed arithmetically, never by its values."""
+
     low: int
     high: int
 
     def values(self) -> tuple[Value, ...]:
         return tuple(intval(n) for n in range(self.low, self.high + 1))
 
+    @property
+    def size(self) -> int:
+        return self.high - self.low + 1
+
+    def value(self, position: int) -> Value:
+        return intval(self.low + position)
+
+    def position(self, value: Value) -> int:
+        """``value``'s position in ``values()``, or -1 outside the range."""
+        inside = value.kind == KIND_INT and self.low <= value.payload <= self.high
+        return value.payload - self.low if inside else -1
+
+
+class _ListedDomain:
+    """A domain of a few values, sized and indexed by its ``values()``."""
+
+    @property
+    def size(self) -> int:
+        return len(self.values())
+
+    def value(self, position: int) -> Value:
+        return self.values()[position]
+
+    def position(self, value: Value) -> int:
+        values = self.values()
+        return values.index(value) if value in values else -1
+
 
 @dataclass(frozen=True)
-class BoolDomain:
+class BoolDomain(_ListedDomain):
     def values(self) -> tuple[Value, ...]:
         return (FALSE, TRUE)
 
 
 @dataclass(frozen=True)
-class EnumDomain:
+class EnumDomain(_ListedDomain):
     set_name: str
     elements: tuple[str, ...]
 
@@ -189,21 +219,21 @@ class DrawSpace:
     """The product of the variable domains, as fault injection draws
     post-states from it.
 
-    ``values`` holds each variable's domain values, in declaration order,
-    as the domains' ``values()`` list them (FALSE before TRUE, enumerated
-    elements as declared, integers ascending).  A valuation inside the
-    domains has an index there, which ``valuation`` decodes: the mixed-radix
-    number of its values' positions in ``values``, the first variable most
-    significant, out of ``size``, the product of the domains' sizes.
-    ``sorted_index`` holds the indices of the states inside the domains,
-    sorted, and ``by_index`` those states in the same order.  ``derived``
-    holds the sorted keys ``(pre·L + label)·size + index`` of the derived
-    edges whose post-state is inside, with that state's index, for L
-    labels, and ``occupied[c]`` how many of them label code ``c`` has.
-    Indices and keys are int64, or Python ints in object arrays when
-    S·L·size passes int64."""
+    ``domains`` holds the variables' domains in declaration order, each
+    sized and indexed by position in its ``values()`` (FALSE before TRUE,
+    enumerated elements as declared, integers ascending), an integer range
+    arithmetically, without building its values.  A valuation inside the
+    domains has an index, which ``valuation`` decodes: the mixed-radix
+    number of its values' positions, the first variable most significant,
+    out of ``size``, the product of the domains' sizes.  ``sorted_index``
+    holds the sorted indices of the states inside, and ``by_index`` those
+    states in that order.  ``derived`` holds the sorted keys
+    ``(pre·L + label)·size + index`` of the derived edges whose post-state
+    is inside, for L labels, and ``occupied[c]`` how many of them label
+    code ``c`` has.  Indices and keys are int64, or Python ints in object
+    arrays when S·L·size passes int64."""
 
-    values: tuple[tuple[Value, ...], ...]
+    domains: tuple
     size: int
     sorted_index: np.ndarray
     by_index: np.ndarray
@@ -213,9 +243,9 @@ class DrawSpace:
     def valuation(self, index: int) -> tuple[Value, ...]:
         """The valuation whose index is ``index``."""
         picked = []
-        for values in reversed(self.values):
-            index, at = divmod(index, len(values))
-            picked.append(values[at])
+        for domain in reversed(self.domains):
+            index, at = divmod(index, domain.size)
+            picked.append(domain.value(at))
         return tuple(reversed(picked))
 
 
@@ -297,20 +327,18 @@ class ExplorationResult(Relation):
         """The domains' product with this exploration's states and derived
         edges placed in it, built on first read (by fault injection)."""
         order, n_labels = self.variable_order, len(self.labels)
-        values = tuple(self.domains[name].values() for name in order)
-        size = math.prod(map(len, values))
+        domains = tuple(self.domains[name] for name in order)
+        size = math.prod(domain.size for domain in domains)
         dtype = np.int64 if len(self.rows) * n_labels * size < 2**63 else object
         # Each distinct value is placed once in each variable's domain (-1:
         # outside it), and a state's digits gathered by its values' codes.
-        distinct, coded = value_codes(self.rows, len(order))
-        positions = [{value: i for i, value in enumerate(vs)} for vs in values]
-        place = np.array(
-            [[at.get(value, -1) for value in distinct] for at in positions], dtype=np.int64
-        ).reshape(len(order), len(distinct))
+        values, coded = value_codes(self.rows, len(order))
+        place = [[domain.position(value) for value in values] for domain in domains]
+        place = np.array(place, dtype=np.int64).reshape(len(order), len(values))
         digits = place[np.arange(len(order)), coded]
         index = np.zeros(len(self.rows), dtype=dtype)
-        for column, radix in zip(digits.T, map(len, values)):
-            index = index * radix + column
+        for column, domain in zip(digits.T, domains):
+            index = index * domain.size + column
         index[(digits < 0).any(axis=1)] = -1
         placed = np.flatnonzero(index >= 0)
         by_index = placed[np.argsort(index[placed])]
@@ -321,7 +349,7 @@ class ExplorationResult(Relation):
         derived = edge_keys(pre, label, post, size, n_labels, dtype)
         derived.sort()
         occupied = np.bincount(label, minlength=n_labels)
-        return DrawSpace(values, size, index[by_index], by_index, derived, occupied)
+        return DrawSpace(domains, size, index[by_index], by_index, derived, occupied)
 
     @functools.cached_property
     def graph(self) -> tuple[np.ndarray, np.ndarray]:

@@ -148,7 +148,7 @@ def generate_plan(
             f"of {space} with {occupied} already derived"
         )
     draw_space = result.draw_space
-    radices = [(len(values), range(len(values))) for values in draw_space.values]
+    radices = [(domain.size, range(domain.size)) for domain in draw_space.domains]
     n_labels, choice = len(labels), rng.choice
     extra: dict = {}  # the accepted keys, in draw order
     attempts = 0
