@@ -399,7 +399,7 @@ def test_fault_injection_never_builds_an_integer_domain(tmp_path):
     # Four reached states of x : 0..N: drawing post-states from the domain
     # costs the same at N = 10^6 as at N = 10^3.  Building the 10^6 values
     # took the whole process from 62 to 280 MB; arithmetic indexing keeps
-    # both at 62 MB (ru_maxrss, one child each).
+    # both at 62 MB (ru_maxrss of one child each; Linux, CPython 3.11).
     src = str(Path(bqual.__file__).resolve().parents[1])
     paths = filter(None, (src, os.environ.get("PYTHONPATH")))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
