@@ -364,7 +364,8 @@ class _Generator:
                 self.write(depth, f"if {self.predicate(guard, env, bound)}:")
                 self.sequence(_steps(body), env, bound, emit, depth + 1)
         elif isinstance(sub, AnyChoice):
-            domains = [self.constant(d.values()) for d in bound_domains(sub, self.machine)]
+            listed = (tuple(map(d.value, range(d.size))) for d in bound_domains(sub, self.machine))
+            domains = [self.constant(values) for values in listed]
             names = [self.fresh("_b") for _ in domains]
             if len(names) > 1:
                 self.write(depth, f"for {', '.join(names)} in _product({', '.join(domains)}):")

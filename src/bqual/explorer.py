@@ -105,13 +105,12 @@ class InitialisationError(ExplorerError):
 
 @dataclass(frozen=True)
 class IntRangeDomain:
-    """``low..high``: sized and indexed arithmetically, never by its values."""
+    """``low..high``, integers ascending, sized and indexed arithmetically.
+    Like ``ListedDomain``, it is read only by ``size``, ``value(i)`` (the
+    value at position ``i``) and ``position(v)`` (its inverse, or -1)."""
 
     low: int
     high: int
-
-    def values(self) -> tuple[Value, ...]:
-        return tuple(intval(n) for n in range(self.low, self.high + 1))
 
     @property
     def size(self) -> int:
@@ -121,39 +120,26 @@ class IntRangeDomain:
         return intval(self.low + position)
 
     def position(self, value: Value) -> int:
-        """``value``'s position in ``values()``, or -1 outside the range."""
         inside = value.kind == KIND_INT and self.low <= value.payload <= self.high
         return value.payload - self.low if inside else -1
 
 
-class _ListedDomain:
-    """A domain of a few values, sized and indexed by its ``values()``."""
+@dataclass(frozen=True)
+class ListedDomain:
+    """A domain of a few values, in order: ``(FALSE, TRUE)`` for ``BOOL``,
+    an enumerated set's elements as declared."""
+
+    values: tuple[Value, ...]
 
     @property
     def size(self) -> int:
-        return len(self.values())
+        return len(self.values)
 
     def value(self, position: int) -> Value:
-        return self.values()[position]
+        return self.values[position]
 
     def position(self, value: Value) -> int:
-        values = self.values()
-        return values.index(value) if value in values else -1
-
-
-@dataclass(frozen=True)
-class BoolDomain(_ListedDomain):
-    def values(self) -> tuple[Value, ...]:
-        return (FALSE, TRUE)
-
-
-@dataclass(frozen=True)
-class EnumDomain(_ListedDomain):
-    set_name: str
-    elements: tuple[str, ...]
-
-    def values(self) -> tuple[Value, ...]:
-        return tuple(enumval(self.set_name, e) for e in self.elements)
+        return self.values.index(value) if value in self.values else -1
 
 
 def _domain_from_membership(pred, name: str, ref_type, machine: MachineAST):
@@ -170,12 +156,12 @@ def _domain_from_membership(pred, name: str, ref_type, machine: MachineAST):
         return IntRangeDomain(pred.low.value, pred.high.value)
     if isinstance(pred, SetMembership) and pred.expr == ref_type(name):
         if pred.set_name == BOOL_SET:
-            return BoolDomain()
+            return ListedDomain((FALSE, TRUE))
         for set_name, elements in machine.sets:
             if set_name == pred.set_name:
                 if not elements:
                     raise DomainError(f"enumerated set {set_name!r} is empty")
-                return EnumDomain(set_name, elements)
+                return ListedDomain(tuple(enumval(set_name, e) for e in elements))
         raise DomainError(f"unknown set {pred.set_name!r}")
     return None
 
@@ -219,19 +205,17 @@ class DrawSpace:
     """The product of the variable domains, as fault injection draws
     post-states from it.
 
-    ``domains`` holds the variables' domains in declaration order, each
-    sized and indexed by position in its ``values()`` (FALSE before TRUE,
-    enumerated elements as declared, integers ascending), an integer range
-    arithmetically, without building its values.  A valuation inside the
-    domains has an index, which ``valuation`` decodes: the mixed-radix
-    number of its values' positions, the first variable most significant,
-    out of ``size``, the product of the domains' sizes.  ``sorted_index``
-    holds the sorted indices of the states inside, and ``by_index`` those
-    states in that order.  ``derived`` holds the sorted keys
-    ``(pre·L + label)·size + index`` of the derived edges whose post-state
-    is inside, for L labels, and ``occupied[c]`` how many of them label
-    code ``c`` has.  Indices and keys are int64, or Python ints in object
-    arrays when S·L·size passes int64."""
+    ``domains`` holds the variables' domains in declaration order, read only
+    by ``size``, ``value`` and ``position``, so that an integer range is
+    never listed.  A valuation inside the domains has an index, which
+    ``valuation`` decodes: the mixed-radix number of its values' positions,
+    the first variable most significant, out of ``size``, the product of the
+    domains' sizes.  ``sorted_index`` holds the sorted indices of the states
+    inside, and ``by_index`` those states in that order.  ``derived`` holds
+    the sorted keys ``(pre·L + label)·size + index`` of the derived edges
+    whose post-state is inside, for L labels, and ``occupied[c]`` how many
+    of them label code ``c`` has.  Positions, indices and keys are int64, or
+    Python ints in object arrays when S·L·size passes int64."""
 
     domains: tuple
     size: int
@@ -334,7 +318,7 @@ class ExplorationResult(Relation):
         # outside it), and a state's digits gathered by its values' codes.
         values, coded = value_codes(self.rows, len(order))
         place = [[domain.position(value) for value in values] for domain in domains]
-        place = np.array(place, dtype=np.int64).reshape(len(order), len(values))
+        place = np.array(place, dtype=dtype).reshape(len(order), len(values))
         digits = place[np.arange(len(order)), coded]
         index = np.zeros(len(self.rows), dtype=dtype)
         for column, domain in zip(digits.T, domains):

@@ -122,10 +122,11 @@ def generate_plan(
     The random calls are those of the plan's definition (docs/formats.md,
     "Seeded draws"): one ``sample`` of the positions of the canonically
     ordered pool, then per extra candidate one ``choice`` of the pre-state
-    among the states in canonical order, one of the label and one of each
-    variable's value index, in declaration order.  Candidates are drawn in
-    batches of as many as are still wanted, so that no batch draws past
-    the draw that completes the plan or trips the cap."""
+    among the states in canonical order, one of the label and, for each
+    variable in declaration order, its value index as one ``randrange`` of
+    its domain's size.  Candidates are drawn in batches of as many as are
+    still wanted, so that no batch draws past the draw that completes the
+    plan or trips the cap."""
     for name, count in (("n_extra", n_extra), ("n_missing", n_missing)):
         if count < 0:
             raise MutationError(f"{name} must not be negative, got {count}")
@@ -148,8 +149,8 @@ def generate_plan(
             f"of {space} with {occupied} already derived"
         )
     draw_space = result.draw_space
-    radices = [(domain.size, range(domain.size)) for domain in draw_space.domains]
-    n_labels, choice = len(labels), rng.choice
+    radices = [domain.size for domain in draw_space.domains]
+    n_labels, choice, randrange = len(labels), rng.choice, rng.randrange
     extra: dict = {}  # the accepted keys, in draw order
     attempts = 0
     cap = max(_MAX_DRAW_ATTEMPTS, 100 * n_extra)
@@ -163,8 +164,8 @@ def generate_plan(
         keys = []
         for _ in range(batch):
             key = choice(by_rank) * n_labels + choice(codes)
-            for radix, indices in radices:
-                key = key * radix + choice(indices)
+            for radix in radices:
+                key = key * radix + randrange(radix)
             keys.append(key)
         derived, _ = lookup(draw_space.derived, np.array(keys, draw_space.derived.dtype))
         for key, old in zip(keys, derived.tolist()):
@@ -183,8 +184,6 @@ def _drawn(result: ExplorationResult, keys: np.ndarray) -> tuple:
     rest, index = keys // draw_space.size, keys % draw_space.size
     pre, label = (column.astype(np.int64) for column in (rest // n_labels, rest % n_labels))
     reached, at = lookup(draw_space.sorted_index, index)
-    if reached.all():
-        return (), pre, label, draw_space.by_index[at]
     post = np.empty(len(keys), dtype=np.int64)
     post[reached] = draw_space.by_index[at[reached]]
     fresh, slot = np.unique(index[~reached], return_inverse=True)

@@ -338,7 +338,7 @@ def compile_substitution(sub, machine: MachineAST):
     if isinstance(sub, AnyChoice):
         identifiers = sub.identifiers
         domains = bound_domains(sub, machine)
-        valuations = list(itertools.product(*(d.values() for d in domains)))
+        valuations = list(itertools.product(*(map(d.value, range(d.size)) for d in domains)))
         where = compile_predicate(sub.where)
         body = compile_substitution(sub.body, machine)
 

@@ -11,12 +11,11 @@ import pytest
 from bqual import codegen
 from bqual.bmachine import BoundRef, Comparison, IntLit, Not, Or, TruePredicate, VarRef
 from bqual.explorer import (
-    BoolDomain,
     DomainError,
-    EnumDomain,
     EvalTypeError,
     InitialisationError,
     IntRangeDomain,
+    ListedDomain,
     UnboundVariableError,
     check_goal,
     explore,
@@ -71,8 +70,8 @@ class TestInferDomains:
             "INITIALISATION light := red; open := FALSE OPERATIONS o = skip END"
         )
         assert infer_domains(machine) == {
-            "light": EnumDomain("C", ("red", "green")),
-            "open": BoolDomain(),
+            "light": ListedDomain((enumval("C", "red"), enumval("C", "green"))),
+            "open": ListedDomain((boolval(False), boolval(True))),
         }
 
     def test_empty_range_rejected(self):
@@ -82,6 +81,22 @@ class TestInferDomains:
         )
         with pytest.raises(DomainError, match="empty"):
             infer_domains(machine)
+
+    def test_variable_bounds_must_be_literals(self):
+        machine = parse_machine(
+            "MACHINE M VARIABLES x INVARIANT x : 0..(1 + 1) INITIALISATION x := 0 "
+            "OPERATIONS o = skip END"
+        )
+        with pytest.raises(DomainError, match="bounds for 'x' must be integer literals"):
+            infer_domains(machine)
+
+    def test_any_bounds_must_be_literals(self):
+        machine = parse_machine(
+            "MACHINE M VARIABLES x INVARIANT x : 0..3 INITIALISATION x := 0 "
+            "OPERATIONS jump = ANY b WHERE b : 0..(x + 1) THEN x := b END END"
+        )
+        with pytest.raises(DomainError, match="bounds for 'b' must be integer literals"):
+            explore(machine)
 
 
 class TestEnumerateSubstitution:

@@ -11,6 +11,7 @@ import pytest
 
 import bqual
 
+from bqual.evaluation import EvaluationConfig, evaluate
 from bqual.explorer import infer_domains
 from bqual.lts import StructureError, Transition, boolval, intval
 from bqual.mutation import (
@@ -201,7 +202,7 @@ class TestGeneratePlan:
             assert t.pre in cm1_result.states
             assert t.label in operation_names(cm1_machine)
             for name, value in zip(ORDER, t.post):
-                assert value in domains[name].values()
+                assert domains[name].position(value) >= 0
 
     def test_label_scope(self, cm1_result):
         plan = generate_plan(cm1_result, 3, 3, seed=4, label_scope="inc_hour")
@@ -267,7 +268,7 @@ class TestGeneratePlan:
             1
             for t in result.transitions
             if t.label in labels
-            and all(v in domains["x"].values() for v in t.post)
+            and all(domains["x"].position(v) >= 0 for v in t.post)
         )
         assert scanned == occupied
         space = len(result.states) * len(labels) * 4
@@ -426,6 +427,28 @@ def test_fault_injection_never_builds_an_integer_domain(tmp_path):
         "fault_analysability": "3/4",
     }
     assert wide["peak_kb"] - runs[1_000]["peak_kb"] < 16 * 1024
+
+
+@pytest.mark.parametrize("bounds", ["0..10000000000000000000", "-10000000000000000000..10"])
+def test_fault_injection_draws_from_a_domain_past_int64(tmp_path, bounds):
+    # 0..10^19 holds more than 2^63 - 1 values, too many for a draw that
+    # takes len() of a range; in -10^19..10 each state's position is about
+    # 10^19, too large for an int64 placement table.
+    machine = tmp_path / "Big.mch"
+    machine.write_text(
+        f"MACHINE Big VARIABLES x INVARIANT x : {bounds} INITIALISATION x := 0 "
+        "OPERATIONS up = PRE x < 3 THEN x := x + 1 END END",
+        encoding="utf-8",
+    )
+    report = evaluate(EvaluationConfig(machine_path=str(machine), seed=3))
+    assert {name: report.value(name) for name in FAULT_METRICS} == {
+        "fault_tolerance": Fraction(41, 120),
+        "recoverability": Fraction(17, 60),
+        "functional_analysability": Fraction(23, 60),
+        "fault_analysability": Fraction(3, 4),
+    }
+    assert report.value("modularity") is None
+    assert report.reasons["modularity"] == "no transitions outside operation 'up'"
 
 
 class TestApplyPlan:
